@@ -4,7 +4,7 @@ PKGS       := ./...
 CHAOS_PKGS := ./internal/faults ./internal/visor ./internal/gateway ./internal/kvstore ./internal/integration
 RACE_PKGS  := ./internal/...
 
-.PHONY: all build vet lint test race chaos bench bench-check bench-baseline trace-demo coldstart-demo ci
+.PHONY: all build vet lint test race chaos bench bench-check bench-baseline bench-e2e-smoke trace-demo coldstart-demo ci
 
 all: build
 
@@ -58,6 +58,17 @@ bench-check:
 # numbers (see DESIGN.md §12 for etiquette).
 bench-baseline:
 	$(GO) run ./cmd/asbench -exp cheap -scale 0.01 -record benchmarks/baselines
+
+# bench-e2e-smoke drives every workload of BENCHMARK.json through the
+# end-to-end benchmark's own harness for a fraction of a second each. It
+# measures nothing; it fails when a workload no longer boots or an
+# invoke's output check fails, i.e. when a change broke what the
+# benchmark driver is about to run.
+E2E_WORKLOADS := frontdoor-noop chain-refpass chain-file wc-py-warm
+bench-e2e-smoke:
+	for w in $(E2E_WORKLOADS); do \
+		$(GO) run ./benchmarks/e2e -workload $$w -smoke || exit 1; \
+	done
 
 # trace-demo runs a traced fan-out pipeline and emits trace.json,
 # loadable at https://ui.perfetto.dev (CI uploads it as an artifact).

@@ -291,6 +291,19 @@ func (w *WFD) MemoryUsage() uint64 {
 	return w.Space.Mapped()
 }
 
+// Crossings sums the PKRU writes of every function env the WFD created —
+// two per syscall trampoline, more under IFI where buffers are rebound —
+// the per-run MPK cost the AS-IFI rows of Table 4 expose.
+func (w *WFD) Crossings() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var n uint64
+	for _, env := range w.envs {
+		n += env.Crossings()
+	}
+	return n
+}
+
 // Destroy tears down the WFD: modules shut down in reverse load order,
 // LibOS resources (fds, network stack) are released, and the address
 // space is dropped. Idempotent.

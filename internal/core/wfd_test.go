@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -449,5 +450,31 @@ func TestMemoryUsageGrowsWithBuffers(t *testing.T) {
 	})
 	if after := w.MemoryUsage(); after <= before {
 		t.Fatalf("memory usage did not grow: %d -> %d", before, after)
+	}
+}
+
+// TestInstantiateAllocatesLittle guards the demand-backed boot: a WFD
+// that runs nothing reserves its partitions but backs none of them, so an
+// Instantiate+Destroy cycle allocates a few KiB of bookkeeping, not the
+// 64 KiB system partition (let alone a heap chunk).
+func TestInstantiateAllocatesLittle(t *testing.T) {
+	const runs = 100
+	opts := Options{OnDemand: true, CostScale: 0}
+	cycle := func() {
+		w, err := Instantiate(opts)
+		if err != nil {
+			t.Fatalf("Instantiate: %v", err)
+		}
+		w.Destroy()
+	}
+	cycle() // the shared registry is built once
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 32<<10 {
+		t.Fatalf("Instantiate+Destroy allocates %d bytes per cycle, want <= %d", perRun, 32<<10)
 	}
 }

@@ -20,11 +20,9 @@ func initMM(e any) (loader.Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The intermediate-data heap lives in the WFD's single address space.
-	heap, err := mem.NewHeap(l.Space, l.cfg.BufHeapSize)
-	if err != nil {
-		return nil, fmt.Errorf("libos: mm heap: %w", err)
-	}
+	// The intermediate-data heap lives in the WFD's single address space;
+	// it maps its first chunk when a function first asks for a buffer.
+	heap := mem.NewHeap(l.Space, l.cfg.BufHeapSize)
 	l.mu.Lock()
 	l.BufHeap = heap
 	l.mu.Unlock()

@@ -6,7 +6,9 @@ import "errors"
 var ErrSealed = errors.New("mem: space is sealed")
 
 // Seal freezes the Space: no further Map/Unmap/SetKey/WriteAt, no
-// writable Slice views, and no lazy fault fills. A warm-pool template is
+// writable Slice views, and no lazy fault fills. (A read of a region that
+// was reserved but never touched still backs it with zeros: that changes
+// no byte anyone can observe.) A warm-pool template is
 // sealed once its guest runtime is initialized, so every clone cut from
 // it sees exactly the snapshot state and nothing can mutate the pages
 // the clones share. Sealing is idempotent and cannot be undone.
@@ -29,7 +31,9 @@ func (s *Space) Sealed() bool {
 // buffers) at zero copy cost, and a region's pages are copied only when
 // the clone first mutates them. Sharing is at region granularity —
 // clones allocate their own heaps in fresh regions, so breaks are rare
-// in practice.
+// in practice. A region the template reserved but never touched has no
+// pages to share: the clone inherits the reservation and backs its own
+// zeros on first touch, which is not a copy-on-write break.
 //
 // Protection-key bindings and fault-present bitmaps are copied eagerly
 // (they are small), so the clone can rebind fresh MPK keys without
@@ -51,7 +55,8 @@ func (s *Space) Fork() *Space {
 			base:    r.base,
 			size:    r.size,
 			data:    r.data, // shared until first write
-			cow:     true,
+			cow:     r.data != nil,
+			key:     r.key,
 			keys:    append([]uint8(nil), r.keys...),
 			lazy:    r.lazy,
 			handler: r.handler,
@@ -92,47 +97,4 @@ func (s *Space) SharedBytes() uint64 {
 		}
 	}
 	return n
-}
-
-// needsFill reports whether serving [addr, addr+n) would fault in a
-// missing lazy page, i.e. mutate the backing array.
-func (r *region) needsFill(addr, n uint64) bool {
-	if !r.lazy || addr+n > r.end() {
-		return false
-	}
-	first := r.pageIndex(addr)
-	last := r.pageIndex(addr + n - 1)
-	for i := first; i <= last; i++ {
-		if !r.present[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// ensureOwned breaks copy-on-write for the region containing addr when
-// the pending access would mutate its backing array: an explicit write,
-// or a read that must fault in a lazy page. The cow flag only ever
-// transitions true→false, so the recheck under the write lock is the
-// only synchronisation needed.
-func (s *Space) ensureOwned(addr, n uint64, write bool) {
-	if n == 0 {
-		return
-	}
-	s.mu.RLock()
-	r := s.find(addr)
-	need := r != nil && r.cow && (write || r.needsFill(addr, n))
-	s.mu.RUnlock()
-	if !need {
-		return
-	}
-	s.mu.Lock()
-	if r := s.find(addr); r != nil && r.cow {
-		private := make([]byte, len(r.data))
-		copy(private, r.data)
-		r.data = private
-		r.cow = false
-		s.cowBreaks++
-	}
-	s.mu.Unlock()
 }

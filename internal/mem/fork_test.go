@@ -232,3 +232,115 @@ func TestForkConcurrentClones(t *testing.T) {
 		t.Fatalf("template mutated: byte=%#x err=%v", got[0], err)
 	}
 }
+
+// TestForkUnbackedRegion: a region the template reserved but never
+// touched has no pages to share. Each clone backs its own zeros on first
+// touch — which is not a copy-on-write break — and the template still
+// reads zeros afterwards.
+func TestForkUnbackedRegion(t *testing.T) {
+	parent := NewSpace(0)
+	base, err := parent.Map(2 * PageSize)
+	if err != nil {
+		t.Fatalf("Map: %v", err)
+	}
+	a, b := parent.Fork(), parent.Fork()
+	if a.SharedBytes() != 0 {
+		t.Fatalf("SharedBytes = %d for an unbacked region, want 0", a.SharedBytes())
+	}
+	if a.Mapped() != 2*PageSize {
+		t.Fatalf("clone Mapped = %d, want the inherited reservation %d", a.Mapped(), 2*PageSize)
+	}
+	if err := a.WriteAt(nil, base, []byte{0xA1}); err != nil {
+		t.Fatalf("a WriteAt: %v", err)
+	}
+	if err := b.WriteAt(nil, base, []byte{0xB2}); err != nil {
+		t.Fatalf("b WriteAt: %v", err)
+	}
+	for _, c := range []struct {
+		name  string
+		space *Space
+		want  byte
+	}{{"a", a, 0xA1}, {"b", b, 0xB2}, {"template", parent, 0}} {
+		var got [1]byte
+		if err := c.space.ReadAt(nil, base, got[:]); err != nil {
+			t.Fatalf("%s ReadAt: %v", c.name, err)
+		}
+		if got[0] != c.want {
+			t.Fatalf("%s reads %#x, want %#x", c.name, got[0], c.want)
+		}
+		if n := c.space.CowBreaks(); n != 0 {
+			t.Fatalf("%s CowBreaks = %d, want 0: backing is not a COW break", c.name, n)
+		}
+	}
+	// A clone cut after the template backed its zeros shares them and
+	// breaks COW on write like any backed region.
+	late := parent.Fork()
+	if late.SharedBytes() != 2*PageSize {
+		t.Fatalf("late clone SharedBytes = %d, want %d", late.SharedBytes(), 2*PageSize)
+	}
+	if err := late.WriteAt(nil, base, []byte{0xC3}); err != nil {
+		t.Fatalf("late WriteAt: %v", err)
+	}
+	var got [1]byte
+	if err := parent.ReadAt(nil, base, got[:]); err != nil || got[0] != 0 {
+		t.Fatalf("template byte = %#x, err = %v after late clone write; want 0", got[0], err)
+	}
+}
+
+// TestSealedUnbackedRegion: sealing a template with a region nobody
+// touched changes nothing about the seal — writes and writable views are
+// refused, reads see zeros.
+func TestSealedUnbackedRegion(t *testing.T) {
+	s := NewSpace(0)
+	base, err := s.Map(PageSize)
+	if err != nil {
+		t.Fatalf("Map: %v", err)
+	}
+	s.Seal()
+	if err := s.WriteAt(nil, base, []byte{1}); !errors.Is(err, ErrSealed) {
+		t.Fatalf("WriteAt on sealed unbacked region = %v, want ErrSealed", err)
+	}
+	if _, err := s.Slice(nil, base, 8, true); !errors.Is(err, ErrSealed) {
+		t.Fatalf("writable Slice on sealed unbacked region = %v, want ErrSealed", err)
+	}
+	if backed(s, base) {
+		t.Fatal("a refused write backed the region")
+	}
+	v, err := s.Slice(nil, base, 8, false)
+	if err != nil {
+		t.Fatalf("read Slice on sealed unbacked region: %v", err)
+	}
+	if !bytes.Equal(v, make([]byte, 8)) {
+		t.Fatal("sealed unbacked region does not read as zeros")
+	}
+}
+
+// TestForkUnbackedLazyRegion: a lazy region with no page ever faulted is
+// unbacked in the template; the clone's first fault backs and fills its
+// own array without a COW break.
+func TestForkUnbackedLazyRegion(t *testing.T) {
+	parent := NewSpace(0)
+	base, err := parent.MapLazy(2*PageSize, func(addr uint64, data []byte) error {
+		for i := range data {
+			data[i] = 0x42
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("MapLazy: %v", err)
+	}
+	child := parent.Fork()
+	var one [1]byte
+	if err := child.ReadAt(nil, base+PageSize, one[:]); err != nil {
+		t.Fatalf("child fault: %v", err)
+	}
+	if one[0] != 0x42 {
+		t.Fatalf("fault fill = %#x, want 0x42", one[0])
+	}
+	if child.CowBreaks() != 0 || child.Faults() != 1 {
+		t.Fatalf("CowBreaks = %d, Faults = %d; want 0 and 1", child.CowBreaks(), child.Faults())
+	}
+	if err := parent.ReadAt(nil, base, one[:]); !errors.Is(err, ErrSealed) {
+		t.Fatalf("sealed template fault fill = %v, want ErrSealed", err)
+	}
+}

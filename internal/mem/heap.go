@@ -6,15 +6,19 @@ import (
 	"sync"
 )
 
-// Heap is a first-fit free-list allocator over a region of a Space,
+// Heap is a first-fit free-list allocator over regions of a Space,
 // modelled on the linked_list_allocator the paper uses as the WFD's
 // default memory allocator: an address-ordered free list with block
 // splitting on allocation and coalescing on free. Allocating a fresh heap
 // per function makes crash recovery a matter of dropping the heap unit,
 // which is the paper's fault-isolation story inside a WFD.
+//
+// A growable heap maps nothing until it is asked for memory: each chunk
+// is mapped by the Alloc that no earlier chunk can satisfy and is sized
+// to that request, so a WFD that allocates 64 KiB reserves (and, on first
+// touch, backs) about 64 KiB, whatever its limit.
 type Heap struct {
 	space *Space
-	base  uint64
 	size  uint64 // total mapped heap bytes across all chunks
 	limit uint64 // maximum the heap may grow to
 
@@ -49,56 +53,34 @@ var (
 // minAlign is the minimum alignment of every allocation.
 const minAlign = 16
 
-// initialChunk is the first mapping of a growable heap. Heaps grow on
-// demand up to their limit, so a WFD's cold start does not pay for a
-// maximal heap it may never use — the same reason the paper's allocator
-// manages the heap in recoverable units.
-const initialChunk = 4 << 20
+// minChunk is the smallest chunk a growable heap maps, so a function's
+// small allocations share one mapping instead of taking a region each.
+const minChunk = 16 * PageSize
 
-// NewHeap builds an allocator allowed to grow to limit bytes, mapping a
-// small initial chunk now and further chunks on demand.
-func NewHeap(space *Space, limit uint64) (*Heap, error) {
-	limit = roundUp(limit)
-	first := uint64(initialChunk)
-	if first > limit {
-		first = limit
-	}
-	first = roundUp(first)
-	// +PageSize: an unmapped-by-the-heap guard page so a later chunk
-	// mapped right after can never coalesce with this one.
-	base, err := space.Map(first + PageSize)
-	if err != nil {
-		return nil, err
-	}
+// NewHeap builds an allocator allowed to grow to limit bytes. It maps
+// nothing: chunks are mapped on demand by Alloc.
+func NewHeap(space *Space, limit uint64) *Heap {
 	return &Heap{
 		space:     space,
-		base:      base,
-		size:      first,
-		limit:     limit,
-		lastChunk: first,
-		free:      &freeBlock{addr: base, size: first},
+		limit:     roundUp(limit),
 		allocated: make(map[uint64]uint64),
-		chunks:    []span{{base, first}},
-	}, nil
+	}
 }
 
-// grow maps an additional chunk able to hold at least need bytes.
-// Chunks are separated by an unmapped guard page so free blocks from
-// different chunks can never coalesce into a span that crosses a
-// mapping boundary (buffers must stay contiguous for zero-copy views).
+// grow maps an additional chunk able to hold need bytes: the request
+// itself, or double the previous chunk when that is larger, so a heap of
+// many small blocks needs few chunks. The limit caps it. Chunks are
+// separated by an unmapped-by-the-heap guard page so free blocks from
+// different chunks can never coalesce into a span that crosses a mapping
+// boundary (buffers must stay contiguous for zero-copy views).
 // Caller holds h.mu.
 func (h *Heap) grow(need uint64) error {
 	if h.fixed {
 		return ErrHeapFull
 	}
-	chunk := h.lastChunk * 2
-	if chunk < roundUp(need)+PageSize {
-		chunk = roundUp(need) + PageSize
-	}
-	if remaining := h.limit - h.size; chunk > remaining {
-		chunk = remaining
-	}
-	if chunk < roundUp(need) {
+	need = roundUp(need)
+	chunk := min(max(need, minChunk, h.lastChunk*2), h.limit-h.size)
+	if chunk < need {
 		return ErrHeapFull
 	}
 	base, err := h.space.Map(chunk + PageSize) // +guard page
@@ -117,13 +99,12 @@ func (h *Heap) grow(need uint64) error {
 func NewHeapAt(space *Space, base, size uint64) *Heap {
 	return &Heap{
 		space:     space,
-		base:      base,
 		size:      size,
 		limit:     size,
-		lastChunk: size,
 		fixed:     true,
 		free:      &freeBlock{addr: base, size: size},
 		allocated: make(map[uint64]uint64),
+		chunks:    []span{{base, size}},
 	}
 }
 
@@ -164,17 +145,22 @@ retry:
 		if b.size < pad+size {
 			continue
 		}
-		// Unlink b, then return the front pad and tail remainder.
-		if prev == nil {
+		// Carve [start, start+size) out of b in place. What remains of b
+		// cannot touch another free block (b did not), so the list stays
+		// ordered and coalesced without a walk.
+		tail := b.size - pad - size
+		switch {
+		case pad > 0 && tail > 0:
+			b.size = pad
+			b.next = &freeBlock{addr: start + size, size: tail, next: b.next}
+		case pad > 0:
+			b.size = pad
+		case tail > 0:
+			b.addr, b.size = start+size, tail
+		case prev == nil:
 			h.free = b.next
-		} else {
+		default:
 			prev.next = b.next
-		}
-		if pad > 0 {
-			h.insertFree(b.addr, pad)
-		}
-		if tail := b.size - pad - size; tail > 0 {
-			h.insertFree(start+size, tail)
 		}
 		if _, dup := h.allocated[start]; dup {
 			return 0, ErrDoubleAlloc
@@ -212,28 +198,29 @@ func (h *Heap) Free(addr uint64) error {
 	return nil
 }
 
-// insertFree inserts [addr, addr+size) into the address-ordered free
-// list, merging with neighbours. Caller holds h.mu.
+// insertFree returns [addr, addr+size) to the address-ordered free list,
+// growing a neighbouring free block where one is adjacent and linking a
+// new block only where none is. Caller holds h.mu.
 func (h *Heap) insertFree(addr, size uint64) {
 	var prev *freeBlock
-	b := h.free
-	for b != nil && b.addr < addr {
-		prev, b = b, b.next
+	next := h.free
+	for next != nil && next.addr < addr {
+		prev, next = next, next.next
 	}
-	nb := &freeBlock{addr: addr, size: size, next: b}
-	if prev == nil {
-		h.free = nb
-	} else {
-		prev.next = nb
-	}
-	// Coalesce nb with its successor, then predecessor with nb.
-	if nb.next != nil && nb.addr+nb.size == nb.next.addr {
-		nb.size += nb.next.size
-		nb.next = nb.next.next
-	}
-	if prev != nil && prev.addr+prev.size == nb.addr {
-		prev.size += nb.size
-		prev.next = nb.next
+	joinsPrev := prev != nil && prev.addr+prev.size == addr
+	joinsNext := next != nil && addr+size == next.addr
+	switch {
+	case joinsPrev && joinsNext:
+		prev.size += size + next.size
+		prev.next = next.next
+	case joinsPrev:
+		prev.size += size
+	case joinsNext:
+		next.addr, next.size = addr, next.size+size
+	case prev == nil:
+		h.free = &freeBlock{addr: addr, size: size, next: next}
+	default:
+		prev.next = &freeBlock{addr: addr, size: size, next: next}
 	}
 }
 
@@ -245,11 +232,12 @@ func (h *Heap) SizeOf(addr uint64) (uint64, bool) {
 	return size, ok
 }
 
-// Base returns the heap's base address.
-func (h *Heap) Base() uint64 { return h.base }
-
-// Size returns the heap's total capacity in bytes.
-func (h *Heap) Size() uint64 { return h.size }
+// Size returns the bytes the heap has mapped so far, guard pages aside.
+func (h *Heap) Size() uint64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.size
+}
 
 // Space returns the address space the heap allocates from.
 func (h *Heap) Space() *Space { return h.space }
@@ -289,7 +277,7 @@ func (h *Heap) checkInvariants() error {
 				return true
 			}
 		}
-		return h.fixed && addr >= h.base && addr+size <= h.base+h.size
+		return false
 	}
 	var freeTotal uint64
 	for b := h.free; b != nil; b = b.next {

@@ -7,23 +7,18 @@ import (
 	"testing/quick"
 )
 
-func newTestHeap(t *testing.T, size uint64) *Heap {
-	t.Helper()
-	h, err := NewHeap(NewSpace(0), size)
-	if err != nil {
-		t.Fatalf("NewHeap: %v", err)
-	}
-	return h
+func newTestHeap(size uint64) *Heap {
+	return NewHeap(NewSpace(0), size)
 }
 
 func TestAllocFree(t *testing.T) {
-	h := newTestHeap(t, 1<<20)
+	h := newTestHeap(1 << 20)
 	a, err := h.Alloc(100, 0)
 	if err != nil {
 		t.Fatalf("Alloc: %v", err)
 	}
-	if a < h.Base() || a >= h.Base()+h.Size() {
-		t.Fatalf("allocation %#x outside heap [%#x,%#x)", a, h.Base(), h.Base()+h.Size())
+	if _, err := h.Space().Slice(nil, a, 100, true); err != nil {
+		t.Fatalf("allocation %#x not in mapped memory: %v", a, err)
 	}
 	if err := h.Free(a); err != nil {
 		t.Fatalf("Free: %v", err)
@@ -34,7 +29,7 @@ func TestAllocFree(t *testing.T) {
 }
 
 func TestAllocAlignment(t *testing.T) {
-	h := newTestHeap(t, 1<<20)
+	h := newTestHeap(1 << 20)
 	for _, align := range []uint64{16, 64, 256, 4096} {
 		a, err := h.Alloc(24, align)
 		if err != nil {
@@ -47,7 +42,7 @@ func TestAllocAlignment(t *testing.T) {
 }
 
 func TestAllocationsDoNotOverlap(t *testing.T) {
-	h := newTestHeap(t, 1<<20)
+	h := newTestHeap(1 << 20)
 	type span struct{ a, n uint64 }
 	var spans []span
 	for i := 0; i < 100; i++ {
@@ -71,7 +66,7 @@ func TestAllocationsDoNotOverlap(t *testing.T) {
 }
 
 func TestFreeCoalescesAndReuses(t *testing.T) {
-	h := newTestHeap(t, 64*1024)
+	h := newTestHeap(64 * 1024)
 	// Fill the heap with equal blocks, free them all, then one big alloc
 	// must succeed — proving coalescing works.
 	var addrs []uint64
@@ -106,7 +101,7 @@ func TestFreeCoalescesAndReuses(t *testing.T) {
 }
 
 func TestHeapExhaustion(t *testing.T) {
-	h := newTestHeap(t, 8*1024)
+	h := newTestHeap(8 * 1024)
 	if _, err := h.Alloc(16*1024, 0); !errors.Is(err, ErrHeapFull) {
 		t.Fatalf("oversized alloc: err = %v, want ErrHeapFull", err)
 	}
@@ -126,8 +121,8 @@ func TestHeapExhaustion(t *testing.T) {
 }
 
 func TestBadFree(t *testing.T) {
-	h := newTestHeap(t, 1<<16)
-	if err := h.Free(h.Base() + 64); !errors.Is(err, ErrBadFree) {
+	h := newTestHeap(1 << 16)
+	if err := h.Free(64); !errors.Is(err, ErrBadFree) {
 		t.Fatalf("free of never-allocated: err = %v, want ErrBadFree", err)
 	}
 	a, _ := h.Alloc(64, 0)
@@ -140,7 +135,7 @@ func TestBadFree(t *testing.T) {
 }
 
 func TestHeapStats(t *testing.T) {
-	h := newTestHeap(t, 1<<16)
+	h := newTestHeap(1 << 16)
 	a, _ := h.Alloc(100, 0)
 	b, _ := h.Alloc(200, 0)
 	st := h.Stats()
@@ -162,7 +157,7 @@ func TestHeapStats(t *testing.T) {
 }
 
 func TestSizeOf(t *testing.T) {
-	h := newTestHeap(t, 1<<16)
+	h := newTestHeap(1 << 16)
 	a, _ := h.Alloc(100, 0)
 	n, ok := h.SizeOf(a)
 	if !ok || n < 100 {
@@ -177,10 +172,7 @@ func TestSizeOf(t *testing.T) {
 // asserts the allocator invariants hold throughout (property-based).
 func TestHeapPropertyRandomWorkload(t *testing.T) {
 	f := func(seed int64) bool {
-		h, err := NewHeap(NewSpace(0), 1<<18)
-		if err != nil {
-			return false
-		}
+		h := NewHeap(NewSpace(0), 1<<18)
 		r := rand.New(rand.NewSource(seed))
 		live := make(map[uint64]bool)
 		var addrs []uint64
@@ -225,10 +217,7 @@ func TestHeapPropertyRandomWorkload(t *testing.T) {
 func TestHeapPropertyDataIntegrity(t *testing.T) {
 	f := func(seed int64) bool {
 		space := NewSpace(0)
-		h, err := NewHeap(space, 1<<18)
-		if err != nil {
-			return false
-		}
+		h := NewHeap(space, 1<<18)
 		r := rand.New(rand.NewSource(seed))
 		type rec struct {
 			addr, size uint64
@@ -293,10 +282,7 @@ func TestNewHeapAt(t *testing.T) {
 }
 
 func BenchmarkHeapAllocFree(b *testing.B) {
-	h, err := NewHeap(NewSpace(0), 1<<24)
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := NewHeap(NewSpace(0), 1<<24)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a, err := h.Alloc(256, 16)
@@ -309,25 +295,63 @@ func BenchmarkHeapAllocFree(b *testing.B) {
 	}
 }
 
+// TestHeapGrowsOnDemand pins the demand-backed contract: a heap maps
+// nothing until asked, its first chunk is sized to the request and not to
+// the limit, and a request of any size up to the limit comes back as one
+// contiguous run usable as a zero-copy view.
 func TestHeapGrowsOnDemand(t *testing.T) {
-	h, err := NewHeap(NewSpace(0), 64<<20)
+	space := NewSpace(0)
+	h := NewHeap(space, 64<<20)
+	if space.Mapped() != 0 || h.Size() != 0 {
+		t.Fatalf("NewHeap mapped %d bytes (heap size %d), want 0", space.Mapped(), h.Size())
+	}
+	small, err := h.Alloc(64<<10, 0)
 	if err != nil {
+		t.Fatalf("64 KiB alloc: %v", err)
+	}
+	if got := space.Mapped(); got < 64<<10 || got >= 128<<10 {
+		t.Fatalf("64 KiB alloc mapped %d bytes, want [64 KiB, 128 KiB)", got)
+	}
+	big, err := h.Alloc(10<<20, 0)
+	if err != nil {
+		t.Fatalf("10 MiB alloc: %v", err)
+	}
+	if _, err := space.Slice(nil, big, 10<<20, true); err != nil {
+		t.Fatalf("grown allocation not contiguous: %v", err)
+	}
+	if err := h.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if h.Size() != initialChunk {
-		t.Fatalf("initial heap size = %d, want %d", h.Size(), initialChunk)
+	for _, a := range []uint64{small, big} {
+		if err := h.Free(a); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Allocate beyond the initial chunk: the heap must grow, and the
-	// allocation must be contiguous (usable as a zero-copy view).
-	a, err := h.Alloc(10<<20, 0)
+	if err := h.checkInvariants(); err != nil {
+		t.Fatalf("after freeing across chunks: %v", err)
+	}
+}
+
+// TestHeapLimitBelowFirstChunk: a limit smaller than the smallest chunk
+// the heap would otherwise map still yields a working heap of that size.
+func TestHeapLimitBelowFirstChunk(t *testing.T) {
+	space := NewSpace(0)
+	h := NewHeap(space, 2*PageSize)
+	a, err := h.Alloc(PageSize, 0)
 	if err != nil {
-		t.Fatalf("large alloc: %v", err)
+		t.Fatalf("alloc within a 2-page limit: %v", err)
 	}
-	if h.Size() <= initialChunk {
-		t.Fatalf("heap did not grow: %d", h.Size())
+	if h.Size() != 2*PageSize {
+		t.Fatalf("heap size = %d, want the %d limit", h.Size(), 2*PageSize)
 	}
-	if _, err := h.Space().Slice(nil, a, 10<<20, true); err != nil {
-		t.Fatalf("grown allocation not contiguous: %v", err)
+	if _, err := h.Alloc(2*PageSize, 0); !errors.Is(err, ErrHeapFull) {
+		t.Fatalf("alloc beyond the limit: err = %v, want ErrHeapFull", err)
+	}
+	if err := h.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Alloc(2*PageSize-minAlign, 0); err != nil {
+		t.Fatalf("whole-heap alloc after free: %v", err)
 	}
 	if err := h.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -335,15 +359,12 @@ func TestHeapGrowsOnDemand(t *testing.T) {
 }
 
 func TestHeapGrowthBoundedByLimit(t *testing.T) {
-	h, err := NewHeap(NewSpace(0), 8<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewHeap(NewSpace(0), 8<<20)
 	if _, err := h.Alloc(16<<20, 0); !errors.Is(err, ErrHeapFull) {
 		t.Fatalf("over-limit alloc: err = %v", err)
 	}
 	// Within the limit growth works: a second 3 MiB allocation forces a
-	// chunk beyond the 4 MiB initial mapping but stays under 8 MiB total.
+	// second chunk but stays under 8 MiB total.
 	if _, err := h.Alloc(3<<20, 0); err != nil {
 		t.Fatalf("first alloc: %v", err)
 	}
@@ -353,10 +374,7 @@ func TestHeapGrowthBoundedByLimit(t *testing.T) {
 }
 
 func TestHeapChunksNeverCoalesceAcrossGuard(t *testing.T) {
-	h, err := NewHeap(NewSpace(0), 64<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := NewHeap(NewSpace(0), 64<<20)
 	// Force several growth steps, then free everything: the free list
 	// must keep one block per chunk (guard pages prevent merging).
 	var addrs []uint64

@@ -12,6 +12,12 @@
 // inside one region — this is what makes reference passing between
 // functions of a WFD a constant-time operation, the core of the paper's
 // intermediate-data-transfer optimisation.
+//
+// Mapping reserves, touching backs: Map/MapAt/MapLazy claim an address
+// range, bind its keys and charge it against the Space's limit, but a
+// region's backing array is allocated by the first access that reaches
+// it. A WFD therefore pays for the bytes it touches, not the bytes it
+// maps.
 package mem
 
 import (
@@ -53,13 +59,22 @@ type FaultHandler func(addr uint64, data []byte) error
 type region struct {
 	base uint64
 	size uint64
+
+	// data is the backing array: nil while the region is only reserved,
+	// a zeroed allocation private to this Space from the first access on
+	// (see Space.backedView). Once set it is replaced only by a
+	// copy-on-write break, so views handed out by Slice stay valid.
 	data []byte
 
-	keys []uint8 // protection key per page
+	// key is the protection key of every page while keys is nil; the
+	// first SetKey that covers only part of the region expands keys to
+	// one entry per page.
+	key  uint8
+	keys []uint8
 
 	// cow marks a region whose data array is still shared with the
 	// template Space it was forked from; the first mutating access
-	// privatises the array (see ensureOwned in fork.go).
+	// privatises the array (see Space.backedView).
 	cow bool
 
 	// Lazy (fault-backed) regions start with no pages present.
@@ -74,9 +89,76 @@ func (r *region) pageIndex(addr uint64) int {
 	return int((addr - r.base) / PageSize)
 }
 
+// keyOf returns the protection key of page i.
+func (r *region) keyOf(i int) uint8 {
+	if r.keys == nil {
+		return r.key
+	}
+	return r.keys[i]
+}
+
+// setKey binds key to the pages of [from, to), which lies inside r.
+func (r *region) setKey(from, to uint64, key uint8) {
+	if from == r.base && to == r.end() {
+		r.key, r.keys = key, nil
+		return
+	}
+	if r.keys == nil {
+		if key == r.key {
+			return
+		}
+		r.keys = make([]uint8, r.size/PageSize)
+		for i := range r.keys {
+			r.keys[i] = r.key
+		}
+	}
+	for i, end := r.pageIndex(from), r.pageIndex(to); i < end; i++ {
+		r.keys[i] = key
+	}
+}
+
+// pages returns the indices of the first and last page of [addr, addr+n).
+func (r *region) pages(addr, n uint64) (first, last int) {
+	first = r.pageIndex(addr)
+	if n <= 1 {
+		return first, first
+	}
+	return first, r.pageIndex(addr + n - 1)
+}
+
+// denied returns the index of the first page in [first, last] whose key
+// access does not allow, or -1.
+func (r *region) denied(access Access, first, last int, write bool) int {
+	if r.keys == nil { // one key covers the region
+		if access.Allows(r.key, write) {
+			return -1
+		}
+		return first
+	}
+	for i := first; i <= last; i++ {
+		if !access.Allows(r.keys[i], write) {
+			return i
+		}
+	}
+	return -1
+}
+
+// missing reports whether any page in [first, last] of a lazy region has
+// not been filled by the fault handler yet.
+func (r *region) missing(first, last int) bool {
+	for i := first; i <= last; i++ {
+		if !r.present[i] {
+			return true
+		}
+	}
+	return false
+}
+
 // Space is a simulated virtual address space. All methods are safe for
 // concurrent use; data copies happen outside the region-table lock so
 // parallel functions of a workflow can stream through memory concurrently.
+// Accesses that find their bytes ready take only the read lock; backing,
+// copy-on-write breaks and fault fills share one write-locked slow path.
 type Space struct {
 	mu      sync.RWMutex
 	regions []*region // sorted by base
@@ -102,7 +184,8 @@ func roundUp(n uint64) uint64 {
 }
 
 // Map reserves a new region of at least length bytes and returns its base
-// address. The region is eagerly backed.
+// address. The region reads as zeros; its backing array is allocated by
+// the first access.
 func (s *Space) Map(length uint64) (uint64, error) {
 	return s.mapRegion(0, length, false, nil)
 }
@@ -118,6 +201,7 @@ func (s *Space) MapAt(base, length uint64) error {
 
 // MapLazy reserves a fault-backed region: pages materialise on first
 // access through handler. This is the substrate for mmap_file_backend.
+// The handler runs with the Space locked and must not call back into it.
 func (s *Space) MapLazy(length uint64, handler FaultHandler) (uint64, error) {
 	if handler == nil {
 		return 0, errors.New("mem: MapLazy requires a fault handler")
@@ -154,18 +238,11 @@ func (s *Space) mapRegion(base, length uint64, lazy bool, h FaultHandler) (uint6
 		return 0, fmt.Errorf("%w: [%#x,%#x)", ErrOverlap, base, base+length)
 	}
 
-	npages := int(length / PageSize)
-	r := &region{
-		base: base,
-		size: length,
-		keys: make([]uint8, npages),
-		lazy: lazy,
-	}
+	r := &region{base: base, size: length, lazy: lazy}
 	if lazy {
-		r.present = make([]bool, npages)
+		r.present = make([]bool, length/PageSize)
 		r.handler = h
 	}
-	r.data = make([]byte, length)
 
 	s.regions = append(s.regions, nil)
 	copy(s.regions[idx+1:], s.regions[idx:])
@@ -228,9 +305,8 @@ func (s *Space) SetKey(base, length uint64, key uint8) error {
 		if re := r.end(); re < stop {
 			stop = re
 		}
-		for i := r.pageIndex(addr); addr < stop; i, addr = i+1, addr+PageSize {
-			r.keys[i] = key
-		}
+		r.setKey(addr, stop, key)
+		addr = stop
 	}
 	return nil
 }
@@ -243,39 +319,89 @@ func (s *Space) KeyAt(addr uint64) (uint8, error) {
 	if r == nil {
 		return 0, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
 	}
-	return r.keys[r.pageIndex(addr)], nil
+	return r.keyOf(r.pageIndex(addr)), nil
 }
 
-// checkAndFault validates [addr, addr+n) against access and serves faults
-// on lazy pages. Caller must hold the read lock; fault filling upgrades
-// internally via the per-call slow path (faults are rare by design).
-func (s *Space) checkAndFault(r *region, addr, n uint64, access Access, write bool) error {
+// check validates an access to [addr, addr+n) — seal, mapping, bounds and
+// the protection key of every page — and reports whether the region's
+// backing array can serve it as it stands: backed, not shared with a
+// fork template the access would mutate, and with no lazy page left to
+// fill. Caller holds at least the read lock.
+func (s *Space) check(access Access, addr, n uint64, write bool) (r *region, ready bool, err error) {
+	if write && s.sealed {
+		return nil, false, ErrSealed
+	}
+	r = s.find(addr)
+	if r == nil {
+		return nil, false, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
+	}
 	if addr+n > r.end() {
-		return fmt.Errorf("%w: [%#x,%#x) crosses region end %#x",
+		return nil, false, fmt.Errorf("%w: [%#x,%#x) crosses region end %#x",
 			ErrBadAddress, addr, addr+n, r.end())
 	}
-	first := r.pageIndex(addr)
-	last := r.pageIndex(addr + n - 1)
-	for i := first; i <= last; i++ {
-		if access != nil && !access.Allows(r.keys[i], write) {
-			return fmt.Errorf("%w: page %#x key %d write=%v",
-				ErrAccessDenied, r.base+uint64(i)*PageSize, r.keys[i], write)
+	first, last := r.pages(addr, n)
+	if access != nil {
+		if i := r.denied(access, first, last, write); i >= 0 {
+			return nil, false, fmt.Errorf("%w: page %#x key %d write=%v",
+				ErrAccessDenied, r.base+uint64(i)*PageSize, r.keyOf(i), write)
 		}
-		if r.lazy && !r.present[i] {
-			if s.sealed {
-				return fmt.Errorf("%w: fault fill at %#x",
-					ErrSealed, r.base+uint64(i)*PageSize)
+	}
+	ready = r.data != nil && !(r.cow && write) && !(r.lazy && r.missing(first, last))
+	return r, ready, nil
+}
+
+// view returns the zero-copy window [addr, addr+n) of a backed region.
+func (r *region) view(addr, n uint64) []byte {
+	off := addr - r.base
+	return r.data[off : off+n : off+n]
+}
+
+// backedView is the one slow path of every access, taken under the write
+// lock when check found the backing array unable to serve it: it backs a
+// region that was only reserved with a fresh zeroed array, privatises an
+// array still shared with a fork template before the access mutates it,
+// and runs the fault handler on lazy pages that were never filled. The
+// checks are repeated because the region table may have changed since the
+// caller's read-locked look, and another accessor may have got here first.
+func (s *Space) backedView(access Access, addr, n uint64, write bool) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, ready, err := s.check(access, addr, n, write)
+	if err != nil {
+		return nil, err
+	}
+	if ready {
+		return r.view(addr, n), nil
+	}
+	first, last := r.pages(addr, n)
+	fill := r.lazy && r.missing(first, last)
+	if fill && s.sealed {
+		return nil, fmt.Errorf("%w: fault fill in [%#x,%#x)", ErrSealed, addr, addr+n)
+	}
+	switch {
+	case r.data == nil:
+		r.data = make([]byte, r.size)
+	case r.cow && (write || fill):
+		private := make([]byte, len(r.data))
+		copy(private, r.data)
+		r.data = private
+		r.cow = false
+		s.cowBreaks++
+	}
+	if fill {
+		for i := first; i <= last; i++ {
+			if r.present[i] {
+				continue
 			}
-			pageAddr := r.base + uint64(i)*PageSize
-			data := r.data[uint64(i)*PageSize : uint64(i+1)*PageSize]
-			if err := r.handler(pageAddr, data); err != nil {
-				return fmt.Errorf("%w: %v", ErrFaultUnfilled, err)
+			off := uint64(i) * PageSize
+			if err := r.handler(r.base+off, r.data[off:off+PageSize]); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrFaultUnfilled, err)
 			}
 			r.present[i] = true
 			s.faults++
 		}
 	}
-	return nil
+	return r.view(addr, n), nil
 }
 
 // ReadAt copies len(p) bytes at addr into p, subject to access checks.
@@ -283,17 +409,11 @@ func (s *Space) ReadAt(access Access, addr uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	s.ensureOwned(addr, uint64(len(p)), false)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r := s.find(addr)
-	if r == nil {
-		return fmt.Errorf("%w: %#x", ErrBadAddress, addr)
-	}
-	if err := s.checkAndFault(r, addr, uint64(len(p)), access, false); err != nil {
+	v, err := s.Slice(access, addr, uint64(len(p)), false)
+	if err != nil {
 		return err
 	}
-	copy(p, r.data[addr-r.base:])
+	copy(p, v)
 	return nil
 }
 
@@ -302,20 +422,11 @@ func (s *Space) WriteAt(access Access, addr uint64, p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	s.ensureOwned(addr, uint64(len(p)), true)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.sealed {
-		return ErrSealed
-	}
-	r := s.find(addr)
-	if r == nil {
-		return fmt.Errorf("%w: %#x", ErrBadAddress, addr)
-	}
-	if err := s.checkAndFault(r, addr, uint64(len(p)), access, true); err != nil {
+	v, err := s.Slice(access, addr, uint64(len(p)), true)
+	if err != nil {
 		return err
 	}
-	copy(r.data[addr-r.base:], p)
+	copy(v, p)
 	return nil
 }
 
@@ -324,21 +435,17 @@ func (s *Space) WriteAt(access Access, addr uint64, p []byte) error {
 // address space: once a function holds a reference (the AsBuffer), reads
 // and writes are plain memory operations with no copying.
 func (s *Space) Slice(access Access, addr, n uint64, write bool) ([]byte, error) {
-	s.ensureOwned(addr, n, write)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if write && s.sealed {
-		return nil, ErrSealed
+	r, ready, err := s.check(access, addr, n, write)
+	var v []byte
+	if ready {
+		v = r.view(addr, n)
 	}
-	r := s.find(addr)
-	if r == nil {
-		return nil, fmt.Errorf("%w: %#x", ErrBadAddress, addr)
+	s.mu.RUnlock()
+	if ready || err != nil {
+		return v, err
 	}
-	if err := s.checkAndFault(r, addr, n, access, write); err != nil {
-		return nil, err
-	}
-	off := addr - r.base
-	return r.data[off : off+n : off+n], nil
+	return s.backedView(access, addr, n, write)
 }
 
 // Mapped reports the number of bytes currently mapped.

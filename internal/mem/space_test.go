@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -119,6 +120,8 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// TestMemoryLimit: the limit bounds what is mapped, not what is backed, so
+// an over-limit Map fails with nothing ever touched.
 func TestMemoryLimit(t *testing.T) {
 	s := NewSpace(2 * PageSize)
 	if _, err := s.Map(PageSize); err != nil {
@@ -126,6 +129,12 @@ func TestMemoryLimit(t *testing.T) {
 	}
 	if _, err := s.Map(2 * PageSize); !errors.Is(err, ErrNoMemory) {
 		t.Fatalf("over-limit Map: err = %v, want ErrNoMemory", err)
+	}
+	if _, err := s.MapLazy(2*PageSize, func(uint64, []byte) error { return nil }); !errors.Is(err, ErrNoMemory) {
+		t.Fatalf("over-limit MapLazy: err = %v, want ErrNoMemory", err)
+	}
+	if s.Mapped() != PageSize {
+		t.Fatalf("Mapped = %d after rejected maps, want %d", s.Mapped(), PageSize)
 	}
 	if _, err := s.Map(PageSize); err != nil {
 		t.Fatalf("Map within limit after failure: %v", err)
@@ -334,5 +343,150 @@ func TestConcurrentReadWriteDistinctRegions(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// backed reports whether the region holding addr has a backing array.
+func backed(s *Space, addr uint64) bool {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.find(addr).data != nil
+}
+
+func TestMapReservesAndTouchBacks(t *testing.T) {
+	s := NewSpace(0)
+	base, err := s.Map(4 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Mapped() != 4*PageSize {
+		t.Fatalf("Mapped = %d, want %d: a reservation is accounted in full", s.Mapped(), 4*PageSize)
+	}
+	if err := s.SetKey(base, 4*PageSize, 3); err != nil {
+		t.Fatal(err)
+	}
+	if k, err := s.KeyAt(base + 2*PageSize); err != nil || k != 3 {
+		t.Fatalf("KeyAt = %d, %v; want 3", k, err)
+	}
+	if backed(s, base) {
+		t.Fatal("Map, SetKey and KeyAt must not back the region")
+	}
+	// A denied access backs nothing either.
+	noKeys := allowKeys{}
+	if err := s.ReadAt(noKeys, base, make([]byte, 8)); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("denied read: err = %v, want ErrAccessDenied", err)
+	}
+	if backed(s, base) {
+		t.Fatal("a denied access backed the region")
+	}
+	// The first permitted access backs it, and it reads as zeros.
+	got := bytes.Repeat([]byte{0xFF}, 2*PageSize)
+	if err := s.ReadAt(nil, base+PageSize, got); err != nil {
+		t.Fatalf("ReadAt of a reserved region: %v", err)
+	}
+	if !bytes.Equal(got, make([]byte, 2*PageSize)) {
+		t.Fatal("reserved region does not read as zeros")
+	}
+	if !backed(s, base) {
+		t.Fatal("ReadAt did not back the region")
+	}
+	// A view taken before a write keeps aliasing the region afterwards.
+	v, err := s.Slice(nil, base, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WriteAt(nil, base, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if v[0] != 'x' {
+		t.Fatal("backing array was replaced under a live view")
+	}
+}
+
+// TestSetKeyPartialThenWhole walks a region's keys through both
+// representations: one key, per-page keys after a partial bind, one key
+// again after a bind over the whole region.
+func TestSetKeyPartialThenWhole(t *testing.T) {
+	s := NewSpace(0)
+	base, err := s.Map(3 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetKey(base, 3*PageSize, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetKey(base+PageSize, PageSize, 7); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint8{2, 7, 2} {
+		if k, _ := s.KeyAt(base + uint64(i)*PageSize); k != want {
+			t.Fatalf("page %d key = %d, want %d", i, k, want)
+		}
+	}
+	only2 := allowKeys{read: map[uint8]bool{2: true}, write: map[uint8]bool{2: true}}
+	if err := s.WriteAt(only2, base, []byte{1}); err != nil {
+		t.Fatalf("write to a key-2 page: %v", err)
+	}
+	if err := s.WriteAt(only2, base+PageSize-1, []byte{1, 2}); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("write crossing into the key-7 page: err = %v, want ErrAccessDenied", err)
+	}
+	if err := s.SetKey(base, 3*PageSize, 9); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		if k, _ := s.KeyAt(base + i*PageSize); k != 9 {
+			t.Fatalf("page %d key = %d after whole-region bind, want 9", i, k)
+		}
+	}
+	if err := s.WriteAt(only2, base, []byte{1}); !errors.Is(err, ErrAccessDenied) {
+		t.Fatalf("write after rebind to key 9: err = %v, want ErrAccessDenied", err)
+	}
+}
+
+// TestLazyFaultConcurrentReaders: N goroutines read one never-faulted
+// lazy page at once. The handler must run once, the fault must be counted
+// once, and every reader must see the filled bytes.
+func TestLazyFaultConcurrentReaders(t *testing.T) {
+	const readers = 16
+	s := NewSpace(0)
+	var calls int // guarded by the Space's slow-path lock; -race checks that
+	base, err := s.MapLazy(PageSize, func(addr uint64, page []byte) error {
+		calls++
+		for i := range page {
+			page[i] = byte(i)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, PageSize)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got := make([]byte, PageSize)
+			if err := s.ReadAt(nil, base, got); err != nil {
+				t.Errorf("ReadAt: %v", err)
+				return
+			}
+			if !bytes.Equal(got, want) {
+				t.Error("reader saw a partially filled page")
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if calls != 1 {
+		t.Fatalf("fault handler ran %d times, want 1", calls)
+	}
+	if s.Faults() != 1 {
+		t.Fatalf("Faults() = %d, want 1", s.Faults())
 	}
 }

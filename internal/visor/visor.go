@@ -886,6 +886,7 @@ func (v *Visor) runWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error
 	}
 
 	res.MemPeak = wfd.MemoryUsage()
+	res.Crossings = wfd.Crossings()
 	res.E2E = time.Since(start)
 	res.TraceID = opts.Trace.TraceID()
 	return res, nil

@@ -383,3 +383,60 @@ func TestWatchdogConcurrentInvocations(t *testing.T) {
 		t.Fatalf("completed = %d", wd.Completed())
 	}
 }
+
+// TestRunResultCrossings: the visor reports the run's PKRU writes. An
+// 8-function chain over the refpass transport crosses on every buffer
+// syscall, and under IFI buffers cannot be recycled through the pool, so
+// every hop pays an extra free_buffer crossing.
+func TestRunResultCrossings(t *testing.T) {
+	const length, size = 8, 64 << 10
+	name := func(i int) string { return fmt.Sprintf("link-%d", i) }
+	r := NewRegistry()
+	for i := 0; i < length; i++ {
+		i := i
+		r.RegisterNative(name(i), func(env *asstd.Env, ctx FuncContext) error {
+			tr := env.Transport()
+			if i == 0 {
+				b, err := tr.Alloc(Slot(name(0), 0, name(1), 0), size)
+				if err != nil {
+					return err
+				}
+				return tr.SendBuffer(b)
+			}
+			data, release, err := tr.Recv(Slot(name(i-1), 0, name(i), 0))
+			if err != nil {
+				return err
+			}
+			if i < length-1 {
+				out, err := tr.Alloc(Slot(name(i), 0, name(i+1), 0), size)
+				if err != nil {
+					return err
+				}
+				copy(out.Bytes(), data)
+				if err := tr.SendBuffer(out); err != nil {
+					return err
+				}
+			}
+			return release()
+		})
+	}
+	wf := dag.Chain("crossing-chain", length, name, nil)
+	run := func(ifi bool) uint64 {
+		t.Helper()
+		res, err := New(r).RunWorkflow(wf, testOpts(func(o *RunOptions) { o.IFI = ifi }))
+		if err != nil {
+			t.Fatalf("RunWorkflow(IFI=%v): %v", ifi, err)
+		}
+		return res.Crossings
+	}
+	plain, isolated := run(false), run(true)
+	if plain == 0 {
+		t.Fatal("RunResult.Crossings = 0 for an 8-function refpass chain")
+	}
+	if plain%2 != 0 || isolated%2 != 0 {
+		t.Fatalf("crossings %d / %d: every trampoline is an elevate and a drop", plain, isolated)
+	}
+	if isolated <= plain {
+		t.Fatalf("IFI run reported %d crossings, non-IFI %d; IFI must report more", isolated, plain)
+	}
+}

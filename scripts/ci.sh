@@ -24,6 +24,12 @@ go test -short ./...
 # admission and the pre-warm protocol all re-run under -race here.
 go test -race -count=1 ./internal/...
 go run ./examples/tracedemo -o trace.json
+# The four BENCHMARK.json workloads, a fraction of a second each through
+# the benchmark's own harness: no number is read, but an invoke whose
+# output check fails exits non-zero here instead of in the perf driver.
+for w in frontdoor-noop chain-refpass chain-file wc-py-warm; do
+	go run ./benchmarks/e2e -workload "$w" -smoke
+done
 # Perf regression gate: run the cheap experiment subset (includes the
 # coldstart, crash-resume and cluster arms), record typed BENCH_*.json
 # results, and diff them against the committed baselines with
