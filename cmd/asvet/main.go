@@ -6,9 +6,10 @@
 //
 // The per-package analyzers (memgate, pkrupair, senterr, wallclock,
 // spanend, lockpair) check one type-checked package at a time; the
-// module-scoped analyzers (trustflow, lockorder, goleak) load the whole
-// module once — full bodies, dependency order, every package checked
-// exactly once — and walk the interprocedural call graph.
+// module-scoped analyzers (trustflow, lockorder, goleak, unreachable)
+// load the whole module once — full bodies, dependency order, every
+// package checked exactly once — and walk the interprocedural call
+// graph.
 //
 // Usage:
 //

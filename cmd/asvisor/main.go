@@ -63,7 +63,7 @@ func main() {
 	funcTimeout := flag.Duration("func-timeout", 0, "per-function-attempt timeout (0 = none)")
 	deadline := flag.Duration("deadline", 0, "whole-invocation deadline (0 = none)")
 	maxInflight := flag.Int64("max-inflight", 0, "cap on concurrently executing invocations; excess is shed with 429 (0 = unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "admission queue depth; >0 upgrades -max-inflight to fair queueing instead of immediate shed")
+	maxQueue := flag.Int("max-queue", 0, "per-workflow admission queue depth; >0 queues requests over -max-inflight fairly instead of shedding them at once")
 	journalDir := flag.String("journal", "", "directory for durable-run journals; enables crash-resume (asctl runs / resume)")
 	warmPools := flag.Bool("warm-pools", false, "pre-boot warm snapshot/fork pools for Python-runtime workflows")
 	poolMin := flag.Int("pool-min", 1, "minimum warm instances per pool")
@@ -212,14 +212,15 @@ func main() {
 		return ro
 	}
 
-	// Admission control: a scheduler when queueing is enabled, a bare
-	// shed-at-limit semaphore otherwise.
-	if *maxQueue > 0 {
-		mc := int(*maxInflight)
-		wd.Sched = sched.New(sched.Config{MaxConcurrent: mc, MaxQueue: *maxQueue})
+	// Admission control: one scheduler, with fair queues when
+	// -max-queue is set and shed-at-the-limit when it is not.
+	if *maxQueue > 0 || *maxInflight > 0 {
+		depth := *maxQueue
+		if depth == 0 {
+			depth = -1 // no queue
+		}
+		wd.Sched = sched.New(sched.Config{MaxConcurrent: int(*maxInflight), MaxQueue: depth})
 		defer wd.Sched.Close()
-	} else if *maxInflight > 0 {
-		wd.MaxInflight = *maxInflight
 	}
 
 	// Warm pools: the manager and builder are always wired so the node

@@ -11,6 +11,8 @@ import (
 // reassembles into an equivalent program — the round trip is pinned by
 // tests and makes guest images auditable (the §6 scan story: operators
 // can read exactly what an uploaded image does).
+//
+//asvet:allow unreachable -- the operator's audit view of a guest image and the assemble/disassemble round-trip oracle; no binary prints it yet
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	if p.MemSize > 0 {

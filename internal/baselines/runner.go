@@ -117,11 +117,6 @@ func (r *Runner) Close() {
 // System reports which platform this runner models.
 func (r *Runner) System() System { return r.cfg.System }
 
-// usesKata reports whether the platform runs inside a MicroVM sandbox.
-func (r *Runner) usesKata() bool {
-	return r.cfg.System == SysFaastlaneKata || r.cfg.System == SysFaastlaneReferKata
-}
-
 // perWorkflowColdStart is charged once per invocation.
 func (r *Runner) perWorkflowColdStart() time.Duration {
 	c := r.cfg.Costs

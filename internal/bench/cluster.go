@@ -136,13 +136,12 @@ func clusterLevel(o Options, n, perFlow int) (levelStats, error) {
 	g.CheckHealth()
 	g.CheckHealth()
 
+	// Request k invokes names[k%clusterFlows] and owns samples[k].
 	total := clusterFlows * perFlow
-	rec := metrics.NewRecorderCap(total)
-	work := make(chan string, total)
-	for i := 0; i < perFlow; i++ {
-		for _, nm := range names {
-			work <- nm
-		}
+	samples := make([]time.Duration, total)
+	work := make(chan int, total)
+	for k := 0; k < total; k++ {
+		work <- k
 	}
 	close(work)
 
@@ -154,13 +153,14 @@ func clusterLevel(o Options, n, perFlow int) (levelStats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for nm := range work {
+			for k := range work {
+				nm := names[k%clusterFlows]
 				start := o.now()
 				if _, err := g.Invoke(nm); err != nil {
 					errCh <- fmt.Errorf("invoke %s: %w", nm, err)
 					return
 				}
-				rec.Record(o.since(start))
+				samples[k] = o.since(start)
 			}
 		}()
 	}
@@ -171,7 +171,7 @@ func clusterLevel(o Options, n, perFlow int) (levelStats, error) {
 		return levelStats{}, err
 	}
 
-	lv := levelStats{sum: rec.Summarize(), stats: g.Cluster.Stats()}
+	lv := levelStats{sum: metrics.Summarize(samples), stats: g.Cluster.Stats()}
 	if s := elapsed.Seconds(); s > 0 {
 		lv.throughput = float64(total) / s
 	}

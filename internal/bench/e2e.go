@@ -10,6 +10,7 @@ import (
 	"alloystack/internal/metrics"
 	"alloystack/internal/visor"
 	"alloystack/internal/workloads"
+	"alloystack/internal/xfer"
 )
 
 // Fig11 measures intermediate-data transfer latency with the pipe
@@ -153,7 +154,7 @@ func runAlloyConfig(o Options, v *visor.Visor, c e2eConfig, lang string, size in
 			// FunctionChain needs a filesystem only when something will
 			// touch it: the Python runtime image, file-mediated transfer,
 			// or eager load-all (which instantiates fatfs regardless).
-			if needPy || !ro.RefPassing || !ro.OnDemand {
+			if needPy || ro.Transfer == xfer.KindFile || !ro.OnDemand {
 				ro.DiskImage, err = workloads.BuildEmptyImage(needPy)
 			}
 		}
@@ -286,7 +287,9 @@ func Fig14(o Options) (*Result, error) {
 		for i, arm := range arms {
 			res, err := runAlloyConfig(o, v, c, "native", size, func(r *visor.RunOptions) {
 				r.OnDemand = arm.onDemand
-				r.RefPassing = arm.refPass
+				if !arm.refPass {
+					r.Transfer = xfer.KindFile
+				}
 				if !arm.onDemand {
 					// load-all needs the full resource grant.
 					r.Hub = freshHub()

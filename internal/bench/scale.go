@@ -54,22 +54,21 @@ func Fig17a(o Options) (*Result, error) {
 }
 
 func loadSweepAS(o Options, v *visor.Visor, size int64, concurrency, total int) (metrics.Summary, error) {
-	// Exact percentiles over every run: size the ring to the sweep so the
-	// retention cap never drops samples.
-	rec := metrics.NewRecorderCap(total)
+	// Exact percentiles over every run: run i owns samples[i].
+	samples := make([]time.Duration, total)
 	w := workloads.ParallelSorting(3, "native")
 	var wg sync.WaitGroup
 	errCh := make(chan error, concurrency)
-	work := make(chan struct{}, total)
+	work := make(chan int, total)
 	for i := 0; i < total; i++ {
-		work <- struct{}{}
+		work <- i
 	}
 	close(work)
 	for c := 0; c < concurrency; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range work {
+			for i := range work {
 				ro := alloyOpts(o, func(r *visor.RunOptions) {
 					r.UseRamfs = true
 					r.Ramfs = workloads.BuildBinRamfs(size, false)
@@ -79,7 +78,7 @@ func loadSweepAS(o Options, v *visor.Visor, size int64, concurrency, total int) 
 					errCh <- err
 					return
 				}
-				rec.Record(o.since(start))
+				samples[i] = o.since(start)
 			}
 		}()
 	}
@@ -88,20 +87,20 @@ func loadSweepAS(o Options, v *visor.Visor, size int64, concurrency, total int) 
 	for err := range errCh {
 		return metrics.Summary{}, err
 	}
-	return rec.Summarize(), nil
+	return metrics.Summarize(samples), nil
 }
 
 func loadSweepBaseline(o Options, size int64, concurrency, total int) (metrics.Summary, error) {
-	rec := metrics.NewRecorderCap(total)
+	samples := make([]time.Duration, total)
 	w := workloads.ParallelSorting(3, "native")
 	inputs := map[string][]byte{workloads.BinInputPath: workloads.GenU64s(size, 42)}
 	costs := baselines.DefaultCosts()
 
 	var wg sync.WaitGroup
 	errCh := make(chan error, concurrency)
-	work := make(chan struct{}, total)
+	work := make(chan int, total)
 	for i := 0; i < total; i++ {
-		work <- struct{}{}
+		work <- i
 	}
 	close(work)
 	var contendMu sync.Mutex
@@ -109,7 +108,7 @@ func loadSweepBaseline(o Options, size int64, concurrency, total int) (metrics.S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range work {
+			for i := range work {
 				r, err := baselines.NewRunner(baselines.Config{
 					System:    baselines.SysFaastlaneReferKata,
 					Costs:     costs,
@@ -137,7 +136,7 @@ func loadSweepBaseline(o Options, size int64, concurrency, total int) (metrics.S
 					time.Sleep(d)
 					contendMu.Unlock()
 				}
-				rec.Record(o.since(start))
+				samples[i] = o.since(start)
 			}
 		}()
 	}
@@ -146,7 +145,7 @@ func loadSweepBaseline(o Options, size int64, concurrency, total int) (metrics.S
 	for err := range errCh {
 		return metrics.Summary{}, err
 	}
-	return rec.Summarize(), nil
+	return metrics.Summarize(samples), nil
 }
 
 // Fig17b reports CPU and memory usage as workflow instances scale

@@ -1,14 +1,13 @@
 // Package blockdev provides the block devices that back the LibOS
 // filesystems: an in-memory disk (the WFD's virtual disk image lives in
-// RAM, as in the paper's deployment), a file-backed disk for persistent
-// images, and a shaping wrapper that injects configurable latency and
-// bandwidth limits so experiments can model slower media.
+// RAM, as in the paper's deployment) and a shaping wrapper that injects
+// configurable latency and bandwidth limits so experiments can model
+// slower media.
 package blockdev
 
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 )
@@ -101,83 +100,6 @@ func (d *MemDisk) Close() error {
 	defer d.mu.Unlock()
 	d.closed = true
 	return nil
-}
-
-// FileDisk is a device backed by a host file, used for persistent disk
-// images (the analogue of the paper's virtual disk images on the host).
-type FileDisk struct {
-	mu   sync.Mutex
-	f    *os.File
-	size int64
-}
-
-// OpenFileDisk opens (or creates) path as a device of exactly size bytes.
-func OpenFileDisk(path string, size int64) (*FileDisk, error) {
-	if rem := size % SectorSize; rem != 0 {
-		size += SectorSize - rem
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.Truncate(size); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileDisk{f: f, size: size}, nil
-}
-
-// ReadAt implements Device.
-func (d *FileDisk) ReadAt(p []byte, off int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.f == nil {
-		return ErrClosed
-	}
-	if off < 0 || off+int64(len(p)) > d.size {
-		return ErrOutOfRange
-	}
-	_, err := d.f.ReadAt(p, off)
-	return err
-}
-
-// WriteAt implements Device.
-func (d *FileDisk) WriteAt(p []byte, off int64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.f == nil {
-		return ErrClosed
-	}
-	if off < 0 || off+int64(len(p)) > d.size {
-		return ErrOutOfRange
-	}
-	_, err := d.f.WriteAt(p, off)
-	return err
-}
-
-// Size implements Device.
-func (d *FileDisk) Size() int64 { return d.size }
-
-// Sync implements Device.
-func (d *FileDisk) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.f == nil {
-		return ErrClosed
-	}
-	return d.f.Sync()
-}
-
-// Close implements Device.
-func (d *FileDisk) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.f == nil {
-		return nil
-	}
-	err := d.f.Close()
-	d.f = nil
-	return err
 }
 
 // Shaped wraps a device with per-operation latency and a bandwidth cap,

@@ -3,7 +3,6 @@ package blockdev
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -51,58 +50,6 @@ func TestMemDiskClosed(t *testing.T) {
 	}
 	if err := d.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("read after close: err = %v, want ErrClosed", err)
-	}
-}
-
-func TestFileDisk(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "disk.img")
-	d, err := OpenFileDisk(path, 64*1024)
-	if err != nil {
-		t.Fatalf("OpenFileDisk: %v", err)
-	}
-	defer d.Close()
-	msg := []byte("persisted")
-	if err := d.WriteAt(msg, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(msg))
-	if err := d.ReadAt(got, 4096); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("file round trip mismatch: %q", got)
-	}
-	if err := d.WriteAt(make([]byte, 8), d.Size()); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("write past file end: err = %v, want ErrOutOfRange", err)
-	}
-}
-
-func TestFileDiskReopenKeepsData(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "disk.img")
-	d, err := OpenFileDisk(path, 8*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteAt([]byte("survives"), 512); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := OpenFileDisk(path, 8*1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	got := make([]byte, 8)
-	if err := d2.ReadAt(got, 512); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "survives" {
-		t.Fatalf("reopened data = %q", got)
 	}
 }
 

@@ -92,13 +92,6 @@ func (s *ShardLimiter) Acquire(workflow string) (func(), error) {
 	}, nil
 }
 
-// Shed reports how many acquisitions the workflow's budget rejected.
-func (s *ShardLimiter) Shed(workflow string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shed[workflow]
-}
-
 // ShedTotal reports budget rejections across all workflows.
 func (s *ShardLimiter) ShedTotal() int64 {
 	s.mu.Lock()
@@ -108,11 +101,4 @@ func (s *ShardLimiter) ShedTotal() int64 {
 		n += v
 	}
 	return n
-}
-
-// Inflight reports tokens currently held for the workflow.
-func (s *ShardLimiter) Inflight(workflow string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight[workflow]
 }

@@ -214,9 +214,6 @@ func TestShardLimiterBudget(t *testing.T) {
 	if _, err := lim.Acquire("hot"); err != nil {
 		t.Fatalf("post-release acquire: %v", err)
 	}
-	if got := lim.Shed("hot"); got != 2 {
-		t.Errorf("hot shed = %d, want 2", got)
-	}
 	if got := lim.ShedTotal(); got != 2 {
 		t.Errorf("total shed = %d, want 2", got)
 	}
@@ -395,7 +392,7 @@ func TestHotShardIsolation(t *testing.T) {
 				rel()
 			}
 		}
-		return coldLat, r.Limiter().Shed("hot")
+		return coldLat, r.Limiter().ShedTotal()
 	}
 
 	soloLat, _ := run(false)

@@ -240,17 +240,3 @@ func Chain(name string, n int, namer func(i int) string, params map[string]strin
 	}
 	return w
 }
-
-// FanOutFanIn builds the map/reduce-style topology used by WordCount and
-// ParallelSorting: source -> N×map -> N×reduce -> sink.
-func FanOutFanIn(name string, mapName, reduceName string, instances int, params map[string]string) *Workflow {
-	return &Workflow{
-		Name: name,
-		Functions: []FuncSpec{
-			{Name: "split", Params: params},
-			{Name: mapName, DependsOn: []string{"split"}, Instances: instances, Params: params},
-			{Name: reduceName, DependsOn: []string{mapName}, Instances: instances, Params: params},
-			{Name: "merge", DependsOn: []string{reduceName}, Params: params},
-		},
-	}
-}

@@ -70,8 +70,22 @@ func TestStagesLinearChain(t *testing.T) {
 	}
 }
 
+// fanOutFanIn builds the map/reduce-style topology used by WordCount and
+// ParallelSorting: source -> N×map -> N×reduce -> sink.
+func fanOutFanIn(name string, mapName, reduceName string, instances int, params map[string]string) *Workflow {
+	return &Workflow{
+		Name: name,
+		Functions: []FuncSpec{
+			{Name: "split", Params: params},
+			{Name: mapName, DependsOn: []string{"split"}, Instances: instances, Params: params},
+			{Name: reduceName, DependsOn: []string{mapName}, Instances: instances, Params: params},
+			{Name: "merge", DependsOn: []string{reduceName}, Params: params},
+		},
+	}
+}
+
 func TestStagesFanOutFanIn(t *testing.T) {
-	w := FanOutFanIn("wc", "map", "reduce", 3, nil)
+	w := fanOutFanIn("wc", "map", "reduce", 3, nil)
 	stages, err := w.Stages()
 	if err != nil {
 		t.Fatal(err)

@@ -146,7 +146,7 @@ func TestStagesOrderingForPartialFailure(t *testing.T) {
 // count survives validation and staging, so one failed reduce unwinds
 // every committed map instance.
 func TestFanOutFanInPerInstanceCompensation(t *testing.T) {
-	w := FanOutFanIn("wc", "map", "reduce", 4, nil)
+	w := fanOutFanIn("wc", "map", "reduce", 4, nil)
 	w.Functions[1].Compensate = "unmap" // the map fan-out
 	w.Compensations = []FuncSpec{{Name: "unmap"}}
 	if err := w.Validate(); err != nil {

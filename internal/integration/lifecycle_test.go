@@ -180,14 +180,15 @@ func slowNode(t *testing.T, dwell time.Duration, peak *atomic.Int64) *visor.Watc
 	return wd
 }
 
-// TestWatchdogShedsUnderSaturation floods a watchdog whose MaxInflight
-// semaphore admits two invocations: the excess must come back as 429
+// TestWatchdogShedsUnderSaturation floods a watchdog whose no-queue
+// scheduler admits two invocations: the excess must come back as 429
 // with a Retry-After hint, the admitted ones must succeed, and at no
 // point may more than two invocations execute concurrently.
 func TestWatchdogShedsUnderSaturation(t *testing.T) {
 	var peak atomic.Int64
 	wd := slowNode(t, 150*time.Millisecond, &peak)
-	wd.MaxInflight = 2
+	wd.Sched = sched.New(sched.Config{MaxConcurrent: 2, MaxQueue: -1})
+	defer wd.Sched.Close()
 
 	const clients = 12
 	var ok, shed atomic.Int64
@@ -227,15 +228,14 @@ func TestWatchdogShedsUnderSaturation(t *testing.T) {
 		t.Fatalf("requests unaccounted for: %d ok + %d shed != %d", ok.Load(), shed.Load(), clients)
 	}
 	if p := peak.Load(); p > 2 {
-		t.Fatalf("peak concurrency %d exceeds MaxInflight 2", p)
+		t.Fatalf("peak concurrency %d exceeds the limit of 2", p)
 	}
 	if wd.Shed() != shed.Load() {
 		t.Fatalf("shed counter %d != observed sheds %d", wd.Shed(), shed.Load())
 	}
 }
 
-// TestSchedulerQueuesThenSheds swaps the bare semaphore for the full
-// scheduler: requests over the concurrency limit queue up to MaxQueue
+// TestSchedulerQueuesThenSheds gives the scheduler a queue: requests over the concurrency limit queue up to MaxQueue
 // and then shed, and queued-but-served invocations report their wait.
 func TestSchedulerQueuesThenSheds(t *testing.T) {
 	var peak atomic.Int64

@@ -37,6 +37,9 @@
 //	          acquisition graph are potential deadlocks
 //	goleak    (module-scoped) goroutines spawned in long-lived
 //	          packages must have a reachable termination path
+//	unreachable (module-scoped) functions in internal/... must be
+//	          reachable from a main, an init or an exported symbol
+//	          that non-test code outside the package references
 //
 // The module-scoped analyzers run over the whole module at once and
 // walk the interprocedural call graph (see callgraph.go) instead of a
@@ -126,6 +129,7 @@ func Analyzers() []*Analyzer {
 		TrustFlow,
 		LockOrder,
 		GoLeak,
+		Unreachable,
 	}
 }
 

@@ -20,30 +20,18 @@ type Module struct {
 	Fset     *token.FileSet
 	Packages []*Package
 	Graph    *CallGraph
-
-	byPath map[string]*Package
 }
 
 // NewModule assembles a Module from fully-checked packages and builds
 // the call graph over them.
 func NewModule(pkgs []*Package) *Module {
-	m := &Module{
-		Packages: pkgs,
-		byPath:   make(map[string]*Package, len(pkgs)),
-	}
+	m := &Module{Packages: pkgs}
 	if len(pkgs) > 0 {
 		m.Fset = pkgs[0].Fset
-	}
-	for _, p := range pkgs {
-		m.byPath[p.PkgPath] = p
 	}
 	m.Graph = BuildCallGraph(pkgs)
 	return m
 }
-
-// Package returns the module package with the given import path, or
-// nil.
-func (m *Module) Package(path string) *Package { return m.byPath[path] }
 
 // ModulePass carries the whole module through one module-scoped
 // analyzer.

@@ -100,6 +100,16 @@ func TestGoLeakFixtures(t *testing.T) {
 	runModuleFixture(t, []string{"alloystack__internal__gateway"}, GoLeak)
 }
 
+// TestUnreachableFixtures: the library fixture is internal/metrics'
+// ResourceMeter as the parent of the PR that added the analyzer had it,
+// next to one live symbol of every kind the analyzer exempts.
+func TestUnreachableFixtures(t *testing.T) {
+	runModuleFixture(t, []string{
+		"alloystack__internal__meter",
+		"unreachable_main",
+	}, Unreachable)
+}
+
 func TestGoLeakOutOfScopePackageExempt(t *testing.T) {
 	// The same spin-forever shapes must stay silent outside the
 	// long-lived package list: re-analyze the gateway fixture under a

@@ -30,7 +30,6 @@ type Heap struct {
 	allocs    uint64
 	frees     uint64
 	lastChunk uint64
-	fixed     bool   // NewHeapAt heaps cannot grow
 	chunks    []span // mapped chunk ranges, for invariant checking
 }
 
@@ -75,9 +74,6 @@ func NewHeap(space *Space, limit uint64) *Heap {
 // boundary (buffers must stay contiguous for zero-copy views).
 // Caller holds h.mu.
 func (h *Heap) grow(need uint64) error {
-	if h.fixed {
-		return ErrHeapFull
-	}
 	need = roundUp(need)
 	chunk := min(max(need, minChunk, h.lastChunk*2), h.limit-h.size)
 	if chunk < need {
@@ -92,20 +88,6 @@ func (h *Heap) grow(need uint64) error {
 	h.chunks = append(h.chunks, span{base, chunk})
 	h.insertFree(base, chunk)
 	return nil
-}
-
-// NewHeapAt builds an allocator over an already-mapped region. Used when
-// the visor pre-partitions the WFD address space and binds keys first.
-func NewHeapAt(space *Space, base, size uint64) *Heap {
-	return &Heap{
-		space:     space,
-		size:      size,
-		limit:     size,
-		fixed:     true,
-		free:      &freeBlock{addr: base, size: size},
-		allocated: make(map[uint64]uint64),
-		chunks:    []span{{base, size}},
-	}
 }
 
 // alignUp rounds addr up to the next multiple of align (a power of two or
@@ -268,6 +250,8 @@ func (h *Heap) Stats() HeapStats {
 
 // checkInvariants validates free-list ordering, non-overlap and
 // accounting. Used by tests (including property-based tests).
+//
+//asvet:allow unreachable -- the allocator's invariant oracle, called by its tests after every step
 func (h *Heap) checkInvariants() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

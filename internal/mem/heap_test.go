@@ -265,22 +265,6 @@ func TestHeapPropertyDataIntegrity(t *testing.T) {
 	}
 }
 
-func TestNewHeapAt(t *testing.T) {
-	s := NewSpace(0)
-	base, err := s.Map(1 << 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := NewHeapAt(s, base, 1<<16)
-	a, err := h.Alloc(128, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a < base || a >= base+1<<16 {
-		t.Fatalf("alloc %#x outside pre-mapped region", a)
-	}
-}
-
 func BenchmarkHeapAllocFree(b *testing.B) {
 	h := NewHeap(NewSpace(0), 1<<24)
 	b.ReportAllocs()

@@ -254,27 +254,3 @@ func TestHistogramExpositionParsesBack(t *testing.T) {
 		t.Fatalf("parsed count = %v ok=%v", count, ok)
 	}
 }
-
-func TestRecorderRingCap(t *testing.T) {
-	r := NewRecorderCap(4)
-	for i := 1; i <= 10; i++ {
-		r.Record(time.Duration(i) * time.Millisecond)
-	}
-	if r.Count() != 4 {
-		t.Fatalf("retained = %d, want cap 4", r.Count())
-	}
-	if r.Total() != 10 {
-		t.Fatalf("total = %d", r.Total())
-	}
-	// The ring keeps the newest samples: 7..10ms.
-	s := r.Summarize()
-	if s.Min != 7*time.Millisecond || s.Max != 10*time.Millisecond {
-		t.Fatalf("ring window = [%v, %v], want [7ms, 10ms]", s.Min, s.Max)
-	}
-	// Zero-value Recorder self-initialises to the default cap.
-	var z Recorder
-	z.Record(time.Millisecond)
-	if z.Count() != 1 {
-		t.Fatalf("zero-value recorder count = %d", z.Count())
-	}
-}

@@ -1,8 +1,9 @@
 // Package metrics provides the measurement plumbing for the evaluation
-// harness: latency recorders with percentile summaries (Figure 17a),
-// per-function stage clocks for the read-input / compute / transfer
-// breakdown (Figure 15), and a resource meter that components report
-// modelled CPU and memory usage to (Figure 17b).
+// harness and the node's /metrics: percentile summaries of latency
+// samples (Figure 17a), per-function stage clocks for the read-input /
+// compute / transfer breakdown (Figure 15), per-transport counters,
+// constant-memory histograms, SLO burn rates and the Prometheus
+// exposition writer and parser.
 package metrics
 
 import (
@@ -12,79 +13,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Recorder accumulates latency samples. Safe for concurrent use.
-//
-// Retention is bounded: once cap samples have been recorded the oldest
-// are overwritten ring-style, so a long-lived watchdog summarises a
-// sliding window instead of growing per invocation forever. Paths that
-// need exact percentiles over a known sample count (benchmark sweeps)
-// pass that count to NewRecorderCap explicitly.
-type Recorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	cap     int
-	next    int    // ring cursor once len(samples) == cap
-	total   uint64 // samples ever recorded, including overwritten ones
-}
-
-// DefaultRecorderCap bounds retained samples for NewRecorder. 4096
-// samples is a deep enough window for stable p99 digests while capping
-// the recorder at a few tens of kilobytes.
-const DefaultRecorderCap = 4096
-
-// NewRecorder returns an empty recorder retaining the last
-// DefaultRecorderCap samples.
-func NewRecorder() *Recorder { return NewRecorderCap(DefaultRecorderCap) }
-
-// NewRecorderCap returns an empty recorder retaining the last n
-// samples. n <= 0 falls back to DefaultRecorderCap.
-func NewRecorderCap(n int) *Recorder {
-	if n <= 0 {
-		n = DefaultRecorderCap
-	}
-	return &Recorder{cap: n}
-}
-
-// Record adds one sample, evicting the oldest when the window is full.
-func (r *Recorder) Record(d time.Duration) {
-	r.mu.Lock()
-	if r.cap <= 0 {
-		r.cap = DefaultRecorderCap // zero-value Recorder
-	}
-	if len(r.samples) < r.cap {
-		r.samples = append(r.samples, d)
-	} else {
-		r.samples[r.next] = d
-		r.next = (r.next + 1) % r.cap
-	}
-	r.total++
-	r.mu.Unlock()
-}
-
-// Time runs fn and records its wall-clock duration.
-func (r *Recorder) Time(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	d := time.Since(start)
-	r.Record(d)
-	return d
-}
-
-// Count reports the number of retained samples (at most the capacity).
-func (r *Recorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-// Total reports samples ever recorded, including those the ring has
-// since overwritten.
-func (r *Recorder) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
 
 // Summary is a percentile digest of a sample set. Durations marshal as
 // integer nanoseconds, so a recorded summary round-trips exactly.
@@ -98,31 +26,16 @@ type Summary struct {
 	P99   time.Duration `json:"p99_ns"`
 }
 
-// Summarize computes the digest. An empty recorder yields a zero Summary.
-func (r *Recorder) Summarize() Summary {
-	r.mu.Lock()
-	samples := make([]time.Duration, len(r.samples))
-	copy(samples, r.samples)
-	r.mu.Unlock()
-	// The copy above is already private to this call: sort it in place
-	// instead of copying a second time.
-	return summarizeInPlace(samples)
-}
-
-// Summarize digests an arbitrary sample slice without mutating it.
+// Summarize digests a sample slice without mutating it. No samples
+// yield a zero Summary.
 func Summarize(samples []time.Duration) Summary {
-	sorted := make([]time.Duration, len(samples))
-	copy(sorted, samples)
-	return summarizeInPlace(sorted)
-}
-
-// summarizeInPlace sorts samples (owned by the caller) and digests them.
-func summarizeInPlace(sorted []time.Duration) Summary {
 	var s Summary
-	s.Count = len(sorted)
+	s.Count = len(samples)
 	if s.Count == 0 {
 		return s
 	}
+	sorted := make([]time.Duration, len(samples))
+	copy(sorted, samples)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	s.Min = sorted[0]
 	s.Max = sorted[len(sorted)-1]
@@ -429,52 +342,6 @@ func (s *Snapshot) AddCounter(name string, v int64) {
 		s.Counters = make(map[string]int64)
 	}
 	s.Counters[name] += v
-}
-
-// ResourceMeter aggregates modelled CPU time and peak memory across the
-// components of one experiment run. Real hardware counters are not
-// available to a simulation, so each subsystem charges what it models:
-// the visor charges WFD heap usage, baselines charge their guest-kernel
-// and sandbox overheads from the calibrated cost table.
-type ResourceMeter struct {
-	mu      sync.Mutex
-	cpuTime time.Duration
-	memPeak int64
-	memCur  int64
-}
-
-// NewResourceMeter returns a zeroed meter.
-func NewResourceMeter() *ResourceMeter { return &ResourceMeter{} }
-
-// ChargeCPU adds modelled CPU time.
-func (m *ResourceMeter) ChargeCPU(d time.Duration) {
-	m.mu.Lock()
-	m.cpuTime += d
-	m.mu.Unlock()
-}
-
-// GrowMem records an allocation of n bytes.
-func (m *ResourceMeter) GrowMem(n int64) {
-	m.mu.Lock()
-	m.memCur += n
-	if m.memCur > m.memPeak {
-		m.memPeak = m.memCur
-	}
-	m.mu.Unlock()
-}
-
-// ShrinkMem records a release of n bytes.
-func (m *ResourceMeter) ShrinkMem(n int64) {
-	m.mu.Lock()
-	m.memCur -= n
-	m.mu.Unlock()
-}
-
-// Snapshot reports (cpu time, current memory, peak memory).
-func (m *ResourceMeter) Snapshot() (cpu time.Duration, cur, peak int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cpuTime, m.memCur, m.memPeak
 }
 
 // FormatBytes renders a byte count in human units for reports.

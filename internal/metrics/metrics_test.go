@@ -8,11 +8,11 @@ import (
 )
 
 func TestSummarizeBasics(t *testing.T) {
-	r := NewRecorder()
+	var samples []time.Duration
 	for _, ms := range []int{5, 1, 3, 2, 4} {
-		r.Record(time.Duration(ms) * time.Millisecond)
+		samples = append(samples, time.Duration(ms)*time.Millisecond)
 	}
-	s := r.Summarize()
+	s := Summarize(samples)
 	if s.Count != 5 {
 		t.Fatalf("Count = %d", s.Count)
 	}
@@ -31,7 +31,7 @@ func TestSummarizeBasics(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	s := NewRecorder().Summarize()
+	s := Summarize(nil)
 	if s.Count != 0 || s.Max != 0 || s.P99 != 0 {
 		t.Fatalf("empty summary = %+v", s)
 	}
@@ -59,35 +59,6 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRecorderTime(t *testing.T) {
-	r := NewRecorder()
-	d := r.Time(func() { time.Sleep(5 * time.Millisecond) })
-	if d < 5*time.Millisecond {
-		t.Fatalf("Time returned %v", d)
-	}
-	if r.Count() != 1 {
-		t.Fatalf("Count = %d", r.Count())
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				r.Record(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if r.Count() != 1600 {
-		t.Fatalf("Count = %d, want 1600", r.Count())
 	}
 }
 
@@ -201,18 +172,6 @@ func TestStageClockTime(t *testing.T) {
 	}
 	if c.Total(StageTransfer) < 3*time.Millisecond {
 		t.Fatalf("transfer = %v", c.Total(StageTransfer))
-	}
-}
-
-func TestResourceMeter(t *testing.T) {
-	m := NewResourceMeter()
-	m.GrowMem(100)
-	m.GrowMem(50)
-	m.ShrinkMem(120)
-	m.ChargeCPU(time.Second)
-	cpu, cur, peak := m.Snapshot()
-	if cpu != time.Second || cur != 30 || peak != 150 {
-		t.Fatalf("snapshot = %v, %d, %d", cpu, cur, peak)
 	}
 }
 

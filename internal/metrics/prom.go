@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Exposition content types a /metrics handler can serve.
@@ -107,19 +106,6 @@ func (p *PromWriter) Header(name, typ, help string) {
 // Value emits one sample. labels are alternating key, value pairs.
 func (p *PromWriter) Value(name string, value float64, labels ...string) {
 	p.printf("%s%s %g\n", name, renderLabels(labels), value)
-}
-
-// Summary emits a latency digest as quantile series plus _count, in
-// seconds (the Prometheus base unit for time).
-func (p *PromWriter) Summary(name string, s Summary, labels ...string) {
-	p.Header(name, "summary", "latency digest (seconds)")
-	for _, q := range []struct {
-		q string
-		d time.Duration
-	}{{"0.5", s.P50}, {"0.9", s.P90}, {"0.99", s.P99}} {
-		p.Value(name, q.d.Seconds(), append([]string{"quantile", q.q}, labels...)...)
-	}
-	p.Value(name+"_count", float64(s.Count), labels...)
 }
 
 // Histogram emits a histogram family in Prometheus exposition:

@@ -46,8 +46,9 @@ var (
 type Config struct {
 	// MaxConcurrent bounds requests running at once (default 16).
 	MaxConcurrent int
-	// MaxQueue caps each workflow's wait queue (default 64); arrivals
-	// beyond the cap are shed.
+	// MaxQueue caps each workflow's wait queue (zero means the default,
+	// 64); arrivals beyond the cap are shed. Negative means no queue: an
+	// arrival that finds every slot taken is shed at once.
 	MaxQueue int
 	// Weights gives per-workflow drain weights (default 1). A workflow
 	// with weight 2 is granted twice per round-robin cycle of a
@@ -109,8 +110,10 @@ func New(cfg Config) *Scheduler {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 16
 	}
-	if cfg.MaxQueue <= 0 {
+	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = 64
+	} else if cfg.MaxQueue < 0 {
+		cfg.MaxQueue = 0
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now //asvet:allow wallclock -- the approved clock injection point

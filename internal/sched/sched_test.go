@@ -107,6 +107,34 @@ func TestShedAtQueueCap(t *testing.T) {
 	close(done)
 }
 
+// A negative MaxQueue is a scheduler with no queue: the arrival that
+// finds every slot taken is shed without waiting, and a freed slot
+// admits the next one.
+func TestNoQueueShedsAtLimit(t *testing.T) {
+	s := New(Config{MaxConcurrent: 2, MaxQueue: -1})
+	a, errA := s.Admit(context.Background(), "wf", 0)
+	b, errB := s.Admit(context.Background(), "wf", 0)
+	if errA != nil || errB != nil {
+		t.Fatalf("Admit under the limit: %v, %v", errA, errB)
+	}
+	if _, err := s.Admit(context.Background(), "wf", 0); !errors.Is(err, ErrShed) {
+		t.Fatalf("Admit at the limit = %v, want ErrShed", err)
+	}
+	if st := s.Stats(); st.Shed != 1 || st.Backlog != 0 || st.Inflight != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+	a.Release()
+	c, err := s.Admit(context.Background(), "wf", 0)
+	if err != nil {
+		t.Fatalf("Admit after a release: %v", err)
+	}
+	b.Release()
+	c.Release()
+	if New(Config{}).cfg.MaxQueue != 64 {
+		t.Fatal("zero MaxQueue must keep the default depth of 64")
+	}
+}
+
 func TestWeightedFairness(t *testing.T) {
 	s := New(Config{
 		MaxConcurrent: 1,

@@ -36,8 +36,6 @@ func (wd *Watchdog) ClusterInfo() cluster.NodeInfo {
 	}
 	if wd.Sched != nil {
 		info.Capacity = int64(wd.Sched.Stats().MaxConcurrent)
-	} else {
-		info.Capacity = wd.MaxInflight
 	}
 	if bad, _ := wd.Telemetry.Degraded(); bad {
 		info.Degraded = true
@@ -54,8 +52,7 @@ func (wd *Watchdog) ClusterInfo() cluster.NodeInfo {
 // handleCluster serves GET /cluster: the node advertisement the
 // gateway's health loop folds into its membership view.
 func (wd *Watchdog) handleCluster(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(wd.ClusterInfo())
+	writeJSON(w, http.StatusOK, wd.ClusterInfo())
 }
 
 // StartSpecServer listens on addr (use "127.0.0.1:0" for ephemeral)
@@ -169,13 +166,8 @@ func (wd *Watchdog) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	// workflow must observe the first build's pool, not race it.
 	wd.prewarmMu.Lock()
 	defer wd.prewarmMu.Unlock()
-	writeResp := func(status int, resp PrewarmResponse) {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(resp)
-	}
 	if p := wd.Pools.Get(req.Workflow); p != nil {
-		writeResp(http.StatusOK, PrewarmResponse{
+		writeJSON(w, http.StatusOK, PrewarmResponse{
 			Workflow: req.Workflow, Status: "already-warm", Warm: p.Stats().Warm})
 		return
 	}
@@ -186,32 +178,28 @@ func (wd *Watchdog) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeResp(http.StatusNotFound, PrewarmResponse{
+		writeJSON(w, http.StatusNotFound, PrewarmResponse{
 			Workflow: req.Workflow, Status: "error", Error: err.Error()})
 		return
 	}
 	spec, cfg, ok := wd.PoolBuilder(wf)
 	if !ok {
-		writeResp(http.StatusUnprocessableEntity, PrewarmResponse{
+		writeJSON(w, http.StatusUnprocessableEntity, PrewarmResponse{
 			Workflow: req.Workflow, Status: "error",
 			Error: "workflow is not poolable on this node"})
 		return
 	}
 	p, err := pool.New(spec, cfg)
 	if err != nil {
-		writeResp(http.StatusInternalServerError, PrewarmResponse{
+		writeJSON(w, http.StatusInternalServerError, PrewarmResponse{
 			Workflow: req.Workflow, Status: "error", Error: err.Error()})
 		return
 	}
 	p.Start()
 	wd.Pools.Add(p)
-	wd.prewarmed.Add(1)
-	writeResp(http.StatusOK, PrewarmResponse{
+	writeJSON(w, http.StatusOK, PrewarmResponse{
 		Workflow: req.Workflow, Status: "warmed", Warm: p.Stats().Warm})
 }
-
-// Prewarmed reports pools built via POST /pools/prewarm.
-func (wd *Watchdog) Prewarmed() int64 { return wd.prewarmed.Load() }
 
 // Visor exposes the wrapped visor (harnesses register workflows on a
 // running node through it).

@@ -12,6 +12,7 @@ import (
 	"alloystack/internal/core"
 	"alloystack/internal/dag"
 	"alloystack/internal/pool"
+	"alloystack/internal/sched"
 )
 
 // testPoolBuilder builds a minimal warm pool over a fresh memdisk:
@@ -59,7 +60,7 @@ func clusterNode(t *testing.T, register bool) (*Watchdog, string) {
 func TestClusterAdvertisement(t *testing.T) {
 	wd, addr := clusterNode(t, true)
 	wd.NodeID = "alpha"
-	wd.MaxInflight = 7
+	wd.Sched = sched.New(sched.Config{MaxConcurrent: 7, MaxQueue: -1})
 
 	resp, err := http.Get("http://" + addr + "/cluster")
 	if err != nil {
@@ -74,7 +75,7 @@ func TestClusterAdvertisement(t *testing.T) {
 		t.Errorf("ID = %q, want alpha", info.ID)
 	}
 	if info.Capacity != 7 {
-		t.Errorf("Capacity = %d, want MaxInflight 7", info.Capacity)
+		t.Errorf("Capacity = %d, want the scheduler's 7", info.Capacity)
 	}
 	if !info.Knows("pipeline") {
 		t.Errorf("Workflows = %v, want pipeline advertised", info.Workflows)
@@ -127,9 +128,6 @@ func TestPrewarmPullsSpecFromPeer(t *testing.T) {
 	}
 	if target.Pools.Get("pipeline") == nil {
 		t.Fatal("target has no pool after pre-warm")
-	}
-	if target.Prewarmed() != 1 {
-		t.Errorf("Prewarmed = %d, want 1", target.Prewarmed())
 	}
 	// The advertisement now carries the warm template.
 	if !target.ClusterInfo().HasWarm("pipeline") {

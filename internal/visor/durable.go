@@ -9,14 +9,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"alloystack/internal/asstd"
 	"alloystack/internal/core"
-	"alloystack/internal/dag"
 	"alloystack/internal/journal"
 	"alloystack/internal/libos"
 	"alloystack/internal/trace"
-	"alloystack/internal/xfer"
 )
 
 // This file implements durable workflow runs: the visor-side glue around
@@ -42,7 +41,12 @@ import (
 var ErrCrashPoint = errors.New("visor: durability crashpoint reached")
 
 // durableRun carries one invocation's journal handle and recovery state.
+// A nil *durableRun is the non-durable run: every method the invoke path
+// calls on it is a no-op there, the way a nil *trace.Tracer is.
 type durableRun struct {
+	// opts is the run's options: the fault plan crashpoints consult,
+	// CrashFn, and the tracer whose flight recorder is dumped.
+	opts  *RunOptions
 	store *journal.Store
 	jr    *journal.Run
 	spill journal.SpillStore
@@ -91,46 +95,73 @@ func (d *durableRun) committedPrefix() int {
 	return d.committed
 }
 
-// openDurable opens the run's journal: a resume replays and re-opens an
-// existing one, anything else begins a fresh journal carrying the
-// workflow spec.
-func openDurable(w *dag.Workflow, opts RunOptions) (*durableRun, error) {
+// openJournal opens the run's write-ahead journal before any work
+// starts: a resume replays and re-opens an existing one, a durable run
+// begins a fresh journal carrying the workflow spec, anything else
+// leaves r.dj nil.
+func (r *run) openJournal() error {
+	opts := &r.opts
+	if !opts.Durable && opts.Resume == "" {
+		return nil
+	}
 	s := opts.Journal
+	if s == nil {
+		// Never degrade silently: a resume request without a journal
+		// store would re-run the whole workflow fresh and non-durable.
+		return errors.New("visor: RunOptions.Durable/Resume require a Journal store")
+	}
+	d := &durableRun{opts: opts, store: s, async: opts.Faults == nil}
 	if opts.Resume != "" {
 		jr, st, err := s.Resume(opts.Resume)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if st.Workflow != w.Name {
+		if st.Workflow != r.w.Name {
 			jr.Close()
-			return nil, fmt.Errorf("visor: resume %s: journal is for workflow %q, not %q",
-				opts.Resume, st.Workflow, w.Name)
+			return fmt.Errorf("visor: resume %s: journal is for workflow %q, not %q",
+				opts.Resume, st.Workflow, r.w.Name)
 		}
-		k := st.CommittedPrefix()
-		return &durableRun{store: s, jr: jr, spill: s.Spill(jr.ID()),
-			st: st, resumeFrom: k, committed: k, async: opts.Faults == nil}, nil
+		d.jr, d.st = jr, st
+		d.resumeFrom = st.CommittedPrefix()
+		d.committed = d.resumeFrom
+	} else {
+		jr, err := s.Begin(opts.RunID, r.w)
+		if err != nil {
+			return err
+		}
+		d.jr = jr
 	}
-	jr, err := s.Begin(opts.RunID, w)
-	if err != nil {
-		return nil, err
-	}
-	return &durableRun{store: s, jr: jr, spill: s.Spill(jr.ID()),
-		async: opts.Faults == nil}, nil
+	d.spill = s.Spill(d.jr.ID())
+	r.dj = d
+	return nil
 }
 
-// crash consults the fault plan for the named crashpoint. When it fires,
-// the flight recorder is dumped next to the journal (pre-crash spans
-// must survive the process), the journal handle is closed *unsealed* —
-// a crash is not a failure — and either CrashFn kills the process or
-// the run aborts with ErrCrashPoint.
-func (d *durableRun) crash(opts RunOptions, point string) error {
-	if !opts.Faults.CrashAt(point) {
+// close drops the journal handle on every exit path. Seal closes it
+// too, so this is a no-op after a seal.
+func (d *durableRun) close() {
+	if d != nil {
+		d.jr.Close()
+	}
+}
+
+// skips reports whether stage si was committed before the crash this
+// run resumes from.
+func (d *durableRun) skips(si int) bool { return d != nil && si < d.resumeFrom }
+
+// crash consults the fault plan for the crashpoint "kind:n". When it
+// fires, the flight recorder is dumped next to the journal (pre-crash
+// spans must survive the process), the journal handle is closed
+// *unsealed* — a crash is not a failure — and either CrashFn kills the
+// process or the run aborts with ErrCrashPoint.
+func (d *durableRun) crash(kind string, n int) error {
+	point := fmt.Sprintf("%s:%d", kind, n)
+	if !d.opts.Faults.CrashAt(point) {
 		return nil
 	}
-	d.flightDump(opts.Trace, "crashpoint "+point)
+	d.flightDump("crashpoint " + point)
 	d.jr.Close()
-	if opts.CrashFn != nil {
-		opts.CrashFn(point)
+	if d.opts.CrashFn != nil {
+		d.opts.CrashFn(point)
 	}
 	return fmt.Errorf("%w: %s", ErrCrashPoint, point)
 }
@@ -139,7 +170,8 @@ func (d *durableRun) crash(opts RunOptions, point string) error {
 // <id>.flight.log beside the journal. Barrier commits, resume starts,
 // crashpoints and seals all dump here, so the spans leading up to a
 // crash are on disk before the process dies.
-func (d *durableRun) flightDump(tr *trace.Tracer, reason string) {
+func (d *durableRun) flightDump(reason string) {
+	tr := d.opts.Trace
 	if tr == nil || tr.Recorder() == nil {
 		return
 	}
@@ -152,6 +184,99 @@ func (d *durableRun) flightDump(tr *trace.Tracer, reason string) {
 	f.Close()
 }
 
+// resume re-enters a journaled run after boot: a run that crashed on its
+// forward pass gets the spilled outputs of its committed stages back; a
+// run that had already failed terminally finishes its saga unwind and
+// reports the original failure.
+func (d *durableRun) resume(r *run) error {
+	if d == nil {
+		return nil
+	}
+	r.res.RunID = d.jr.ID()
+	if d.st == nil {
+		return nil
+	}
+	r.res.Resumed = true
+	d.flightDump(fmt.Sprintf("run %s resumed from stage %d", r.res.RunID, d.resumeFrom))
+	if !d.st.Failed {
+		return d.importCommitted(r)
+	}
+	// The crash interrupted the saga unwind, not the forward pass.
+	if err := d.unwind(r); err != nil {
+		return err
+	}
+	r.res.E2E = time.Since(r.start)
+	r.res.TraceID = r.opts.Trace.TraceID()
+	return fmt.Errorf("visor: run %s had failed terminally: %s (saga verdict %s)",
+		r.res.RunID, d.st.FailDetail, r.res.Verdict)
+}
+
+// beginStage journals that stage si is about to run.
+func (d *durableRun) beginStage(si int) error {
+	if d == nil {
+		return nil
+	}
+	if err := d.crash("before-stage", si); err != nil {
+		return err
+	}
+	return d.jr.StageStarted(si)
+}
+
+// commitStage is the barrier after stage si: its outputs are spilled and
+// its commit record journaled before (or, pipelined, while) the next
+// stage runs.
+func (d *durableRun) commitStage(r *run, si int) error {
+	if d == nil {
+		return nil
+	}
+	if err := d.crash("after-stage", si); err != nil {
+		return err
+	}
+	if err := d.barrier(r, si); err != nil {
+		return fmt.Errorf("visor: journal barrier %d: %w", si, err)
+	}
+	d.flightDump(fmt.Sprintf("stage %d barrier", si))
+	return d.crash("after-commit", si)
+}
+
+// failStage is the terminal failure of stage si: journal it, unwind the
+// committed prefix as a saga and seal with the unwind's verdict. In-flight
+// async barrier commits settle first, so the unwind sees the true
+// committed prefix. It returns ferr unless the journal itself fails.
+func (d *durableRun) failStage(r *run, si int, ferr error) error {
+	if d == nil {
+		return ferr
+	}
+	if err := d.settle(); err != nil {
+		return err
+	}
+	if err := d.jr.Failed(si, ferr.Error()); err != nil {
+		return err
+	}
+	if err := d.unwind(r); err != nil {
+		return err
+	}
+	return ferr
+}
+
+// seal drains any in-flight async barrier commits (an ok-seal asserts
+// every stage is durable), writes the terminal record and reports its
+// verdict.
+func (d *durableRun) seal(res *RunResult, verdict string) error {
+	if d == nil {
+		return nil
+	}
+	if err := d.settle(); err != nil {
+		return err
+	}
+	if err := d.jr.Seal(verdict); err != nil {
+		return err
+	}
+	res.Verdict = verdict
+	d.flightDump("sealed " + verdict)
+	return nil
+}
+
 // barrier makes stage si durable: snapshot every AsBuffer slot the stage
 // produced for a later consumer (plus the run's export slots at the
 // final stage), persist each through the spill store, journal a
@@ -160,58 +285,24 @@ func (d *durableRun) flightDump(tr *trace.Tracer, reason string) {
 // consumes them); in async mode the persistence half runs in the
 // background, overlapped with the next stage's compute — a crash before
 // it lands simply re-executes the uncommitted stage on resume.
-func (d *durableRun) barrier(wfd wfdRunner, root *trace.Span,
-	stages [][]dag.FuncSpec, exports []string, si int) error {
-	want := barrierSlots(stages, si)
-	if si == len(stages)-1 {
-		want = append(want, exports...)
+func (d *durableRun) barrier(r *run, si int) error {
+	want := edgeSlots(r.stages, func(from, to int) bool { return from == si && to > si })
+	if si == len(r.stages)-1 {
+		want = append(want, r.opts.ExportSlots...)
 	}
-	sp := root.Child(fmt.Sprintf("journal-barrier-%d", si), trace.CatJournal)
+	sp := r.root.Child(fmt.Sprintf("journal-barrier-%d", si), trace.CatJournal)
 	var data map[string][]byte
 	if len(want) > 0 {
 		var err error
-		if data, err = snapshotSlots(wfd, want); err != nil {
+		if data, err = snapshotSlots(r.wfd, want); err != nil {
 			sp.End()
 			return err
 		}
 		sp.SetAttr("slots", len(data))
 	}
-	commit := func() error {
-		defer sp.End()
-		names := make([]string, 0, len(data))
-		for slot := range data {
-			names = append(names, slot)
-		}
-		sort.Strings(names)
-		for _, slot := range names {
-			payload := data[slot]
-			sum := crc32.ChecksumIEEE(payload)
-			if err := d.spill.Put(slot, payload); err != nil {
-				return err
-			}
-			if err := d.jr.SlotSpilled(si, slot, int64(len(payload)), sum); err != nil {
-				return err
-			}
-		}
-		if len(names) > 0 {
-			// One fsync for the whole barrier's payloads, before the
-			// commit record that makes them reachable.
-			if err := d.spill.Sync(); err != nil {
-				return err
-			}
-		}
-		if err := d.jr.StageCommitted(si); err != nil {
-			return err
-		}
-		d.mu.Lock()
-		if si+1 > d.committed {
-			d.committed = si + 1
-		}
-		d.mu.Unlock()
-		return nil
-	}
 	if !d.async {
-		return commit()
+		defer sp.End()
+		return d.persist(si, data)
 	}
 	prev := d.commitGate
 	next := make(chan struct{})
@@ -220,6 +311,7 @@ func (d *durableRun) barrier(wfd wfdRunner, root *trace.Span,
 	go func() {
 		defer d.wg.Done()
 		defer close(next)
+		defer sp.End()
 		if prev != nil {
 			<-prev
 		}
@@ -233,7 +325,7 @@ func (d *durableRun) barrier(wfd wfdRunner, root *trace.Span,
 			// original error and the run fails before sealing.
 			return
 		}
-		if err := commit(); err != nil {
+		if err := d.persist(si, data); err != nil {
 			d.mu.Lock()
 			if d.asyncErr == nil {
 				d.asyncErr = fmt.Errorf("visor: journal barrier %d: %w", si, err)
@@ -244,21 +336,52 @@ func (d *durableRun) barrier(wfd wfdRunner, root *trace.Span,
 	return nil
 }
 
+// persist is the barrier's IO half: spill stage si's snapshotted
+// payloads in name order, journal a slot-spilled record for each, then
+// the stage-committed record that makes them reachable.
+func (d *durableRun) persist(si int, data map[string][]byte) error {
+	names := make([]string, 0, len(data))
+	for slot := range data {
+		names = append(names, slot)
+	}
+	sort.Strings(names)
+	for _, slot := range names {
+		payload := data[slot]
+		sum := crc32.ChecksumIEEE(payload)
+		if err := d.spill.Put(slot, payload); err != nil {
+			return err
+		}
+		if err := d.jr.SlotSpilled(si, slot, int64(len(payload)), sum); err != nil {
+			return err
+		}
+	}
+	if len(names) > 0 {
+		// One fsync for the whole barrier's payloads, before the
+		// commit record.
+		if err := d.spill.Sync(); err != nil {
+			return err
+		}
+	}
+	if err := d.jr.StageCommitted(si); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	if si+1 > d.committed {
+		d.committed = si + 1
+	}
+	d.mu.Unlock()
+	return nil
+}
+
 // importCommitted re-registers the journaled spill payloads a resumed
 // run still needs: every spilled slot whose consumer stage is at or past
 // the resume point (slots consumed entirely inside the committed prefix
 // are dead weight). Each payload is verified against its journaled CRC.
-func (d *durableRun) importCommitted(wfd wfdRunner, root *trace.Span,
-	stages [][]dag.FuncSpec) error {
+func (d *durableRun) importCommitted(r *run) error {
 	if len(d.st.Spilled) == 0 {
 		return nil
 	}
-	stageOf := make(map[string]int)
-	for si, stage := range stages {
-		for _, f := range stage {
-			stageOf[f.Name] = si
-		}
-	}
+	stageOf := stageIndex(r.stages)
 	payloads := make(map[string][]byte)
 	for _, sp := range d.st.Spilled {
 		if sp.Stage >= d.resumeFrom || !d.st.Committed[sp.Stage] {
@@ -282,45 +405,13 @@ func (d *durableRun) importCommitted(wfd wfdRunner, root *trace.Span,
 	if len(payloads) == 0 {
 		return nil
 	}
-	span := root.Child("journal-import", trace.CatJournal)
+	span := r.root.Child("journal-import", trace.CatJournal)
 	span.SetAttr("slots", len(payloads))
 	defer span.End()
-	if err := importSlots(wfd, payloads); err != nil {
+	if err := importSlots(r.wfd, payloads); err != nil {
 		return fmt.Errorf("visor: journal import: %w", err)
 	}
 	return nil
-}
-
-// barrierSlots enumerates the candidate AsBuffer slots produced by stage
-// si for any later stage, using the Slot naming convention for every
-// (instance, instance) pair of each crossing edge — the same convention
-// CrossSlots uses at a multi-node cut. Pairs the workload never
-// populated are fine: the snapshot skips unregistered slots.
-func barrierSlots(stages [][]dag.FuncSpec, si int) []string {
-	stageOf := make(map[string]int)
-	instOf := make(map[string]int)
-	for k, stage := range stages {
-		for _, f := range stage {
-			stageOf[f.Name] = k
-			instOf[f.Name] = f.InstancesOf()
-		}
-	}
-	var slots []string
-	for k := si + 1; k < len(stages); k++ {
-		for _, f := range stages[k] {
-			for _, dep := range f.DependsOn {
-				if stageOf[dep] != si {
-					continue
-				}
-				for i := 0; i < instOf[dep]; i++ {
-					for j := 0; j < f.InstancesOf(); j++ {
-						slots = append(slots, Slot(dep, i, f.Name, j))
-					}
-				}
-			}
-		}
-	}
-	return slots
 }
 
 // consumerStage parses the consuming function out of a conventional
@@ -347,7 +438,7 @@ func consumerStage(slot string, stageOf map[string]int) int {
 // same buffer under the same slot. Downstream stages still find their
 // inputs exactly where the producer left them; the copy is what the
 // spill store persists. Slots never registered are skipped.
-func snapshotSlots(wfd wfdRunner, slots []string) (map[string][]byte, error) {
+func snapshotSlots(wfd *core.WFD, slots []string) (map[string][]byte, error) {
 	out := make(map[string][]byte)
 	err := wfd.Run("__journal-spill", func(env *asstd.Env) error {
 		for _, slot := range slots {
@@ -376,77 +467,53 @@ func snapshotSlots(wfd wfdRunner, slots []string) (map[string][]byte, error) {
 // unwind runs the saga: every committed stage's compensation handlers
 // execute in reverse commit order, each under a journaled idempotency
 // key ("fn:i@stage-si") so a crash mid-unwind never re-runs a handler a
-// later resume sees as done. Returns the terminal verdict —
-// "compensated", or "comp-failed" when any handler failed — or a crash
-// error when an after-comp crashpoint fired.
-func (v *Visor) unwind(wfd *core.WFD, plane runPlane, w *dag.Workflow,
-	stages [][]dag.FuncSpec, d *durableRun, opts RunOptions,
-	res *RunResult, root *trace.Span) (string, error) {
+// later resume sees as done. The journal is then sealed with the
+// verdict: "compensated", or "comp-failed" when any handler failed. An
+// after-comp crashpoint that fires leaves it unsealed.
+func (d *durableRun) unwind(r *run) error {
 	verdict := "compensated"
 	compSeq := 0
 	for si := d.committedPrefix() - 1; si >= 0; si-- {
-		for _, spec := range stages[si] {
-			if spec.Compensate == "" {
-				continue
+		for _, spec := range r.stages[si] {
+			comp, ok := r.w.CompensationSpec(spec.Compensate)
+			if spec.Compensate == "" || !ok {
+				continue // Validate rejects a dangling name before any run starts
 			}
-			comp, ok := w.CompensationSpec(spec.Compensate)
-			if !ok {
-				continue // Validate rejects this before any run starts
+			fn, lerr := r.entry(comp)
+			params := make(map[string]string, len(comp.Params)+1)
+			for k, val := range comp.Params {
+				params[k] = val
 			}
-			native, vm, lerr := v.Funcs.lookup(comp.Name, comp.Language)
+			params["__for"] = spec.Name
 			n := spec.InstancesOf()
 			for i := 0; i < n; i++ {
 				key := fmt.Sprintf("%s:%d@stage-%d", spec.Name, i, si)
-				if d.st != nil {
-					if done := d.st.CompDone[key]; done != "" {
-						if done == "failed" {
-							verdict = "comp-failed"
-						}
-						// Exactly-once: journaled as done. Still counts
-						// toward compSeq so "after-comp:K" crashpoints
-						// name the same physical compensation whether or
-						// not the unwind is a resumed one.
-						compSeq++
-						continue
+				if d.st != nil && d.st.CompDone[key] != "" {
+					if d.st.CompDone[key] == "failed" {
+						verdict = "comp-failed"
 					}
+					// Exactly-once: journaled as done. Still counts
+					// toward compSeq so "after-comp:K" crashpoints name
+					// the same physical compensation whether or not the
+					// unwind is a resumed one.
+					compSeq++
+					continue
 				}
 				if err := d.jr.CompStarted(key); err != nil {
-					return "", err
+					return err
 				}
-				span := root.Child("comp:"+key, trace.CatComp)
-				var cerr error
-				if lerr != nil {
-					cerr = lerr
-				} else {
-					params := make(map[string]string, len(comp.Params)+2)
-					for k, val := range comp.Params {
-						params[k] = val
-					}
-					params["__for"] = spec.Name
-					fctx := FuncContext{
-						Workflow:  w.Name,
-						Function:  comp.Name,
-						Instance:  i,
-						Instances: n,
-						Stage:     si,
-						Params:    params,
-					}
-					kind := EdgeTransfer(params, opts)
-					cerr = wfd.Run(comp.Name, func(env *asstd.Env) error {
-						env.Clock = res.Clock
-						env.Span = span
-						tr, terr := plane.transport(kind, env)
-						if terr != nil {
-							return terr
+				span := r.root.Child("comp:"+key, trace.CatComp)
+				cerr := lerr
+				if cerr == nil {
+					fctx := FuncContext{Workflow: r.w.Name, Function: comp.Name,
+						Instance: i, Instances: n, Stage: si, Params: params}
+					cerr = r.wfd.Run(comp.Name, func(env *asstd.Env) error {
+						if err := r.bind(env, span, params); err != nil {
+							return err
 						}
-						env.SetTransport(xfer.WithTrace(tr, span))
-						if native != nil {
-							return native(env, fctx)
-						}
-						return runVM(env, fctx, *vm, opts.CostScale, wfd)
+						return fn(env, fctx)
 					})
 				}
-				okc := cerr == nil
 				detail := ""
 				if cerr != nil {
 					detail = cerr.Error()
@@ -454,17 +521,17 @@ func (v *Visor) unwind(wfd *core.WFD, plane runPlane, w *dag.Workflow,
 					verdict = "comp-failed"
 				}
 				span.End()
-				if err := d.jr.CompDone(key, okc, detail); err != nil {
-					return "", err
+				if err := d.jr.CompDone(key, cerr == nil, detail); err != nil {
+					return err
 				}
-				d.store.CountComp(okc)
-				res.Compensations++
-				if err := d.crash(opts, fmt.Sprintf("after-comp:%d", compSeq)); err != nil {
-					return "", err
+				d.store.CountComp(cerr == nil)
+				r.res.Compensations++
+				if err := d.crash("after-comp", compSeq); err != nil {
+					return err
 				}
 				compSeq++
 			}
 		}
 	}
-	return verdict, nil
+	return d.seal(r.res, verdict)
 }

@@ -46,31 +46,6 @@ func TestStageWithHundredFailingInstances(t *testing.T) {
 	}
 }
 
-// The legacy MaxRetries knob still drives fault recovery when no Retry
-// policy is set.
-func TestLegacyMaxRetriesStillWorks(t *testing.T) {
-	calls := 0
-	reg := NewRegistry()
-	reg.RegisterNative("flaky", func(env *asstd.Env, ctx FuncContext) error {
-		calls++
-		if calls < 3 {
-			panic("transient")
-		}
-		return nil
-	})
-	v := New(reg)
-	w := &dag.Workflow{Name: "flaky", Functions: []dag.FuncSpec{{Name: "flaky"}}}
-	o := fastOpts()
-	o.MaxRetries = 2
-	res, err := v.RunWorkflow(w, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Retries != 2 || res.RetryBudget != 2 {
-		t.Fatalf("retries = %d, budget = %d", res.Retries, res.RetryBudget)
-	}
-}
-
 // Watchdog.Stop must drain in-flight invocations instead of aborting
 // them mid-flight.
 func TestWatchdogStopDrainsInflight(t *testing.T) {

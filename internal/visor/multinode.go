@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"alloystack/internal/asstd"
+	"alloystack/internal/core"
 	"alloystack/internal/dag"
 	"alloystack/internal/libos"
 	"alloystack/internal/xfer"
@@ -35,12 +36,7 @@ func SplitAt(w *dag.Workflow, cut int) (front, back *dag.Workflow, err error) {
 	if cut <= 0 || cut >= len(stages) {
 		return nil, nil, fmt.Errorf("visor: cut %d out of range (1..%d)", cut, len(stages)-1)
 	}
-	stageOf := make(map[string]int)
-	for si, stage := range stages {
-		for _, f := range stage {
-			stageOf[f.Name] = si
-		}
-	}
+	stageOf := stageIndex(stages)
 	front = &dag.Workflow{Name: w.Name + "-front"}
 	back = &dag.Workflow{Name: w.Name + "-back"}
 	for _, f := range w.Functions {
@@ -66,10 +62,7 @@ func SplitAt(w *dag.Workflow, cut int) (front, back *dag.Workflow, err error) {
 	return front, back, nil
 }
 
-// CrossSlots enumerates the candidate AsBuffer slots crossing the cut,
-// using the Slot naming convention for every (instance, instance) pair of
-// each crossing edge. Workloads that only populate a subset of pairs are
-// fine: export skips slots that were never registered.
+// CrossSlots enumerates the candidate AsBuffer slots crossing the cut.
 func CrossSlots(w *dag.Workflow, cut int) ([]string, error) {
 	stages, err := w.Stages()
 	if err != nil {
@@ -78,66 +71,56 @@ func CrossSlots(w *dag.Workflow, cut int) ([]string, error) {
 	if cut <= 0 || cut >= len(stages) {
 		return nil, fmt.Errorf("visor: cut %d out of range", cut)
 	}
+	return edgeSlots(stages, func(from, to int) bool { return from < cut && to >= cut }), nil
+}
+
+// stageIndex maps every function of the leveled DAG to its stage.
+func stageIndex(stages [][]dag.FuncSpec) map[string]int {
 	stageOf := make(map[string]int)
-	instOf := make(map[string]int)
 	for si, stage := range stages {
 		for _, f := range stage {
 			stageOf[f.Name] = si
+		}
+	}
+	return stageOf
+}
+
+// edgeSlots enumerates the candidate AsBuffer slots of every DAG edge
+// whose producer and consumer stages satisfy cross, using the Slot
+// naming convention for every (instance, instance) pair of the edge.
+// Workloads that only populate a subset of pairs are fine: whoever
+// drains the slots skips the ones never registered.
+func edgeSlots(stages [][]dag.FuncSpec, cross func(from, to int) bool) []string {
+	stageOf := stageIndex(stages)
+	instOf := make(map[string]int)
+	for _, stage := range stages {
+		for _, f := range stage {
 			instOf[f.Name] = f.InstancesOf()
 		}
 	}
 	var slots []string
-	for _, f := range w.Functions {
-		if stageOf[f.Name] < cut {
-			continue
-		}
-		for _, d := range f.DependsOn {
-			if stageOf[d] >= cut {
-				continue
-			}
-			for i := 0; i < instOf[d]; i++ {
-				for j := 0; j < instOf[f.Name]; j++ {
-					slots = append(slots, Slot(d, i, f.Name, j))
+	for to, stage := range stages {
+		for _, f := range stage {
+			for _, dep := range f.DependsOn {
+				if !cross(stageOf[dep], to) {
+					continue
+				}
+				for i := 0; i < instOf[dep]; i++ {
+					for j := 0; j < instOf[f.Name]; j++ {
+						slots = append(slots, Slot(dep, i, f.Name, j))
+					}
 				}
 			}
 		}
 	}
-	return slots, nil
+	return slots
 }
 
-// exportSlots drains the named slots out of the WFD into plain byte
-// slices (copies: the data is leaving the address space). The boundary
-// buffers are read through the refpass transport so the drain shows up
-// in the run's transfer counters like any other edge.
-func exportSlots(wfd wfdRunner, slots []string) (map[string][]byte, error) {
-	out := make(map[string][]byte)
-	err := wfd.Run("__bridge-export", func(env *asstd.Env) error {
-		tr := xfer.NewRefpass(env, nil, nil)
-		for _, slot := range slots {
-			src, release, err := tr.Recv(slot)
-			if err != nil {
-				if errors.Is(err, libos.ErrSlotMissing) {
-					continue // candidate pair the workload never used
-				}
-				return err
-			}
-			data := make([]byte, len(src))
-			copy(data, src)
-			out[slot] = data
-			if err := release(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	return out, err
-}
-
-// exportVia drains the named slots straight through an outbound
-// transport (the net transport to a remote bridge): acquire the
-// boundary buffer, ship its bytes, free it. Slots the workload never
-// registered are skipped, like exportSlots.
-func exportVia(wfd wfdRunner, tr xfer.Transport, slots []string) error {
+// drainSlots acquires each named boundary buffer, hands its bytes to
+// sink and frees it. The buffers are read through the refpass transport
+// like any other edge. Slots the workload never registered are skipped:
+// they are candidate pairs it did not use.
+func drainSlots(wfd *core.WFD, slots []string, sink func(slot string, src []byte) error) error {
 	return wfd.Run("__bridge-export", func(env *asstd.Env) error {
 		local := xfer.NewRefpass(env, nil, nil)
 		for _, slot := range slots {
@@ -148,7 +131,7 @@ func exportVia(wfd wfdRunner, tr xfer.Transport, slots []string) error {
 				}
 				return err
 			}
-			if err := tr.Send(slot, src); err != nil {
+			if err := sink(slot, src); err != nil {
 				release()
 				return err
 			}
@@ -162,7 +145,7 @@ func exportVia(wfd wfdRunner, tr xfer.Transport, slots []string) error {
 
 // importSlots registers incoming intermediate data as AsBuffers before
 // the subgraph's functions run.
-func importSlots(wfd wfdRunner, slots map[string][]byte) error {
+func importSlots(wfd *core.WFD, slots map[string][]byte) error {
 	return wfd.Run("__bridge-import", func(env *asstd.Env) error {
 		for slot, data := range slots {
 			if err := registerImport(env, slot, data); err != nil {
@@ -177,7 +160,7 @@ func importSlots(wfd wfdRunner, slots map[string][]byte) error {
 // transport from a remote bridge) and registers them as AsBuffers.
 // Names absent on the far side are skipped — they mirror the export
 // side's never-registered candidate pairs.
-func importVia(wfd wfdRunner, tr xfer.Transport, names []string) error {
+func importVia(wfd *core.WFD, tr xfer.Transport, names []string) error {
 	return wfd.Run("__bridge-import", func(env *asstd.Env) error {
 		for _, slot := range names {
 			data, release, err := tr.Recv(slot)
@@ -211,10 +194,4 @@ func registerImport(env *asstd.Env, slot string, data []byte) error {
 	}
 	copy(b.Bytes(), data)
 	return nil
-}
-
-// wfdRunner is the subset of core.WFD the bridge needs (kept as an
-// interface so tests can fake it).
-type wfdRunner interface {
-	Run(name string, fn func(env *asstd.Env) error) error
 }

@@ -10,6 +10,7 @@ import (
 
 	"alloystack/internal/asstd"
 	"alloystack/internal/dag"
+	"alloystack/internal/faults"
 	"alloystack/internal/kvstore"
 	"alloystack/internal/netstack"
 	"alloystack/internal/xfer"
@@ -363,7 +364,7 @@ func TestRetryFaultTolerance(t *testing.T) {
 	ro := DefaultRunOptions()
 	ro.CostScale = 0
 	ro.BufHeapSize = 4 << 20
-	ro.MaxRetries = 2
+	ro.Retry = &faults.RetryPolicy{MaxRetries: 2}
 	ro.Stdout = &out
 	w := &dag.Workflow{
 		Name: "w",
@@ -393,7 +394,7 @@ func TestRetryExhaustionFails(t *testing.T) {
 	ro := DefaultRunOptions()
 	ro.CostScale = 0
 	ro.BufHeapSize = 4 << 20
-	ro.MaxRetries = 2
+	ro.Retry = &faults.RetryPolicy{MaxRetries: 2}
 	w := &dag.Workflow{Name: "w", Functions: []dag.FuncSpec{{Name: "always"}}}
 	_, err := v.RunWorkflow(w, ro)
 	if err == nil || !strings.Contains(err.Error(), "function fault") {
@@ -412,7 +413,7 @@ func TestOrdinaryErrorsNotRetried(t *testing.T) {
 	ro := DefaultRunOptions()
 	ro.CostScale = 0
 	ro.BufHeapSize = 4 << 20
-	ro.MaxRetries = 3
+	ro.Retry = &faults.RetryPolicy{MaxRetries: 3}
 	w := &dag.Workflow{Name: "w", Functions: []dag.FuncSpec{{Name: "erring"}}}
 	if _, err := v.RunWorkflow(w, ro); err == nil {
 		t.Fatal("error swallowed")

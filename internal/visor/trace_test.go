@@ -179,7 +179,7 @@ func TestFailedRunDumpsFlightRecorder(t *testing.T) {
 		o.Stdout = &out
 		o.Trace = tracer
 		o.Faults = plan
-		o.MaxRetries = 1 // budget 1 < the 4 panics the plan injects
+		o.Retry = &faults.RetryPolicy{MaxRetries: 1} // budget 1 < the 4 panics the plan injects
 	}))
 	if err == nil {
 		t.Fatal("chaos run succeeded unexpectedly")

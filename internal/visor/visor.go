@@ -187,17 +187,12 @@ type RunOptions struct {
 	// Stdout captures function console output.
 	Stdout io.Writer
 
-	// RefPassing selects AsBuffer reference passing for intermediate
-	// data (the AlloyStack default). Workload implementations consult
-	// it to fall back to file-mediated transfer for the Figure 14
-	// ablation ("when reference passing is disabled, AlloyStack uses
-	// files as an intermediary mechanism").
-	RefPassing bool
-
 	// Transfer pins the data plane for intermediate data to one of
-	// xfer.Kinds ("refpass", "file", "kv", "net"). Empty resolves from
-	// RefPassing: refpass when set, the file spill path otherwise. A
-	// function spec can override per edge with Params["transfer"].
+	// xfer.Kinds ("refpass", "file", "kv", "net"). Empty means refpass,
+	// the AlloyStack default; "file" is the Figure 14 ablation ("when
+	// reference passing is disabled, AlloyStack uses files as an
+	// intermediary mechanism"). A function spec can override per edge
+	// with Params["transfer"].
 	Transfer string
 
 	// KV backs Transfer="kv": the store client payloads round-trip
@@ -208,15 +203,11 @@ type RunOptions struct {
 	// hooks below: a framed connection to an xfer.Bridge.
 	Peer *xfer.Peer
 
-	// MaxRetries restarts a function instance that faults (panics) up
-	// to this many extra times, provided the WFD survived — the paper's
-	// §3.1 retry-based fault tolerance for idempotent functions.
-	// Superseded by Retry when that is set.
-	MaxRetries int
-
-	// Retry, when non-nil, replaces the bare MaxRetries loop with a
-	// full policy: exponential backoff with deterministic jitter, a
-	// max-elapsed cap and a per-instance budget.
+	// Retry, when non-nil, restarts a function instance that faults
+	// (panics), provided the WFD survived — the paper's §3.1 retry-based
+	// fault tolerance for idempotent functions: a per-instance budget,
+	// exponential backoff with deterministic jitter and a max-elapsed
+	// cap. Nil means no retries.
 	Retry *faults.RetryPolicy
 
 	// Ctx bounds the whole invocation; cancelling it stops every
@@ -299,9 +290,8 @@ type RunOptions struct {
 // DefaultRunOptions are the paper's standard AlloyStack configuration.
 func DefaultRunOptions() RunOptions {
 	return RunOptions{
-		OnDemand:   true,
-		RefPassing: true,
-		CostScale:  1.0,
+		OnDemand:  true,
+		CostScale: 1.0,
 	}
 }
 
@@ -355,8 +345,8 @@ type RunResult struct {
 
 // EdgeTransfer resolves which transport kind a function's edges use:
 // the spec's "transfer" param wins, then the run-level Transfer knob,
-// then the RefPassing default (refpass on, file spill off). asctl
-// describe uses the same resolution to audit configs before invocation.
+// then refpass. asctl describe uses the same resolution to audit
+// configs before invocation.
 func EdgeTransfer(params map[string]string, opts RunOptions) string {
 	if v := params["transfer"]; v != "" {
 		return v
@@ -364,10 +354,7 @@ func EdgeTransfer(params map[string]string, opts RunOptions) string {
 	if opts.Transfer != "" {
 		return opts.Transfer
 	}
-	if opts.RefPassing {
-		return xfer.KindRefpass
-	}
-	return xfer.KindFile
+	return xfer.KindRefpass
 }
 
 // Visor drives workflow execution on one node.
@@ -485,14 +472,13 @@ func (v *Visor) Invoke(name string, opts RunOptions) (*RunResult, error) {
 	return v.RunWorkflow(w, opts)
 }
 
-// retryPolicy resolves the effective retry policy: the explicit Retry
-// policy when set, otherwise the legacy MaxRetries knob as an
-// immediate-retry (no backoff) policy.
+// retryPolicy resolves the effective retry policy: Retry when set, no
+// retries otherwise.
 func (o RunOptions) retryPolicy() faults.RetryPolicy {
 	if o.Retry != nil {
 		return *o.Retry
 	}
-	return faults.RetryPolicy{MaxRetries: o.MaxRetries}
+	return faults.RetryPolicy{}
 }
 
 // RunWorkflow executes one invocation of w: instantiate the WFD, run the
@@ -521,7 +507,90 @@ func (v *Visor) RunWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error
 	return res, err
 }
 
+// run is one invocation's state: what the step methods runWorkflow calls
+// in order share. Nothing in it outlives the call.
+type run struct {
+	v      *Visor
+	w      *dag.Workflow
+	stages [][]dag.FuncSpec
+	opts   RunOptions
+	policy faults.RetryPolicy
+
+	ctx   context.Context
+	start time.Time
+	root  *trace.Span
+	wfd   *core.WFD
+	res   *RunResult
+	// dj is nil unless the run is journaled; its methods are nil-safe.
+	dj *durableRun
+
+	// The data-plane halves every function instance shares: one buffer
+	// pool (freed AsBuffers serve later stages) and one spill-path
+	// registry (cross-stage 8.3 collisions surface). The counter table
+	// is res.Transfer.
+	bufs  *xfer.BufPool
+	paths *xfer.PathRegistry
+
+	// retryMu guards res.Retries and res.RetryWait across parallel
+	// instances. lanes gives every instance its own trace lane (Chrome
+	// tid), so parallel instances render as parallel rows.
+	retryMu sync.Mutex
+	lanes   int64
+}
+
+// runWorkflow is the invoke path, one step per line; DESIGN.md ("Invoke
+// path") names each step and the file it lives in.
 func (v *Visor) runWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error) {
+	r, err := v.newRun(w, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.openJournal(); err != nil {
+		return nil, err
+	}
+	defer r.dj.close()
+	cancel := r.begin()
+	defer cancel()
+	defer r.root.End()
+	if err := r.boot(); err != nil {
+		return nil, err
+	}
+	defer r.release()
+	if err := r.importInputs(); err != nil {
+		return nil, err
+	}
+	if err := r.dj.resume(r); err != nil {
+		return r.fail(err)
+	}
+	for si := range r.stages {
+		if r.dj.skips(si) {
+			// Committed before the crash: the journal proves this stage's
+			// outputs are durable (and resume restored them), so its
+			// producers never re-execute.
+			r.res.StagesSkipped++
+			r.res.Stages = append(r.res.Stages, 0)
+			continue
+		}
+		if err := r.runStage(si); err != nil {
+			return r.fail(err)
+		}
+		if err := r.dj.commitStage(r, si); err != nil {
+			return r.fail(err)
+		}
+	}
+	if err := r.export(); err != nil {
+		return nil, err
+	}
+	if err := r.dj.seal(r.res, "ok"); err != nil {
+		return nil, err
+	}
+	r.finish()
+	return r.res, nil
+}
+
+// newRun levels the DAG into stages, passes its guest images through
+// the admission scan and sets up the state of a run that may start.
+func (v *Visor) newRun(w *dag.Workflow, opts RunOptions) (*run, error) {
 	stages, err := w.Stages()
 	if err != nil {
 		return nil, err
@@ -529,67 +598,62 @@ func (v *Visor) runWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error
 	if err := v.admitGuests(w, stages); err != nil {
 		return nil, err
 	}
+	policy := opts.retryPolicy()
+	return &run{v: v, w: w, stages: stages, opts: opts, policy: policy,
+		bufs: xfer.NewBufPool(), paths: xfer.NewPathRegistry(),
+		res: &RunResult{
+			QueueWait:   opts.QueueWait,
+			Clock:       metrics.NewStageClock(),
+			RetryBudget: policy.MaxRetries,
+			Transfer:    metrics.NewTransportStats(),
+		}}, nil
+}
 
-	// Durability: open (or resume) the run's write-ahead journal before
-	// any work starts. The handle is closed on every exit path; Seal
-	// closes it too, so the deferred Close is a no-op after a seal.
-	var dj *durableRun
-	if opts.Durable || opts.Resume != "" {
-		if opts.Journal == nil {
-			// Never degrade silently: a resume request without a journal
-			// store would re-run the whole workflow fresh and non-durable.
-			return nil, errors.New("visor: RunOptions.Durable/Resume require a Journal store")
-		}
-		var err error
-		dj, err = openDurable(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		defer dj.jr.Close()
-	}
-
-	ctx := opts.Ctx
+// begin bounds the run by opts.Ctx and opts.Deadline, opens the root
+// span and starts the E2E clock. The returned cancel releases the
+// context.
+func (r *run) begin() context.CancelFunc {
+	ctx := r.opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var cancel context.CancelFunc
-	if opts.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opts.Deadline)
+	if r.opts.Deadline > 0 {
+		r.ctx, cancel = context.WithTimeout(ctx, r.opts.Deadline)
 	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		r.ctx, cancel = context.WithCancel(ctx)
 	}
-	defer cancel()
-
-	root := opts.Trace.Start("invoke:"+w.Name, trace.CatInvoke)
-	defer root.End()
-
-	start := time.Now()
-	if opts.QueueWait > 0 {
+	r.root = r.opts.Trace.Start("invoke:"+r.w.Name, trace.CatInvoke)
+	r.start = time.Now()
+	if r.opts.QueueWait > 0 {
 		// The admission wait happened before this run started; chart it
 		// as a completed span leading into the root.
-		root.Complete("queue", trace.CatQueue, start.Add(-opts.QueueWait), opts.QueueWait)
+		r.root.Complete("queue", trace.CatQueue, r.start.Add(-r.opts.QueueWait), r.opts.QueueWait)
 	}
+	return cancel
+}
 
-	// Boot the WFD: a warm clone from the pool when allowed, a cold
-	// Instantiate otherwise. Hub-attached runs always boot cold — a
-	// clone cannot share its template's NIC address.
-	var wfd *core.WFD
+// boot obtains the WFD: a warm clone from the pool when allowed, a cold
+// Instantiate otherwise. Hub-attached runs always boot cold — a clone
+// cannot share its template's NIC address.
+func (r *run) boot() error {
+	opts := &r.opts
 	warm := false
 	if opts.Pool != nil && opts.WarmStart && opts.Hub == nil {
 		if clone, ok := opts.Pool.Get(); ok {
 			clone.SetStdout(opts.Stdout)
-			wfd = clone
-			warm = true
+			r.wfd, warm = clone, true
 		}
 	}
-	bootName := "boot(cold)"
+	name := "boot(cold)"
 	if warm {
-		bootName = "boot(warm)"
+		name = "boot(warm)"
 	}
-	bootSpan := root.Child(bootName, trace.CatBoot)
-	if wfd == nil {
+	span := r.root.Child(name, trace.CatBoot)
+	defer span.End()
+	if !warm {
 		var err error
-		wfd, err = core.Instantiate(core.Options{
+		r.wfd, err = core.Instantiate(core.Options{
 			MemLimit:    opts.MemLimit,
 			BufHeapSize: opts.BufHeapSize,
 			DiskImage:   opts.DiskImage,
@@ -603,315 +667,232 @@ func (v *Visor) runWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error
 			CostScale:   opts.CostScale,
 		})
 		if err != nil {
-			bootSpan.End()
-			return nil, err
+			return err
 		}
 	}
-	bootSpan.End()
-	if warm {
-		defer opts.Pool.Recycle(wfd)
+	r.res.ColdStart, r.res.WarmStart = r.wfd.ColdStart, warm
+	return nil
+}
+
+// release gives the WFD back: a clone to its pool, a cold boot to
+// Destroy.
+func (r *run) release() {
+	if r.res.WarmStart {
+		r.opts.Pool.Recycle(r.wfd)
 	} else {
-		defer wfd.Destroy()
+		r.wfd.Destroy()
 	}
+}
 
-	policy := opts.retryPolicy()
-	res := &RunResult{
-		ColdStart:   wfd.ColdStart,
-		WarmStart:   warm,
-		QueueWait:   opts.QueueWait,
-		Clock:       metrics.NewStageClock(),
-		RetryBudget: policy.MaxRetries,
-		Transfer:    metrics.NewTransportStats(),
-	}
-
-	// Data-plane resources shared by every function instance of this
-	// run: one buffer pool (freed AsBuffers serve later stages), one
-	// spill-path registry (cross-stage 8.3 collisions surface), one
-	// counter table.
-	plane := runPlane{
-		pool:  xfer.NewBufPool(),
-		paths: xfer.NewPathRegistry(),
-		stats: res.Transfer,
-		opts:  opts,
-	}
-
-	if len(opts.ImportSlots) > 0 {
-		sp := root.Child("import-slots", trace.CatXfer)
-		err := importSlots(wfd, opts.ImportSlots)
+// importInputs registers the intermediate data a multi-node cut hands
+// this subgraph, before its first stage runs.
+func (r *run) importInputs() error {
+	if len(r.opts.ImportSlots) > 0 {
+		sp := r.root.Child("import-slots", trace.CatXfer)
+		err := importSlots(r.wfd, r.opts.ImportSlots)
 		sp.End()
 		if err != nil {
-			return nil, fmt.Errorf("visor: import slots: %w", err)
+			return fmt.Errorf("visor: import slots: %w", err)
 		}
 	}
-	if opts.ImportPeer != nil && len(opts.ImportNames) > 0 {
+	if r.opts.ImportPeer != nil && len(r.opts.ImportNames) > 0 {
 		// Stitch into the exporting node's trace: the far side parked
 		// its trace ID on the bridge before the payload slots.
-		if id, ok := opts.ImportPeer.FetchTraceID(); ok {
-			opts.Trace.Adopt(id)
+		if id, ok := r.opts.ImportPeer.FetchTraceID(); ok {
+			r.opts.Trace.Adopt(id)
 		}
-		tr := xfer.NewNet(opts.ImportPeer, nil, res.Transfer)
-		sp := root.Child("import-via-net", trace.CatXfer)
-		err := importVia(wfd, tr, opts.ImportNames)
+		tr := xfer.NewNet(r.opts.ImportPeer, nil, r.res.Transfer)
+		sp := r.root.Child("import-via-net", trace.CatXfer)
+		err := importVia(r.wfd, tr, r.opts.ImportNames)
 		sp.End()
 		if err != nil {
-			return nil, fmt.Errorf("visor: import via net: %w", err)
+			return fmt.Errorf("visor: import via net: %w", err)
 		}
 	}
-
-	if dj != nil {
-		res.RunID = dj.jr.ID()
-		if dj.st != nil {
-			res.Resumed = true
-			dj.flightDump(opts.Trace,
-				fmt.Sprintf("run %s resumed from stage %d", res.RunID, dj.resumeFrom))
-			if dj.st.Failed {
-				// The crash interrupted the saga unwind, not the forward
-				// pass: finish compensating, seal, and report the
-				// original failure.
-				verdict, cerr := v.unwind(wfd, plane, w, stages, dj, opts, res, root)
-				if cerr != nil {
-					return res, cerr
-				}
-				if err := dj.jr.Seal(verdict); err != nil {
-					return nil, err
-				}
-				res.Verdict = verdict
-				dj.flightDump(opts.Trace, "sealed "+verdict)
-				res.E2E = time.Since(start)
-				res.TraceID = opts.Trace.TraceID()
-				return res, fmt.Errorf("visor: run %s had failed terminally: %s (saga verdict %s)",
-					res.RunID, dj.st.FailDetail, verdict)
-			}
-			if err := dj.importCommitted(wfd, root, stages); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	var retryMu sync.Mutex
-	// laneSeq gives every function instance of the run its own trace
-	// lane (Chrome tid), so parallel instances render as parallel rows.
-	laneSeq := int64(0)
-
-	for si, stage := range stages {
-		if dj != nil && si < dj.resumeFrom {
-			// Committed before the crash: the journal proves this stage's
-			// outputs are durable (and importCommitted restored them), so
-			// the resume never re-executes its producers.
-			res.StagesSkipped++
-			res.Stages = append(res.Stages, 0)
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("visor: stage %d not started: %w", si, err)
-		}
-		if dj != nil {
-			if err := dj.crash(opts, fmt.Sprintf("before-stage:%d", si)); err != nil {
-				return res, err
-			}
-			if err := dj.jr.StageStarted(si); err != nil {
-				return nil, err
-			}
-		}
-		stageSpan := root.Child(fmt.Sprintf("stage-%d", si), trace.CatStage)
-		stageStart := time.Now()
-		// stageCtx lets a terminally failed instance cancel its
-		// in-flight siblings instead of letting them run to completion
-		// on a doomed stage.
-		stageCtx, stageCancel := context.WithCancel(ctx)
-		var wg sync.WaitGroup
-		total := 0
-		for _, spec := range stage {
-			total += spec.InstancesOf()
-		}
-		// Sized to the stage's instance count: every instance can
-		// deposit its error without blocking even if all of them fail.
-		errCh := make(chan error, total)
-		var doneMu sync.Mutex
-		var firstDone, lastDone time.Time
-
-		for _, spec := range stage {
-			native, vm, err := v.Funcs.lookup(spec.Name, spec.Language)
-			if err != nil {
-				stageCancel()
-				stageSpan.End()
-				return nil, err
-			}
-			// Propagate run-level knobs into the function parameters so
-			// workload code can honour the reference-passing ablation.
-			params := make(map[string]string, len(spec.Params)+1)
-			for k, val := range spec.Params {
-				params[k] = val
-			}
-			if opts.RefPassing {
-				params["__refpass"] = "1"
-			} else {
-				params["__refpass"] = "0"
-			}
-			n := spec.InstancesOf()
-			for i := 0; i < n; i++ {
-				fctx := FuncContext{
-					Workflow:  w.Name,
-					Function:  spec.Name,
-					Instance:  i,
-					Instances: n,
-					Stage:     si,
-					Params:    params,
-				}
-				kind := EdgeTransfer(params, opts)
-				instSpan := stageSpan.Child(
-					fmt.Sprintf("%s[%d]", fctx.Function, fctx.Instance), trace.CatFunc)
-				instSpan.SetLane(laneSeq)
-				laneSeq++
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					defer instSpan.End()
-					body := func(env *asstd.Env) error {
-						env.Clock = res.Clock
-						env.Span = instSpan
-						tr, terr := plane.transport(kind, env)
-						if terr != nil {
-							return terr
-						}
-						env.SetTransport(xfer.WithTrace(tr, instSpan))
-						if native != nil {
-							return native(env, fctx)
-						}
-						return runVM(env, fctx, *vm, opts.CostScale, wfd)
-					}
-					ferr := runInstance(stageCtx, wfd, fctx, instSpan, body, opts, policy, res, &retryMu)
-					doneMu.Lock()
-					now := time.Now()
-					if firstDone.IsZero() {
-						firstDone = now
-					}
-					lastDone = now
-					doneMu.Unlock()
-					if ferr != nil {
-						errCh <- ferr
-						stageCancel()
-					}
-				}()
-			}
-		}
-		wg.Wait()
-		stageCancel()
-		close(errCh)
-		// Fan-in synchronisation wait: faster instances idle until the
-		// slowest finishes (the unhatched area of Figure 15). Clock and
-		// span are charged from the same window so the exported trace
-		// agrees with the stage breakdown exactly.
-		if !firstDone.IsZero() {
-			wait := lastDone.Sub(firstDone)
-			res.Clock.Add(metrics.StageWait, wait)
-			stageSpan.Complete(metrics.StageWait.String(), trace.CatPhase, firstDone, wait)
-		}
-		stageSpan.End()
-		if ferr := pickStageError(errCh); ferr != nil {
-			ferr = fmt.Errorf("visor: stage %d: %w", si, ferr)
-			if dj == nil {
-				return nil, ferr
-			}
-			// Terminal failure of a durable run: journal it, unwind the
-			// committed prefix as a saga, seal with the unwind's verdict.
-			// Any in-flight async barrier commits settle first, so the
-			// unwind sees the true committed prefix.
-			if serr := dj.settle(); serr != nil {
-				return nil, serr
-			}
-			if err := dj.jr.Failed(si, ferr.Error()); err != nil {
-				return nil, err
-			}
-			verdict, cerr := v.unwind(wfd, plane, w, stages, dj, opts, res, root)
-			if cerr != nil {
-				return res, cerr
-			}
-			if err := dj.jr.Seal(verdict); err != nil {
-				return nil, err
-			}
-			res.Verdict = verdict
-			dj.flightDump(opts.Trace, "sealed "+verdict)
-			return res, ferr
-		}
-		res.Stages = append(res.Stages, time.Since(stageStart))
-		if dj != nil {
-			if err := dj.crash(opts, fmt.Sprintf("after-stage:%d", si)); err != nil {
-				return res, err
-			}
-			if err := dj.barrier(wfd, root, stages, opts.ExportSlots, si); err != nil {
-				return nil, fmt.Errorf("visor: journal barrier %d: %w", si, err)
-			}
-			dj.flightDump(opts.Trace, fmt.Sprintf("stage %d barrier", si))
-			if err := dj.crash(opts, fmt.Sprintf("after-commit:%d", si)); err != nil {
-				return res, err
-			}
-		}
-	}
-
-	if len(opts.ExportSlots) > 0 {
-		if opts.ExportPeer != nil {
-			// Park the trace ID before the payload slots so the importing
-			// node can stitch its half of the run into this trace.
-			if opts.Trace.Enabled() {
-				_ = opts.ExportPeer.ShipTraceID(opts.Trace.TraceID())
-			}
-			tr := xfer.NewNet(opts.ExportPeer, nil, res.Transfer)
-			sp := root.Child("export-via-net", trace.CatXfer)
-			err := exportVia(wfd, tr, opts.ExportSlots)
-			sp.End()
-			if err != nil {
-				return nil, fmt.Errorf("visor: export via net: %w", err)
-			}
-		} else {
-			exports, err := exportSlots(wfd, opts.ExportSlots)
-			if err != nil {
-				return nil, fmt.Errorf("visor: export slots: %w", err)
-			}
-			res.Exports = exports
-		}
-	}
-
-	if dj != nil {
-		// Drain any in-flight async barrier commits before sealing: the
-		// ok-seal asserts every stage is durable.
-		if serr := dj.settle(); serr != nil {
-			return nil, serr
-		}
-		if err := dj.jr.Seal("ok"); err != nil {
-			return nil, err
-		}
-		res.Verdict = "ok"
-		dj.flightDump(opts.Trace, "sealed ok")
-	}
-
-	res.MemPeak = wfd.MemoryUsage()
-	res.Crossings = wfd.Crossings()
-	res.E2E = time.Since(start)
-	res.TraceID = opts.Trace.TraceID()
-	return res, nil
+	return nil
 }
 
-// runPlane carries the per-run shared halves of the data plane; the
-// per-env transport wrappers built around them are cheap.
-type runPlane struct {
-	pool  *xfer.BufPool
-	paths *xfer.PathRegistry
-	stats *metrics.TransportStats
-	opts  RunOptions
+// stage is one stage's barrier: what its parallel instances share.
+type stage struct {
+	span *trace.Span
+	// ctx lets a terminally failed instance cancel its in-flight
+	// siblings instead of letting them run to completion on a doomed
+	// stage.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+
+	mu                  sync.Mutex // guards the fields below
+	firstDone, lastDone time.Time
+	err                 error
 }
 
-// transport builds the env-bound transport of the given kind, sharing
-// the run-wide pool, path registry, store client and peer connection.
-func (p runPlane) transport(kind string, env *asstd.Env) (xfer.Transport, error) {
-	return xfer.New(kind, xfer.Config{
+// runStage runs every instance of stage si in parallel and holds the
+// barrier until the last one returns. A stage whose instance failed
+// terminally ends the run through the journal's failure path.
+func (r *run) runStage(si int) error {
+	if err := r.ctx.Err(); err != nil {
+		return fmt.Errorf("visor: stage %d not started: %w", si, err)
+	}
+	if err := r.dj.beginStage(si); err != nil {
+		return err
+	}
+	st := &stage{span: r.root.Child(fmt.Sprintf("stage-%d", si), trace.CatStage)}
+	start := time.Now()
+	st.ctx, st.cancel = context.WithCancel(r.ctx)
+	// An early return must not leave cancelled instances running into
+	// the WFD's teardown.
+	defer st.wg.Wait()
+	defer st.cancel()
+	for _, spec := range r.stages[si] {
+		fn, err := r.entry(spec)
+		if err != nil {
+			st.span.End()
+			return err
+		}
+		n := spec.InstancesOf()
+		for i := 0; i < n; i++ {
+			r.launch(st, fn, FuncContext{
+				Workflow:  r.w.Name,
+				Function:  spec.Name,
+				Instance:  i,
+				Instances: n,
+				Stage:     si,
+				Params:    spec.Params,
+			})
+		}
+	}
+	st.wg.Wait()
+	// Fan-in synchronisation wait: faster instances idle until the
+	// slowest finishes (the unhatched area of Figure 15). Clock and
+	// span are charged from the same window so the exported trace
+	// agrees with the stage breakdown exactly.
+	if !st.firstDone.IsZero() {
+		wait := st.lastDone.Sub(st.firstDone)
+		r.res.Clock.Add(metrics.StageWait, wait)
+		st.span.Complete(metrics.StageWait.String(), trace.CatPhase, st.firstDone, wait)
+	}
+	st.span.End()
+	if st.err != nil {
+		return r.dj.failStage(r, si, fmt.Errorf("visor: stage %d: %w", si, st.err))
+	}
+	r.res.Stages = append(r.res.Stages, time.Since(start))
+	return nil
+}
+
+// launch starts one function instance of the stage on its own goroutine
+// and trace lane, and records how it ended.
+func (r *run) launch(st *stage, fn NativeFunc, fctx FuncContext) {
+	inst := st.span.Child(fmt.Sprintf("%s[%d]", fctx.Function, fctx.Instance), trace.CatFunc)
+	inst.SetLane(r.lanes)
+	r.lanes++
+	st.wg.Add(1)
+	go func() {
+		defer st.wg.Done()
+		defer inst.End()
+		ferr := r.runInstance(st.ctx, fctx, inst, fn)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		now := time.Now()
+		if st.firstDone.IsZero() {
+			st.firstDone = now
+		}
+		st.lastDone = now
+		if ferr == nil {
+			return
+		}
+		st.cancel()
+		// Siblings cancelled *because* another instance failed report
+		// context.Canceled, which would mask the root cause, so any
+		// other error wins.
+		if st.err == nil || errors.Is(st.err, context.Canceled) && !errors.Is(ferr, context.Canceled) {
+			st.err = ferr
+		}
+	}()
+}
+
+// export drains ExportSlots after the last stage: through the net
+// transport to the far side's bridge when ExportPeer is set, into
+// RunResult.Exports (copies: the data is leaving the address space)
+// otherwise.
+func (r *run) export() error {
+	if len(r.opts.ExportSlots) == 0 {
+		return nil
+	}
+	if r.opts.ExportPeer == nil {
+		r.res.Exports = make(map[string][]byte)
+		err := drainSlots(r.wfd, r.opts.ExportSlots, func(slot string, src []byte) error {
+			r.res.Exports[slot] = append([]byte(nil), src...)
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("visor: export slots: %w", err)
+		}
+		return nil
+	}
+	// Park the trace ID before the payload slots so the importing node
+	// can stitch its half of the run into this trace.
+	if r.opts.Trace.Enabled() {
+		_ = r.opts.ExportPeer.ShipTraceID(r.opts.Trace.TraceID())
+	}
+	sp := r.root.Child("export-via-net", trace.CatXfer)
+	err := drainSlots(r.wfd, r.opts.ExportSlots, xfer.NewNet(r.opts.ExportPeer, nil, r.res.Transfer).Send)
+	sp.End()
+	if err != nil {
+		return fmt.Errorf("visor: export via net: %w", err)
+	}
+	return nil
+}
+
+// finish fills the result's whole-run figures.
+func (r *run) finish() {
+	r.res.MemPeak = r.wfd.MemoryUsage()
+	r.res.Crossings = r.wfd.Crossings()
+	r.res.E2E = time.Since(r.start)
+	r.res.TraceID = r.opts.Trace.TraceID()
+}
+
+// fail ends the run with err. The partial result goes back only when the
+// journal records how the run ended — sealed with a verdict, or cut at
+// a crashpoint and resumable — so the caller can name the run.
+func (r *run) fail(err error) (*RunResult, error) {
+	if r.res.Verdict != "" || errors.Is(err, ErrCrashPoint) {
+		return r.res, err
+	}
+	return nil, err
+}
+
+// entry resolves a spec to what one instance of it runs: the native
+// body itself, or the guest tier's VM runner closed over its image.
+func (r *run) entry(spec dag.FuncSpec) (NativeFunc, error) {
+	native, vm, err := r.v.Funcs.lookup(spec.Name, spec.Language)
+	if err != nil || native != nil {
+		return native, err
+	}
+	return func(env *asstd.Env, fctx FuncContext) error {
+		return r.runVM(env, fctx, vm)
+	}, nil
+}
+
+// bind attaches env to this run: the stage clock, the span its syscalls
+// and transfers chart under, and the transport its edges resolve to,
+// built over the run-wide pool, path registry, store client and peer.
+func (r *run) bind(env *asstd.Env, span *trace.Span, params map[string]string) error {
+	env.Clock = r.res.Clock
+	env.Span = span
+	tr, err := xfer.New(EdgeTransfer(params, r.opts), xfer.Config{
 		Env:   env,
-		Pool:  p.pool,
-		Paths: p.paths,
-		KV:    p.opts.KV,
-		Peer:  p.opts.Peer,
-		Stats: p.stats,
+		Pool:  r.bufs,
+		Paths: r.paths,
+		KV:    r.opts.KV,
+		Peer:  r.opts.Peer,
+		Stats: r.res.Transfer,
 	})
+	if err != nil {
+		return err
+	}
+	env.SetTransport(xfer.WithTrace(tr, span))
+	return nil
 }
 
 // runInstance drives one function instance through the retry policy:
@@ -920,23 +901,26 @@ func (p runPlane) transport(kind string, env *asstd.Env) (xfer.Transport, error)
 // stage context allow. Only faults are retried; ordinary errors are
 // programming results, and timeouts are not retried because the
 // abandoned attempt may still be executing.
-func runInstance(ctx context.Context, wfd *core.WFD, fctx FuncContext,
-	span *trace.Span, body func(env *asstd.Env) error, opts RunOptions,
-	policy faults.RetryPolicy, res *RunResult, retryMu *sync.Mutex) error {
+func (r *run) runInstance(ctx context.Context, fctx FuncContext, span *trace.Span, fn NativeFunc) error {
+	body := func(env *asstd.Env) error {
+		if err := r.bind(env, span, fctx.Params); err != nil {
+			return err
+		}
+		return fn(env, fctx)
+	}
 	start := time.Now()
-	var ferr error
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("visor: %s[%d]: %w", fctx.Function, fctx.Instance, err)
 		}
 		attemptBody := body
-		if d := opts.Faults.FuncDelay(fctx.Function, fctx.Instance, attempt); d > 0 {
+		if d := r.opts.Faults.FuncDelay(fctx.Function, fctx.Instance, attempt); d > 0 {
 			span.Event(fmt.Sprintf("injected delay %s attempt %d", d, attempt))
 			if err := sleepCtx(ctx, d); err != nil {
 				return fmt.Errorf("visor: %s[%d]: %w", fctx.Function, fctx.Instance, err)
 			}
 		}
-		if opts.Faults.FuncPanic(fctx.Function, fctx.Instance, attempt) {
+		if r.opts.Faults.FuncPanic(fctx.Function, fctx.Instance, attempt) {
 			span.Event(fmt.Sprintf("injected panic attempt %d", attempt))
 			a := attempt
 			attemptBody = func(env *asstd.Env) error {
@@ -945,7 +929,7 @@ func runInstance(ctx context.Context, wfd *core.WFD, fctx FuncContext,
 			}
 		}
 		attemptSpan := span.Child(fmt.Sprintf("attempt-%d", attempt), trace.CatAttempt)
-		ferr = runAttempt(ctx, wfd, fctx.Function, attemptBody, opts.FuncTimeout)
+		ferr := r.runAttempt(ctx, fctx.Function, attemptBody)
 		if ferr != nil {
 			attemptSpan.SetAttr("error", ferr.Error())
 		}
@@ -953,15 +937,15 @@ func runInstance(ctx context.Context, wfd *core.WFD, fctx FuncContext,
 		if ferr == nil || !errors.Is(ferr, core.ErrFunctionFault) {
 			return ferr
 		}
-		if !policy.Allow(attempt, time.Since(start)) {
+		if !r.policy.Allow(attempt, time.Since(start)) {
 			return ferr
 		}
-		retryMu.Lock()
-		res.Retries++
-		res.RetryWait += policy.Backoff(attempt)
-		retryMu.Unlock()
+		r.retryMu.Lock()
+		r.res.Retries++
+		r.res.RetryWait += r.policy.Backoff(attempt)
+		r.retryMu.Unlock()
 		span.Event(fmt.Sprintf("retry after attempt %d", attempt))
-		if err := policy.Sleep(ctx, attempt); err != nil {
+		if err := r.policy.Sleep(ctx, attempt); err != nil {
 			return fmt.Errorf("visor: %s[%d]: %w", fctx.Function, fctx.Instance, err)
 		}
 	}
@@ -970,14 +954,13 @@ func runInstance(ctx context.Context, wfd *core.WFD, fctx FuncContext,
 // runAttempt executes one attempt, bounded by the per-function timeout
 // when set. A timed-out attempt returns an error satisfying
 // errors.Is(err, context.DeadlineExceeded).
-func runAttempt(ctx context.Context, wfd *core.WFD, name string,
-	body func(env *asstd.Env) error, timeout time.Duration) error {
-	if timeout > 0 {
+func (r *run) runAttempt(ctx context.Context, name string, body func(env *asstd.Env) error) error {
+	if r.opts.FuncTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, r.opts.FuncTimeout)
 		defer cancel()
 	}
-	return wfd.RunCtx(ctx, name, body)
+	return r.wfd.RunCtx(ctx, name, body)
 }
 
 // sleepCtx sleeps d or returns the context error if cancelled first.
@@ -992,28 +975,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// pickStageError selects the most informative error from a failed
-// stage: sibling instances cancelled *because* another instance failed
-// report context.Canceled, which would mask the root cause, so any
-// non-cancellation error wins.
-func pickStageError(errCh <-chan error) error {
-	var first error
-	for ferr := range errCh {
-		if first == nil {
-			first = ferr
-		}
-		if !errors.Is(ferr, context.Canceled) {
-			return ferr
-		}
-	}
-	return first
-}
-
 // runVM executes a guest-tier function: instantiate the ASVM module with
 // the WASI bindings over this env, optionally paying the runtime-image
 // initialisation read, then call the entry point.
-func runVM(env *asstd.Env, ctx FuncContext, vf VMFunc, costScale float64, wfd *core.WFD) error {
-	warm := vf.RuntimeImage != "" && wfd.RuntimeWarm(vf.RuntimeImage)
+func (r *run) runVM(env *asstd.Env, ctx FuncContext, vf *VMFunc) error {
+	warm := vf.RuntimeImage != "" && r.wfd.RuntimeWarm(vf.RuntimeImage)
 	if vf.RuntimeImage != "" && !warm {
 		// Cold Python-tier runtime init: stream the runtime image
 		// through the LibOS filesystem, once per instance (the paper's
@@ -1027,12 +993,12 @@ func runVM(env *asstd.Env, ctx FuncContext, vf VMFunc, costScale float64, wfd *c
 			return fmt.Errorf("visor: runtime image: %w", err)
 		}
 	}
-	if vf.InitCost > 0 && costScale > 0 && !warm {
+	if vf.InitCost > 0 && r.opts.CostScale > 0 && !warm {
 		// Interpreter bootstrap happens once per WFD (shared address
 		// space); later instances find the runtime already initialised,
 		// and warm clones inherit the template's paid bootstrap.
-		if wfd.FirstRuntimeInit(vf.RuntimeImage) {
-			time.Sleep(time.Duration(float64(vf.InitCost) * costScale))
+		if r.wfd.FirstRuntimeInit(vf.RuntimeImage) {
+			time.Sleep(time.Duration(float64(vf.InitCost) * r.opts.CostScale))
 		}
 	}
 	l := asvm.NewLinker()

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,16 +39,11 @@ type Watchdog struct {
 	// drain before aborting them (default 10s).
 	StopGrace time.Duration
 
-	// MaxInflight caps concurrently executing invocations with a bare
-	// counting semaphore: requests over the limit are shed immediately
-	// with 429 + Retry-After. Zero means unlimited. Superseded by Sched
-	// when that is set.
-	MaxInflight int64
-
-	// Sched, when non-nil, replaces the MaxInflight semaphore with full
-	// admission control: per-workflow FIFO queues, weighted-fair
-	// dispatch, queue-depth caps and deadline-aware rejection. Shed
-	// requests get 429 with a load-derived Retry-After.
+	// Sched, when non-nil, is the node's admission control: a cap on
+	// concurrently executing invocations and, unless it was built with
+	// no queue, per-workflow FIFO queues with weighted-fair dispatch,
+	// queue-depth caps and deadline-aware rejection. Shed requests get
+	// 429 with a load-derived Retry-After. Nil admits everything.
 	Sched *sched.Scheduler
 
 	// Pools, when non-nil, serves invocations from warm snapshot/fork
@@ -57,8 +53,8 @@ type Watchdog struct {
 
 	// Journal, when non-nil, enables durable runs: POST /invoke/X?durable=1
 	// journals the run, GET /runs lists journaled runs, and POST
-	// /runs/{id}/resume re-admits a crashed run through the scheduler and
-	// continues it from its last committed stage.
+	// /runs/{id}/resume serves a crashed run like any fresh invocation,
+	// continuing it from its last committed stage.
 	Journal *journal.Store
 
 	// NodeID is this node's routing identity on the cluster ring. The
@@ -79,13 +75,10 @@ type Watchdog struct {
 	// watchdog exactly as before (the nil *Telemetry no-ops).
 	Telemetry *Telemetry
 
-	resumed atomic.Int64
-
-	// Cluster plane: the spec server's listener, the one-build-at-a-time
-	// pre-warm guard, and the pools-built-by-prewarm counter.
+	// Cluster plane: the spec server's listener and the
+	// one-build-at-a-time pre-warm guard.
 	specLn    net.Listener
 	prewarmMu sync.Mutex
-	prewarmed atomic.Int64
 
 	srv       *http.Server
 	ln        net.Listener
@@ -94,7 +87,6 @@ type Watchdog struct {
 	failures  atomic.Int64
 	retries   atomic.Int64
 	shed      atomic.Int64
-	sem       atomic.Int64
 	memPeak   atomic.Uint64
 
 	// lat/transfer aggregate per-invocation observations for /metrics:
@@ -130,22 +122,6 @@ type InvokeResponse struct {
 	StagesSkipped int    `json:"stages_skipped,omitempty"`
 	Compensations int    `json:"compensations,omitempty"`
 	Verdict       string `json:"verdict,omitempty"`
-}
-
-// errWatchdogBusy is the semaphore-mode shed error.
-var errWatchdogBusy = errors.New("visor: watchdog at max inflight")
-
-// reject sheds an invocation with 429 Too Many Requests and a
-// Retry-After hint so well-behaved clients (and the gateway) back off.
-func (wd *Watchdog) reject(w http.ResponseWriter, name string, err error, retryAfter time.Duration) {
-	secs := int(retryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusTooManyRequests)
-	json.NewEncoder(w).Encode(InvokeResponse{Workflow: name, Error: err.Error()})
 }
 
 // NewWatchdog wraps v in an HTTP front end.
@@ -227,6 +203,7 @@ func (wd *Watchdog) Inflight() int64 { return wd.inflight.Load() }
 // Completed reports total completed invocations.
 func (wd *Watchdog) Completed() int64 { return wd.completed.Load() }
 
+// handleInvoke parses POST /invoke/{workflow}.
 func (wd *Watchdog) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -237,113 +214,173 @@ func (wd *Watchdog) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing workflow name", http.StatusBadRequest)
 		return
 	}
+	wd.serve(w, r, name, nil)
+}
+
+// handleRunResume parses POST /runs/{id}/resume and replays the journal;
+// the run is then served like a fresh invocation of its workflow and
+// continues from its last committed stage. Sealed runs refuse with 409.
+func (wd *Watchdog) handleRunResume(w http.ResponseWriter, r *http.Request) {
+	rest := strings.TrimPrefix(r.URL.Path, "/runs/")
+	id, tail, ok := strings.Cut(rest, "/")
+	if !ok || tail != "resume" || id == "" {
+		http.Error(w, "want /runs/{id}/resume", http.StatusNotFound)
+		return
+	}
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return
+	}
+	if wd.Journal == nil {
+		http.Error(w, errNoJournal.Error(), http.StatusNotImplemented)
+		return
+	}
+	st, err := wd.Journal.Load(id)
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, journal.ErrNotFound) {
+			status = http.StatusNotFound
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	if st.Sealed {
+		http.Error(w, fmt.Sprintf("run %s is sealed (verdict %q)", id, st.Verdict),
+			http.StatusConflict)
+		return
+	}
+	wd.serve(w, r, st.Workflow, st)
+}
+
+// errNoJournal answers a durable request on a node with no journal.
+var errNoJournal = errors.New("no journal configured")
+
+// serve is the node's one front end: both POST handlers end here. Build
+// the options, admit, pick the tracer, run, account, respond. st is the
+// replayed journal of the run to resume, nil for a fresh invocation.
+func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, st *journal.State) {
+	q := r.URL.Query()
+	opts, err := wd.runOptions(r.Context(), q, name, st)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotImplemented)
+		return
+	}
+	// Admission. A shed request gets 429 and a Retry-After hint (at
+	// least a second), so well-behaved clients back off and the gateway
+	// fails over to another backend.
+	if wd.Sched != nil {
+		grant, err := wd.Sched.Admit(opts.Ctx, name, opts.Deadline)
+		if err != nil {
+			wd.shed.Add(1)
+			w.Header().Set("Retry-After", strconv.Itoa(int(wd.Sched.RetryAfter()/time.Second)))
+			writeJSON(w, http.StatusTooManyRequests, InvokeResponse{Workflow: name, Error: err.Error()})
+			return
+		}
+		defer grant.Release()
+		opts.QueueWait = grant.Wait
+	}
+	// Tracer: one from OptionsFor wins (the harness keeps ownership),
+	// then ?trace=1. Either way the caller asked for this trace, so its
+	// Chrome export goes inline in the response. Otherwise the telemetry
+	// plane still traces the run into a bounded flight recorder and
+	// decides retention after the fact (tail sampling).
+	if opts.Trace == nil && q.Get("trace") == "1" {
+		opts.Trace = trace.New("watchdog", trace.Options{
+			Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
+		})
+	}
+	inline := opts.Trace != nil
+	if !inline {
+		opts.Trace = wd.Telemetry.StartRun(name)
+	}
+
+	var wf *dag.Workflow
+	if st != nil {
+		wf = st.Spec // nil when the journal predates spec records
+	}
+	wd.inflight.Add(1)
+	start := time.Now()
+	var res *RunResult
+	if wf == nil {
+		wf, err = wd.visor.Workflow(name)
+	}
+	if err == nil {
+		res, err = wd.visor.RunWorkflow(wf, opts)
+	}
+	dur := time.Since(start)
+	wd.inflight.Add(-1)
+	wd.account(res, err)
+	if wd.Telemetry.ObserveRun(name, opts.Trace, dur, err).Retained {
+		wd.lat.ObserveExemplar(dur, opts.Trace.TraceID())
+	} else {
+		wd.lat.Observe(dur)
+	}
+
+	resp := response(name, res, err)
+	if res == nil {
+		resp.RunID = opts.Resume
+	}
+	if opts.Trace.Enabled() {
+		// For an always-on trace the ID lets clients fetch the export
+		// from /traces/{id} if the sampler retained it.
+		resp.TraceID = opts.Trace.TraceID()
+		if inline {
+			if data, terr := trace.ChromeJSON(opts.Trace); terr == nil {
+				resp.Trace = data
+			}
+		}
+	}
+	writeJSON(w, statusOf(err), resp)
+}
+
+// writeJSON sends v as the JSON reply with the given status.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// runOptions builds one request's run options: the node's OptionsFor,
+// bounded by the request's context, then what the request itself
+// selects — the run to resume, ?durable=1, ?warm=0.
+func (wd *Watchdog) runOptions(ctx context.Context, q url.Values, name string, st *journal.State) (RunOptions, error) {
 	opts := DefaultRunOptions()
 	if wd.OptionsFor != nil {
 		opts = wd.OptionsFor(name)
 	}
 	if opts.Ctx == nil {
 		// A disconnected client cancels the invocation it requested.
-		opts.Ctx = r.Context()
+		opts.Ctx = ctx
 	}
-
-	// Admission: either the full scheduler (fair queues, deadline-aware)
-	// or the bare MaxInflight semaphore. Both shed with 429 so the
-	// gateway can fail over to another backend.
-	if wd.Sched != nil {
-		grant, err := wd.Sched.Admit(opts.Ctx, name, opts.Deadline)
-		if err != nil {
-			wd.shed.Add(1)
-			wd.reject(w, name, err, wd.Sched.RetryAfter())
-			return
+	switch {
+	case st != nil:
+		opts.Durable, opts.Journal, opts.Resume = true, wd.Journal, st.ID
+	case q.Get("durable") == "1" && !opts.Durable:
+		// ?durable=1 journals this run through the watchdog's store so a
+		// crash mid-run is resumable. A durable configuration from
+		// OptionsFor wins; a node with no store refuses rather than run
+		// non-durable behind the client's back.
+		if wd.Journal == nil {
+			return opts, errNoJournal
 		}
-		defer grant.Release()
-		opts.QueueWait = grant.Wait
-	} else if wd.MaxInflight > 0 {
-		if n := wd.sem.Add(1); n > wd.MaxInflight {
-			wd.sem.Add(-1)
-			wd.shed.Add(1)
-			wd.reject(w, name, errWatchdogBusy, time.Second)
-			return
-		}
-		defer wd.sem.Add(-1)
+		opts.Durable, opts.Journal = true, wd.Journal
 	}
-
 	// Warm pools: boot from a snapshot/fork clone when a pool serves
 	// this workflow, unless the client asked for a cold boot (?warm=0).
-	if wd.Pools != nil && r.URL.Query().Get("warm") != "0" {
+	if wd.Pools != nil && q.Get("warm") != "0" {
 		if p := wd.Pools.Get(name); p != nil {
-			opts.Pool = p
-			opts.WarmStart = true
+			opts.Pool, opts.WarmStart = p, true
 		}
 	}
-	// ?durable=1 journals this run through the watchdog's store so a
-	// crash mid-run is resumable via POST /runs/{id}/resume. A durable
-	// configuration from OptionsFor wins.
-	if wd.Journal != nil && !opts.Durable && r.URL.Query().Get("durable") == "1" {
-		opts.Durable = true
-		opts.Journal = wd.Journal
-	}
-	// ?trace=1 turns on span collection for this invocation; the span
-	// tree comes back in the response as Chrome trace_event JSON. A
-	// tracer supplied by OptionsFor wins (the harness keeps ownership).
-	tracer := opts.Trace
-	if tracer == nil && r.URL.Query().Get("trace") == "1" {
-		tracer = trace.New("watchdog", trace.Options{
-			Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
-		})
-		opts.Trace = tracer
-	}
-	// userTrace: the client (or harness) asked for this trace, so the
-	// Chrome export goes inline in the response. When neither did, the
-	// telemetry plane still traces the run into a bounded flight recorder
-	// and decides retention after the fact (tail sampling).
-	userTrace := tracer != nil
-	if !userTrace {
-		if t := wd.Telemetry.StartRun(name); t != nil {
-			tracer = t
-			opts.Trace = t
-		}
-	}
-	wd.inflight.Add(1)
-	invStart := time.Now()
-	res, err := wd.visor.Invoke(name, opts)
-	invDur := time.Since(invStart)
-	wd.inflight.Add(-1)
-	wd.completed.Add(1)
-	rt := wd.Telemetry.ObserveRun(name, tracer, invDur, err)
-	if rt.Retained {
-		wd.lat.ObserveExemplar(invDur, tracer.TraceID())
-	} else {
-		wd.lat.Observe(invDur)
-	}
-	if res != nil {
-		wd.retries.Add(int64(res.Retries))
-		wd.transfer.Merge(res.Transfer)
-		for {
-			cur := wd.memPeak.Load()
-			if res.MemPeak <= cur || wd.memPeak.CompareAndSwap(cur, res.MemPeak) {
-				break
-			}
-		}
-	}
+	return opts, nil
+}
 
+// response renders a finished run. A failed run that still has a result
+// (a durable run the journal accounts for) reports its journal fields.
+func response(name string, res *RunResult, err error) InvokeResponse {
 	resp := InvokeResponse{Workflow: name}
-	status := http.StatusOK
 	if err != nil {
-		wd.failures.Add(1)
 		resp.Error = err.Error()
-		switch {
-		case errors.Is(err, ErrUnknownWorkflow) || errors.Is(err, ErrUnknownFunction):
-			status = http.StatusNotFound
-		case errors.Is(err, ErrRejected):
-			// A statically rejected guest image is the caller's fault
-			// and will never succeed on retry.
-			status = http.StatusForbidden
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		default:
-			status = http.StatusInternalServerError
-		}
 	} else {
 		resp.E2EMillis = float64(res.E2E) / float64(time.Millisecond)
 		resp.ColdStartMs = float64(res.ColdStart) / float64(time.Millisecond)
@@ -351,7 +388,6 @@ func (wd *Watchdog) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		resp.Retries = res.Retries
 		resp.WarmStart = res.WarmStart
 		resp.QueueWaitMs = float64(res.QueueWait) / float64(time.Millisecond)
-		resp.TraceID = res.TraceID
 		resp.Transfer = res.Transfer.String()
 	}
 	if res != nil {
@@ -361,19 +397,45 @@ func (wd *Watchdog) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		resp.Compensations = res.Compensations
 		resp.Verdict = res.Verdict
 	}
-	if userTrace && tracer.Enabled() {
-		if data, terr := trace.ChromeJSON(tracer); terr == nil {
-			resp.Trace = data
+	return resp
+}
+
+// account folds one finished run into the /metrics counters.
+func (wd *Watchdog) account(res *RunResult, err error) {
+	wd.completed.Add(1)
+	if err != nil {
+		wd.failures.Add(1)
+	}
+	if res == nil {
+		return
+	}
+	wd.retries.Add(int64(res.Retries))
+	wd.transfer.Merge(res.Transfer)
+	for {
+		cur := wd.memPeak.Load()
+		if res.MemPeak <= cur || wd.memPeak.CompareAndSwap(cur, res.MemPeak) {
+			break
 		}
 	}
-	if !userTrace && tracer.Enabled() {
-		// Surface the always-on trace ID so clients can fetch the export
-		// from /traces/{id} if the sampler retained it.
-		resp.TraceID = tracer.TraceID()
+}
+
+// statusOf maps a run's error to the HTTP status of its reply.
+func statusOf(err error) int {
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case errors.Is(err, ErrUnknownWorkflow) || errors.Is(err, ErrUnknownFunction):
+		return http.StatusNotFound
+	case errors.Is(err, ErrRejected):
+		// A statically rejected guest image is the caller's fault and
+		// will never succeed on retry.
+		return http.StatusForbidden
+	case errors.Is(err, journal.ErrSealed):
+		return http.StatusConflict
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
+	return http.StatusInternalServerError
 }
 
 // handleTrace serves GET /traces/{id}: the Chrome trace_event JSON of a
@@ -381,8 +443,7 @@ func (wd *Watchdog) handleInvoke(w http.ResponseWriter, r *http.Request) {
 func (wd *Watchdog) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/traces/")
 	if id == "" {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(wd.Telemetry.TraceIDs())
+		writeJSON(w, http.StatusOK, wd.Telemetry.TraceIDs())
 		return
 	}
 	data, ok := wd.Telemetry.TraceJSON(id)
@@ -512,108 +573,6 @@ func (wd *Watchdog) handleRuns(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(runs)
 }
 
-// handleRunResume serves POST /runs/{id}/resume: replay the journal,
-// re-admit through the scheduler (a resume competes for capacity like
-// any fresh invocation), and continue the run from its last committed
-// stage. Sealed runs refuse with 409.
-func (wd *Watchdog) handleRunResume(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/runs/")
-	id, tail, ok := strings.Cut(rest, "/")
-	if !ok || tail != "resume" || id == "" {
-		http.Error(w, "want /runs/{id}/resume", http.StatusNotFound)
-		return
-	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if wd.Journal == nil {
-		http.Error(w, "no journal configured", http.StatusNotImplemented)
-		return
-	}
-	st, err := wd.Journal.Load(id)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, journal.ErrNotFound) {
-			status = http.StatusNotFound
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	if st.Sealed {
-		http.Error(w, fmt.Sprintf("run %s is sealed (verdict %q)", id, st.Verdict),
-			http.StatusConflict)
-		return
-	}
-	spec := st.Spec
-	if spec == nil {
-		// Journal predates spec records: fall back to the registry.
-		if spec, err = wd.visor.Workflow(st.Workflow); err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-	}
-
-	opts := DefaultRunOptions()
-	if wd.OptionsFor != nil {
-		opts = wd.OptionsFor(st.Workflow)
-	}
-	if opts.Ctx == nil {
-		opts.Ctx = r.Context()
-	}
-	opts.Durable = true
-	opts.Journal = wd.Journal
-	opts.Resume = id
-
-	if wd.Sched != nil {
-		grant, err := wd.Sched.Admit(opts.Ctx, st.Workflow, opts.Deadline)
-		if err != nil {
-			wd.shed.Add(1)
-			wd.reject(w, st.Workflow, err, wd.Sched.RetryAfter())
-			return
-		}
-		defer grant.Release()
-		opts.QueueWait = grant.Wait
-	}
-
-	wd.inflight.Add(1)
-	invStart := time.Now()
-	res, err := wd.visor.RunWorkflow(spec, opts)
-	wd.lat.Observe(time.Since(invStart))
-	wd.inflight.Add(-1)
-	wd.completed.Add(1)
-	wd.resumed.Add(1)
-
-	resp := InvokeResponse{Workflow: st.Workflow, RunID: id}
-	status := http.StatusOK
-	if err != nil {
-		wd.failures.Add(1)
-		resp.Error = err.Error()
-		switch {
-		case errors.Is(err, journal.ErrSealed):
-			status = http.StatusConflict
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-		default:
-			status = http.StatusInternalServerError
-		}
-	} else {
-		resp.E2EMillis = float64(res.E2E) / float64(time.Millisecond)
-		resp.ColdStartMs = float64(res.ColdStart) / float64(time.Millisecond)
-		resp.MemPeak = res.MemPeak
-		resp.QueueWaitMs = float64(res.QueueWait) / float64(time.Millisecond)
-	}
-	if res != nil {
-		resp.Resumed = res.Resumed
-		resp.StagesSkipped = res.StagesSkipped
-		resp.Compensations = res.Compensations
-		resp.Verdict = res.Verdict
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp)
-}
-
 // Shed reports invocations rejected by admission control.
 func (wd *Watchdog) Shed() int64 { return wd.shed.Load() }
 
@@ -630,12 +589,5 @@ func (wd *Watchdog) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (wd *Watchdog) handleList(w http.ResponseWriter, r *http.Request) {
-	wd.visor.mu.RLock()
-	names := make([]string, 0, len(wd.visor.workflows))
-	for n := range wd.visor.workflows {
-		names = append(names, n)
-	}
-	wd.visor.mu.RUnlock()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(names)
+	writeJSON(w, http.StatusOK, wd.visor.Workflows())
 }

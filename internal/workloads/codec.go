@@ -165,20 +165,6 @@ func PickPivots(vals []uint64, n int) []uint64 {
 	return pivots
 }
 
-// RangeOf returns which pivot range v falls into (0..len(pivots)).
-func RangeOf(v uint64, pivots []uint64) int {
-	lo, hi := 0, len(pivots)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v < pivots[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // MergeSortedRuns merges pre-sorted runs into one sorted slice.
 func MergeSortedRuns(runs [][]uint64) []uint64 {
 	total := 0

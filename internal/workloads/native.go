@@ -88,8 +88,8 @@ func httpServerFn(env *asstd.Env, ctx visor.FuncContext) error {
 func pipeSendFn(env *asstd.Env, ctx visor.FuncContext) error {
 	size := uint64(ctx.ParamInt("size", 4096))
 	slot := visor.Slot("pipe-send", 0, "pipe-recv", 0)
-	t := tp(env, ctx)
-	if refPassing(env, ctx) {
+	t := tp(env)
+	if refPassing(env) {
 		b, err := t.Alloc(slot, size)
 		if err != nil {
 			return err
@@ -111,7 +111,7 @@ func pipeSendFn(env *asstd.Env, ctx visor.FuncContext) error {
 func pipeRecvFn(env *asstd.Env, ctx visor.FuncContext) error {
 	slot := visor.Slot("pipe-send", 0, "pipe-recv", 0)
 	return timeStage(env, metrics.StageTransfer, func() error {
-		data, done, err := tp(env, ctx).Recv(slot)
+		data, done, err := tp(env).Recv(slot)
 		if err != nil {
 			return err
 		}
@@ -166,10 +166,10 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 	outSlot := visor.Slot(ctx.Function, 0, fmt.Sprintf("chain-%d", idx+1), 0)
 	inSlot := visor.Slot(fmt.Sprintf("chain-%d", idx-1), 0, ctx.Function, 0)
 
-	t := tp(env, ctx)
+	t := tp(env)
 	if idx == 0 {
 		return timeStage(env, metrics.StageTransfer, func() error {
-			if refPassing(env, ctx) {
+			if refPassing(env) {
 				b, err := t.Alloc(outSlot, size)
 				if err != nil {
 					return err
@@ -183,7 +183,7 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 		})
 	}
 
-	if refPassing(env, ctx) {
+	if refPassing(env) {
 		b, err := asstd.FromSlot(env, inSlot)
 		if err != nil {
 			return err
@@ -240,7 +240,7 @@ func wcSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
 		return err
 	}
 	chunks := SplitTextChunks(text, mappers)
-	t := tp(env, ctx)
+	t := tp(env)
 	return timeStage(env, metrics.StageTransfer, func() error {
 		for i, chunk := range chunks {
 			if err := t.Send(visor.Slot("wc-split", 0, "wc-map", i), chunk); err != nil {
@@ -254,7 +254,7 @@ func wcSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
 // wcMapFn counts words in its chunk and shuffles the counts to reducers
 // partitioned by word hash.
 func wcMapFn(env *asstd.Env, ctx visor.FuncContext) error {
-	t := tp(env, ctx)
+	t := tp(env)
 	chunk, done, err := t.Recv(visor.Slot("wc-split", 0, "wc-map", ctx.Instance))
 	if err != nil {
 		return err
@@ -287,7 +287,7 @@ func wcMapFn(env *asstd.Env, ctx visor.FuncContext) error {
 
 // wcReduceFn merges its hash partition from every mapper.
 func wcReduceFn(env *asstd.Env, ctx visor.FuncContext) error {
-	t := tp(env, ctx)
+	t := tp(env)
 	merged := make(map[string]uint64)
 	mappers := ctx.Instances // map and reduce run with equal instance counts
 	for m := 0; m < mappers; m++ {
@@ -312,7 +312,7 @@ func wcReduceFn(env *asstd.Env, ctx visor.FuncContext) error {
 // wcMergeFn folds every reducer's table into the final result.
 func wcMergeFn(env *asstd.Env, ctx visor.FuncContext) error {
 	reducers := int(ctx.ParamInt("instances", 1))
-	t := tp(env, ctx)
+	t := tp(env)
 	final := make(map[string]uint64)
 	for r := 0; r < reducers; r++ {
 		data, done, err := t.Recv(visor.Slot("wc-reduce", r, "wc-merge", 0))
@@ -357,7 +357,7 @@ func psSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
 	}); err != nil {
 		return err
 	}
-	t := tp(env, ctx)
+	t := tp(env)
 	return timeStage(env, metrics.StageTransfer, func() error {
 		per := (len(raw) / 8 / sorters) * 8
 		for i := 0; i < sorters; i++ {
@@ -377,7 +377,7 @@ func psSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
 
 // psSortFn sorts its chunk and scatters pivot ranges to the mergers.
 func psSortFn(env *asstd.Env, ctx visor.FuncContext) error {
-	t := tp(env, ctx)
+	t := tp(env)
 	data, done, err := t.Recv(visor.Slot("ps-split", 0, "ps-sort", ctx.Instance))
 	if err != nil {
 		return err
@@ -422,7 +422,7 @@ func psSortFn(env *asstd.Env, ctx visor.FuncContext) error {
 // psMergeFn k-way merges its range from every sorter.
 func psMergeFn(env *asstd.Env, ctx visor.FuncContext) error {
 	sorters := ctx.Instances
-	t := tp(env, ctx)
+	t := tp(env)
 	runs := make([][]uint64, 0, sorters)
 	for i := 0; i < sorters; i++ {
 		data, done, err := t.Recv(visor.Slot("ps-sort", i, "ps-merge", ctx.Instance))
@@ -449,7 +449,7 @@ func psMergeFn(env *asstd.Env, ctx visor.FuncContext) error {
 // sortedness.
 func psFinalFn(env *asstd.Env, ctx visor.FuncContext) error {
 	mergers := int(ctx.ParamInt("instances", 1))
-	t := tp(env, ctx)
+	t := tp(env)
 	var prev uint64
 	var total int
 	for j := 0; j < mergers; j++ {

@@ -30,6 +30,8 @@ func NoOps() *dag.Workflow {
 }
 
 // HTTPServer builds the http-server workflow.
+//
+//asvet:allow unreachable -- the paper's §8.1 synthetic workload; its function is registered, but no experiment drives it
 func HTTPServer(port uint16, requests int) *dag.Workflow {
 	return &dag.Workflow{
 		Name: "http-server",
@@ -209,16 +211,6 @@ func buildImage(path string, payload []byte, withPyRuntime bool) (blockdev.Devic
 		}
 	}
 	return dev, nil
-}
-
-// BuildTextRamfs stages INPUT.TXT in a ramfs (Figure 16 mode).
-func BuildTextRamfs(size int64, withPyRuntime bool) *ramfs.FS {
-	fs := ramfs.New()
-	fs.WriteFile(TextInputPath, GenText(size, 42))
-	if withPyRuntime {
-		fs.WriteFile(PyRuntimePath, GenText(PyRuntimeSize, 7))
-	}
-	return fs
 }
 
 // BuildBinRamfs stages INPUT.BIN in a ramfs (Figure 16 mode).

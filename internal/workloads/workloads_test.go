@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"alloystack/internal/visor"
+	"alloystack/internal/xfer"
 )
 
 func newVisor(t *testing.T) *visor.Visor {
@@ -56,7 +57,7 @@ func TestPipeNativeFileFallback(t *testing.T) {
 	}
 	w := Pipe(64*1024, "native")
 	_, err = v.RunWorkflow(w, runOpts(t, func(o *visor.RunOptions) {
-		o.RefPassing = false
+		o.Transfer = xfer.KindFile
 		o.DiskImage = img
 	}))
 	if err != nil {
@@ -154,7 +155,7 @@ func TestWordCountFileFallback(t *testing.T) {
 	if _, err := v.RunWorkflow(w, runOpts(t, func(o *visor.RunOptions) {
 		o.DiskImage = img2
 		o.Stdout = &fileOut
-		o.RefPassing = false
+		o.Transfer = xfer.KindFile
 	})); err != nil {
 		t.Fatalf("file-mediated wordcount: %v", err)
 	}
@@ -362,16 +363,6 @@ func TestMergeSortedRuns(t *testing.T) {
 	}
 	if len(got) != 9 || got[0] != 1 || got[8] != 9 {
 		t.Fatalf("merge = %v", got)
-	}
-}
-
-func TestRangeOf(t *testing.T) {
-	pivots := []uint64{10, 20}
-	cases := map[uint64]int{5: 0, 10: 1, 15: 1, 20: 2, 99: 2}
-	for v, want := range cases {
-		if got := RangeOf(v, pivots); got != want {
-			t.Fatalf("RangeOf(%d) = %d, want %d", v, got, want)
-		}
 	}
 }
 

@@ -20,25 +20,20 @@ import (
 	"fmt"
 
 	"alloystack/internal/asstd"
-	"alloystack/internal/visor"
 	"alloystack/internal/xfer"
 )
 
 // tp resolves the function instance's data plane: the visor installs a
 // transport on every env it builds; envs created outside the visor
-// (direct tests, examples) fall back to a private transport derived
-// from the __refpass parameter, cached on the env for later calls.
-func tp(env *asstd.Env, ctx visor.FuncContext) asstd.Transport {
+// (direct tests, examples) fall back to a private refpass transport,
+// cached on the env for later calls.
+func tp(env *asstd.Env) asstd.Transport {
 	if t := env.Transport(); t != nil {
 		return t
 	}
-	kind := xfer.KindRefpass
-	if ctx.Param("__refpass", "1") != "1" {
-		kind = xfer.KindFile
-	}
-	t, err := xfer.New(kind, xfer.Config{Env: env})
+	t, err := xfer.New(xfer.KindRefpass, xfer.Config{Env: env})
 	if err != nil {
-		// Unreachable: both fallback kinds only need the non-nil env.
+		// Unreachable: refpass only needs the non-nil env.
 		panic(fmt.Sprintf("workloads: fallback transport: %v", err))
 	}
 	env.SetTransport(t)
@@ -49,6 +44,6 @@ func tp(env *asstd.Env, ctx visor.FuncContext) asstd.Transport {
 // reference. FunctionChain consults it to forward buffers in place (a
 // slot re-registration instead of any Send), the paper's chained
 // zero-copy pattern.
-func refPassing(env *asstd.Env, ctx visor.FuncContext) bool {
-	return tp(env, ctx).Kind() == xfer.KindRefpass
+func refPassing(env *asstd.Env) bool {
+	return tp(env).Kind() == xfer.KindRefpass
 }

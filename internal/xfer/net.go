@@ -223,9 +223,13 @@ type Bridge struct {
 }
 
 // NewBridge returns an empty bridge.
+//
+//asvet:allow unreachable -- the serving half of the net transport: the importing node of a §9 cut runs one; in-repo only tests do
 func NewBridge() *Bridge { return &Bridge{slots: make(map[string][]byte)} }
 
 // Len reports how many slots are parked (tests).
+//
+//asvet:allow unreachable -- test observer of the parked slots
 func (b *Bridge) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -233,6 +237,8 @@ func (b *Bridge) Len() int {
 }
 
 // Put parks a payload directly (in-process producers).
+//
+//asvet:allow unreachable -- in-process producer side of the bridge, see NewBridge
 func (b *Bridge) Put(slot string, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
@@ -242,6 +248,8 @@ func (b *Bridge) Put(slot string, data []byte) {
 }
 
 // Take consumes a payload directly; ok is false when absent.
+//
+//asvet:allow unreachable -- ServeConn's GET, see NewBridge
 func (b *Bridge) Take(slot string) ([]byte, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -252,6 +260,8 @@ func (b *Bridge) Take(slot string) ([]byte, bool) {
 
 // ServeConn answers framed requests on rw until EOF or error. Run one
 // goroutine per accepted connection.
+//
+//asvet:allow unreachable -- see NewBridge
 func (b *Bridge) ServeConn(rw io.ReadWriter) error {
 	for {
 		op, slot, payload, err := readRequest(rw)
@@ -291,6 +301,8 @@ func (b *Bridge) ServeConn(rw io.ReadWriter) error {
 
 // Dial returns an in-process Peer served by this bridge — the
 // single-node deployment of the net transport (no real cut).
+//
+//asvet:allow unreachable -- see NewBridge
 func (b *Bridge) Dial() *Peer {
 	client, server := net.Pipe()
 	go func() {
