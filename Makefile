@@ -4,7 +4,7 @@ PKGS       := ./...
 CHAOS_PKGS := ./internal/faults ./internal/visor ./internal/gateway ./internal/kvstore ./internal/integration
 RACE_PKGS  := ./internal/...
 
-.PHONY: all build vet lint test race chaos bench bench-check bench-baseline bench-e2e-smoke trace-demo coldstart-demo ci
+.PHONY: all build vet lint test fuzz-smoke race chaos bench bench-check bench-baseline bench-e2e-smoke trace-demo coldstart-demo ci
 
 all: build
 
@@ -22,6 +22,14 @@ lint: vet
 
 test:
 	$(GO) test $(PKGS)
+
+# fuzz-smoke gives the differential engine fuzzer (switch interpreter vs
+# AOT register engine, internal/asvm) ten seconds beyond the committed
+# corpus and the fixed-seed property test `make test` already replays. A
+# crasher is written under internal/asvm/testdata/fuzz/ and becomes a
+# regression test by being committed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzEnginesAgree -fuzztime 10s ./internal/asvm
 
 # race runs every internal package under the race detector; the chaos
 # tests are concurrency-heavy by design, so this is where races

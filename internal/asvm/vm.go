@@ -3,12 +3,14 @@ package asvm
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // EngineKind selects the execution strategy.
 type EngineKind int
 
-// The two engines (see the package comment for what each models).
+// The two engines (see the package comment): the switch interpreter,
+// which is the reference semantics, and the compile tier.
 const (
 	EngineInterp EngineKind = iota
 	EngineAOT
@@ -25,15 +27,20 @@ func (k EngineKind) String() string {
 // Config tunes an instance.
 type Config struct {
 	Engine EngineKind
-	// OverheadFactor >= 1 injects calibrated extra work to model a
-	// slower code generator (Wasmtime ≈ 1.3 vs WAVM 1.0 per the paper).
-	// 0 means 1.0.
+	// OverheadFactor >= 1 injects calibrated extra work — (factor-1)
+	// spin units per source instruction — to model a slower code
+	// generator or an interpreted tier. 0 means 1.0, which spins nothing.
 	OverheadFactor float64
-	// Fuel bounds interpreter steps; 0 means the default (1 << 40).
+	// Fuel bounds the source instructions one Call may execute; 0 means
+	// the default (1 << 40). The interpreter pays it per step; the AOT
+	// engine per basic block, when the block ends, so it can run past
+	// the bound by less than one block.
 	Fuel int64
 	// MaxMem bounds linear memory growth; 0 means 1 GiB.
 	MaxMem int64
-	// StackCap bounds the value stack; 0 means 64k values.
+	// StackCap bounds the operand stack; 0 means 64k values. The AOT
+	// engine holds each call to the depth the analysis proved it can
+	// reach rather than the depth it does reach.
 	StackCap int
 }
 
@@ -55,9 +62,19 @@ func NewLinker() *Linker { return &Linker{funcs: make(map[string]HostFunc)} }
 func (l *Linker) Define(name string, fn HostFunc) { l.funcs[name] = fn }
 
 // Instantiate validates prog and builds a runnable instance with its own
-// linear memory and globals.
+// linear memory and globals. Under EngineAOT the first instantiation of a
+// program also lowers it to register code, which every later instance
+// shares; a program whose stack shape is not static is refused there
+// with a *ShapeError.
 func (l *Linker) Instantiate(prog *Program, cfg Config) (*Instance, error) {
-	if err := prog.Validate(); err != nil {
+	var aot *compiled
+	var err error
+	if cfg.Engine == EngineAOT {
+		aot, err = prog.compile()
+	} else {
+		err = prog.Validate()
+	}
+	if err != nil {
 		return nil, err
 	}
 	hosts := make([]HostFunc, len(prog.Imports))
@@ -67,9 +84,6 @@ func (l *Linker) Instantiate(prog *Program, cfg Config) (*Instance, error) {
 			return nil, fmt.Errorf("%w: %s", ErrUnlinkedHost, imp.Name)
 		}
 		hosts[i] = fn
-	}
-	if cfg.OverheadFactor == 0 {
-		cfg.OverheadFactor = 1.0
 	}
 	if cfg.Fuel == 0 {
 		cfg.Fuel = 1 << 40
@@ -86,6 +100,14 @@ func (l *Linker) Instantiate(prog *Program, cfg Config) (*Instance, error) {
 		hosts:   hosts,
 		globals: make([]int64, prog.Globals),
 		mem:     make([]byte, prog.MemSize),
+		aot:     aot,
+	}
+	if cfg.OverheadFactor > 1 {
+		inst.spinPerStep = int64(math.Round((cfg.OverheadFactor - 1) * (1 << spinShift)))
+	}
+	if aot != nil {
+		inst.arena = make([]int64, aot.arena)
+		inst.frames = make([]aotFrame, 0, aot.depth)
 	}
 	for _, d := range prog.Data {
 		copy(inst.mem[d.Offset:], d.Bytes)
@@ -103,10 +125,31 @@ type Instance struct {
 	globals []int64
 	mem     []byte
 
+	// The interpreter's shared value stack.
 	stack []int64
-	fuel  int64
-	steps int64 // executed instructions (metrics + overhead injection)
-	sink  int64 // keeps overheadSpin's work observable
+	// The AOT engine's register code, one arena of frames laid end to
+	// end (sized from the analysis, grown only by recursion), the
+	// records of suspended callers, and the running frame's own record.
+	aot    *compiled
+	arena  []int64
+	frames []aotFrame
+	base   int32
+	// below is the arena index of the topmost operand under the running
+	// frame (-1: none), which is what a halt over an empty stack yields;
+	// operands counts the operand slots in use under it.
+	below, operands int32
+
+	steps int64 // source instructions executed, over every Call
+	// spinPerStep is (OverheadFactor-1) in 1/2^spinShift units; owed is
+	// the fraction of a unit not burned yet, spinFrom the fuel level up
+	// to which steps have been paid for and spinMark the level at which
+	// the next payment is due. spun counts the units burned and sink
+	// keeps that work observable.
+	spinPerStep        int64
+	owed               int64
+	spinFrom, spinMark int64
+	spun               int64
+	sink               int64
 }
 
 // Memory exposes the linear memory for host calls (zero-copy).
@@ -115,20 +158,53 @@ func (inst *Instance) Memory() []byte { return inst.mem }
 // Steps reports the number of guest instructions executed.
 func (inst *Instance) Steps() int64 { return inst.steps }
 
+// inBounds reports whether [ptr, ptr+n) lies inside a memory of size
+// bytes. It cannot overflow, whatever a guest puts in ptr and n.
+func inBounds(ptr, n int64, size int) bool {
+	return ptr >= 0 && n >= 0 && n <= int64(size)-ptr
+}
+
+func oobErr(what string, addr int64) error {
+	return fmt.Errorf("%w: %s @%d", ErrOOB, what, addr)
+}
+
+// Bytes returns the guest range [ptr, ptr+n) as a view of linear memory,
+// or ErrOOB when any of it lies outside.
+func (inst *Instance) Bytes(ptr, n int64) ([]byte, error) {
+	if !inBounds(ptr, n, len(inst.mem)) {
+		return nil, fmt.Errorf("%w: range @%d+%d", ErrOOB, ptr, n)
+	}
+	return inst.mem[ptr : ptr+n : ptr+n], nil
+}
+
 // ReadString copies a guest (ptr, len) range out of linear memory.
 func (inst *Instance) ReadString(ptr, n int64) (string, error) {
-	if ptr < 0 || n < 0 || ptr+n > int64(len(inst.mem)) {
-		return "", fmt.Errorf("%w: string [%d,%d)", ErrOOB, ptr, ptr+n)
-	}
-	return string(inst.mem[ptr : ptr+n]), nil
+	b, err := inst.Bytes(ptr, n)
+	return string(b), err
 }
 
 // WriteBytes copies host data into guest memory at ptr.
 func (inst *Instance) WriteBytes(ptr int64, b []byte) error {
-	if ptr < 0 || ptr+int64(len(b)) > int64(len(inst.mem)) {
-		return fmt.Errorf("%w: write [%d,%d)", ErrOOB, ptr, ptr+int64(len(b)))
+	dst, err := inst.Bytes(ptr, int64(len(b)))
+	copy(dst, b)
+	return err
+}
+
+// grow extends linear memory by extra bytes (OpMemGrow).
+func (inst *Instance) grow(extra int64) error {
+	if extra < 0 || extra > inst.cfg.MaxMem-int64(len(inst.mem)) {
+		return fmt.Errorf("%w: grow %d past limit %d", ErrOOB, extra, inst.cfg.MaxMem)
 	}
-	copy(inst.mem[ptr:], b)
+	inst.mem = append(inst.mem, make([]byte, extra)...)
+	return nil
+}
+
+// memCopy moves n bytes from src to dst inside linear memory (OpMemCopy).
+func (inst *Instance) memCopy(dst, src, n int64) error {
+	if !inBounds(dst, n, len(inst.mem)) || !inBounds(src, n, len(inst.mem)) {
+		return fmt.Errorf("%w: memcopy dst=%d src=%d n=%d", ErrOOB, dst, src, n)
+	}
+	copy(inst.mem[dst:dst+n], inst.mem[src:src+n])
 	return nil
 }
 
@@ -152,19 +228,31 @@ func (inst *Instance) Call(name string, args ...int64) (int64, error) {
 	if len(args) != f.NArgs {
 		return 0, fmt.Errorf("asvm: %s wants %d args, got %d", name, f.NArgs, len(args))
 	}
-	inst.stack = inst.stack[:0]
-	inst.fuel = inst.cfg.Fuel
-	inst.stack = append(inst.stack, args...)
-	if err := inst.run(fi); err != nil {
-		return 0, err
-	}
-	if f.Results == 1 {
-		if len(inst.stack) == 0 {
-			return 0, ErrStackUnder
+	// top is the value the program left when it stopped, by return or by
+	// halt, if it left one.
+	var top int64
+	var has bool
+	before := inst.steps
+	inst.spinStart(inst.cfg.Fuel)
+	if inst.aot != nil {
+		top, has, err = inst.callAOT(fi, args)
+	} else {
+		inst.stack = append(inst.stack[:0], args...)
+		err = inst.run(fi)
+		if n := len(inst.stack); n > 0 {
+			top, has = inst.stack[n-1], true
 		}
-		return inst.stack[len(inst.stack)-1], nil
 	}
-	return 0, nil
+	inst.spinTo(inst.cfg.Fuel - (inst.steps - before))
+	switch {
+	case err != nil:
+		return 0, err
+	case f.Results == 0:
+		return 0, nil
+	case !has:
+		return 0, ErrStackUnder
+	}
+	return top, nil
 }
 
 // push/pop helpers operating on the shared value stack.
@@ -208,22 +296,51 @@ func (inst *Instance) newFrame(fi int) (*frame, error) {
 	return &frame{fn: fi, locals: locals}, nil
 }
 
-// overheadSpin injects (factor-1) units of dummy work per unit executed,
-// modelling a less efficient code generator. The returned value is
-// stored into a per-instance sink to defeat dead-code elimination.
+// overheadSpin does units of dummy work, modelling a less efficient code
+// generator. The returned value is stored into a per-instance sink to
+// defeat dead-code elimination.
 func overheadSpin(units int64) int64 {
 	var acc int64
 	for i := int64(0); i < units; i++ {
-		acc += i ^ (acc << 1)
+		acc += i
 	}
 	return acc
 }
 
-// blockSize is how many instructions execute between fuel/overhead checks
-// in the AOT engine (a basic-block-ish granularity).
-const blockSize = 256
+// Spin units are owed in 1/2^spinShift fractions of (factor-1) per
+// source step, and paid every spinStride steps. Both engines find out
+// that a payment is due with the comparison they make anyway for fuel:
+// spinMark is the fuel level of the next payment, and 0 — fuel
+// exhaustion only — when the factor is 1.
+const (
+	spinShift  = 10
+	spinStride = 256
+)
 
-// run executes starting at function fi until it returns.
+// spinStart arms the spin accounting for a Call starting with fuel; the
+// Call ends it with a last spinTo.
+func (inst *Instance) spinStart(fuel int64) {
+	inst.spinFrom, inst.spinMark = fuel, 0
+	if inst.spinPerStep != 0 {
+		inst.spinMark = max(fuel-spinStride, 0)
+	}
+}
+
+// spinTo pays for the steps run since the last payment, fuel having
+// dropped to the given level, and burns the whole units owed.
+func (inst *Instance) spinTo(fuel int64) {
+	owed := inst.owed + (inst.spinFrom-fuel)*inst.spinPerStep
+	units := owed >> spinShift
+	inst.sink += overheadSpin(units)
+	inst.spun += units
+	inst.owed = owed & (1<<spinShift - 1)
+	inst.spinFrom = fuel
+	if inst.spinMark > 0 {
+		inst.spinMark = max(fuel-spinStride, 0)
+	}
+}
+
+// run interprets function fi until it returns: the reference engine.
 func (inst *Instance) run(fi int) error {
 	fr, err := inst.newFrame(fi)
 	if err != nil {
@@ -232,11 +349,7 @@ func (inst *Instance) run(fi int) error {
 	callStack := make([]*frame, 0, 16)
 	callStack = append(callStack, fr)
 
-	interp := inst.cfg.Engine == EngineInterp
-	overheadUnits := 0.0
-	perOpOverhead := inst.cfg.OverheadFactor - 1.0
-
-	sinceCheck := 0
+	fuel := inst.cfg.Fuel
 	for len(callStack) > 0 {
 		fr := callStack[len(callStack)-1]
 		code := inst.prog.Funcs[fr.fn].Code
@@ -248,37 +361,13 @@ func (inst *Instance) run(fi int) error {
 		ins := code[fr.pc]
 		fr.pc++
 		inst.steps++
-
-		if interp {
-			// Per-instruction accounting: the interpreter pays fuel and
-			// overhead checks on every step, like bytecode dispatch.
-			inst.fuel--
-			if inst.fuel < 0 {
+		// Fuel is paid on every step, like bytecode dispatch.
+		fuel--
+		if fuel < inst.spinMark {
+			if fuel < 0 {
 				return ErrFuelExhausted
 			}
-			if perOpOverhead > 0 {
-				overheadUnits += perOpOverhead
-				if overheadUnits >= 1 {
-					n := int64(overheadUnits)
-					inst.sink += overheadSpin(n)
-					overheadUnits -= float64(n)
-				}
-			}
-			// The interpreter's dispatch penalty: it re-reads operands
-			// through a bounds-checked accessor path.
-			inst.sink += overheadSpin(4)
-		} else {
-			sinceCheck++
-			if sinceCheck >= blockSize {
-				inst.fuel -= int64(sinceCheck)
-				if inst.fuel < 0 {
-					return ErrFuelExhausted
-				}
-				if perOpOverhead > 0 {
-					inst.sink += overheadSpin(int64(perOpOverhead * float64(sinceCheck)))
-				}
-				sinceCheck = 0
-			}
+			inst.spinTo(fuel)
 		}
 
 		switch ins.Op {
@@ -393,8 +482,8 @@ func (inst *Instance) run(fi int) error {
 			if err != nil {
 				return err
 			}
-			if addr < 0 || addr >= int64(len(inst.mem)) {
-				return fmt.Errorf("%w: load8 @%d", ErrOOB, addr)
+			if !inBounds(addr, 1, len(inst.mem)) {
+				return oobErr("load8", addr)
 			}
 			inst.push(int64(inst.mem[addr]))
 		case OpLoad64:
@@ -402,8 +491,8 @@ func (inst *Instance) run(fi int) error {
 			if err != nil {
 				return err
 			}
-			if addr < 0 || addr+8 > int64(len(inst.mem)) {
-				return fmt.Errorf("%w: load64 @%d", ErrOOB, addr)
+			if !inBounds(addr, 8, len(inst.mem)) {
+				return oobErr("load64", addr)
 			}
 			inst.push(int64(binary.LittleEndian.Uint64(inst.mem[addr:])))
 		case OpStore8:
@@ -411,8 +500,8 @@ func (inst *Instance) run(fi int) error {
 			if err != nil {
 				return err
 			}
-			if addr < 0 || addr >= int64(len(inst.mem)) {
-				return fmt.Errorf("%w: store8 @%d", ErrOOB, addr)
+			if !inBounds(addr, 1, len(inst.mem)) {
+				return oobErr("store8", addr)
 			}
 			inst.mem[addr] = byte(v)
 		case OpStore64:
@@ -420,8 +509,8 @@ func (inst *Instance) run(fi int) error {
 			if err != nil {
 				return err
 			}
-			if addr < 0 || addr+8 > int64(len(inst.mem)) {
-				return fmt.Errorf("%w: store64 @%d", ErrOOB, addr)
+			if !inBounds(addr, 8, len(inst.mem)) {
+				return oobErr("store64", addr)
 			}
 			binary.LittleEndian.PutUint64(inst.mem[addr:], uint64(v))
 		case OpMemSize:
@@ -432,10 +521,9 @@ func (inst *Instance) run(fi int) error {
 				return err
 			}
 			old := int64(len(inst.mem))
-			if extra < 0 || old+extra > inst.cfg.MaxMem {
-				return fmt.Errorf("%w: grow %d past limit %d", ErrOOB, extra, inst.cfg.MaxMem)
+			if err := inst.grow(extra); err != nil {
+				return err
 			}
-			inst.mem = append(inst.mem, make([]byte, extra)...)
 			inst.push(old)
 		case OpMemCopy:
 			n, err := inst.pop()
@@ -446,11 +534,9 @@ func (inst *Instance) run(fi int) error {
 			if err != nil {
 				return err
 			}
-			if n < 0 || dst < 0 || src < 0 ||
-				dst+n > int64(len(inst.mem)) || src+n > int64(len(inst.mem)) {
-				return fmt.Errorf("%w: memcopy dst=%d src=%d n=%d", ErrOOB, dst, src, n)
+			if err := inst.memCopy(dst, src, n); err != nil {
+				return err
 			}
-			copy(inst.mem[dst:dst+n], inst.mem[src:src+n])
 		case OpHalt:
 			return nil
 		default:

@@ -12,9 +12,10 @@ import (
 // runFaasmGuest executes the identical ASVM guest bytecode AlloyStack's
 // C/Python tiers run, but on the Faasm platform model: host calls bind
 // to Faasm's two-tier state (Platform.Send/Recv with page-fault charges)
-// and its input files, and the engine runs with WAVM's efficiency
+// and its input files, and the AOT engine runs with WAVM's efficiency
 // (OverheadFactor 1.0, the LLVM code generator of §8.5) for the C tier
-// or the interpreter for Python.
+// or the Python tier's interpretive factor, scaled like every other
+// modelled cost by the run's CostScale.
 func (r *Runner) runFaasmGuest(p *Platform) error {
 	ctx := p.Ctx()
 	prog, args, err := workloads.GuestProgram(ctx.Function, ctx)
@@ -26,13 +27,13 @@ func (r *Runner) runFaasmGuest(p *Platform) error {
 	l := asvm.NewLinker()
 	bindFaasmHost(l, p, in, out)
 
-	engine := asvm.EngineAOT
+	factor := 1.0 // WAVM / LLVM codegen
 	if r.cfg.Language == "python" {
-		engine = asvm.EngineInterp
+		factor = workloads.PyTier().OverheadFactor
 	}
 	inst, err := l.Instantiate(prog, asvm.Config{
-		Engine:         engine,
-		OverheadFactor: 1.0, // WAVM / LLVM codegen
+		Engine:         asvm.EngineAOT,
+		OverheadFactor: 1 + (factor-1)*r.cfg.CostScale,
 	})
 	if err != nil {
 		return err
@@ -87,15 +88,14 @@ func bindFaasmHost(l *asvm.Linker, p *Platform, inSlots, outSlots []string) {
 		if !ok {
 			return -1, nil
 		}
-		ptr, n := args[1], args[2]
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		buf, err := vm.Bytes(args[1], args[2])
+		if err != nil {
 			return -1, fmt.Errorf("baselines: fd_read oob")
 		}
 		if f.pos >= int64(len(f.data)) {
 			return 0, nil
 		}
-		c := copy(mem[ptr:ptr+n], f.data[f.pos:])
+		c := copy(buf, f.data[f.pos:])
 		f.pos += int64(c)
 		return int64(c), nil
 	})
@@ -104,14 +104,13 @@ func bindFaasmHost(l *asvm.Linker, p *Platform, inSlots, outSlots []string) {
 		if !ok {
 			return -1, nil
 		}
-		ptr, n := args[1], args[2]
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		buf, err := vm.Bytes(args[1], args[2])
+		if err != nil {
 			return -1, fmt.Errorf("baselines: fd_write oob")
 		}
-		f.data = append(f.data[:f.pos], mem[ptr:ptr+n]...)
-		f.pos += n
-		return n, nil
+		f.data = append(f.data[:f.pos], buf...)
+		f.pos += int64(len(buf))
+		return int64(len(buf)), nil
 	})
 	l.Define("fd_seek", func(vm *asvm.Instance, args []int64) (int64, error) {
 		f, ok := files[args[0]]
@@ -160,15 +159,15 @@ func bindFaasmHost(l *asvm.Linker, p *Platform, inSlots, outSlots []string) {
 		return time.Now().UnixNano()&0x7FFFFFFF | 1, nil
 	})
 	l.Define("slot_send", func(vm *asvm.Instance, args []int64) (int64, error) {
-		ptr, n, edge := args[0], args[1], args[2]
+		edge := args[2]
 		if edge < 0 || edge >= int64(len(outSlots)) {
 			return -1, fmt.Errorf("baselines: out edge %d out of range", edge)
 		}
-		mem := vm.Memory()
-		if ptr < 0 || n < 0 || ptr+n > int64(len(mem)) {
+		data, err := vm.Bytes(args[0], args[1])
+		if err != nil {
 			return -1, fmt.Errorf("baselines: slot_send oob")
 		}
-		if err := p.Send(outSlots[edge], mem[ptr:ptr+n]); err != nil {
+		if err := p.Send(outSlots[edge], data); err != nil {
 			return -1, err
 		}
 		return 0, nil
@@ -195,16 +194,16 @@ func bindFaasmHost(l *asvm.Linker, p *Platform, inSlots, outSlots []string) {
 		return int64(len(d)), nil
 	})
 	l.Define("slot_recv", func(vm *asvm.Instance, args []int64) (int64, error) {
-		ptr, capacity, edge := args[0], args[1], args[2]
+		edge := args[2]
 		d, err := acquire(edge)
 		if err != nil {
 			return -1, err
 		}
-		mem := vm.Memory()
-		if ptr < 0 || capacity < 0 || ptr+capacity > int64(len(mem)) {
+		dst, err := vm.Bytes(args[0], args[1])
+		if err != nil {
 			return -1, fmt.Errorf("baselines: slot_recv oob")
 		}
-		n := copy(mem[ptr:ptr+capacity], d)
+		n := copy(dst, d)
 		delete(cached, edge)
 		return int64(n), nil
 	})

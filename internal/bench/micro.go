@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"sort"
@@ -575,9 +576,10 @@ func measureLoopbackThroughput(size int64, now func() time.Time) (float64, error
 	return float64(size) / d.Seconds(), nil
 }
 
-// Engines is the extra ablation explaining Figure 13's Wasmtime/WAVM
-// gap: the same guest program under interpreter, AOT-with-overhead
-// (Wasmtime model) and plain AOT (WAVM model).
+// Engines is the extra ablation explaining Figure 13's tier gaps: the
+// same guest program on the AOT engine bare (WAVM model), with the C
+// tier's factor (Wasmtime model) and with the Python tier's. The switch
+// interpreter, the engines' reference semantics, is reported in a note.
 func Engines(o Options) (*Result, error) {
 	o = o.withDefaults()
 	prog := asvm.MustAssemble(`
@@ -607,6 +609,8 @@ edone:
 end
 `)
 	iters := int64(3_000_000)
+	// The fastest of three calls: the table is about ratios of pure
+	// compute, which one descheduled call on a shared host would skew.
 	run := func(engine asvm.EngineKind, factor float64) (time.Duration, error) {
 		inst, err := asvm.NewLinker().Instantiate(prog, asvm.Config{
 			Engine: engine, OverheadFactor: factor,
@@ -614,35 +618,46 @@ end
 		if err != nil {
 			return 0, err
 		}
-		start := o.now()
-		if _, err := inst.Call("spin", iters); err != nil {
-			return 0, err
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			start := o.now()
+			if _, err := inst.Call("spin", iters); err != nil {
+				return 0, err
+			}
+			best = min(best, o.since(start))
 		}
-		return o.since(start), nil
+		return best, nil
 	}
-	aot, err := run(asvm.EngineAOT, 1.0)
-	if err != nil {
-		return nil, err
+	cFactor, pyFactor := workloads.CTier().OverheadFactor, workloads.PyTier().OverheadFactor
+	var times [4]time.Duration
+	for i, arm := range []struct {
+		engine asvm.EngineKind
+		factor float64
+	}{{asvm.EngineAOT, 1.0}, {asvm.EngineAOT, cFactor}, {asvm.EngineAOT, pyFactor}, {asvm.EngineInterp, 1.0}} {
+		d, err := run(arm.engine, arm.factor)
+		if err != nil {
+			return nil, err
+		}
+		times[i] = d
 	}
-	wasmtime, err := run(asvm.EngineAOT, 1.3)
-	if err != nil {
-		return nil, err
-	}
-	interp, err := run(asvm.EngineInterp, 1.0)
-	if err != nil {
-		return nil, err
-	}
+	wavm, wasmtime, py, interp := times[0], times[1], times[2], times[3]
+	ratio := func(d time.Duration) float64 { return float64(d) / float64(wavm) }
 	rep := o.newResult("engines", "guest engine ablation (explains Fig 13's Wasmtime vs WAVM gap)")
 	rep.Header = []string{"Engine", "Time (ms)", "vs WAVM-model"}
 	rep.Rows = [][]string{
-		{"AOT factor 1.0 (WAVM/LLVM model)", rep.msCell("engine_ms/wavm", LowerIsBetter, aot), "1.00x"},
-		{"AOT factor 1.3 (Wasmtime/Cranelift model)", rep.msCell("engine_ms/wasmtime", LowerIsBetter, wasmtime),
-			fmt.Sprintf("%.2fx", float64(wasmtime)/float64(aot))},
-		{"Interpreter (Python-tier bytecode)", rep.msCell("engine_ms/interp", LowerIsBetter, interp),
-			fmt.Sprintf("%.2fx", float64(interp)/float64(aot))},
+		{"AOT factor 1.0 (WAVM/LLVM model)", rep.msCell("engine_ms/wavm", LowerIsBetter, wavm), "1.00x"},
+		{fmt.Sprintf("AOT factor %.2g (Wasmtime/Cranelift model, C tier)", cFactor),
+			rep.msCell("engine_ms/wasmtime", LowerIsBetter, wasmtime), fmt.Sprintf("%.2fx", ratio(wasmtime))},
+		{fmt.Sprintf("AOT factor %.2g (interpretive model, Python tier)", pyFactor),
+			rep.msCell("engine_ms/python", LowerIsBetter, py), fmt.Sprintf("%.2fx", ratio(py))},
 	}
-	rep.Notes = []string{"paper §8.5: Wasmtime measured ≈30% slower than WAVM"}
-	rep.gauge("engine_ratio/wasmtime", "x", Informational, float64(wasmtime)/float64(aot))
-	rep.gauge("engine_ratio/interp", "x", Informational, float64(interp)/float64(aot))
+	rep.Notes = []string{
+		"paper §8.5: Wasmtime measured ≈30% slower than WAVM",
+		fmt.Sprintf("switch interpreter (the reference semantics, no factor): %.3f ms, %.2fx the AOT engine",
+			float64(interp)/float64(time.Millisecond), ratio(interp)),
+	}
+	rep.gauge("engine_ratio/wasmtime", "x", Informational, ratio(wasmtime))
+	rep.gauge("engine_ratio/python", "x", Informational, ratio(py))
+	rep.gauge("engine_ratio/interp", "x", Informational, ratio(interp))
 	return emit(o, rep), nil
 }

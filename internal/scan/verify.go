@@ -82,195 +82,60 @@ func (r *VerifyReport) MaxStack() int {
 // error always wraps ErrVerify, ErrForbiddenImport or
 // ErrForbiddenBytes.
 func Verify(prog *asvm.Program, allowedImports map[string]bool) (*VerifyReport, error) {
-	// Branch targets first, with the verifier's own typed error: the
-	// later structural Validate would fold this into a generic
-	// validation failure.
-	for _, f := range prog.Funcs {
-		for pc, ins := range f.Code {
-			switch ins.Op {
-			case asvm.OpJmp, asvm.OpJz, asvm.OpJnz:
-				if ins.Arg < 0 || ins.Arg >= int64(len(f.Code)) {
-					return nil, fmt.Errorf("%w: %s+%d -> %d (code length %d)",
-						ErrBadJump, f.Name, pc, ins.Arg, len(f.Code))
-				}
-			}
-		}
-	}
 	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrVerify, err)
+		return nil, verdict(err)
 	}
 	scanRep, err := Scan(prog, allowedImports)
 	if err != nil {
 		return nil, err
 	}
-	rep := &VerifyReport{Scan: scanRep}
+	rep := &VerifyReport{Scan: scanRep, Funcs: make([]FuncReport, len(prog.Funcs))}
 	for fi := range prog.Funcs {
-		fr, err := verifyFunc(prog, fi)
+		// The stack-shape dataflow is asvm's: the AOT engine lowers
+		// verified code on the strength of the same result.
+		shape, err := asvm.StackShape(prog, fi)
 		if err != nil {
-			return nil, err
+			return nil, verdict(err)
 		}
-		rep.Funcs = append(rep.Funcs, fr)
+		f := &prog.Funcs[fi]
+		rep.Funcs[fi] = FuncReport{
+			Name: f.Name, Blocks: shape.Blocks, MaxStack: shape.MaxStack,
+			Imports: reachableImports(prog, f, shape),
+		}
 	}
 	return rep, nil
 }
 
-// stackEffect returns how many values ins pops and pushes. Branches,
-// returns and halts are handled by the dataflow walk itself.
-func stackEffect(prog *asvm.Program, ins asvm.Instr) (pops, pushes int) {
-	switch ins.Op {
-	case asvm.OpPush, asvm.OpLocalGet, asvm.OpGlobalGet, asvm.OpMemSize:
-		return 0, 1
-	case asvm.OpDrop, asvm.OpLocalSet, asvm.OpGlobalSet, asvm.OpJz, asvm.OpJnz:
-		return 1, 0
-	case asvm.OpDup:
-		return 1, 2
-	case asvm.OpSwap:
-		return 2, 2
-	case asvm.OpAdd, asvm.OpSub, asvm.OpMul, asvm.OpDivS, asvm.OpRemS,
-		asvm.OpAnd, asvm.OpOr, asvm.OpXor, asvm.OpShl, asvm.OpShrS,
-		asvm.OpEq, asvm.OpNe, asvm.OpLtS, asvm.OpGtS, asvm.OpLeS, asvm.OpGeS:
-		return 2, 1
-	case asvm.OpCall:
-		callee := prog.Funcs[ins.Arg]
-		return callee.NArgs, callee.Results
-	case asvm.OpHost:
-		imp := prog.Imports[ins.Arg]
-		if imp.HasResult {
-			return imp.Arity, 1
-		}
-		return imp.Arity, 0
-	case asvm.OpLoad8U, asvm.OpLoad64, asvm.OpMemGrow:
-		return 1, 1
-	case asvm.OpStore8, asvm.OpStore64:
-		return 2, 0
-	case asvm.OpMemCopy:
-		return 3, 0
+// verdict turns a failed validation or shape analysis into the
+// verifier's typed rejection.
+func verdict(err error) error {
+	var se *asvm.ShapeError
+	if !errors.As(err, &se) {
+		return fmt.Errorf("%w: %v", ErrVerify, err)
 	}
-	return 0, 0 // nop, jmp, ret, halt
+	kind := map[asvm.ShapeKind]error{
+		asvm.ShapeBadJump:   ErrBadJump,
+		asvm.ShapeUnderflow: ErrStackUnderflow,
+		asvm.ShapeJoin:      ErrStackShape,
+		asvm.ShapeLeak:      ErrStackLeak,
+	}[se.Kind]
+	return fmt.Errorf("%w: %s", kind, se.Detail)
 }
 
-// verifyFunc runs the worklist dataflow over one function: basic blocks
-// from branch leaders, one abstract stack depth per block entry,
-// underflow / join-shape / return-balance checks along the way.
-func verifyFunc(prog *asvm.Program, fi int) (FuncReport, error) {
-	f := &prog.Funcs[fi]
-	rep := FuncReport{Name: f.Name}
-
-	// Leaders: function entry, every branch target, every instruction
-	// following a branch or terminator.
-	leaders := map[int]bool{0: true}
+// reachableImports names the host imports f's reachable code invokes,
+// sorted.
+func reachableImports(prog *asvm.Program, f *asvm.Func, shape *asvm.FuncShape) []string {
+	seen := map[string]bool{}
+	names := []string{}
 	for pc, ins := range f.Code {
-		switch ins.Op {
-		case asvm.OpJmp, asvm.OpJz, asvm.OpJnz:
-			leaders[int(ins.Arg)] = true
-			if pc+1 < len(f.Code) {
-				leaders[pc+1] = true
-			}
-		case asvm.OpRet, asvm.OpHalt:
-			if pc+1 < len(f.Code) {
-				leaders[pc+1] = true
-			}
+		if ins.Op != asvm.OpHost || shape.Depth[pc] < 0 {
+			continue
+		}
+		if name := prog.Imports[ins.Arg].Name; !seen[name] {
+			seen[name] = true
+			names = append(names, name)
 		}
 	}
-	starts := make([]int, 0, len(leaders))
-	for pc := range leaders {
-		starts = append(starts, pc)
-	}
-	sort.Ints(starts)
-	if len(f.Code) > 0 {
-		rep.Blocks = len(starts)
-	}
-	blockEnd := func(start int) int { // exclusive
-		i := sort.SearchInts(starts, start+1)
-		if i < len(starts) {
-			return starts[i]
-		}
-		return len(f.Code)
-	}
-
-	imports := map[string]bool{}
-	entryDepth := map[int]int{} // block start -> depth on entry
-	entryDepth[0] = 0           // arguments live in locals, not on the stack
-	work := []int{0}
-	maxDepth := 0
-
-	flow := func(from, target, depth int) error {
-		if have, seen := entryDepth[target]; seen {
-			if have != depth {
-				return fmt.Errorf("%w: %s+%d joins +%d with depth %d, previously %d",
-					ErrStackShape, f.Name, from, target, depth, have)
-			}
-			return nil
-		}
-		entryDepth[target] = depth
-		work = append(work, target)
-		return nil
-	}
-
-	for len(work) > 0 {
-		start := work[len(work)-1]
-		work = work[:len(work)-1]
-		depth := entryDepth[start]
-		end := blockEnd(start)
-
-		fellThrough := true
-		for pc := start; pc < end; pc++ {
-			ins := f.Code[pc]
-			pops, pushes := stackEffect(prog, ins)
-			if depth < pops {
-				return rep, fmt.Errorf("%w: %s+%d %v needs %d value(s), stack has %d",
-					ErrStackUnderflow, f.Name, pc, ins.Op, pops, depth)
-			}
-			depth += pushes - pops
-			if depth > maxDepth {
-				maxDepth = depth
-			}
-			if ins.Op == asvm.OpHost {
-				imports[prog.Imports[ins.Arg].Name] = true
-			}
-			switch ins.Op {
-			case asvm.OpJmp:
-				if err := flow(pc, int(ins.Arg), depth); err != nil {
-					return rep, err
-				}
-				fellThrough = false
-			case asvm.OpJz, asvm.OpJnz:
-				if err := flow(pc, int(ins.Arg), depth); err != nil {
-					return rep, err
-				}
-			case asvm.OpRet:
-				if depth != f.Results {
-					return rep, fmt.Errorf("%w: %s+%d returns with stack depth %d, declared results %d",
-						ErrStackLeak, f.Name, pc, depth, f.Results)
-				}
-				fellThrough = false
-			case asvm.OpHalt:
-				// Halt aborts the whole program; no frame is resumed, so
-				// no balance obligation.
-				fellThrough = false
-			}
-			if !fellThrough {
-				break
-			}
-		}
-		if fellThrough {
-			if end < len(f.Code) {
-				if err := flow(end-1, end, depth); err != nil {
-					return rep, err
-				}
-			} else if depth != f.Results {
-				// Falling off the end is an implicit return.
-				return rep, fmt.Errorf("%w: %s falls off the end with stack depth %d, declared results %d",
-					ErrStackLeak, f.Name, depth, f.Results)
-			}
-		}
-	}
-
-	rep.MaxStack = maxDepth
-	rep.Imports = make([]string, 0, len(imports))
-	for name := range imports {
-		rep.Imports = append(rep.Imports, name)
-	}
-	sort.Strings(rep.Imports)
-	return rep, nil
+	sort.Strings(names)
+	return names
 }

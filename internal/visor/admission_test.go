@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"alloystack/internal/asvm"
+	"alloystack/internal/core"
 	"alloystack/internal/dag"
+	"alloystack/internal/faults"
 	"alloystack/internal/scan"
 )
 
@@ -183,5 +185,50 @@ func TestWatchdogScanRejectHTTP(t *testing.T) {
 	mresp.Body.Close()
 	if !strings.Contains(string(mbody), "alloystack_scan_rejects_total 1") {
 		t.Fatalf("metrics missing scan-rejects counter:\n%s", mbody)
+	}
+}
+
+// Verifier-accepted guests that used to crash the engine through int64
+// overflow in a bounds check: inside a WFD the panic was recovered as a
+// retryable function fault. They now trap like any other out-of-bounds
+// access — a typed guest error, reported once, never retried.
+func TestOverflowingGuestTrapsInsteadOfFaulting(t *testing.T) {
+	probes := map[string]string{
+		"grow": "push 9223372036854775807\n mem.grow\n ret",
+		"load": "push 9223372036854775804\n load64\n ret",
+		"copy": "push 1\n push 1\n push 9223372036854775807\n mem.copy\n push 0\n ret",
+	}
+	for name, body := range probes {
+		prog := asvm.MustAssemble("memory 64\nfunc run 2 2 1\n " + body + "\nend")
+		for _, engine := range []asvm.EngineKind{asvm.EngineInterp, asvm.EngineAOT} {
+			r := NewRegistry()
+			r.RegisterVM(name, "c", VMFunc{Prog: prog, Entry: "run", Engine: engine})
+			w := &dag.Workflow{Name: "w", Functions: []dag.FuncSpec{{Name: name, Language: "c"}}}
+			res, err := New(r).RunWorkflow(w, testOpts(func(o *RunOptions) {
+				o.Retry = &faults.RetryPolicy{MaxRetries: 3}
+			}))
+			if !errors.Is(err, asvm.ErrOOB) || errors.Is(err, core.ErrFunctionFault) || errors.Is(err, ErrRejected) {
+				t.Errorf("%s on %v: err = %v, want a guest ErrOOB trap past admission", name, engine, err)
+			}
+			if res != nil && res.Retries != 0 {
+				t.Errorf("%s on %v: retried %d times; a trap is not a fault", name, engine, res.Retries)
+			}
+		}
+	}
+}
+
+// At CostScale 0 no tier's modelled engine penalty survives: runVM hands
+// the engine factor 1, at which it spins nothing (asvm pins that).
+func TestScaledFactorIsOneWithoutInjectedCost(t *testing.T) {
+	for _, factor := range []float64{0, 1, 1.3, 2.6, 40} {
+		if got := scaledFactor(factor, 0); got != 1 {
+			t.Errorf("scaledFactor(%v, 0) = %v, want 1", factor, got)
+		}
+	}
+	if got := scaledFactor(2.6, 1); got != 2.6 {
+		t.Errorf("scaledFactor(2.6, 1) = %v, want the calibrated factor", got)
+	}
+	if got := scaledFactor(2.6, 0.5); got != 1.8 {
+		t.Errorf("scaledFactor(2.6, 0.5) = %v, want 1.8", got)
 	}
 }

@@ -89,8 +89,10 @@ type VMFunc struct {
 	// Args builds the entry-point arguments from the context.
 	Args func(ctx FuncContext) []int64
 	// Engine/OverheadFactor select the runtime model: AOT+1.3 for the
-	// AlloyStack-C tier (Wasmtime), AOT+1.0 for Faasm-C (WAVM),
-	// interpreter for the Python tier.
+	// AlloyStack-C tier (Wasmtime), AOT+1.0 for Faasm-C (WAVM), AOT
+	// plus an interpretive factor for the Python tier. The factor is a
+	// modelled cost: runVM scales its excess over 1 by the run's
+	// CostScale.
 	Engine         asvm.EngineKind
 	OverheadFactor float64
 	// RuntimeImage, when set, is a file read through the LibOS
@@ -141,25 +143,29 @@ func (r *Registry) lookup(name, language string) (NativeFunc, *VMFunc, error) {
 	defer r.mu.RUnlock()
 	// Generic implementations register a base name and serve every
 	// node derived from it ("chain-7" -> "chain"); the instance learns
-	// its position from the context.
-	candidates := []string{name}
+	// its position from the context. The full name is probed first.
+	base := name
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		candidates = append(candidates, name[:i])
+		base = name[:i]
 	}
 	if language == "" || language == "native" {
-		for _, c := range candidates {
-			if fn, ok := r.native[c]; ok {
-				return fn, nil, nil
-			}
+		fn, ok := r.native[name]
+		if !ok {
+			fn, ok = r.native[base]
 		}
-		return nil, nil, fmt.Errorf("%w: %s (native)", ErrUnknownFunction, name)
-	}
-	for _, c := range candidates {
-		if vf, ok := r.vm[c+"/"+language]; ok {
-			return nil, &vf, nil
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: %s (native)", ErrUnknownFunction, name)
 		}
+		return fn, nil, nil
 	}
-	return nil, nil, fmt.Errorf("%w: %s (%s)", ErrUnknownFunction, name, language)
+	vf, ok := r.vm[name+"/"+language]
+	if !ok {
+		vf, ok = r.vm[base+"/"+language]
+	}
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %s (%s)", ErrUnknownFunction, name, language)
+	}
+	return nil, &vf, nil
 }
 
 // RunOptions configure one workflow invocation.
@@ -369,6 +375,11 @@ type Visor struct {
 	mu        sync.RWMutex
 	workflows map[string]*dag.Workflow
 
+	// defaultAllow is scan.WASIAllowlist(), built by the first invoke
+	// that finds ImportAllowlist nil.
+	defaultAllowOnce sync.Once
+	defaultAllow     map[string]bool
+
 	// verified caches the admission verdict per *asvm.Program: the same
 	// bytecode is proven once per visor, not once per invocation.
 	verified    sync.Map // *asvm.Program -> error (nil sentinel: verified OK)
@@ -429,7 +440,8 @@ func (v *Visor) ScanRejects() int64 { return v.scanRejects.Load() }
 func (v *Visor) admitGuests(w *dag.Workflow, stages [][]dag.FuncSpec) error {
 	allow := v.ImportAllowlist
 	if allow == nil {
-		allow = scan.WASIAllowlist()
+		v.defaultAllowOnce.Do(func() { v.defaultAllow = scan.WASIAllowlist() })
+		allow = v.defaultAllow
 	}
 	for _, stage := range stages {
 		for _, spec := range stage {
@@ -975,6 +987,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// scaledFactor is a tier's modelled engine penalty at a run's CostScale:
+// all of it at 1, none — the bare engine — at 0.
+func scaledFactor(factor, costScale float64) float64 {
+	return 1 + (factor-1)*costScale
+}
+
 // runVM executes a guest-tier function: instantiate the ASVM module with
 // the WASI bindings over this env, optionally paying the runtime-image
 // initialisation read, then call the entry point.
@@ -1012,7 +1030,7 @@ func (r *run) runVM(env *asstd.Env, ctx FuncContext, vf *VMFunc) error {
 	asstd.BindWASISlots(l, env, in, out)
 	inst, err := l.Instantiate(vf.Prog, asvm.Config{
 		Engine:         vf.Engine,
-		OverheadFactor: vf.OverheadFactor,
+		OverheadFactor: scaledFactor(vf.OverheadFactor, r.opts.CostScale),
 	})
 	if err != nil {
 		return err

@@ -19,9 +19,15 @@ else
 	go run ./cmd/asvet ./...
 fi
 go test -short ./...
+# Ten seconds of differential fuzzing of the two ASVM engines past the
+# committed corpus; a crasher fails the build and is left under
+# internal/asvm/testdata/fuzz/ to be committed as a test.
+make fuzz-smoke
 # The ./internal/... wildcard includes internal/cluster and the
 # gateway's cluster plane: rendezvous routing, membership, shard
-# admission and the pre-warm protocol all re-run under -race here.
+# admission and the pre-warm protocol all re-run under -race here. It
+# also includes internal/asvm, whose lazily compiled Program is shared
+# by concurrent instances (TestSharedProgramFirstUseIsConcurrent).
 go test -race -count=1 ./internal/...
 go run ./examples/tracedemo -o trace.json
 # The four BENCHMARK.json workloads, a fraction of a second each through
