@@ -4,7 +4,7 @@ PKGS       := ./...
 CHAOS_PKGS := ./internal/faults ./internal/visor ./internal/gateway ./internal/kvstore ./internal/integration
 RACE_PKGS  := ./internal/...
 
-.PHONY: all build vet lint test fuzz-smoke race chaos bench bench-check bench-baseline bench-e2e-smoke trace-demo coldstart-demo ci
+.PHONY: all build vet lint test fuzz-smoke race chaos bench bench-e2e-smoke trace-demo coldstart-demo ci
 
 all: build
 
@@ -44,28 +44,6 @@ chaos:
 
 bench:
 	$(GO) run ./cmd/asbench -exp recovery
-
-# bench-check is the CI perf regression gate: run the cheap experiment
-# subset, record typed BENCH_*.json results, and diff them against the
-# committed baselines with direction-aware noise bands. Exits non-zero
-# when a gating metric drifts beyond the band. The journal byproducts
-# land in journal-artifacts/ for CI upload.
-# The CI gate doubles the default noise band (and the ms floor): shared
-# runners jitter single-digit-ms measurements by far more than a quiet
-# workstation, and the gate is after structural cliffs, not 30% drift.
-bench-check:
-	$(GO) run ./cmd/asbench -exp cheap -scale 0.01 \
-		-record bench-results -compare benchmarks/baselines \
-		-band 1 -floor-ms 10 \
-		-artifacts journal-artifacts > bench-report.txt 2>&1; \
-		st=$$?; cat bench-report.txt; exit $$st
-
-# bench-baseline refreshes the committed baselines in place. Run it on
-# a quiet machine after an intentional performance change, eyeball the
-# BENCH_*.json diff, and commit it alongside the change that moved the
-# numbers (see DESIGN.md §12 for etiquette).
-bench-baseline:
-	$(GO) run ./cmd/asbench -exp cheap -scale 0.01 -record benchmarks/baselines
 
 # bench-e2e-smoke drives every workload of BENCHMARK.json through the
 # end-to-end benchmark's own harness for a fraction of a second each. It

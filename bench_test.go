@@ -1,8 +1,9 @@
-// Package alloystack's root benchmark suite: one testing.B benchmark per
-// table and figure of the paper's evaluation, driving the same harness
-// as cmd/asbench. Run with:
+// Package alloystack's root benchmark suite: one testing.B sub-benchmark
+// per table and figure of the paper's evaluation, ranging over the same
+// experiment table as cmd/asbench. Run with:
 //
 //	go test -bench=. -benchmem
+//	go test -bench=Experiments/fig11
 //
 // Benchmarks use a small data scale and mildly reduced injected costs so
 // the full suite completes in minutes; cmd/asbench runs the calibrated
@@ -15,39 +16,19 @@ import (
 	"alloystack/internal/bench"
 )
 
-// benchOpts is the standing configuration for the go-test benchmarks.
-func benchOpts() bench.Options {
-	return bench.Options{
-		Scale:      1.0 / 64,
-		CostScale:  0.1,
-		Iterations: 1,
+func BenchmarkExperiments(b *testing.B) {
+	opts := bench.Options{Scale: 1.0 / 64, CostScale: 0.1, Iterations: 1}
+	for _, e := range bench.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Fn(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Rows) == 0 {
+					b.Fatal("empty report")
+				}
+			}
+		})
 	}
 }
-
-func runReport(b *testing.B, fn func(bench.Options) (*bench.Result, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		rep, err := fn(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Rows) == 0 {
-			b.Fatal("empty report")
-		}
-	}
-}
-
-func BenchmarkTable1ModuleTrace(b *testing.B) { runReport(b, bench.Table1) }
-func BenchmarkFig2StackStartup(b *testing.B)  { runReport(b, bench.Fig2) }
-func BenchmarkFig3Primitives(b *testing.B)    { runReport(b, bench.Fig3) }
-func BenchmarkFig10ColdStart(b *testing.B)    { runReport(b, bench.Fig10) }
-func BenchmarkFig11Transfer(b *testing.B)     { runReport(b, bench.Fig11) }
-func BenchmarkFig12RustE2E(b *testing.B)      { runReport(b, bench.Fig12) }
-func BenchmarkFig13MultiLang(b *testing.B)    { runReport(b, bench.Fig13) }
-func BenchmarkFig14Ablation(b *testing.B)     { runReport(b, bench.Fig14) }
-func BenchmarkFig15Breakdown(b *testing.B)    { runReport(b, bench.Fig15) }
-func BenchmarkFig16Ramfs(b *testing.B)        { runReport(b, bench.Fig16) }
-func BenchmarkFig17aTailLatency(b *testing.B) { runReport(b, bench.Fig17a) }
-func BenchmarkFig17bResources(b *testing.B)   { runReport(b, bench.Fig17b) }
-func BenchmarkTable4Substrates(b *testing.B)  { runReport(b, bench.Table4) }
-func BenchmarkEnginesAblation(b *testing.B)   { runReport(b, bench.Engines) }

@@ -4,174 +4,79 @@
 //
 //	asbench -exp fig10                 # one experiment
 //	asbench -exp all                   # the full evaluation
-//	asbench -exp cheap                 # the fast, CI-gated subset
+//	asbench -exp cheap                 # the fast subset CI runs for its artifacts
 //	asbench -exp fig12 -scale 0.25     # larger data sizes
-//	asbench -exp cheap -record out/    # write BENCH_<exp>.json per experiment
-//	asbench -exp cheap -record out/ -compare benchmarks/baselines
+//	asbench -exp cheap -cost-scale 0   # injected platform costs off
 //	asbench -list                      # show available experiments
 //
 // Experiments print paper-style rows; DESIGN.md maps each experiment ID
 // to the corresponding paper table/figure, and EXPERIMENTS.md records
-// paper-vs-measured values. With -record, each experiment also emits a
-// typed BENCH_<exp>.json (metrics + env fingerprint + subsystem
-// snapshot); with -compare, the result is diffed against the baseline
-// directory and a regression beyond the noise band fails the run.
+// paper-vs-measured values. asbench gates nothing: the experiments'
+// deterministic counts are compared with a committed golden by
+// `go test ./internal/bench` (DESIGN.md §12).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"alloystack/internal/bench"
 )
 
-var experiments = map[string]struct {
-	fn    func(bench.Options) (*bench.Result, error)
-	about string
-}{
-	"table1":    {bench.Table1, "as-libos modules per serverless function"},
-	"fig2":      {bench.Fig2, "startup latency across software stacks"},
-	"fig3":      {bench.Fig3, "communication primitive latency"},
-	"fig10":     {bench.Fig10, "cold start latency"},
-	"fig11":     {bench.Fig11, "intermediate data transfer latency"},
-	"fig12":     {bench.Fig12, "Rust-tier end-to-end latency"},
-	"fig13":     {bench.Fig13, "C/Python end-to-end latency vs Faasm"},
-	"fig14":     {bench.Fig14, "on-demand loading + reference passing ablation"},
-	"fig15":     {bench.Fig15, "per-stage latency breakdown"},
-	"fig16":     {bench.Fig16, "end-to-end latency on ramfs"},
-	"fig17a":    {bench.Fig17a, "tail latency under load"},
-	"fig17b":    {bench.Fig17b, "CPU and memory usage vs instances"},
-	"table4":    {bench.Table4, "LibOS substrate throughput vs host kernel"},
-	"engines":   {bench.Engines, "guest engine ablation (Wasmtime vs WAVM model)"},
-	"recovery":  {bench.Recovery, "fault recovery latency (injected panic + retry)"},
-	"coldstart": {bench.Coldstart, "cold boot vs warm-pool snapshot fork (p50/p99)"},
-	"crashresume": {bench.CrashResume,
-		"durable-run journal: crash-resume vs cold re-run, journal overhead"},
-	"obs": {bench.Observability,
-		"always-on telemetry overhead: histograms + tail-sampled tracing on vs off"},
-	"cluster": {bench.Cluster,
-		"cluster plane: rendezvous routing, warm placement and shard budgets at 1/2/4 visors"},
-}
-
-// order runs the cheap experiments first under -exp all.
-var order = []string{
-	"table1", "fig2", "fig10", "engines", "recovery", "coldstart", "crashresume", "obs", "cluster", "table4",
-	"fig3", "fig11", "fig14", "fig16", "fig15", "fig12", "fig13", "fig17a", "fig17b",
-}
-
-// cheapSet is the CI regression-gate subset: fast to run and dominated
-// by injected (deterministic) costs rather than host scheduling, so the
-// noise band holds on shared runners.
-var cheapSet = []string{"table1", "fig2", "fig10", "recovery", "coldstart", "crashresume", "obs", "cluster"}
-
 func main() {
 	exp := flag.String("exp", "", "experiment id, 'all', or 'cheap' (the CI subset)")
 	list := flag.Bool("list", false, "list experiments")
 	scale := flag.Float64("scale", 1.0/16, "data-size scale relative to the paper")
-	costScale := flag.Float64("cost-scale", 1.0, "injected platform-cost scale (1.0 = calibrated)")
+	costScale := flag.Float64("cost-scale", 1.0, "injected platform-cost scale (1.0 = calibrated, 0 = off)")
 	iters := flag.Int("iters", 1, "iterations per configuration (median reported)")
 	artifacts := flag.String("artifacts", "", "directory to keep experiment byproducts (journals) for CI upload")
-	record := flag.String("record", "", "directory to write BENCH_<exp>.json typed results into")
-	compare := flag.String("compare", "", "baseline directory of BENCH_<exp>.json files to gate against")
-	band := flag.Float64("band", 0, "relative noise band for -compare (0 = default 0.5)")
-	floorMS := flag.Float64("floor-ms", 0, "absolute noise floor in ms for -compare (0 = default 5, negative disables)")
 	flag.Parse()
 
 	if *list || *exp == "" {
-		names := make([]string, 0, len(experiments))
-		for n := range experiments {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		fmt.Println("experiments:")
-		for _, n := range names {
-			fmt.Printf("  %-8s %s\n", n, experiments[n].about)
+		for _, e := range bench.Experiments {
+			fmt.Printf("  %-11s %s\n", e.ID, e.About)
 		}
-		if *exp == "" && !*list {
+		if !*list {
 			os.Exit(2)
 		}
 		return
 	}
 
 	opts := bench.Options{
-		Scale:      *scale,
-		CostScale:  *costScale,
-		Iterations: *iters,
-		Out:        os.Stdout,
-	}
-	opts.ArtifactsDir = *artifacts
-	cmpOpts := bench.CompareOptions{Band: *band, FloorMS: *floorMS}
-
-	// run executes one experiment, records and compares as asked, and
-	// returns whether the experiment errored and whether it regressed.
-	run := func(name string) (failed, regressed bool) {
-		e, ok := experiments[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "asbench: unknown experiment %q (use -list)\n", name)
-			return true, false
-		}
-		start := time.Now()
-		res, err := e.fn(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "asbench: %s: %v\n", name, err)
-			return true, false
-		}
-		fmt.Printf("[%s completed in %s]\n\n", name, time.Since(start).Round(time.Millisecond))
-		if *record != "" {
-			if _, err := bench.WriteResult(*record, res); err != nil {
-				fmt.Fprintf(os.Stderr, "asbench: %s: record: %v\n", name, err)
-				return true, false
-			}
-		}
-		if *compare != "" {
-			c, err := bench.CompareAgainstDir(res, *compare, cmpOpts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "asbench: %s: compare: %v\n", name, err)
-				return true, false
-			}
-			fmt.Printf("compare: %s\n\n", c)
-			for _, d := range c.Regressions() {
-				annotate(name, d)
-				regressed = true
-			}
-		}
-		return false, regressed
+		Scale:        *scale,
+		CostScale:    *costScale,
+		Iterations:   *iters,
+		Out:          os.Stdout,
+		ArtifactsDir: *artifacts,
 	}
 
-	names := []string{*exp}
-	switch *exp {
-	case "all":
-		names = order
-	case "cheap":
-		names = cheapSet
+	var selected []bench.Experiment
+	for _, e := range bench.Experiments {
+		if e.ID == *exp || *exp == "all" || (*exp == "cheap" && e.Cheap) {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "asbench: unknown experiment %q (use -list)\n", *exp)
+		os.Exit(1)
 	}
 
 	// Keep going when one experiment fails so a broken table does not
-	// mask results (or regressions) from the rest; aggregate the exit.
-	anyFailed, anyRegressed := false, false
-	for _, name := range names {
-		failed, regressed := run(name)
-		anyFailed = anyFailed || failed
-		anyRegressed = anyRegressed || regressed
+	// mask results from the rest; aggregate the exit.
+	failed := false
+	for _, e := range selected {
+		start := time.Now()
+		if _, err := e.Fn(opts); err != nil {
+			fmt.Fprintf(os.Stderr, "asbench: %s: %v\n", e.ID, err)
+			failed = true
+			continue
+		}
+		fmt.Printf("[%s completed in %s]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-	switch {
-	case anyFailed:
+	if failed {
 		os.Exit(1)
-	case anyRegressed:
-		fmt.Fprintln(os.Stderr, "asbench: performance regression beyond noise band (see compare lines above)")
-		os.Exit(3)
 	}
-}
-
-// annotate emits a GitHub Actions error annotation for a regressed
-// metric when running under Actions, so the breach shows up on the PR
-// without digging through logs.
-func annotate(exp string, d bench.MetricDelta) {
-	if os.Getenv("GITHUB_ACTIONS") != "true" {
-		return
-	}
-	fmt.Printf("::error title=bench regression in %s::%s\n", exp, d)
 }

@@ -8,7 +8,6 @@
 //	asctl scan workflow.json
 //	asctl invoke -node 127.0.0.1:8080 word-count
 //	asctl trace -node 127.0.0.1:8080 -o trace.json word-count
-//	asctl perf -dir bench-results -baseline benchmarks/baselines
 package main
 
 import (
@@ -19,13 +18,11 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
 	"alloystack/internal/asvm"
-	"alloystack/internal/bench"
 	"alloystack/internal/dag"
 	"alloystack/internal/faults"
 	"alloystack/internal/gateway"
@@ -61,8 +58,6 @@ func main() {
 		cmdRuns(os.Args[2:])
 	case "resume":
 		cmdResume(os.Args[2:])
-	case "perf":
-		cmdPerf(os.Args[2:])
 	default:
 		usage()
 	}
@@ -80,8 +75,7 @@ func usage() {
   asctl pools [-node host:port]   show the node's warm-instance pools
   asctl cluster [-node host:port]   show the gateway's membership view, rendezvous rings and warm-hit rate
   asctl runs [-node host:port]    list journaled runs and their committed progress
-  asctl resume [-node host:port] <run-id>   resume an unsealed run from its journal
-  asctl perf [-dir bench-results] [-baseline benchmarks/baselines]   summarise recorded BENCH_*.json results`)
+  asctl resume [-node host:port] <run-id>   resume an unsealed run from its journal`)
 	os.Exit(2)
 }
 
@@ -523,69 +517,6 @@ func cmdResume(args []string) {
 		id, r.Workflow, r.StagesSkipped, r.E2EMillis, r.Verdict)
 	if resp.StatusCode != http.StatusOK {
 		os.Exit(1)
-	}
-}
-
-// cmdPerf summarises recorded BENCH_*.json files: one row per
-// experiment with its environment fingerprint and gating-metric count.
-// With -baseline it also runs the comparator and exits non-zero when
-// any experiment regressed beyond the noise band — the offline twin of
-// `asbench -compare`, usable on CI artifacts after the fact.
-func cmdPerf(args []string) {
-	fs := flag.NewFlagSet("perf", flag.ExitOnError)
-	dir := fs.String("dir", "bench-results", "directory of recorded BENCH_*.json files")
-	baseline := fs.String("baseline", "", "baseline directory to compare against (empty = just summarise)")
-	band := fs.Float64("band", 0, "relative noise band (0 = default 0.5)")
-	floorMS := fs.Float64("floor-ms", 0, "absolute noise floor in ms (0 = default 5, negative disables)")
-	fs.Parse(args)
-
-	paths, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
-	if err != nil {
-		fatal("perf: %v", err)
-	}
-	if len(paths) == 0 {
-		fatal("perf: no BENCH_*.json files in %s (run asbench -record %s first)", *dir, *dir)
-	}
-	sort.Strings(paths)
-
-	cmpOpts := bench.CompareOptions{Band: *band, FloorMS: *floorMS}
-	fmt.Printf("%-12s %-10s %-13s %7s %7s %-20s\n",
-		"EXPERIMENT", "GO", "GIT", "METRICS", "GATING", "RECORDED")
-	regressed := false
-	var comparisons []*bench.Comparison
-	for _, path := range paths {
-		r, err := bench.ReadResult(path)
-		if err != nil {
-			fatal("perf: %v", err)
-		}
-		gating := 0
-		for _, m := range r.Metrics {
-			if m.Direction != bench.Informational {
-				gating++
-			}
-		}
-		sha := r.Env.GitSHA
-		if sha == "" {
-			sha = "-"
-		}
-		fmt.Printf("%-12s %-10s %-13s %7d %7d %-20s\n",
-			r.ID, r.Env.GoVersion, sha, len(r.Metrics), gating, r.Env.RecordedAt)
-		if *baseline != "" {
-			c, err := bench.CompareAgainstDir(r, *baseline, cmpOpts)
-			if err != nil {
-				fatal("perf: compare %s: %v", r.ID, err)
-			}
-			comparisons = append(comparisons, c)
-			if len(c.Regressions()) > 0 {
-				regressed = true
-			}
-		}
-	}
-	for _, c := range comparisons {
-		fmt.Println(c)
-	}
-	if regressed {
-		fatal("perf: regression beyond noise band")
 	}
 }
 

@@ -8,7 +8,8 @@
 // suite completes on a laptop; Options.CostScale scales the injected
 // platform costs (Firecracker boots, module relocation latencies) —
 // 1.0 reproduces the calibrated values, smaller values speed up smoke
-// runs without changing who wins. EXPERIMENTS.md records the scale used.
+// runs without changing who wins, 0 switches them off (what the tests
+// run at). EXPERIMENTS.md records the scale used.
 package bench
 
 import (
@@ -32,7 +33,8 @@ import (
 type Options struct {
 	// Scale multiplies the paper's data sizes (default 1/16).
 	Scale float64
-	// CostScale multiplies injected platform costs (default 1.0).
+	// CostScale multiplies injected platform costs: 1.0 is calibrated,
+	// 0 is off. It has no default — 0 means 0.
 	CostScale float64
 	// Iterations per configuration (default 1; medians reported if >1).
 	Iterations int
@@ -51,9 +53,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Scale == 0 {
 		o.Scale = 1.0 / 16
-	}
-	if o.CostScale == 0 {
-		o.CostScale = 1.0
 	}
 	if o.Iterations == 0 {
 		o.Iterations = 1

@@ -46,7 +46,7 @@ func Cluster(o Options) (*Result, error) {
 	levels := []int{1, 2, 4}
 	perFlow := 6 * o.Iterations
 
-	rep := o.newResult("cluster", "cluster plane: rendezvous routing + warm placement across visors")
+	rep := newResult("cluster", "cluster plane: rendezvous routing + warm placement across visors")
 	rep.Header = []string{"Nodes", "p50 (ms)", "p99 (ms)", "req/s", "warm hit", "ring stability"}
 	rep.Notes = []string{
 		fmt.Sprintf("%d workflows, %d invocations each per level, closed loop with 2x nodes clients", clusterFlows, perFlow),
@@ -63,23 +63,24 @@ func Cluster(o Options) (*Result, error) {
 			return nil, fmt.Errorf("cluster n=%d: warm-placement hit rate %.2f, want > 0.9 after pre-warm",
 				n, lv.stats.WarmHitRate)
 		}
-		stability := ringStability(n, clusterRingKeys)
+		kept := ringKept(n, clusterRingKeys)
+		stability := float64(kept) / clusterRingKeys
 		if bound := float64(n-1) / float64(n); stability < bound {
 			return nil, fmt.Errorf("cluster n=%d: ring stability %.3f below (N-1)/N bound %.3f",
 				n, stability, bound)
 		}
 		key := fmt.Sprintf("n%d", n)
-		rep.Snapshot.AddLatency(key, lv.sum)
-		rep.Snapshot.AddGauge("warm_hit_rate_"+key, lv.stats.WarmHitRate)
-		rep.Snapshot.AddGauge("ring_stability_"+key, stability)
-		rep.Snapshot.AddCounter("prewarms_"+key, lv.stats.Prewarms)
-		rep.gauge(metricKey("throughput_rps", key), "req/s", Informational, lv.throughput)
-		rep.gauge(metricKey("warm_hit_rate", key), "ratio", HigherIsBetter, lv.stats.WarmHitRate)
-		rep.gauge(metricKey("ring_stability", key), "ratio", HigherIsBetter, stability)
+		// The warm-hit and ring-stability columns as the integers they
+		// are ratios of: hits and misses of the routed requests, keys of
+		// clusterRingKeys that kept their owner.
+		rep.count(countKey("warm_hits", key), lv.stats.WarmHits)
+		rep.count(countKey("warm_misses", key), lv.stats.WarmMisses)
+		rep.count(countKey("ring_keys_kept", key), int64(kept))
+		rep.count(countKey("prewarms", key), lv.stats.Prewarms)
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprint(n),
-			rep.msCell(metricKey("p50_ms", key), LowerIsBetter, lv.sum.P50),
-			rep.msCell(metricKey("p99_ms", key), LowerIsBetter, lv.sum.P99),
+			ms(lv.sum.P50),
+			ms(lv.sum.P99),
 			fmt.Sprintf("%.0f", lv.throughput),
 			fmt.Sprintf("%.0f%%", 100*lv.stats.WarmHitRate),
 			fmt.Sprintf("%.3f", stability),
@@ -90,10 +91,7 @@ func Cluster(o Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster shed phase: %w", err)
 	}
-	rep.Snapshot.AddCounter("shard_shed", shed.shed)
-	rep.gauge("shard_shed", "count", Informational, float64(shed.shed))
-	rep.gauge("bystander_p99_ms_during_shed", "ms", Informational,
-		float64(shed.bystanderP99)/float64(time.Millisecond))
+	rep.count("shard_shed", shed.shed)
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("shed phase: hot workflow at budget 1 shed %d request(s) with Retry-After while %d bystander invocations all served (p99 %s ms)",
 			shed.shed, clusterShedProbe, ms(shed.bystanderP99)))
@@ -129,6 +127,9 @@ func clusterLevel(o Options, n, perFlow int) (levelStats, error) {
 	if err != nil {
 		return levelStats{}, err
 	}
+	// Deferred after the fleet's stop, so it runs first: the gateway's
+	// client lets go of its connections before the nodes shut down.
+	defer g.Stop()
 	g.Cluster = cluster.NewRouter(cluster.Config{Clock: o.Clock})
 	// Two health-loop turns: the first discovers the fleet and triggers
 	// the pre-warm sweep; the second re-ranks with every template placed
@@ -206,6 +207,7 @@ func clusterShed(o Options) (shedStats, error) {
 	if err != nil {
 		return shedStats{}, err
 	}
+	defer g.Stop()
 	g.Cluster = cluster.NewRouter(cluster.Config{
 		ShardBudgetFor: map[string]int{hot: 1},
 		RetryAfter:     2 * time.Second,
@@ -317,10 +319,10 @@ func placeWorkflow(wd *visor.Watchdog, name string) error {
 	return nil
 }
 
-// ringStability computes the fraction of clusterRingKeys keys that keep
-// their rendezvous owner when node n joins an n-node ring — the pure
-// arithmetic behind the scale curve's stability column.
-func ringStability(n, keys int) float64 {
+// ringKept counts the keys (of keys) that keep their rendezvous owner
+// when node n joins an n-node ring — the pure arithmetic behind the
+// scale curve's stability column.
+func ringKept(n, keys int) int {
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("bench-node-%d", i)
@@ -333,5 +335,5 @@ func ringStability(n, keys int) float64 {
 			kept++
 		}
 	}
-	return float64(kept) / float64(keys)
+	return kept
 }

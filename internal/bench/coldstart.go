@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"alloystack/internal/metrics"
 	"alloystack/internal/pool"
 	"alloystack/internal/workloads"
 )
@@ -27,7 +26,10 @@ func Coldstart(o Options) (*Result, error) {
 	w := workloads.FunctionChain(3, size, "python")
 	v := newAlloyVisor()
 
-	runArm := func(warm bool, p *pool.Pool) (e2e, boot []time.Duration, err error) {
+	r := newResult("coldstart", "cold boot vs warm-pool snapshot fork (Python tier)")
+	runArm := func(name string, p *pool.Pool) (e2e, boot []time.Duration, err error) {
+		warm := p != nil
+		runs := newRunTotal()
 		for i := 0; i < coldstartRuns; i++ {
 			ro := alloyOpts(o, nil)
 			img, err := workloads.BuildEmptyImage(true)
@@ -48,16 +50,18 @@ func Coldstart(o Options) (*Result, error) {
 			}
 			e2e = append(e2e, res.E2E)
 			boot = append(boot, res.ColdStart)
+			sumRuns(runs, res)
 			if warm {
 				// Clones are single-use; restock before the next run the
 				// way the background maintenance loop would.
 				p.Maintain(o.now())
 			}
 		}
+		r.alloyCounts(name, runs)
 		return e2e, boot, nil
 	}
 
-	coldE2E, coldBoot, err := runArm(false, nil)
+	coldE2E, coldBoot, err := runArm("cold", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -71,36 +75,27 @@ func Coldstart(o Options) (*Result, error) {
 		return nil, err
 	}
 	defer p.Stop()
-	warmE2E, warmBoot, err := runArm(true, p)
+	warmE2E, warmBoot, err := runArm("warm", p)
 	if err != nil {
 		return nil, err
 	}
 
-	r := o.newResult("coldstart", "cold boot vs warm-pool snapshot fork (Python tier)")
 	r.Header = []string{"boot", "e2e p50 (ms)", "e2e p99 (ms)", "boot p50 (ms)", "boot p99 (ms)"}
 	arm := func(name string, e2e, boot []time.Duration) []string {
 		return []string{name,
-			r.msCell(metricKey("e2e_p50_ms", name), LowerIsBetter, percentile(e2e, 50), e2e...),
-			r.msCell(metricKey("e2e_p99_ms", name), LowerIsBetter, percentile(e2e, 99)),
-			r.msCell(metricKey("boot_p50_ms", name), LowerIsBetter, percentile(boot, 50), boot...),
-			r.msCell(metricKey("boot_p99_ms", name), LowerIsBetter, percentile(boot, 99)),
+			ms(percentile(e2e, 50)), ms(percentile(e2e, 99)),
+			ms(percentile(boot, 50)), ms(percentile(boot, 99)),
 		}
 	}
 	r.Rows = [][]string{
 		arm("cold", coldE2E, coldBoot),
 		arm("warm", warmE2E, warmBoot),
 	}
-	r.Snapshot.AddLatency("cold_e2e", metrics.Summarize(coldE2E))
-	r.Snapshot.AddLatency("warm_e2e", metrics.Summarize(warmE2E))
 	st := p.Stats()
-	r.Snapshot.AddCounter("pool_hits", st.Hits)
-	r.Snapshot.AddCounter("pool_misses", st.Misses)
-	r.Snapshot.AddCounter("pool_forks", st.Forks)
-	r.Snapshot.AddCounter("pool_evictions", st.Evictions)
-	r.gauge("speedup_e2e_p50", "x", HigherIsBetter,
-		ratio(percentile(coldE2E, 50), percentile(warmE2E, 50)))
-	r.gauge("speedup_boot_p50", "x", HigherIsBetter,
-		ratio(percentile(coldBoot, 50), percentile(warmBoot, 50)))
+	r.count("pool_hits", st.Hits)
+	r.count("pool_misses", st.Misses)
+	r.count("pool_forks", st.Forks)
+	r.count("pool_evictions", st.Evictions)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d runs per arm; warm pool: %d hits, %d forks, template boot %.0f ms paid once",
 			coldstartRuns, st.Hits, st.Forks, st.TemplateBoot),

@@ -7,7 +7,6 @@ import (
 
 	"alloystack/internal/faults"
 	"alloystack/internal/journal"
-	"alloystack/internal/metrics"
 	"alloystack/internal/visor"
 	"alloystack/internal/workloads"
 )
@@ -57,6 +56,7 @@ func CrashResume(o Options) (*Result, error) {
 	}
 
 	var plain, durable, resume []time.Duration
+	plainRuns, durableRuns, resumeRuns := newRunTotal(), newRunTotal(), newRunTotal()
 	skipped, replayed := 0, 0
 
 	// Input images are single-use (runs consume them), so every
@@ -78,10 +78,12 @@ func CrashResume(o Options) (*Result, error) {
 			return nil, err
 		}
 		start := o.now()
-		if _, err := v.RunWorkflow(w, ro); err != nil {
+		res, err := v.RunWorkflow(w, ro)
+		if err != nil {
 			return nil, fmt.Errorf("plain run %d: %w", i, err)
 		}
 		plain = append(plain, o.since(start))
+		sumRuns(plainRuns, res)
 
 		// Arm 2: durable run, no crash.
 		ro, err = buildOpts(func(r *visor.RunOptions) {
@@ -92,10 +94,11 @@ func CrashResume(o Options) (*Result, error) {
 			return nil, err
 		}
 		start = o.now()
-		if _, err := v.RunWorkflow(w, ro); err != nil {
+		if res, err = v.RunWorkflow(w, ro); err != nil {
 			return nil, fmt.Errorf("durable run %d: %w", i, err)
 		}
 		durable = append(durable, o.since(start))
+		sumRuns(durableRuns, res)
 
 		// Arm 3: crash after the second barrier's commit (not timed),
 		// then resume.
@@ -125,6 +128,7 @@ func CrashResume(o Options) (*Result, error) {
 			return nil, fmt.Errorf("resume run %d: %w", i, rerr)
 		}
 		resume = append(resume, o.since(start))
+		sumRuns(resumeRuns, rres)
 		skipped = rres.StagesSkipped
 		replayed = len(rres.Stages) - rres.StagesSkipped
 	}
@@ -132,31 +136,22 @@ func CrashResume(o Options) (*Result, error) {
 	overhead := 100 * (float64(percentile(durable, 50)) - float64(percentile(plain, 50))) /
 		float64(percentile(plain, 50))
 
-	r := o.newResult("crashresume", "durable-run journal: crash-resume vs cold re-run (python chain x5)")
+	r := newResult("crashresume", "durable-run journal: crash-resume vs cold re-run (python chain x5)")
 	r.Header = []string{"arm", "p50 (ms)", "p99 (ms)", "stages run"}
 	r.Rows = [][]string{
-		{"plain (cold re-run)",
-			r.msCell("p50_ms/plain", LowerIsBetter, percentile(plain, 50), plain...),
-			r.msCell("p99_ms/plain", LowerIsBetter, percentile(plain, 99)), "5"},
-		{"durable (no crash)",
-			r.msCell("p50_ms/durable", LowerIsBetter, percentile(durable, 50), durable...),
-			r.msCell("p99_ms/durable", LowerIsBetter, percentile(durable, 99)), "5"},
-		{"resume after crash",
-			r.msCell("p50_ms/resume", LowerIsBetter, percentile(resume, 50), resume...),
-			r.msCell("p99_ms/resume", LowerIsBetter, percentile(resume, 99)),
+		{"plain (cold re-run)", ms(percentile(plain, 50)), ms(percentile(plain, 99)), "5"},
+		{"durable (no crash)", ms(percentile(durable, 50)), ms(percentile(durable, 99)), "5"},
+		{"resume after crash", ms(percentile(resume, 50)), ms(percentile(resume, 99)),
 			fmt.Sprintf("%d (%d skipped)", replayed, skipped)},
 	}
+	r.alloyCounts("plain", plainRuns)
+	r.alloyCounts("durable", durableRuns)
+	r.alloyCounts("resume", resumeRuns)
+	// st.Bytes stays out of the counts: every journal record carries a
+	// timestamp, so the encoded size varies run to run.
 	st := store.Stats()
-	r.Snapshot.AddLatency("plain", metrics.Summarize(plain))
-	r.Snapshot.AddLatency("durable", metrics.Summarize(durable))
-	r.Snapshot.AddLatency("resume", metrics.Summarize(resume))
-	r.Snapshot.AddCounter("journal_appends", st.Appends)
-	r.Snapshot.AddCounter("journal_bytes", st.Bytes)
-	r.Snapshot.AddCounter("journal_resumes", st.Resumes)
-	r.Snapshot.AddCounter("stages_skipped", int64(skipped))
-	r.gauge("durable_overhead_pct", "%", LowerIsBetter, overhead)
-	r.gauge("resume_speedup", "x", HigherIsBetter,
-		ratio(percentile(plain, 50), percentile(resume, 50)))
+	r.count("journal_appends", st.Appends)
+	r.count("journal_resumes", st.Resumes)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d runs per arm; crash point after-commit:1 → committed prefix 2 of 5", crashresumeRuns),
 		fmt.Sprintf("journal: %d appends, %d bytes, %d resumes (group-commit fsync, async barriers)",

@@ -17,9 +17,13 @@ import (
 // benchmark across data sizes and systems (paper Figure 11).
 func Fig11(o Options) (*Result, error) {
 	o = o.withDefaults()
-	sizes := []int64{4 << 10, o.size(1 << 20), o.size(4 << 20), o.size(16 << 20)}
+	// Rows are keyed by the paper's size in the counts: small scales
+	// clamp the scaled sizes, and their labels, together.
+	sizes := []struct{ paper, scaled int64 }{
+		{4 << 10, 4 << 10}, {1 << 20, o.size(1 << 20)}, {4 << 20, o.size(4 << 20)}, {16 << 20, o.size(16 << 20)},
+	}
 	systems := []string{"AS", "AS-IFI", "AS-C", "AS-Py", "Faastlane", "Faastlane-IPC", "Faasm-C", "OpenFaaS"}
-	rep := o.newResult("fig11", "intermediate data transfer latency, pipe benchmark (paper Fig 11)")
+	rep := newResult("fig11", "intermediate data transfer latency, pipe benchmark (paper Fig 11)")
 	rep.Header = append([]string{"Size"}, systems...)
 	rep.Notes = []string{
 		"values are total transfer-stage time in microseconds (write begins to read completes)",
@@ -30,9 +34,9 @@ func Fig11(o Options) (*Result, error) {
 	v := newAlloyVisor()
 	var copiesRow []string
 	var lastASTransfer string
-	for _, size := range sizes {
-		label := humanBytes(size)
-		row := []string{label}
+	for _, sz := range sizes {
+		size, key := sz.scaled, humanBytes(sz.paper)
+		row := []string{humanBytes(size)}
 		copiesRow = []string{"copies"}
 		// AlloyStack native.
 		for i, mode := range []struct {
@@ -54,15 +58,12 @@ func Fig11(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig11 AS %s size %d: %w", mode.lang, size, err)
 			}
-			row = append(row, rep.usCell(metricKey("transfer_us", systems[i], label), LowerIsBetter,
-				res.Clock.Total(metrics.StageTransfer)))
-			copiesRow = append(copiesRow, rep.countCell(metricKey("copies", systems[i], label),
-				LowerIsBetter, res.Transfer.Totals().Copies))
+			row = append(row, us(res.Clock.Total(metrics.StageTransfer)))
+			copiesRow = append(copiesRow, rep.count(countKey("copies", systems[i], key),
+				res.Transfer.Totals().Copies))
+			rep.alloyCounts(countKey(systems[i], key), res)
 			if mode.lang == "native" && !mode.ifi {
 				lastASTransfer = res.Transfer.String()
-				// Snapshot tracks the largest size only, like the note.
-				rep.Snapshot.Transport = nil
-				rep.Snapshot.AddTransport(res.Transfer)
 			}
 		}
 		// Baselines.
@@ -80,10 +81,9 @@ func Fig11(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig11 %s size %d: %w", bl.sys, size, err)
 			}
-			row = append(row, rep.usCell(metricKey("transfer_us", systems[4+i], label), LowerIsBetter,
-				res.Clock.Total(metrics.StageTransfer)))
-			copiesRow = append(copiesRow, rep.countCell(metricKey("copies", systems[4+i], label),
-				LowerIsBetter, res.Transfer.Totals().Copies))
+			row = append(row, us(res.Clock.Total(metrics.StageTransfer)))
+			copiesRow = append(copiesRow, rep.count(countKey("copies", systems[4+i], key),
+				res.Transfer.Totals().Copies))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -185,7 +185,7 @@ func Fig12(o Options) (*Result, error) {
 	for _, s := range systems {
 		header = append(header, string(s)+" (ms)")
 	}
-	rep := o.newResult("fig12", "Rust-tier end-to-end latency (paper Fig 12)")
+	rep := newResult("fig12", "Rust-tier end-to-end latency (paper Fig 12)")
 	rep.Header = header
 	rep.Notes = []string{
 		fmt.Sprintf("data sizes scaled by %.4f vs the paper", o.Scale),
@@ -200,13 +200,14 @@ func Fig12(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig12 AS %s: %w", c.label(size), err)
 		}
-		row = append(row, rep.msCell(metricKey("e2e_ms", c.key(size), "AS"), LowerIsBetter, asRes.E2E))
+		row = append(row, ms(asRes.E2E))
+		rep.alloyCounts(c.key(size), asRes)
 		for _, sys := range systems {
 			res, err := runBaseline(o, sys, "native", c.workflow("native", size), c.inputs(size))
 			if err != nil {
 				return nil, fmt.Errorf("fig12 %s %s: %w", sys, c.label(size), err)
 			}
-			row = append(row, rep.msCell(metricKey("e2e_ms", c.key(size), string(sys)), Informational, res.E2E))
+			row = append(row, ms(res.E2E))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -216,7 +217,7 @@ func Fig12(o Options) (*Result, error) {
 // Fig13 is the C and Python tier comparison against Faasm (paper Fig 13).
 func Fig13(o Options) (*Result, error) {
 	o = o.withDefaults()
-	rep := o.newResult("fig13", "C and Python end-to-end latency vs Faasm (paper Fig 13)")
+	rep := newResult("fig13", "C and Python end-to-end latency vs Faasm (paper Fig 13)")
 	rep.Header = []string{"Configuration", "AS-C (ms)", "Faasm-C (ms)", "AS-Py (ms)", "Faasm-Py (ms)"}
 	rep.Notes = []string{
 		"python-tier sizes are scaled down a further 8x (interpreted bytecode)",
@@ -241,14 +242,26 @@ func Fig13(o Options) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("fig13 Faasm-%s %s: %w", tier.lang, c.label(tier.size), err)
 			}
-			key := c.key(tier.size)
-			row = append(row,
-				rep.msCell(metricKey("e2e_ms", key, "AS-"+tier.lang), LowerIsBetter, asRes.E2E),
-				rep.msCell(metricKey("e2e_ms", key, "Faasm-"+tier.lang), Informational, faasmRes.E2E))
+			row = append(row, ms(asRes.E2E), ms(faasmRes.E2E))
+			rep.alloyCounts(countKey(c.key(tier.size), "AS-"+tier.lang), asRes)
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	return emit(o, rep), nil
+}
+
+// fig14Arms are the four technique combinations of Figure 14. A
+// package variable so the golden's sensitivity test can take reference
+// passing away from one arm and watch the gate fail.
+var fig14Arms = []struct {
+	name     string
+	onDemand bool
+	refPass  bool
+}{
+	{"base", false, false},
+	{"+on-demand", true, false},
+	{"+ref-passing", false, true},
+	{"+both", true, true},
 }
 
 // Fig14 is the technique ablation: on-demand loading and reference
@@ -260,17 +273,7 @@ func Fig14(o Options) (*Result, error) {
 		{"ps", 1 << 20, 5},
 		{"fc", 1 << 20, 15},
 	}
-	arms := []struct {
-		name     string
-		onDemand bool
-		refPass  bool
-	}{
-		{"base", false, false},
-		{"+on-demand", true, false},
-		{"+ref-passing", false, true},
-		{"+both", true, true},
-	}
-	rep := o.newResult("fig14", "contribution of on-demand loading and reference passing (paper Fig 14)")
+	rep := newResult("fig14", "contribution of on-demand loading and reference passing (paper Fig 14)")
 	rep.Header = []string{"Workload", "base (ms)", "+on-demand (ms)", "+ref-passing (ms)", "+both (ms)", "on-demand save", "ref-pass save", "copies base", "copies +both"}
 	rep.Notes = []string{
 		"paper: on-demand loading cuts 40.2-48.0% of latency; reference passing 34.7-51.0%",
@@ -282,9 +285,9 @@ func Fig14(o Options) (*Result, error) {
 		size := o.size(c.paperSize)
 		key := c.key(size)
 		row := []string{c.label(size)}
-		times := make([]time.Duration, len(arms))
-		copies := make([]int64, len(arms))
-		for i, arm := range arms {
+		times := make([]time.Duration, len(fig14Arms))
+		copies := make([]int64, len(fig14Arms))
+		for i, arm := range fig14Arms {
 			res, err := runAlloyConfig(o, v, c, "native", size, func(r *visor.RunOptions) {
 				r.OnDemand = arm.onDemand
 				if !arm.refPass {
@@ -301,15 +304,14 @@ func Fig14(o Options) (*Result, error) {
 			}
 			times[i] = res.E2E
 			copies[i] = res.Transfer.Totals().Copies
-			row = append(row, rep.msCell(metricKey("e2e_ms", key, arm.name), LowerIsBetter, res.E2E))
+			row = append(row, ms(res.E2E))
+			rep.alloyCounts(countKey(key, arm.name), res)
 		}
 		odSave := 1 - float64(times[1])/float64(times[0])
 		rpSave := 1 - float64(times[2])/float64(times[0])
-		rep.gauge(metricKey("save_pct", key, "on-demand"), "%", HigherIsBetter, odSave*100)
-		rep.gauge(metricKey("save_pct", key, "ref-passing"), "%", HigherIsBetter, rpSave*100)
 		row = append(row, fmt.Sprintf("%.1f%%", odSave*100), fmt.Sprintf("%.1f%%", rpSave*100),
-			rep.countCell(metricKey("copies", key, "base"), Informational, copies[0]),
-			rep.countCell(metricKey("copies", key, "both"), LowerIsBetter, copies[len(arms)-1]))
+			rep.count(countKey("copies", key, "base"), copies[0]),
+			rep.count(countKey("copies", key, "both"), copies[len(fig14Arms)-1]))
 		rep.Rows = append(rep.Rows, row)
 	}
 	return emit(o, rep), nil
@@ -323,7 +325,7 @@ func Fig15(o Options) (*Result, error) {
 		{"ps", 25 << 20, 3},
 		{"fc", 64 << 20, 10},
 	}
-	rep := o.newResult("fig15", "end-to-end latency breakdown (paper Fig 15)")
+	rep := newResult("fig15", "end-to-end latency breakdown (paper Fig 15)")
 	rep.Header = []string{"Workload", "System", "read-input (ms)", "compute (ms)", "transfer (ms)", "fan-in wait (ms)"}
 	rep.Notes = []string{
 		"paper: AS read-input 6.9-8.1x slower than Faastlane (rust-fatfs vs ext4);",
@@ -332,40 +334,36 @@ func Fig15(o Options) (*Result, error) {
 	v := newAlloyVisor()
 	for _, c := range configs {
 		size := o.size(c.paperSize)
-		key := c.key(size)
 		asRes, err := runAlloyConfig(o, v, c, "native", size, nil)
 		if err != nil {
 			return nil, fmt.Errorf("fig15 AS %s: %w", c.label(size), err)
 		}
-		rep.Rows = append(rep.Rows, breakdownRow(rep, key, c.label(size), "AlloyStack", LowerIsBetter, asRes.Clock))
+		rep.alloyCounts(c.key(size), asRes)
+		rep.Rows = append(rep.Rows, breakdownRow(c.label(size), "AlloyStack", asRes.Clock))
 		flRes, err := runBaseline(o, baselines.SysFaastlaneRefer, "native",
 			c.workflow("native", size), c.inputs(size))
 		if err != nil {
 			return nil, fmt.Errorf("fig15 Faastlane %s: %w", c.label(size), err)
 		}
-		rep.Rows = append(rep.Rows, breakdownRow(rep, key, "", "Faastlane-refer", Informational, flRes.Clock))
+		rep.Rows = append(rep.Rows, breakdownRow("", "Faastlane-refer", flRes.Clock))
 		fmRes, err := runBaseline(o, baselines.SysFaasm, "c",
 			c.workflow("c", size), c.inputs(size))
 		if err != nil {
 			return nil, fmt.Errorf("fig15 Faasm %s: %w", c.label(size), err)
 		}
-		rep.Rows = append(rep.Rows, breakdownRow(rep, key, "", "Faasm-C", Informational, fmRes.Clock))
+		rep.Rows = append(rep.Rows, breakdownRow("", "Faasm-C", fmRes.Clock))
 	}
 	return emit(o, rep), nil
 }
 
-// breakdownRow renders one system's stage breakdown, recording each
-// stage total as a typed metric along the way.
-func breakdownRow(rep *Result, key, label, system string, dir Direction, clock *metrics.StageClock) []string {
-	cell := func(stage metrics.Stage) string {
-		return rep.msCell(metricKey(stage.String()+"_ms", key, system), dir, clock.Total(stage))
-	}
+// breakdownRow renders one system's stage breakdown.
+func breakdownRow(label, system string, clock *metrics.StageClock) []string {
 	return []string{
 		label, system,
-		cell(metrics.StageReadInput),
-		cell(metrics.StageCompute),
-		cell(metrics.StageTransfer),
-		cell(metrics.StageWait),
+		ms(clock.Total(metrics.StageReadInput)),
+		ms(clock.Total(metrics.StageCompute)),
+		ms(clock.Total(metrics.StageTransfer)),
+		ms(clock.Total(metrics.StageWait)),
 	}
 }
 
@@ -374,7 +372,7 @@ func breakdownRow(rep *Result, key, label, system string, dir Direction, clock *
 func Fig16(o Options) (*Result, error) {
 	o = o.withDefaults()
 	size := o.size(25 << 20)
-	rep := o.newResult("fig16", "end-to-end latency on ramfs (paper Fig 16)")
+	rep := newResult("fig16", "end-to-end latency on ramfs (paper Fig 16)")
 	rep.Header = []string{"Instances", "AS-ramfs (ms)", "Faastlane-refer-kata (ms)"}
 	rep.Notes = []string{
 		"paper: with filesystem differences removed AlloyStack still leads slightly",
@@ -410,11 +408,8 @@ func Fig16(o Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig16 kata x%d: %w", inst, err)
 		}
-		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprint(inst),
-			rep.msCell(fmt.Sprintf("e2e_ms/x%d/AS-ramfs", inst), LowerIsBetter, asRes.E2E),
-			rep.msCell(fmt.Sprintf("e2e_ms/x%d/kata", inst), Informational, klRes.E2E),
-		})
+		rep.alloyCounts(fmt.Sprintf("x%d", inst), asRes)
+		rep.Rows = append(rep.Rows, []string{fmt.Sprint(inst), ms(asRes.E2E), ms(klRes.E2E)})
 	}
 	return emit(o, rep), nil
 }

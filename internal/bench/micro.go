@@ -140,7 +140,7 @@ func Table1(o Options) (*Result, error) {
 		}},
 	}
 
-	rep := o.newResult("table1", "as-libos modules loaded per serverless function (paper Table 1)")
+	rep := newResult("table1", "as-libos modules loaded per serverless function (paper Table 1)")
 	rep.Header = []string{"Function", "Loaded modules"}
 	for _, p := range probes {
 		reg.RegisterNative(p.name, p.fn)
@@ -171,8 +171,8 @@ func Table1(o Options) (*Result, error) {
 		}
 		rep.Rows = append(rep.Rows, []string{p.name, strings.Join(mods, ", ")})
 		// On-demand loading is the point of Table 1: a probe pulling in
-		// more modules than the baseline recording is a regression.
-		rep.gauge(metricKey("modules", p.name), "count", LowerIsBetter, float64(len(mods)))
+		// one module more than the golden records fails the gate.
+		rep.count(countKey("modules", p.name), int64(len(mods)))
 	}
 	return emit(o, rep), nil
 }
@@ -198,21 +198,22 @@ func traceModules(o Options, fn visor.NativeFunc, ip netstack.Addr, hub *netstac
 func Fig2(o Options) (*Result, error) {
 	o = o.withDefaults()
 	costs := baselines.DefaultCosts()
-	asCold, err := measureASColdStart(o, false, false)
+	asCold, res, err := measureASColdStart(o, false, false)
 	if err != nil {
 		return nil, err
 	}
-	rep := o.newResult("fig2", "startup latency across software stacks (paper Fig 2)")
+	rep := newResult("fig2", "startup latency across software stacks (paper Fig 2)")
+	rep.alloyCounts("alloystack", res)
 	rep.Header = []string{"Stack", "Startup (ms)", "Source"}
 	rep.Rows = [][]string{
 		{"MicroVM (device model + guest kernel)",
-			rep.msCell("startup_ms/microvm", Informational, costs.MicroVMBoot), "model [paper 1186ms]"},
+			ms(costs.MicroVMBoot), "model [paper 1186ms]"},
 		{"Unikernel (Unikraft/Firecracker)",
-			rep.msCell("startup_ms/unikernel", Informational, costs.UnikraftBoot), "model [paper 137ms]"},
+			ms(costs.UnikraftBoot), "model [paper 137ms]"},
 		{"Virtines (KVM, no guest kernel)",
-			rep.msCell("startup_ms/virtines", Informational, costs.VirtinesBoot), "model [paper 22.8ms]"},
+			ms(costs.VirtinesBoot), "model [paper 22.8ms]"},
 		{"AlloyStack WFD (on-demand LibOS)",
-			rep.msCell("startup_ms/alloystack", LowerIsBetter, asCold), "measured"},
+			ms(asCold), "measured"},
 	}
 	return emit(o, rep), nil
 }
@@ -220,15 +221,16 @@ func Fig2(o Options) (*Result, error) {
 // Fig3 measures the four communication primitives of §2.3 across sizes.
 func Fig3(o Options) (*Result, error) {
 	o = o.withDefaults()
-	sizes := []int64{o.size(4 << 10), o.size(1 << 20), o.size(16 << 20), o.size(64 << 20)}
-	rep := o.newResult("fig3", "communication primitive latency (paper Fig 3)")
+	paperSizes := []int64{4 << 10, 1 << 20, 16 << 20, 64 << 20}
+	rep := newResult("fig3", "communication primitive latency (paper Fig 3)")
 	rep.Header = []string{"Size", "Inter-VM TCP (us)", "Inter-Proc TCP (us)",
 		"Shared Memory (us)", "Function Call (us)"}
 	rep.Notes = []string{
 		"function call and shared memory run real code; TCP rows use the host loopback;",
 		"the Inter-VM row adds the modelled virtualisation cost per transfer.",
 	}
-	for _, size := range sizes {
+	for _, paper := range paperSizes {
+		size := o.size(paper)
 		ivtcp, err := measureLoopbackTCP(size, true, o.CostScale, o.Clock)
 		if err != nil {
 			return nil, err
@@ -245,11 +247,13 @@ func Fig3(o Options) (*Result, error) {
 		label := humanBytes(size)
 		rep.Rows = append(rep.Rows, []string{
 			label,
-			rep.usCell(metricKey("intervm_tcp_us", label), LowerIsBetter, ivtcp),
-			rep.usCell(metricKey("interproc_tcp_us", label), LowerIsBetter, iptcp),
-			rep.usCell(metricKey("shared_memory_us", label), LowerIsBetter, shm),
-			rep.usCell(metricKey("function_call_us", label), LowerIsBetter, fc),
+			us(ivtcp), us(iptcp), us(shm), us(fc),
 		})
+		// All four primitives run host or plain Go code; what is ours is
+		// the size each row moves and the VM exits the model charges.
+		// Keyed by the paper's size: small scales clamp rows together.
+		rep.count(countKey("payload_bytes", humanBytes(paper)), size)
+		rep.count(countKey("modelled_vm_exits", humanBytes(paper)), vmExits(size))
 	}
 	return emit(o, rep), nil
 }
@@ -299,11 +303,14 @@ func measureLoopbackTCP(size int64, vm bool, costScale float64, now func() time.
 	if vm && costScale > 0 {
 		// Virtio queue kicks and VM exits per 64 KiB segment batch plus
 		// connection setup through two guest kernels [est].
-		exits := size/(64<<10) + 1
-		d += time.Duration(float64(exits*25+200) * float64(time.Microsecond) * costScale)
+		d += time.Duration(float64(vmExits(size)*25+200) * float64(time.Microsecond) * costScale)
 	}
 	return d, nil
 }
+
+// vmExits is the number of VM exits the inter-VM model charges a
+// transfer: one per 64 KiB segment batch plus one.
+func vmExits(size int64) int64 { return size/(64<<10) + 1 }
 
 // measureSharedMemory reproduces the paper's method (3): a pre-shared
 // buffer, a one-byte pipe notification, and a full traversal by the
@@ -358,8 +365,8 @@ func measureFunctionCall(size int64, now func() time.Time) time.Duration {
 }
 
 // measureASColdStart instantiates a no-ops workflow and reports the
-// cold-start latency (event to user code).
-func measureASColdStart(o Options, loadAll bool, python bool) (time.Duration, error) {
+// cold-start latency (event to user code) with the last run's result.
+func measureASColdStart(o Options, loadAll bool, python bool) (time.Duration, *visor.RunResult, error) {
 	v := newAlloyVisor()
 	lang := "native"
 	if python {
@@ -369,6 +376,7 @@ func measureASColdStart(o Options, loadAll bool, python bool) (time.Duration, er
 	w.Functions[0].Language = lang
 
 	samples := make([]time.Duration, 0, o.Iterations)
+	var res *visor.RunResult
 	for i := 0; i < o.Iterations; i++ {
 		ro := alloyOpts(o, func(r *visor.RunOptions) {
 			r.OnDemand = !loadAll
@@ -376,7 +384,7 @@ func measureASColdStart(o Options, loadAll bool, python bool) (time.Duration, er
 		if loadAll || python {
 			img, err := workloads.BuildEmptyImage(python)
 			if err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 			ro.DiskImage = img
 		}
@@ -385,9 +393,9 @@ func measureASColdStart(o Options, loadAll bool, python bool) (time.Duration, er
 			ro.Hub = hub
 			ro.IP = netstack.IP(10, 99, 0, byte(i+1))
 		}
-		res, err := v.RunWorkflow(w, ro)
-		if err != nil {
-			return 0, err
+		var err error
+		if res, err = v.RunWorkflow(w, ro); err != nil {
+			return 0, nil, err
 		}
 		cold := res.ColdStart
 		if python {
@@ -398,31 +406,32 @@ func measureASColdStart(o Options, loadAll bool, python bool) (time.Duration, er
 		}
 		samples = append(samples, cold)
 	}
-	return median(samples), nil
+	return median(samples), res, nil
 }
 
 // Fig10 reproduces the cold-start comparison.
 func Fig10(o Options) (*Result, error) {
 	o = o.withDefaults()
-	asCold, err := measureASColdStart(o, false, false)
-	if err != nil {
-		return nil, err
-	}
-	loadAll, err := measureASColdStart(o, true, false)
-	if err != nil {
-		return nil, err
-	}
-	asPy, err := measureASColdStart(o, false, true)
-	if err != nil {
-		return nil, err
-	}
-	rep := o.newResult("fig10", "cold start latency (paper Fig 10)")
+	rep := newResult("fig10", "cold start latency (paper Fig 10)")
 	rep.Header = []string{"System", "Cold start (ms)", "Source"}
-	rep.Rows = append(rep.Rows,
-		[]string{"AlloyStack", rep.msCell("cold_ms/AlloyStack", LowerIsBetter, asCold), "measured [paper 1.3ms]"},
-		[]string{"AS-load-all", rep.msCell("cold_ms/AS-load-all", LowerIsBetter, loadAll), "measured [paper 89.4ms]"},
-		[]string{"AS-Py", rep.msCell("cold_ms/AS-Py", LowerIsBetter, asPy), "measured (runtime image via fatfs)"},
-	)
+	var cold [3]time.Duration
+	for i, arm := range []struct {
+		name, source    string
+		loadAll, python bool
+	}{
+		{"AlloyStack", "measured [paper 1.3ms]", false, false},
+		{"AS-load-all", "measured [paper 89.4ms]", true, false},
+		{"AS-Py", "measured (runtime image via fatfs)", false, true},
+	} {
+		d, res, err := measureASColdStart(o, arm.loadAll, arm.python)
+		if err != nil {
+			return nil, err
+		}
+		cold[i] = d
+		rep.alloyCounts(arm.name, res)
+		rep.Rows = append(rep.Rows, []string{arm.name, ms(d), arm.source})
+	}
+	asCold, loadAll := cold[0], cold[1]
 	models := baselines.ColdStartOnly(baselines.DefaultCosts())
 	names := make([]string, 0, len(models))
 	for n := range models {
@@ -431,8 +440,7 @@ func Fig10(o Options) (*Result, error) {
 	sort.Slice(names, func(i, j int) bool { return models[names[i]] < models[names[j]] })
 	for _, n := range names {
 		rep.Rows = append(rep.Rows, []string{n,
-			rep.msCell(metricKey("cold_ms", n), Informational,
-				time.Duration(float64(models[n])*o.CostScale)), "model"})
+			ms(time.Duration(float64(models[n]) * o.CostScale)), "model"})
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("on-demand saving: load-all %.1fms vs on-demand %.1fms (paper: 89.4 vs 1.3)",
@@ -445,7 +453,7 @@ func Fig10(o Options) (*Result, error) {
 func Table4(o Options) (*Result, error) {
 	o = o.withDefaults()
 	const fileSize = 32 << 20
-	fatRead, fatWrite, err := measureFatfsThroughput(fileSize, o.Clock)
+	fatRead, fatWrite, disk, err := measureFatfsThroughput(fileSize, o.Clock)
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +468,7 @@ func Table4(o Options) (*Result, error) {
 	costs := baselines.DefaultCosts()
 	mbps := func(bps float64) string { return fmt.Sprintf("%.0f", bps/(1<<20)) }
 	gbps := func(bps float64) string { return fmt.Sprintf("%.3f", bps*8/1e9) }
-	rep := o.newResult("table4", "LibOS substrate performance vs host kernel (paper Table 4)")
+	rep := newResult("table4", "LibOS substrate performance vs host kernel (paper Table 4)")
 	rep.Header = []string{"Layer", "Module", "Read/RX", "Write/TX", "Unit"}
 	rep.Rows = [][]string{
 		{"File system", "fatfs (measured)", mbps(fatRead), mbps(fatWrite), "MB/s"},
@@ -472,41 +480,43 @@ func Table4(o Options) (*Result, error) {
 		"paper: rust-fatfs 362/1562 MB/s vs ext4 1351/1282; smoltcp 1.751/5.366 Gbit/s vs Linux 27.76/28.56",
 		"shape check: the LibOS filesystem and TCP stack are slower than the kernel paths",
 	}
-	// Throughputs gate in the opposite direction from latencies: a drop
-	// below the noise band is the regression.
-	rep.gauge("fatfs_read_MBps", "MB/s", HigherIsBetter, fatRead/(1<<20))
-	rep.gauge("fatfs_write_MBps", "MB/s", HigherIsBetter, fatWrite/(1<<20))
-	rep.gauge("netstack_rx_Gbps", "Gbit/s", HigherIsBetter, rxBps*8/1e9)
-	rep.gauge("netstack_tx_Gbps", "Gbit/s", HigherIsBetter, txBps*8/1e9)
-	rep.gauge("loopback_Gbps", "Gbit/s", Informational, loopRx*8/1e9)
+	// What fatfs asked of the device for those throughputs: mkfs, one
+	// 32 MiB write, one 32 MiB read. The netstack's byte and frame
+	// counters stay out: they include retransmissions, which timing
+	// decides (rx bytes moved under -race).
+	reads, writes, bytesRead, bytesWritten := disk.Stats()
+	rep.count("blockdev_reads", reads)
+	rep.count("blockdev_writes", writes)
+	rep.count("blockdev_bytes_read", bytesRead)
+	rep.count("blockdev_bytes_written", bytesWritten)
 	return emit(o, rep), nil
 }
 
-func measureFatfsThroughput(size int64, now func() time.Time) (readBps, writeBps float64, err error) {
+func measureFatfsThroughput(size int64, now func() time.Time) (readBps, writeBps float64, disk *blockdev.Counting, err error) {
 	// Measure through the same shaped device workloads mount (the
 	// calibration that keeps fatfs at the paper's Table 4 read speed).
-	dev := workloads.ShapeImage(blockdev.NewMemDisk(size*2 + (16 << 20)))
-	fs, err := fatfs.Format(dev, fatfs.MkfsOptions{})
+	disk = &blockdev.Counting{Inner: blockdev.NewMemDisk(size*2 + (16 << 20))}
+	fs, err := fatfs.Format(workloads.ShapeImage(disk), fatfs.MkfsOptions{})
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	payload := make([]byte, size)
 	f, err := fs.Create("TPUT.BIN")
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	start := now()
 	if _, err := f.WriteAt(payload, 0); err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	writeBps = float64(size) / now().Sub(start).Seconds()
 	buf := make([]byte, size)
 	start = now()
 	if _, err := f.ReadAt(buf, 0); err != nil && !errors.Is(err, io.EOF) {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	readBps = float64(size) / now().Sub(start).Seconds()
-	return readBps, writeBps, nil
+	return readBps, writeBps, disk, nil
 }
 
 func measureNetstackThroughput(size int64, now func() time.Time) (rxBps, txBps float64, err error) {
@@ -611,53 +621,56 @@ end
 	iters := int64(3_000_000)
 	// The fastest of three calls: the table is about ratios of pure
 	// compute, which one descheduled call on a shared host would skew.
-	run := func(engine asvm.EngineKind, factor float64) (time.Duration, error) {
+	run := func(engine asvm.EngineKind, factor float64) (time.Duration, int64, error) {
 		inst, err := asvm.NewLinker().Instantiate(prog, asvm.Config{
 			Engine: engine, OverheadFactor: factor,
 		})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
 			start := o.now()
 			if _, err := inst.Call("spin", iters); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			best = min(best, o.since(start))
 		}
-		return best, nil
+		return best, inst.Steps(), nil
 	}
 	cFactor, pyFactor := workloads.CTier().OverheadFactor, workloads.PyTier().OverheadFactor
+	rep := newResult("engines", "guest engine ablation (explains Fig 13's Wasmtime vs WAVM gap)")
 	var times [4]time.Duration
 	for i, arm := range []struct {
+		name   string
 		engine asvm.EngineKind
 		factor float64
-	}{{asvm.EngineAOT, 1.0}, {asvm.EngineAOT, cFactor}, {asvm.EngineAOT, pyFactor}, {asvm.EngineInterp, 1.0}} {
-		d, err := run(arm.engine, arm.factor)
+	}{{"wavm", asvm.EngineAOT, 1.0}, {"wasmtime", asvm.EngineAOT, cFactor},
+		{"python", asvm.EngineAOT, pyFactor}, {"interp", asvm.EngineInterp, 1.0}} {
+		d, steps, err := run(arm.engine, arm.factor)
 		if err != nil {
 			return nil, err
 		}
 		times[i] = d
+		// Guest instructions retired over the three calls: the factor
+		// models a slower engine, never more work, and the two engines
+		// must agree on what a step is.
+		rep.count(countKey("guest_steps", arm.name), steps)
 	}
 	wavm, wasmtime, py, interp := times[0], times[1], times[2], times[3]
 	ratio := func(d time.Duration) float64 { return float64(d) / float64(wavm) }
-	rep := o.newResult("engines", "guest engine ablation (explains Fig 13's Wasmtime vs WAVM gap)")
 	rep.Header = []string{"Engine", "Time (ms)", "vs WAVM-model"}
 	rep.Rows = [][]string{
-		{"AOT factor 1.0 (WAVM/LLVM model)", rep.msCell("engine_ms/wavm", LowerIsBetter, wavm), "1.00x"},
+		{"AOT factor 1.0 (WAVM/LLVM model)", ms(wavm), "1.00x"},
 		{fmt.Sprintf("AOT factor %.2g (Wasmtime/Cranelift model, C tier)", cFactor),
-			rep.msCell("engine_ms/wasmtime", LowerIsBetter, wasmtime), fmt.Sprintf("%.2fx", ratio(wasmtime))},
+			ms(wasmtime), fmt.Sprintf("%.2fx", ratio(wasmtime))},
 		{fmt.Sprintf("AOT factor %.2g (interpretive model, Python tier)", pyFactor),
-			rep.msCell("engine_ms/python", LowerIsBetter, py), fmt.Sprintf("%.2fx", ratio(py))},
+			ms(py), fmt.Sprintf("%.2fx", ratio(py))},
 	}
 	rep.Notes = []string{
 		"paper §8.5: Wasmtime measured ≈30% slower than WAVM",
 		fmt.Sprintf("switch interpreter (the reference semantics, no factor): %.3f ms, %.2fx the AOT engine",
 			float64(interp)/float64(time.Millisecond), ratio(interp)),
 	}
-	rep.gauge("engine_ratio/wasmtime", "x", Informational, ratio(wasmtime))
-	rep.gauge("engine_ratio/python", "x", Informational, ratio(py))
-	rep.gauge("engine_ratio/interp", "x", Informational, ratio(interp))
 	return emit(o, rep), nil
 }

@@ -26,9 +26,8 @@ const obsRuns = 9
 //	      observation with exemplar, trace retention)
 //
 // The telemetry plane is built for always-on deployment, so the added
-// p50 must stay under 2% — the headline acceptance number, reported as
-// an informational gauge (a difference of two noisy numbers; the
-// per-arm p50s are what gate, PR-7 precedent).
+// p50 must stay under 2% — the headline acceptance number, reported in
+// a note (a difference of two noisy numbers).
 //
 // A third, untimed phase points a tight SLO (objective 1ns, so every
 // run burns budget) at the same workflow to demonstrate the anomaly
@@ -58,6 +57,7 @@ func Observability(o Options) (*Result, error) {
 	})
 
 	var off, on []time.Duration
+	offRuns, onRuns := newRunTotal(), newRunTotal()
 	for i := 0; i < obsRuns; i++ {
 		// Arm 1: telemetry off.
 		ro, err := buildOpts(nil)
@@ -65,10 +65,12 @@ func Observability(o Options) (*Result, error) {
 			return nil, err
 		}
 		start := o.now()
-		if _, err := v.RunWorkflow(w, ro); err != nil {
+		res, err := v.RunWorkflow(w, ro)
+		if err != nil {
 			return nil, fmt.Errorf("off run %d: %w", i, err)
 		}
 		off = append(off, o.since(start))
+		sumRuns(offRuns, res)
 
 		// Arm 2: telemetry on — the timed window is the whole always-on
 		// path, exactly as the watchdog drives it per invocation.
@@ -79,13 +81,14 @@ func Observability(o Options) (*Result, error) {
 		start = o.now()
 		tracer := tel.StartRun(w.Name)
 		ro.Trace = tracer
-		_, rerr := v.RunWorkflow(w, ro)
+		res, rerr := v.RunWorkflow(w, ro)
 		d := o.since(start)
 		tel.ObserveRun(w.Name, tracer, d, rerr)
 		if rerr != nil {
 			return nil, fmt.Errorf("on run %d: %w", i, rerr)
 		}
 		on = append(on, d)
+		sumRuns(onRuns, res)
 	}
 	retained, dropped := tel.Retained()
 
@@ -131,25 +134,21 @@ func Observability(o Options) (*Result, error) {
 	overhead := 100 * (float64(percentile(on, 50)) - float64(percentile(off, 50))) /
 		float64(percentile(off, 50))
 
-	r := o.newResult("obs", "always-on telemetry: histogram + tail-sampled tracing overhead (python chain x5)")
+	r := newResult("obs", "always-on telemetry: histogram + tail-sampled tracing overhead (python chain x5)")
 	r.Header = []string{"arm", "p50 (ms)", "p99 (ms)"}
 	r.Rows = [][]string{
-		{"telemetry off",
-			r.msCell("p50_ms/off", LowerIsBetter, percentile(off, 50), off...),
-			r.msCell("p99_ms/off", LowerIsBetter, percentile(off, 99))},
-		{"telemetry on (always-on path)",
-			r.msCell("p50_ms/on", LowerIsBetter, percentile(on, 50), on...),
-			r.msCell("p99_ms/on", LowerIsBetter, percentile(on, 99))},
+		{"telemetry off", ms(percentile(off, 50)), ms(percentile(off, 99))},
+		{"telemetry on (always-on path)", ms(percentile(on, 50)), ms(percentile(on, 99))},
 	}
-	r.Snapshot.AddLatency("off", metrics.Summarize(off))
-	r.Snapshot.AddLatency("on", metrics.Summarize(on))
-	r.Snapshot.AddCounter("traces_retained", retained)
-	r.Snapshot.AddCounter("traces_dropped", dropped)
-	r.Snapshot.AddCounter("anomaly_captures", captures)
-	r.gauge("telemetry_overhead_pct", "%", Informational, overhead)
+	r.alloyCounts("off", offRuns)
+	r.alloyCounts("on", onRuns)
+	// retained/dropped stay out of the counts: the sampler hashes trace
+	// IDs numbered by a process-wide sequence, so whether the 1% base
+	// rate keeps one depends on what ran earlier in the process.
+	r.count("anomaly_captures", captures)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d runs per arm; on-arm window = StartRun + run + ObserveRun (the watchdog's path)", obsRuns),
-		fmt.Sprintf("telemetry overhead p50: %+.1f%% (target < 2%%; per-arm p50s gate, the delta is informational)", overhead),
+		fmt.Sprintf("telemetry overhead p50: %+.1f%% (target < 2%%; a difference of two noisy p50s)", overhead),
 		fmt.Sprintf("tail sampler: %d retained, %d dropped (failed/tail always keep; base rate 1%%)", retained, dropped),
 		fmt.Sprintf("anomaly capture: %d capture(s); latest in %s (cpu.pprof, heap.pprof, flight.txt, trace.json)", captures, lastCap))
 	if o.ArtifactsDir != "" {

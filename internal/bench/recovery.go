@@ -21,7 +21,7 @@ const recoveryRuns = 3
 // failed function only, not the whole workflow.
 func Recovery(o Options) (*Result, error) {
 	o = o.withDefaults()
-	r := o.newResult("recovery", "fault recovery latency (injected panic + retry, §3.1)")
+	r := newResult("recovery", "fault recovery latency (injected panic + retry, §3.1)")
 	r.Header = []string{"workload", "clean", "faulted", "overhead", "retries", "backoff-wait"}
 	r.Notes = []string{
 		"fault plan: every instance of the target function panics once (PanicEvery N=2)",
@@ -56,7 +56,7 @@ func Recovery(o Options) (*Result, error) {
 		}
 		// A single run's E2E is one scheduler quantum away from 2x noise
 		// on a busy machine; each arm reports its median-E2E run of
-		// three so the recorded metrics are stable enough to gate on.
+		// three.
 		medianRun := func(build func() (visor.RunOptions, error)) (*visor.RunResult, error) {
 			results := make([]*visor.RunResult, 0, recoveryRuns)
 			for i := 0; i < recoveryRuns; i++ {
@@ -108,17 +108,14 @@ func Recovery(o Options) (*Result, error) {
 			return nil, err
 		}
 		overhead := faulted.E2E - clean.E2E
-		key := metricKey(sc.wfName, sc.target)
-		// The gate rides on clean latency and the deterministic fault
-		// plan (retry count, seeded backoff); overhead is the difference
-		// of two noisy measurements, so it informs but never gates.
+		// The fault plan is seeded, so the retry count of each arm is
+		// exact: zero clean, one per instance of the target faulted.
+		r.alloyCounts(countKey(sc.wfName, sc.target, "clean"), clean)
+		r.alloyCounts(countKey(sc.wfName, sc.target, "faulted"), faulted)
 		r.Rows = append(r.Rows, []string{
 			sc.wfName + "/" + sc.target,
-			r.msCell(metricKey("clean_ms", key), LowerIsBetter, clean.E2E),
-			r.msCell(metricKey("faulted_ms", key), Informational, faulted.E2E),
-			r.msCell(metricKey("overhead_ms", key), Informational, overhead),
-			r.countCell(metricKey("retries", key), LowerIsBetter, int64(faulted.Retries)),
-			r.msCell(metricKey("backoff_wait_ms", key), LowerIsBetter, faulted.RetryWait),
+			ms(clean.E2E), ms(faulted.E2E), ms(overhead),
+			fmt.Sprint(faulted.Retries), ms(faulted.RetryWait),
 		})
 	}
 	return emit(o, r), nil

@@ -2,161 +2,86 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
 	"alloystack/internal/metrics"
+	"alloystack/internal/visor"
 )
 
-// Direction says which way a metric may drift before the comparator
-// calls it a regression: latency up is bad, throughput down is bad, and
-// informational metrics never gate.
-type Direction int
-
-const (
-	// LowerIsBetter marks latencies, copy counts and overheads.
-	LowerIsBetter Direction = -1
-	// Informational marks context values the comparator reports but
-	// never gates on.
-	Informational Direction = 0
-	// HigherIsBetter marks throughputs and speedup ratios.
-	HigherIsBetter Direction = 1
-)
-
-// Metric is one named measurement of an experiment: the value the
-// comparator gates on, its unit, the drift direction that counts as a
-// regression, and — when the experiment collected them — the raw
-// duration or count samples behind the digest, so a recorded file can
-// be re-summarised offline.
-type Metric struct {
-	Name      string          `json:"name"`
-	Unit      string          `json:"unit"`
-	Value     float64         `json:"value"`
-	Direction Direction       `json:"direction"`
-	Samples   []time.Duration `json:"samples_ns,omitempty"`
-	Counts    []int64         `json:"counts,omitempty"`
-}
-
-// Env fingerprints the machine and configuration a result was measured
-// on. The comparator refuses to gate on baselines recorded at a
-// different scale/cost-scale/iteration count, and reports (without
-// gating) when the hardware fingerprint differs.
-type Env struct {
-	GoVersion  string  `json:"go_version"`
-	GOOS       string  `json:"goos"`
-	GOARCH     string  `json:"goarch"`
-	NumCPU     int     `json:"num_cpu"`
-	GitSHA     string  `json:"git_sha,omitempty"`
-	Scale      float64 `json:"scale"`
-	CostScale  float64 `json:"cost_scale"`
-	Iterations int     `json:"iterations"`
-	// RecordedAt is stamped by WriteResult (RFC3339, UTC), not by the
-	// experiment itself — experiments stay on the injected clock.
-	RecordedAt string `json:"recorded_at,omitempty"`
-}
-
-// Result is the typed outcome of one experiment: the metrics and
-// subsystem snapshot carry the machine-readable data, while Header,
-// Rows and Notes carry the paper-style table. Report() is a pure view
-// over these fields — rendering a Result after a JSON round-trip yields
-// byte-identical output, which is what bench_smoke_test proves for
-// every experiment.
+// Result is the outcome of one experiment: the paper-style table
+// (Header, Rows, Notes) that EXPERIMENTS.md is made from, and the
+// deterministic counts — copies, crossings, modules loaded, retries,
+// pool forks — that `go test ./internal/bench` compares for exact
+// equality against testdata/counts.golden. Times live only in the table.
 type Result struct {
-	ID       string           `json:"id"`
-	Title    string           `json:"title"`
-	Env      Env              `json:"env"`
-	Metrics  []Metric         `json:"metrics"`
-	Snapshot metrics.Snapshot `json:"snapshot"`
-	Header   []string         `json:"header"`
-	Rows     [][]string       `json:"rows"`
-	Notes    []string         `json:"notes,omitempty"`
+	ID     string
+	Title  string
+	Header []string
+	Rows   [][]string
+	Notes  []string
+
+	counts map[string]int64
 }
 
-// newResult builds an experiment result with the environment
-// fingerprint filled in.
-func (o Options) newResult(id, title string) *Result {
-	return &Result{
-		ID:    id,
-		Title: title,
-		Env: Env{
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GitSHA:     buildGitSHA(),
-			Scale:      o.Scale,
-			CostScale:  o.CostScale,
-			Iterations: o.Iterations,
-		},
-	}
+func newResult(id, title string) *Result {
+	return &Result{ID: id, Title: title, counts: make(map[string]int64)}
 }
 
-// Report assembles the aligned-text-table view. It reads only the
-// serialisable fields, so the rendered table is a pure function of the
-// recorded data.
+// Report assembles the aligned-text-table view.
 func (r *Result) Report() *Report {
 	return &Report{ID: r.ID, Title: r.Title, Header: r.Header, Rows: r.Rows, Notes: r.Notes}
 }
 
-// Metric returns the named metric, or nil when the experiment did not
-// record it.
-func (r *Result) Metric(name string) *Metric {
-	for i := range r.Metrics {
-		if r.Metrics[i].Name == name {
-			return &r.Metrics[i]
-		}
+// count records a deterministic count under name and returns its table
+// cell. A name is recorded once per result; a second write is a bug in
+// the experiment, not a value to sum.
+func (r *Result) count(name string, v int64) string {
+	if _, dup := r.counts[name]; dup {
+		panic("bench: " + r.ID + ": count " + name + " recorded twice")
 	}
-	return nil
-}
-
-// add appends a metric.
-func (r *Result) add(m Metric) { r.Metrics = append(r.Metrics, m) }
-
-// msCell records a millisecond latency metric and returns the table
-// cell the pre-refactor tables printed for it.
-func (r *Result) msCell(name string, dir Direction, d time.Duration, samples ...time.Duration) string {
-	r.add(Metric{Name: name, Unit: "ms", Value: float64(d) / float64(time.Millisecond),
-		Direction: dir, Samples: samples})
-	return ms(d)
-}
-
-// usCell records a microsecond latency metric and returns its cell.
-func (r *Result) usCell(name string, dir Direction, d time.Duration, samples ...time.Duration) string {
-	r.add(Metric{Name: name, Unit: "us", Value: float64(d) / float64(time.Microsecond),
-		Direction: dir, Samples: samples})
-	return us(d)
-}
-
-// countCell records an integer counter metric and returns its cell.
-func (r *Result) countCell(name string, dir Direction, v int64) string {
-	r.add(Metric{Name: name, Unit: "count", Value: float64(v), Direction: dir})
+	r.counts[name] = v
 	return fmt.Sprint(v)
 }
 
-// gauge records a metric that has no table cell of its own (ratios,
-// percentages, throughputs folded into notes).
-func (r *Result) gauge(name, unit string, dir Direction, v float64) {
-	r.add(Metric{Name: name, Unit: unit, Value: v, Direction: dir})
+// alloyCounts records what every AlloyStack run returns beside its
+// times: MPK crossings, payload copies and bytes per transport kind,
+// function retries and stages skipped on resume.
+func (r *Result) alloyCounts(arm string, res *visor.RunResult) {
+	r.count(countKey("crossings", arm), int64(res.Crossings))
+	r.count(countKey("retries", arm), int64(res.Retries))
+	r.count(countKey("stages_skipped", arm), int64(res.StagesSkipped))
+	for kind, k := range res.Transfer.Kinds() {
+		r.count(countKey("copies", arm, kind), k.Copies)
+		r.count(countKey("bytes", arm, kind), k.Bytes)
+	}
 }
 
-// metricKey joins name parts into a stable metric identifier, squeezing
-// out the characters table labels use that metric names should not.
-func metricKey(parts ...string) string {
+// newRunTotal is the empty total sumRuns adds to.
+func newRunTotal() *visor.RunResult {
+	return &visor.RunResult{Transfer: metrics.NewTransportStats()}
+}
+
+// sumRuns folds one run's counts into the total of a sweep of runs.
+func sumRuns(total, res *visor.RunResult) {
+	total.Crossings += res.Crossings
+	total.Retries += res.Retries
+	total.StagesSkipped += res.StagesSkipped
+	total.MemPeak += res.MemPeak
+	total.Transfer.Merge(res.Transfer)
+}
+
+// countKey joins name parts into a count identifier, squeezing out the
+// characters table labels use that a space-separated golden line cannot
+// carry.
+func countKey(parts ...string) string {
 	s := strings.Join(parts, "/")
 	return strings.NewReplacer(" ", "_", "(", "", ")", "").Replace(s)
 }
 
-// wallNow is the single approved wall-clock read in this package: the
-// default Options.Clock and the recorder's RecordedAt timestamp both
-// funnel through it. Every measurement loop reads the injected clock,
-// which is what asvet's wallclock analyzer enforces.
+// wallNow is the single approved wall-clock read in this package, the
+// default Options.Clock. Every measurement loop reads the injected
+// clock, which is what asvet's wallclock analyzer enforces.
 func wallNow() time.Time {
-	return time.Now() //asvet:allow wallclock -- the one approved injection point: default clock + recorder timestamp
-}
-
-// buildGitSHA reads the VCS revision stamped into the binary; shared
-// with the watchdog/gateway build_info gauge via metrics.GitSHA.
-func buildGitSHA() string {
-	return metrics.GitSHA()
+	return time.Now() //asvet:allow wallclock -- the one approved injection point: the default clock
 }

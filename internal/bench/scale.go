@@ -23,7 +23,7 @@ func Fig17a(o Options) (*Result, error) {
 	levels := []int{1, 2, 4, 8}
 	perLevel := 3 * o.Iterations
 
-	rep := o.newResult("fig17a", "tail latency under load (paper Fig 17a)")
+	rep := newResult("fig17a", "tail latency under load (paper Fig 17a)")
 	rep.Header = []string{"Concurrency", "AS P50 (ms)", "AS P99 (ms)", "Kata P50 (ms)", "Kata P99 (ms)"}
 	rep.Notes = []string{
 		"paper: Faastlane-refer-kata P99 grows sharply with QPS (rootfs and cgroup",
@@ -32,30 +32,27 @@ func Fig17a(o Options) (*Result, error) {
 
 	v := newAlloyVisor()
 	for _, level := range levels {
-		asSum, err := loadSweepAS(o, v, size, level, perLevel)
+		asSum, asRuns, err := loadSweepAS(o, v, size, level, perLevel)
 		if err != nil {
 			return nil, fmt.Errorf("fig17a AS level %d: %w", level, err)
 		}
+		rep.alloyCounts(fmt.Sprintf("c%d", level), asRuns)
 		kataSum, err := loadSweepBaseline(o, size, level, perLevel)
 		if err != nil {
 			return nil, fmt.Errorf("fig17a kata level %d: %w", level, err)
 		}
-		rep.Snapshot.AddLatency(fmt.Sprintf("as_c%d", level), asSum)
-		rep.Snapshot.AddLatency(fmt.Sprintf("kata_c%d", level), kataSum)
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprint(level),
-			rep.msCell(fmt.Sprintf("p50_ms/c%d/AS", level), LowerIsBetter, asSum.P50),
-			rep.msCell(fmt.Sprintf("p99_ms/c%d/AS", level), LowerIsBetter, asSum.P99),
-			rep.msCell(fmt.Sprintf("p50_ms/c%d/kata", level), Informational, kataSum.P50),
-			rep.msCell(fmt.Sprintf("p99_ms/c%d/kata", level), Informational, kataSum.P99),
+			fmt.Sprint(level), ms(asSum.P50), ms(asSum.P99), ms(kataSum.P50), ms(kataSum.P99),
 		})
 	}
 	return emit(o, rep), nil
 }
 
-func loadSweepAS(o Options, v *visor.Visor, size int64, concurrency, total int) (metrics.Summary, error) {
+func loadSweepAS(o Options, v *visor.Visor, size int64, concurrency, total int) (metrics.Summary, *visor.RunResult, error) {
 	// Exact percentiles over every run: run i owns samples[i].
 	samples := make([]time.Duration, total)
+	runs := newRunTotal()
+	var mu sync.Mutex
 	w := workloads.ParallelSorting(3, "native")
 	var wg sync.WaitGroup
 	errCh := make(chan error, concurrency)
@@ -74,20 +71,24 @@ func loadSweepAS(o Options, v *visor.Visor, size int64, concurrency, total int) 
 					r.Ramfs = workloads.BuildBinRamfs(size, false)
 				})
 				start := o.now()
-				if _, err := v.RunWorkflow(w, ro); err != nil {
+				res, err := v.RunWorkflow(w, ro)
+				if err != nil {
 					errCh <- err
 					return
 				}
 				samples[i] = o.since(start)
+				mu.Lock()
+				sumRuns(runs, res)
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
-		return metrics.Summary{}, err
+		return metrics.Summary{}, nil, err
 	}
-	return metrics.Summarize(samples), nil
+	return metrics.Summarize(samples), runs, nil
 }
 
 func loadSweepBaseline(o Options, size int64, concurrency, total int) (metrics.Summary, error) {
@@ -155,7 +156,7 @@ func Fig17b(o Options) (*Result, error) {
 	o = o.withDefaults()
 	size := o.size(25 << 20)
 	counts := []int{1, 2, 4, 8}
-	rep := o.newResult("fig17b", "CPU and memory usage vs workflow instances (paper Fig 17b)")
+	rep := newResult("fig17b", "CPU and memory usage vs workflow instances (paper Fig 17b)")
 	rep.Header = []string{"Workflows", "AS CPU (ms)", "AS mem", "Kata CPU (ms)", "Kata mem"}
 	rep.Notes = []string{
 		"paper: AlloyStack reduces CPU 2.4x and memory 3.2x vs Faastlane-refer-kata;",
@@ -172,7 +173,7 @@ func Fig17b(o Options) (*Result, error) {
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var asCPU time.Duration
-		var asMem int64
+		asRuns := newRunTotal()
 		errCh := make(chan error, n)
 		for i := 0; i < n; i++ {
 			wg.Add(1)
@@ -192,7 +193,7 @@ func Fig17b(o Options) (*Result, error) {
 				asCPU += res.Clock.Total(metrics.StageReadInput) +
 					res.Clock.Total(metrics.StageCompute) +
 					res.Clock.Total(metrics.StageTransfer)
-				asMem += int64(res.MemPeak)
+				sumRuns(asRuns, res)
 				mu.Unlock()
 			}()
 		}
@@ -229,14 +230,12 @@ func Fig17b(o Options) (*Result, error) {
 		}
 		r.Close()
 
-		rep.gauge(fmt.Sprintf("mem_bytes/n%d/AS", n), "bytes", LowerIsBetter, float64(asMem))
-		rep.gauge(fmt.Sprintf("mem_bytes/n%d/kata", n), "bytes", Informational, float64(kataMem))
+		asMem := int64(asRuns.MemPeak)
+		rep.count(fmt.Sprintf("mem_bytes/n%d/AS", n), asMem)
+		rep.count(fmt.Sprintf("mem_bytes/n%d/kata", n), kataMem)
+		rep.alloyCounts(fmt.Sprintf("n%d", n), asRuns)
 		rep.Rows = append(rep.Rows, []string{
-			fmt.Sprint(n),
-			rep.msCell(fmt.Sprintf("cpu_ms/n%d/AS", n), LowerIsBetter, asCPU),
-			metrics.FormatBytes(asMem),
-			rep.msCell(fmt.Sprintf("cpu_ms/n%d/kata", n), Informational, kataCPU),
-			metrics.FormatBytes(kataMem),
+			fmt.Sprint(n), ms(asCPU), metrics.FormatBytes(asMem), ms(kataCPU), metrics.FormatBytes(kataMem),
 		})
 	}
 	return emit(o, rep), nil

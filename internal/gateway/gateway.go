@@ -520,9 +520,14 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Finish()
 }
 
-// Stop shuts the gateway's HTTP server and health prober down.
+// Stop shuts the gateway's HTTP server and health prober down and
+// closes the client's idle connections (the client rides
+// http.DefaultTransport, so other clients' idle connections go too and
+// are re-dialled on use): a backend's graceful Shutdown waits five
+// seconds on a connection that was dialled and never used.
 func (g *Gateway) Stop() error {
 	g.StopHealthLoop()
+	g.client.CloseIdleConnections()
 	if g.srv == nil {
 		return nil
 	}

@@ -293,57 +293,6 @@ func (t *TransportStats) CopiesPerByte(kind string) float64 {
 	return float64(k.Copies) / float64(k.Bytes)
 }
 
-// Snapshot is the JSON-serialisable digest an experiment attaches to
-// its typed result instead of formatting counters inline: latency
-// summaries by name, per-kind transport totals, and subsystem counters
-// (pool hits/forks, journal appends/bytes, scheduler admissions). All
-// fields round-trip exactly through encoding/json, which is what lets
-// BENCH_*.json files serve as regression baselines.
-type Snapshot struct {
-	Latency   map[string]Summary       `json:"latency,omitempty"`
-	Transport map[string]TransportKind `json:"transport,omitempty"`
-	Counters  map[string]int64         `json:"counters,omitempty"`
-	// Gauges carries point-in-time ratios and levels (warm hit rates,
-	// stock sizes) that are neither durations nor monotonic counts.
-	Gauges map[string]float64 `json:"gauges,omitempty"`
-}
-
-// AddLatency records a named latency digest.
-func (s *Snapshot) AddLatency(name string, sum Summary) {
-	if s.Latency == nil {
-		s.Latency = make(map[string]Summary)
-	}
-	s.Latency[name] = sum
-}
-
-// AddTransport folds a stats table's per-kind totals into the snapshot.
-func (s *Snapshot) AddTransport(t *TransportStats) {
-	for name, k := range t.Kinds() {
-		if s.Transport == nil {
-			s.Transport = make(map[string]TransportKind)
-		}
-		have := s.Transport[name]
-		have.add(k)
-		s.Transport[name] = have
-	}
-}
-
-// AddGauge records a named point-in-time gauge (last write wins).
-func (s *Snapshot) AddGauge(name string, v float64) {
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]float64)
-	}
-	s.Gauges[name] = v
-}
-
-// AddCounter accumulates a named subsystem counter.
-func (s *Snapshot) AddCounter(name string, v int64) {
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
-	s.Counters[name] += v
-}
-
 // FormatBytes renders a byte count in human units for reports.
 func FormatBytes(n int64) string {
 	switch {

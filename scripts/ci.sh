@@ -36,22 +36,10 @@ go run ./examples/tracedemo -o trace.json
 for w in frontdoor-noop chain-refpass chain-file wc-py-warm; do
 	go run ./benchmarks/e2e -workload "$w" -smoke
 done
-# Perf regression gate: run the cheap experiment subset (includes the
-# coldstart, crash-resume and cluster arms), record typed BENCH_*.json
-# results, and diff them against the committed baselines with
-# direction-aware noise bands. Journals + spill segments +
-# flight-recorder dumps stay in journal-artifacts/ so a failed run can
-# be replayed offline; the recorded results and the rendered report are
-# uploaded as artifacts.
-# No `| tee` here — a pipe would let the pipeline's exit status mask the
-# comparator's verdict under plain sh.
-bench_status=0
-go run ./cmd/asbench -exp cheap -scale 0.01 \
-	-record bench-results -compare benchmarks/baselines \
-	-band 1 -floor-ms 10 \
-	-artifacts journal-artifacts > bench-report.txt 2>&1 || bench_status=$?
-cat bench-report.txt
-# The cluster scale curve (nodes vs p50/p99/warm-hit/ring-stability) is
-# carved out of the report as its own artifact for the PR summary.
-sed -n '/^== cluster:/,/^$/p' bench-report.txt > cluster-scale-curve.txt || true
-exit $bench_status
+# The cheap experiment subset with injected cost off, gating nothing
+# (the experiments' counts were compared with their golden by
+# `go test ./internal/bench` above): it produces the artifacts CI
+# uploads — the rendered report, and under journal-artifacts/ the
+# crash-resume journals and spill segments and the obs experiment's
+# anomaly capture (profiles + flight recorder).
+go run ./cmd/asbench -exp cheap -scale 0.01 -cost-scale 0 -artifacts journal-artifacts > bench-report.txt
