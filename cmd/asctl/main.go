@@ -73,7 +73,7 @@ func usage() {
   asctl trace [-node host:port] [-o trace.json] -id <trace-id>   fetch a tail-sampled trace retained by the node
   asctl top [-node host:port] [-interval 2s] [-once]   live dashboard: latency quantiles, SLO burn, pools, runs
   asctl pools [-node host:port]   show the node's warm-instance pools
-  asctl cluster [-node host:port]   show the gateway's membership view, rendezvous rings and warm-hit rate
+  asctl cluster [-node host:port]   show a gateway's membership view, rendezvous rings and warm-hit rate (every asvisor -gateway serves it)
   asctl runs [-node host:port]    list journaled runs and their committed progress
   asctl resume [-node host:port] <run-id>   resume an unsealed run from its journal`)
 	os.Exit(2)
@@ -387,10 +387,6 @@ func cmdCluster(args []string) {
 	var view gateway.ClusterView
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
 		fatal("cluster: decode: %v", err)
-	}
-	if !view.Enabled {
-		fmt.Println("cluster routing not enabled on this gateway (start asvisor -gateway without -no-cluster)")
-		return
 	}
 	s := view.Stats
 	fmt.Printf("nodes %d/%d alive  warm-hit %.0f%% (%d hits, %d misses)  prewarms %d  shard-shed %d\n",

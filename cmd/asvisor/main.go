@@ -49,7 +49,6 @@ import (
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8080", "watchdog (or gateway) listen address")
 	gw := flag.String("gateway", "", "run as the cluster gateway over this comma-separated backend list instead of a node")
-	noCluster := flag.Bool("no-cluster", false, "gateway mode: disable rendezvous routing (plain failover list)")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "gateway mode: health/membership poll interval")
 	shardBudget := flag.Int("shard-budget", 0, "gateway mode: per-workflow concurrent token budget (0 = unlimited)")
 	nodeID := flag.String("node-id", "", "stable node identity advertised on /cluster (default: the listen address)")
@@ -76,7 +75,7 @@ func main() {
 	flag.Parse()
 
 	if *gw != "" {
-		runGateway(*listen, strings.Split(*gw, ","), !*noCluster, *healthInterval, *shardBudget)
+		runGateway(*listen, strings.Split(*gw, ","), *healthInterval, *shardBudget)
 		return
 	}
 
@@ -170,10 +169,7 @@ func main() {
 	wd.OptionsFor = func(name string) visor.RunOptions {
 		ro := visor.DefaultRunOptions()
 		ro.CostScale = *costScale
-		if store != nil {
-			ro.Durable = true
-			ro.Journal = store
-		}
+		ro.Journal = store
 		ro.Stdout = os.Stdout
 		ro.Faults = plan
 		ro.Retry = retry
@@ -283,9 +279,9 @@ func main() {
 }
 
 // runGateway serves the cluster front end: health/membership polling
-// over the backend list, rendezvous routing with pre-warm sweeps (unless
-// -no-cluster), and the /invoke, /cluster and /metrics surfaces.
-func runGateway(listen string, backends []string, clustered bool, interval time.Duration, shardBudget int) {
+// over the backend list, rendezvous routing with pre-warm sweeps, and
+// the /invoke, /cluster and /metrics surfaces.
+func runGateway(listen string, backends []string, interval time.Duration, shardBudget int) {
 	for i := range backends {
 		backends[i] = strings.TrimSpace(backends[i])
 	}
@@ -293,21 +289,15 @@ func runGateway(listen string, backends []string, clustered bool, interval time.
 	if err != nil {
 		fatal("gateway: %v", err)
 	}
-	if clustered {
-		g.Cluster = cluster.NewRouter(cluster.Config{ShardBudget: shardBudget})
-	}
+	g.Cluster = cluster.NewRouter(cluster.Config{ShardBudget: shardBudget})
 	g.CheckHealth()
 	g.StartHealthLoop(interval)
 	addr, err := g.Start(listen)
 	if err != nil {
 		fatal("start gateway: %v", err)
 	}
-	mode := "rendezvous routing"
-	if !clustered {
-		mode = "failover list"
-	}
-	fmt.Printf("asvisor gateway on http://%s (%s over %d backend(s); POST /invoke/{workflow}, GET /cluster)\n",
-		addr, mode, len(backends))
+	fmt.Printf("asvisor gateway on http://%s (rendezvous routing over %d backend(s); POST /invoke/{workflow}, GET /cluster)\n",
+		addr, len(backends))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -87,7 +87,6 @@ func tripRegistry(booked map[string]int, declineCharge bool) *visor.Registry {
 
 func durableOpts(store *journal.Store) visor.RunOptions {
 	ro := visor.DefaultRunOptions()
-	ro.Durable = true
 	ro.Journal = store
 	ro.Stdout = os.Stdout
 	return ro

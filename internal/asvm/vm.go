@@ -35,13 +35,13 @@ type Config struct {
 	// the default (1 << 40). The interpreter pays it per step; the AOT
 	// engine per basic block, when the block ends, so it can run past
 	// the bound by less than one block.
-	Fuel int64
+	Fuel int64 //asvet:allow unreachable -- the guest's safety bounds: every tier runs at the defaults; the engine tests and the differential fuzzer tighten them to reach the traps
 	// MaxMem bounds linear memory growth; 0 means 1 GiB.
-	MaxMem int64
+	MaxMem int64 //asvet:allow unreachable -- see Fuel
 	// StackCap bounds the operand stack; 0 means 64k values. The AOT
 	// engine holds each call to the depth the analysis proved it can
 	// reach rather than the depth it does reach.
-	StackCap int
+	StackCap int //asvet:allow unreachable -- see Fuel
 }
 
 // HostFunc is a host function callable from guest code. args are the

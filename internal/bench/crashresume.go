@@ -87,7 +87,6 @@ func CrashResume(o Options) (*Result, error) {
 
 		// Arm 2: durable run, no crash.
 		ro, err = buildOpts(func(r *visor.RunOptions) {
-			r.Durable = true
 			r.Journal = store
 		})
 		if err != nil {
@@ -103,7 +102,6 @@ func CrashResume(o Options) (*Result, error) {
 		// Arm 3: crash after the second barrier's commit (not timed),
 		// then resume.
 		co, err := buildOpts(func(r *visor.RunOptions) {
-			r.Durable = true
 			r.Journal = store
 			r.Faults = faults.NewPlan(int64(i+1), faults.Crash{Point: "after-commit:1"})
 		})
@@ -115,7 +113,6 @@ func CrashResume(o Options) (*Result, error) {
 			return nil, fmt.Errorf("crash run %d: expected crashpoint, got res=%v err=%v", i, cres, cerr)
 		}
 		rro, err := buildOpts(func(r *visor.RunOptions) {
-			r.Durable = true
 			r.Journal = store
 			r.Resume = cres.RunID
 		})

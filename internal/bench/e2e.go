@@ -383,7 +383,6 @@ func Fig16(o Options) (*Result, error) {
 		w := workloads.ParallelSorting(inst, "native")
 		asRes, err := runAlloy(o, v, w, func() (visor.RunOptions, error) {
 			ro := alloyOpts(o, func(r *visor.RunOptions) {
-				r.UseRamfs = true
 				r.Ramfs = workloads.BuildBinRamfs(size, false)
 			})
 			return ro, nil

@@ -67,7 +67,6 @@ func loadSweepAS(o Options, v *visor.Visor, size int64, concurrency, total int) 
 			defer wg.Done()
 			for i := range work {
 				ro := alloyOpts(o, func(r *visor.RunOptions) {
-					r.UseRamfs = true
 					r.Ramfs = workloads.BuildBinRamfs(size, false)
 				})
 				start := o.now()
@@ -180,7 +179,6 @@ func Fig17b(o Options) (*Result, error) {
 			go func() {
 				defer wg.Done()
 				ro := alloyOpts(o, func(r *visor.RunOptions) {
-					r.UseRamfs = true
 					r.Ramfs = workloads.BuildBinRamfs(size, false)
 				})
 				res, err := v.RunWorkflow(w, ro)

@@ -263,10 +263,10 @@ func TestRouterPrewarmPlanAndHitRate(t *testing.T) {
 	}
 
 	// Steady state before the pre-warm lands: traffic still routes to
-	// the top node (ring stability beats warm affinity at WarmBoost 1),
-	// which counts as warm misses.
+	// the top node (ring stability beats warm affinity: warm holders
+	// get no boost), which counts as warm misses.
 	for i := 0; i < 10; i++ {
-		r.NoteServed("wc", r.Route("wc")[0].Addr)
+		r.NoteServed(r.Route("wc")[0])
 	}
 	if rate := r.Stats().WarmHitRate; rate != 0 {
 		t.Errorf("pre-prewarm hit rate = %v, want 0", rate)
@@ -283,7 +283,7 @@ func TestRouterPrewarmPlanAndHitRate(t *testing.T) {
 	served := 0
 	for i := 0; i < 100; i++ {
 		c := r.Route("wc")[0]
-		r.NoteServed("wc", c.Addr)
+		r.NoteServed(c)
 		if c.Addr == top {
 			served++
 		}

@@ -7,19 +7,6 @@ import (
 
 // Config tunes the router.
 type Config struct {
-	// DegradedFactor multiplies a member's ranking weight while it
-	// self-reports SLO-degraded (default 0.5). 1.0 disables damping.
-	DegradedFactor float64
-	// LoadDamp scales how strongly advertised load (inflight/capacity)
-	// damps a member's weight: weight /= 1 + LoadDamp*load. Default 1.0
-	// (a saturated node ranks at half weight); 0 disables. Members
-	// advertising unlimited capacity are never load-damped.
-	LoadDamp float64
-	// WarmBoost multiplies the weight of members holding a warm
-	// template for the routed workflow (default 1: placement relies on
-	// rendezvous concentration plus pre-warm, keeping the ring stable;
-	// raise it to pin traffic to warm holders even mid-pre-warm).
-	WarmBoost float64
 	// ShardBudget is the default per-workflow concurrent token budget
 	// at the router (0 = unlimited); ShardBudgetFor overrides per
 	// workflow.
@@ -46,17 +33,6 @@ type Router struct {
 
 // NewRouter builds a router from cfg.
 func NewRouter(cfg Config) *Router {
-	if cfg.DegradedFactor <= 0 || cfg.DegradedFactor > 1 {
-		cfg.DegradedFactor = 0.5
-	}
-	if cfg.LoadDamp < 0 {
-		cfg.LoadDamp = 0
-	} else if cfg.LoadDamp == 0 {
-		cfg.LoadDamp = 1.0
-	}
-	if cfg.WarmBoost <= 0 {
-		cfg.WarmBoost = 1.0
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now //asvet:allow wallclock -- the approved clock injection point
 	}
@@ -84,22 +60,33 @@ type Candidate struct {
 	Warm bool `json:"warm"`
 	// Weight is the damped rendezvous weight the ranking used.
 	Weight float64 `json:"weight"`
+
+	// specAddr is the member's spec server, for pre-warm planning.
+	specAddr string
 }
 
-// weightOf computes the member's damped weight for a workflow.
-func (r *Router) weightOf(m Member, workflow string) float64 {
+// Ranking damping. A member self-reporting SLO-degraded ranks at
+// degradedFactor of its weight; advertised load (inflight/capacity)
+// divides the weight by 1 + loadDamp*load, so a saturated node ranks at
+// half weight. Warm holders get no boost: placement relies on rendezvous
+// concentration plus pre-warm, which keeps the ring stable.
+const (
+	degradedFactor = 0.5
+	loadDamp       = 1.0
+)
+
+// weightOf computes the member's damped weight. Members advertising
+// unlimited capacity are never load-damped.
+func weightOf(m Member) float64 {
 	w := 1.0
 	if m.Info.Degraded {
-		w *= r.cfg.DegradedFactor
+		w *= degradedFactor
 	}
-	if m.Info.Capacity > 0 && r.cfg.LoadDamp > 0 {
+	if m.Info.Capacity > 0 {
 		load := float64(m.Info.Inflight) / float64(m.Info.Capacity)
 		if load > 0 {
-			w /= 1 + r.cfg.LoadDamp*load
+			w /= 1 + loadDamp*load
 		}
-	}
-	if r.cfg.WarmBoost != 1.0 && m.Info.HasWarm(workflow) {
-		w *= r.cfg.WarmBoost
 	}
 	return w
 }
@@ -123,16 +110,17 @@ func (r *Router) Route(workflow string) []Candidate {
 		ids = append(ids, id)
 	}
 	ranked := Rank(workflow, ids, func(id string) float64 {
-		return r.weightOf(byID[id], workflow)
+		return weightOf(byID[id])
 	})
 	out := make([]Candidate, len(ranked))
 	for i, rk := range ranked {
 		m := byID[rk.ID]
 		out[i] = Candidate{
-			Addr:   m.Addr,
-			ID:     rk.ID,
-			Warm:   m.Info.HasWarm(workflow),
-			Weight: rk.Weight,
+			Addr:     m.Addr,
+			ID:       rk.ID,
+			Warm:     m.Info.HasWarm(workflow),
+			Weight:   rk.Weight,
+			specAddr: m.Info.SpecAddr,
 		}
 	}
 	return out
@@ -143,21 +131,15 @@ func (r *Router) Admit(workflow string) (func(), error) {
 	return r.limiter.Acquire(workflow)
 }
 
-// NoteServed records which member served a routed invocation, feeding
-// the warm-placement hit rate: a hit is a request that landed on a
-// node holding the workflow's sealed template.
-func (r *Router) NoteServed(workflow, addr string) {
-	for _, m := range r.members.Alive() {
-		if m.Addr == addr {
-			if m.Info.HasWarm(workflow) {
-				r.warmHits.Add(1)
-			} else {
-				r.warmMisses.Add(1)
-			}
-			return
-		}
+// NoteServed records that the routed candidate served an invocation,
+// feeding the warm-placement hit rate: a hit is a request that landed on
+// a node holding the workflow's sealed template when it was ranked.
+func (r *Router) NoteServed(c Candidate) {
+	if c.Warm {
+		r.warmHits.Add(1)
+	} else {
+		r.warmMisses.Add(1)
 	}
-	r.warmMisses.Add(1)
 }
 
 // NotePrewarm counts a triggered pre-warm.
@@ -196,7 +178,7 @@ func (r *Router) PrewarmPlans() []PrewarmPlan {
 			}
 			anyWarm = true
 			if ownerSpec == "" {
-				ownerSpec = r.specAddrOf(c.Addr)
+				ownerSpec = c.specAddr
 			}
 		}
 		if !anyWarm {
@@ -209,16 +191,6 @@ func (r *Router) PrewarmPlans() []PrewarmPlan {
 		})
 	}
 	return plans
-}
-
-// specAddrOf looks up a live member's spec-server address.
-func (r *Router) specAddrOf(addr string) string {
-	for _, m := range r.members.Alive() {
-		if m.Addr == addr {
-			return m.Info.SpecAddr
-		}
-	}
-	return ""
 }
 
 // Stats is the router's observability snapshot (gateway /cluster and

@@ -26,13 +26,13 @@ import (
 type ForkConfig struct {
 	// Stdout receives the clone's stdio output (defaults to the
 	// template's writer).
-	Stdout io.Writer
+	Stdout io.Writer //asvet:allow unreachable -- the pool forks with the zero ForkConfig and the visor calls SetStdout; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 
 	// Hub and IP give the clone its own virtual NIC. Clones cannot share
 	// the template's NIC address, so socket-using workflows must supply
 	// these (or boot cold).
-	Hub *netstack.Hub
-	IP  netstack.Addr
+	Hub *netstack.Hub //asvet:allow unreachable -- Hub-attached runs boot cold (run.boot); set nowhere today, tests included: a deletion candidate (ROADMAP 3)
+	IP  netstack.Addr //asvet:allow unreachable -- see Hub
 }
 
 // Fork cuts a warm clone from the WFD. The template's address space is
@@ -74,7 +74,6 @@ func (w *WFD) Fork(fc ForkConfig) (*WFD, error) {
 		Domain:      domain,
 		BufHeapSize: opts.BufHeapSize,
 		DiskImage:   opts.DiskImage,
-		UseRamfs:    opts.UseRamfs,
 		Ramfs:       opts.Ramfs,
 		Hub:         opts.Hub,
 		IP:          opts.IP,
@@ -85,7 +84,6 @@ func (w *WFD) Fork(fc ForkConfig) (*WFD, error) {
 	if fat := w.LibOS.Fat(); fat != nil {
 		cfg.Fat = fat
 	} else if ram := w.LibOS.Ram(); ram != nil {
-		cfg.UseRamfs = true
 		cfg.Ramfs = ram
 	}
 	l, err := libos.New(cfg)

@@ -48,14 +48,13 @@ const baseInitCost = 700 * time.Microsecond
 // Options configures a WFD instantiation.
 type Options struct {
 	// MemLimit caps the WFD address space (0 = unlimited).
-	MemLimit uint64
+	MemLimit uint64 //asvet:allow unreachable -- the WFD address-space cap mem.Space enforces; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 	// BufHeapSize bounds the intermediate-data heap (default 1 GiB).
 	BufHeapSize uint64
 
-	// DiskImage backs the fatfs module; UseRamfs/Ramfs select the
+	// DiskImage backs the fatfs module; a non-nil Ramfs selects the
 	// in-memory filesystem instead (Figure 16).
 	DiskImage blockdev.Device
-	UseRamfs  bool
 	Ramfs     *ramfs.FS
 
 	// Hub and IP connect the WFD's socket module to the virtual network.
@@ -159,7 +158,6 @@ func Instantiate(opts Options) (*WFD, error) {
 		Domain:      domain,
 		BufHeapSize: opts.BufHeapSize,
 		DiskImage:   opts.DiskImage,
-		UseRamfs:    opts.UseRamfs,
 		Ramfs:       opts.Ramfs,
 		Hub:         opts.Hub,
 		IP:          opts.IP,

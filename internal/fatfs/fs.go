@@ -29,9 +29,9 @@ type FS struct {
 // MkfsOptions configures Format.
 type MkfsOptions struct {
 	// SectorsPerCluster must be a power of two; 8 (4 KiB clusters) if 0.
-	SectorsPerCluster int
+	SectorsPerCluster int //asvet:allow unreachable -- mkfs geometry: every image uses the defaults; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 	// NumFATs is the number of FAT copies; 2 if 0.
-	NumFATs int
+	NumFATs int //asvet:allow unreachable -- see SectorsPerCluster
 }
 
 // Format writes a fresh FAT32 layout onto dev and mounts it.

@@ -3,7 +3,6 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -11,109 +10,33 @@ import (
 	"alloystack/internal/cluster"
 )
 
-// The gateway's cluster plane: when a cluster.Router is attached, the
-// health loop feeds its membership view from each backend's /cluster
-// advertisement, invocations route by damped rendezvous hash instead of
-// round-robin, per-workflow shard budgets shed at the front door, and
-// placement sweeps trigger pre-warms so the ring's top choice for a
-// workflow holds its warm template.
+// The gateway's side of the cluster plane: the health loop's poll feeds
+// the router's membership view from each backend's /cluster
+// advertisement, placement sweeps trigger pre-warms so the ring's top
+// choice for a workflow holds its warm template, and GET /cluster serves
+// the view to asctl. Routing itself is gateway.go's route.
 
-// stateFor returns the breaker state for addr, creating one for
-// membership-discovered nodes outside the configured backend list.
-func (g *Gateway) stateFor(addr string) *backendState {
-	for _, b := range g.backends {
-		if b.addr == addr {
-			return b
-		}
-	}
-	g.extraMu.Lock()
-	defer g.extraMu.Unlock()
-	if g.extras == nil {
-		g.extras = make(map[string]*backendState)
-	}
-	b, ok := g.extras[addr]
-	if !ok {
-		b = &backendState{addr: addr}
-		g.extras[addr] = b
-	}
-	return b
-}
-
-// invokeCluster routes one invocation over the cluster plane. handled
-// is false when the membership view has no live member yet — the caller
-// falls back to the round-robin path so a cold gateway (first health
-// poll pending) still serves.
-func (g *Gateway) invokeCluster(workflow, rawQuery string) (body []byte, err error, handled bool) {
-	cands := g.Cluster.Route(workflow)
-	if len(cands) == 0 {
-		return nil, nil, false
-	}
-	release, err := g.Cluster.Admit(workflow)
-	if err != nil {
-		g.shed.Add(1)
-		return nil, err, true
-	}
-	defer release()
-
-	var causes []error
-	tried := 0
-	for _, c := range cands {
-		b := g.stateFor(c.Addr)
-		if b.isDown(time.Now()) {
-			// Skipped without a probe: record why, distinguishably from
-			// a transport failure on a tried backend.
-			causes = append(causes, fmt.Errorf("gateway: backend %s: %w", c.Addr, ErrBreakerOpen))
-			continue
-		}
-		if tried > 0 {
-			g.failovers.Add(1)
-		}
-		tried++
-		body, ferr, outcome := g.forward(b, workflow, rawQuery)
-		switch outcome {
-		case outcomeOK:
-			g.Cluster.NoteServed(workflow, c.Addr)
-			return body, nil, true
-		case outcomeApp:
-			return body, ferr, true
-		default:
-			causes = append(causes, ferr)
-		}
-	}
-	return nil, fmt.Errorf("%w: %w", ErrAllDown, joinCauses(causes)), true
-}
-
-// joinCauses collapses the per-backend failure list into one wrapped
-// error; errors.Is/As reach every cause through errors.Join.
-func joinCauses(causes []error) error {
-	if len(causes) == 0 {
-		return ErrNoBackends
-	}
-	return errors.Join(causes...)
-}
-
-// pollCluster refreshes the membership view from each backend's
-// /cluster advertisement.
-func (g *Gateway) pollCluster(client *http.Client) {
-	for _, b := range g.backends {
-		g.pollClusterOne(client, b.addr)
-	}
-}
-
-// pollClusterOne polls a single node's advertisement into the view.
-func (g *Gateway) pollClusterOne(client *http.Client, addr string) {
-	resp, err := client.Get(fmt.Sprintf("http://%s/cluster", addr))
-	if err != nil {
-		g.Cluster.Membership().MarkDead(addr)
-		return
-	}
-	defer resp.Body.Close()
+// poll is the health turn's one request to a backend: GET /cluster. A
+// decodable 2xx closes the breaker and refreshes the member (load, warm
+// set, degraded-ness); anything else opens it and marks the member dead.
+func (g *Gateway) poll(client *http.Client, b *backendState) {
 	var info cluster.NodeInfo
-	if resp.StatusCode >= 300 || json.NewDecoder(resp.Body).Decode(&info) != nil {
-		g.Cluster.Membership().MarkDead(addr)
+	resp, err := client.Get(fmt.Sprintf("http://%s/cluster", b.addr))
+	if err == nil {
+		if resp.StatusCode >= 300 {
+			err = fmt.Errorf("status %d", resp.StatusCode)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&info)
+		}
+		resp.Body.Close()
+	}
+	if err != nil {
+		b.markDown(g.cooldown(), time.Now())
+		g.Cluster.Membership().MarkDead(b.addr)
 		return
 	}
-	g.Cluster.Membership().Update(addr, info)
+	b.markUp()
+	g.Cluster.Membership().Update(b.addr, info)
 }
 
 // prewarmGuard claims the (workflow, target) pre-warm slot; false when
@@ -152,9 +75,6 @@ type prewarmBody struct {
 // reflects the new template without waiting a health-loop period.
 // Returns how many pre-warms completed.
 func (g *Gateway) PrewarmSweep() int {
-	if g.Cluster == nil {
-		return 0
-	}
 	// Template boots stage runtime images; give them more room than a
 	// health probe.
 	client := &http.Client{Timeout: 2 * time.Minute}
@@ -171,7 +91,7 @@ func (g *Gateway) PrewarmSweep() int {
 			resp.Body.Close()
 			if resp.StatusCode < 300 {
 				g.Cluster.NotePrewarm()
-				g.pollClusterOne(client, plan.Target)
+				g.poll(client, g.states[plan.Target])
 				done++
 			}
 		}
@@ -183,7 +103,6 @@ func (g *Gateway) PrewarmSweep() int {
 // ClusterView is the gateway's GET /cluster response: router counters,
 // the membership view, and the ranked ring per advertised workflow.
 type ClusterView struct {
-	Enabled bool             `json:"enabled"`
 	Stats   cluster.Stats    `json:"stats,omitempty"`
 	Members []cluster.Member `json:"members,omitempty"`
 	// Rings maps workflow name to its current rendezvous ranking.
@@ -193,12 +112,7 @@ type ClusterView struct {
 // handleCluster serves GET /cluster (asctl cluster).
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if g.Cluster == nil {
-		json.NewEncoder(w).Encode(ClusterView{Enabled: false})
-		return
-	}
 	view := ClusterView{
-		Enabled: true,
 		Stats:   g.Cluster.Stats(),
 		Members: g.Cluster.Membership().Snapshot(),
 		Rings:   make(map[string][]cluster.Candidate),

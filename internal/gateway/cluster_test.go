@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,9 +40,6 @@ func TestAllDownCausesPerBackend(t *testing.T) {
 		if !strings.Contains(msg, addr) {
 			t.Errorf("error drops backend %s's cause:\n%s", addr, msg)
 		}
-	}
-	if errors.Is(err, ErrBreakerOpen) {
-		t.Error("tried-and-failed backends misreported as breaker-open")
 	}
 }
 
@@ -118,7 +117,6 @@ func TestClusterWarmPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Cluster = cluster.NewRouter(cluster.Config{})
 	g.CheckHealth()
 
 	// Pick a workflow name the ring assigns to the node that will NOT
@@ -198,7 +196,7 @@ func TestClusterWarmPlacement(t *testing.T) {
 	if err := json.Unmarshal([]byte(httpGetString(t, "http://"+addr+"/cluster")), &view); err != nil {
 		t.Fatal(err)
 	}
-	if !view.Enabled || len(view.Members) != 2 || len(view.Rings[name]) != 2 {
+	if len(view.Members) != 2 || len(view.Rings[name]) != 2 {
 		t.Fatalf("cluster view = %+v", view)
 	}
 
@@ -216,14 +214,12 @@ func TestClusterWarmPlacement(t *testing.T) {
 }
 
 // fakeClusterNode is an httptest backend speaking the watchdog's
-// health/cluster/invoke surface, with a controllable hot handler.
+// cluster/invoke surface, with a controllable hot handler.
 func fakeClusterNode(t *testing.T, hotStarted chan<- struct{}, hotRelease <-chan struct{}) string {
 	t.Helper()
 	var addr string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.URL.Path == "/healthz":
-			io.WriteString(w, "ok inflight=0 completed=0\n")
 		case r.URL.Path == "/cluster":
 			json.NewEncoder(w).Encode(cluster.NodeInfo{
 				ID: addr, Capacity: 8,
@@ -321,53 +317,175 @@ func TestShardBudgetShedsHotWorkflow(t *testing.T) {
 	}
 }
 
-// TestClusterBreakerOpenDistinguished: a member that transport-fails
-// trips its breaker; the next routed request reports it as
-// breaker-open (skipped), not as another transport failure.
-func TestClusterBreakerOpenDistinguished(t *testing.T) {
+// bouncingNode is a fake member that can be taken down and brought back
+// on the same address: while down it aborts every connection, which the
+// gateway's client sees as a transport failure. invokes counts the
+// invocations that reached it while up.
+type bouncingNode struct {
+	addr    string
+	down    atomic.Bool
+	invokes atomic.Int64
+}
+
+func newBouncingNode(t *testing.T) *bouncingNode {
+	t.Helper()
+	n := &bouncingNode{}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			io.WriteString(w, "ok\n")
-		case "/cluster":
-			json.NewEncoder(w).Encode(cluster.NodeInfo{ID: "n1", Capacity: 4})
+		switch {
+		case n.down.Load():
+			panic(http.ErrAbortHandler)
+		case r.URL.Path == "/cluster":
+			json.NewEncoder(w).Encode(cluster.NodeInfo{ID: n.addr, Capacity: 4})
+		default:
+			n.invokes.Add(1)
+			io.WriteString(w, `{"workflow":"wc"}`)
 		}
 	}))
-	addr := strings.TrimPrefix(srv.URL, "http://")
+	t.Cleanup(srv.Close)
+	n.addr = strings.TrimPrefix(srv.URL, "http://")
+	return n
+}
 
-	g, err := New(addr)
+// TestClusterBreakerOpenDistinguished: under rendezvous ordering an open
+// breaker sends a member to the back of the walk, not out of it. The
+// ring's top choice is tried last while its breaker is open and still
+// serves when it is the only one left; a single-node fleet that bounces
+// serves the first request after it is back, with no cooldown to wait
+// out and no health turn in between.
+func TestClusterBreakerOpenDistinguished(t *testing.T) {
+	a, b := newBouncingNode(t), newBouncingNode(t)
+	g, err := New(a.addr, b.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Cluster = cluster.NewRouter(cluster.Config{})
 	g.Cooldown = time.Hour
 	g.CheckHealth()
-
-	// Kill the node after it joined the view: the first invoke fails at
-	// the transport and trips the breaker.
-	srv.Close()
-	_, err = g.Invoke("wc")
-	if !errors.Is(err, ErrAllDown) || errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("first err = %v, want ErrAllDown via transport (not breaker-open)", err)
+	route := g.Cluster.Route("wc")
+	if len(route) != 2 {
+		t.Fatalf("route = %+v, want both members ranked", route)
 	}
-	// The member is still in the (stale) view but its breaker is open:
-	// the cluster path skips it and says so distinguishably.
-	_, err = g.Invoke("wc")
-	if !errors.Is(err, ErrAllDown) || !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("second err = %v, want ErrAllDown wrapping ErrBreakerOpen", err)
+	top, second := a, b
+	if route[0].Addr == b.addr {
+		top, second = b, a
+	}
+
+	// Open the top choice's breaker: the closed one serves, the open one
+	// is not reached.
+	g.states[top.addr].markDown(g.cooldown(), time.Now())
+	if _, err := g.Invoke("wc"); err != nil {
+		t.Fatal(err)
+	}
+	if top.invokes.Load() != 0 || second.invokes.Load() != 1 {
+		t.Fatalf("served top=%d second=%d, want the closed breaker tried first", top.invokes.Load(), second.invokes.Load())
+	}
+	// Lose the closed one: the open breaker is probed, last, and serves.
+	second.down.Store(true)
+	if _, err := g.Invoke("wc"); err != nil {
+		t.Fatalf("open breaker skipped instead of probed: %v", err)
+	}
+	if top.invokes.Load() != 1 {
+		t.Fatalf("top served %d, want the half-open probe to land", top.invokes.Load())
+	}
+
+	// One node, bounced after it joined the view.
+	n := newBouncingNode(t)
+	g1, err := New(n.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1.Cooldown = time.Hour
+	g1.CheckHealth()
+	n.down.Store(true)
+	if _, err := g1.Invoke("wc"); !errors.Is(err, ErrAllDown) || !strings.Contains(err.Error(), n.addr) {
+		t.Fatalf("err with the node down = %v, want ErrAllDown naming it", err)
+	}
+	if g1.BackendStatus()[n.addr] {
+		t.Fatal("transport failure left the breaker closed")
+	}
+	n.down.Store(false)
+	if _, err := g1.Invoke("wc"); err != nil {
+		t.Fatalf("first request after the node is back: %v", err)
+	}
+	if !g1.BackendStatus()[n.addr] {
+		t.Error("successful probe left the breaker open")
 	}
 }
 
-// TestClusterFallsBackWithoutMembers: with a router attached but no
-// live member polled yet, the gateway still serves via round-robin.
+// TestClusterFallsBackWithoutMembers: the router is there from New on.
+// Before the first health turn nothing is known about the fleet, so the
+// configured list is rotated and the router is told nothing; after it,
+// the same workflow sticks to the ring's top choice and every served
+// request is noted.
 func TestClusterFallsBackWithoutMembers(t *testing.T) {
-	b := startBackend(t)
-	g, err := New(b.Addr())
+	b1, b2 := startBackend(t), startBackend(t)
+	g, err := New(b1.Addr(), b2.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Cluster = cluster.NewRouter(cluster.Config{})
-	if _, err := g.Invoke("noop"); err != nil {
-		t.Fatalf("fallback invoke: %v", err)
+	for i := 0; i < 4; i++ {
+		if _, err := g.Invoke("noop"); err != nil {
+			t.Fatalf("rotation invoke %d: %v", i, err)
+		}
+	}
+	if b1.Completed() != 2 || b2.Completed() != 2 {
+		t.Fatalf("before the first poll: served %d / %d, want the rotation's 2 / 2", b1.Completed(), b2.Completed())
+	}
+	if st := g.Cluster.Stats(); st.WarmHits+st.WarmMisses != 0 {
+		t.Fatalf("rotation candidates were noted as placements: %+v", st)
+	}
+
+	g.CheckHealth()
+	top := b1
+	if g.Cluster.Route("noop")[0].Addr == b2.Addr() {
+		top = b2
+	}
+	before := top.Completed()
+	for i := 0; i < 4; i++ {
+		if _, err := g.Invoke("noop"); err != nil {
+			t.Fatalf("rendezvous invoke %d: %v", i, err)
+		}
+	}
+	if got := top.Completed() - before; got != 4 {
+		t.Fatalf("after the poll: ring top served %d/4", got)
+	}
+	if st := g.Cluster.Stats(); st.WarmHits+st.WarmMisses != 4 {
+		t.Fatalf("placements noted = %d, want 4", st.WarmHits+st.WarmMisses)
+	}
+}
+
+// TestCheckHealthOneRequestPerBackend: a health turn is one GET /cluster
+// per backend and nothing else; a reply that does not decode opens the
+// breaker and marks the member dead.
+func TestCheckHealthOneRequestPerBackend(t *testing.T) {
+	var mu sync.Mutex
+	seen := make(map[string][]string) // backend -> request paths
+	node := func(body string) string {
+		var addr string
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			seen[addr] = append(seen[addr], r.Method+" "+r.URL.Path)
+			mu.Unlock()
+			io.WriteString(w, body)
+		}))
+		t.Cleanup(srv.Close)
+		addr = strings.TrimPrefix(srv.URL, "http://")
+		return addr
+	}
+	good, bad := node(`{"id":"n1","capacity":4}`), node("ok inflight=0\n")
+	g, err := New(good, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := g.CheckHealth()
+	for _, addr := range []string{good, bad} {
+		if got := seen[addr]; len(got) != 1 || got[0] != "GET /cluster" {
+			t.Errorf("backend %s saw %v, want exactly one GET /cluster", addr, got)
+		}
+	}
+	if !status[good] || status[bad] {
+		t.Errorf("status = %v, want the decodable reply up and the other down", status)
+	}
+	if st := g.Cluster.Stats(); st.Nodes != 2 || st.NodesAlive != 1 {
+		t.Errorf("view = %+v, want 2 members, 1 alive", st)
 	}
 }

@@ -1,22 +1,22 @@
 // Package gateway implements the front door of an AlloyStack deployment
 // (paper Figure 4): invocations arrive at the gateway and are
 // load-balanced across AlloyStack processes, each of which runs a
-// watchdog HTTP server. Round-robin routing is wrapped in a small
-// circuit breaker: backends that fail transport-level or repeatedly
-// return 5xx are marked down for a cooldown and skipped, with half-open
-// probing so a recovered backend rejoins the rotation and a full outage
-// still surfaces as ErrAllDown rather than a silent hang.
+// watchdog HTTP server. One routing path serves every request: take the
+// workflow's shard token, order the backends (order), try them under one
+// failover policy (walk), relay what the node said. Each backend carries
+// a small circuit breaker: one that fails transport-level or repeatedly
+// returns 5xx is marked down for a cooldown and tried last, half-open,
+// so a recovered backend rejoins at once and a full outage still
+// surfaces as ErrAllDown rather than a silent hang.
 package gateway
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -31,10 +31,6 @@ import (
 var (
 	ErrNoBackends = errors.New("gateway: no backends configured")
 	ErrAllDown    = errors.New("gateway: all backends failed")
-	// ErrBreakerOpen marks a backend skipped because its circuit breaker
-	// was open — distinguishable (errors.Is) from a transport failure on
-	// a backend that was actually tried.
-	ErrBreakerOpen = errors.New("gateway: breaker open")
 )
 
 // backendState is one watchdog backend plus its breaker state.
@@ -44,28 +40,10 @@ type backendState struct {
 	mu        sync.Mutex
 	fails     int // consecutive status-level failures
 	downUntil time.Time
-	// degraded mirrors the backend's /healthz self-report: the node can
-	// serve but one of its workflows is inside an SLO breach. Degraded
-	// backends stay in rotation, just behind healthy ones.
-	degraded bool
 }
 
-// isDegraded reports the backend's last self-reported degraded state.
-func (b *backendState) isDegraded() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.degraded
-}
-
-// setDegraded records the health probe's degraded reading.
-func (b *backendState) setDegraded(v bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.degraded = v
-}
-
-// isDown reports whether the breaker currently excludes the backend
-// from the primary rotation.
+// isDown reports whether the breaker is open: the backend is tried
+// only after every backend whose breaker is closed.
 func (b *backendState) isDown(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -103,29 +81,25 @@ func (b *backendState) markUp() {
 // Gateway load-balances invocations across watchdog backends.
 type Gateway struct {
 	backends []*backendState
+	states   map[string]*backendState // backends by address
 	next     atomic.Uint64
 	client   *http.Client
 
-	// Cooldown is how long a tripped backend stays out of the primary
-	// rotation (default 500ms).
-	Cooldown time.Duration
+	// Cooldown is how long a tripped breaker stays open (default 500ms).
+	Cooldown time.Duration //asvet:allow unreachable -- the seam tests shorten or stretch breaker time through
 	// FailThreshold is how many consecutive 5xx responses trip the
 	// breaker (default 3). Transport-level failures trip it instantly.
-	FailThreshold int
+	FailThreshold int //asvet:allow unreachable -- test seam, see Cooldown
 	// Faults, when non-nil, is consulted before each forward so a
 	// deterministic plan can simulate downed backends (BackendDown).
-	Faults *faults.Plan
-	// Cluster, when non-nil, replaces round-robin with the cluster
-	// plane: rendezvous-hash routing over the membership view (fed by
-	// the health loop polling each backend's /cluster), per-workflow
-	// shard admission, and warm-placement pre-warm sweeps. When no
-	// member is alive yet the gateway falls back to round-robin.
+	Faults *faults.Plan //asvet:allow unreachable -- the chaos seam: integration chaos tests install a BackendDown plan
+	// Cluster is the cluster plane, never nil: the membership view the
+	// health loop feeds from each backend's /cluster (and nothing else
+	// may: every member is one of this gateway's backends), the
+	// rendezvous ranking over it, per-workflow shard admission and the
+	// pre-warm plans. New installs a default router; assign a configured
+	// one before serving.
 	Cluster *cluster.Router
-
-	// extras holds breaker state for backends discovered through the
-	// membership view that are not in the configured list.
-	extraMu sync.Mutex
-	extras  map[string]*backendState
 
 	// prewarming dedupes in-flight pre-warm triggers per (workflow,
 	// target) so overlapping sweeps do not double-build pools.
@@ -150,15 +124,18 @@ func New(backends ...string) (*Gateway, error) {
 	if len(backends) == 0 {
 		return nil, ErrNoBackends
 	}
-	states := make([]*backendState, len(backends))
-	for i, addr := range backends {
-		states[i] = &backendState{addr: addr}
-	}
-	return &Gateway{
-		backends: states,
+	g := &Gateway{
+		backends: make([]*backendState, len(backends)),
+		states:   make(map[string]*backendState, len(backends)),
 		client:   &http.Client{Timeout: 5 * time.Minute},
+		Cluster:  cluster.NewRouter(cluster.Config{}),
 		lat:      metrics.NewHistogram(),
-	}, nil
+	}
+	for i, addr := range backends {
+		g.backends[i] = &backendState{addr: addr}
+		g.states[addr] = g.backends[i]
+	}
+	return g, nil
 }
 
 func (g *Gateway) cooldown() time.Duration {
@@ -175,21 +152,28 @@ func (g *Gateway) failThreshold() int {
 	return 3
 }
 
+// reply is what a backend answered: the HTTP front end relays all three.
+type reply struct {
+	status     int
+	body       []byte
+	retryAfter int // the Retry-After hint in seconds, 0 when none
+}
+
 // forward outcomes.
 const (
 	outcomeOK        = iota // 2xx: success
 	outcomeApp              // 4xx: caller error, do not fail over
-	outcomeBackend          // 5xx: backend unhealthy, fail over with body
+	outcomeBackend          // 5xx: backend unhealthy, fail over with the reply
 	outcomeTransport        // connection-level failure, fail over
-	outcomeShed             // 429: backend saturated, fail over but stay in rotation
+	outcomeShed             // 429: backend saturated, fail over but keep the breaker closed
 )
 
-func (g *Gateway) forward(b *backendState, workflow, rawQuery string) ([]byte, error, int) {
+func (g *Gateway) forward(b *backendState, workflow, rawQuery string) (reply, error, int) {
 	now := time.Now()
 	if g.Faults != nil {
 		if err := g.Faults.BackendFail(b.addr); err != nil {
 			b.markDown(g.cooldown(), now)
-			return nil, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
+			return reply{}, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
 		}
 	}
 	url := fmt.Sprintf("http://%s/invoke/%s", b.addr, workflow)
@@ -199,41 +183,40 @@ func (g *Gateway) forward(b *backendState, workflow, rawQuery string) ([]byte, e
 	resp, err := g.client.Post(url, "application/json", nil)
 	if err != nil {
 		b.markDown(g.cooldown(), now)
-		return nil, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
+		return reply{}, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		b.markDown(g.cooldown(), now)
-		return nil, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
+		return reply{}, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
 	}
+	rep := reply{status: resp.StatusCode, body: body}
 	switch {
 	case resp.StatusCode < 300:
 		b.markUp()
-		return body, nil, outcomeOK
+		return rep, nil, outcomeOK
 	case resp.StatusCode >= 500:
 		b.noteFail(g.failThreshold(), g.cooldown(), now)
-		return body, fmt.Errorf("gateway: backend %s: status %d", b.addr, resp.StatusCode), outcomeBackend
+		return rep, fmt.Errorf("gateway: backend %s: status %d", b.addr, resp.StatusCode), outcomeBackend
 	case resp.StatusCode == http.StatusTooManyRequests:
 		// Admission control shed the request: the backend is healthy,
 		// just saturated. Spill to the next backend without tripping
 		// the breaker; if every backend sheds, the caller gets the 429
-		// body (with its Retry-After-derived error) back.
+		// and its Retry-After back.
 		b.markUp()
 		g.shed.Add(1)
-		return body, fmt.Errorf("gateway: backend %s: shed (429)", b.addr), outcomeShed
+		rep.retryAfter, _ = strconv.Atoi(resp.Header.Get("Retry-After")) // no usable hint reads as none
+		return rep, fmt.Errorf("gateway: backend %s: shed (429)", b.addr), outcomeShed
 	default:
 		// The backend answered coherently; the request is the problem.
 		b.markUp()
-		return body, fmt.Errorf("gateway: backend %s: status %d", b.addr, resp.StatusCode), outcomeApp
+		return rep, fmt.Errorf("gateway: backend %s: status %d", b.addr, resp.StatusCode), outcomeApp
 	}
 }
 
-// Invoke forwards one invocation. Healthy backends are tried first from
-// the round-robin cursor; if none succeeds, marked-down backends are
-// probed half-open so a recovered node rejoins immediately. Backends
-// answering 4xx stop the search (the request itself is bad); 5xx and
-// transport failures fail over to the next backend.
+// Invoke forwards one invocation and returns the serving backend's
+// reply body; see route for the path and walk for the failover policy.
 func (g *Gateway) Invoke(workflow string) ([]byte, error) {
 	return g.InvokeQuery(workflow, "")
 }
@@ -242,90 +225,106 @@ func (g *Gateway) Invoke(workflow string) ([]byte, error) {
 // to the backend URL, preserving client knobs like ?trace=1 and
 // ?warm=0 across the hop.
 func (g *Gateway) InvokeQuery(workflow, rawQuery string) ([]byte, error) {
+	rep, err := g.route(workflow, rawQuery)
+	return rep.body, err
+}
+
+// route is the gateway's one request path: shard token, order, walk.
+// A reply with a body is what a backend said, error or not; a reply
+// without one means the request was shed here (*cluster.ShardBudgetError)
+// or no backend could be reached (ErrAllDown).
+func (g *Gateway) route(workflow, rawQuery string) (reply, error) {
 	g.requests.Add(1)
 	reqStart := time.Now()
 	defer func() { g.lat.Observe(time.Since(reqStart)) }()
-	if g.Cluster != nil {
-		if body, err, handled := g.invokeCluster(workflow, rawQuery); handled {
-			return body, err
-		}
+	release, err := g.Cluster.Admit(workflow)
+	if err != nil {
+		g.shed.Add(1)
+		return reply{}, err
+	}
+	defer release()
+	cands, placed := g.order(workflow)
+	return g.walk(cands, placed, workflow, rawQuery)
+}
+
+// order lists the backends to try for workflow, best first. When the
+// membership view holds a live member it is the router's damped
+// rendezvous ranking (placed: the router chose, and is told who served).
+// Otherwise nothing is known about the fleet — no health turn has run
+// yet, or none ever will (library use) — and the one ordering left is
+// the configured list rotated from a round-robin cursor.
+func (g *Gateway) order(workflow string) (cands []cluster.Candidate, placed bool) {
+	if cands = g.Cluster.Route(workflow); len(cands) > 0 {
+		return cands, true
 	}
 	n := uint64(len(g.backends))
 	start := g.next.Add(1)
-	// Classify every backend once, against one clock snapshot, before
-	// the pass loop. Pass 0 walks healthy non-degraded backends, pass 1
-	// the degraded-but-up ones (an SLO breach deprioritises a node
-	// without benching it), pass 2 probes the marked-down remainder
-	// (half-open). Re-classifying inside the loop would let a backend
-	// whose state flips mid-request (cooldown expiry, concurrent health
-	// probe) compute a different pass each time and be skipped by all
-	// three; with the snapshot, every backend matches exactly one pass.
-	now := time.Now()
-	want := make([]int, n)
-	for i, b := range g.backends {
-		switch {
-		case b.isDown(now):
-			want[i] = 2
-		case b.isDegraded():
-			want[i] = 1
-		}
+	cands = make([]cluster.Candidate, n)
+	for i := range cands {
+		cands[i].Addr = g.backends[(start+uint64(i))%n].addr
 	}
-	var lastErr error
-	var lastBody []byte
-	// causes keeps the latest failure per backend so a total outage
-	// reports every backend's reason (wrapped, so errors.Is still finds
-	// sentinels like ErrBreakerOpen through the errors.Join below)
-	// instead of whichever error happened to be last.
-	causes := make([]error, n)
+	return cands, false
+}
+
+// walk is the failover policy, stated once:
+//
+//   - candidates whose breaker is closed are tried in order;
+//   - then the open ones are probed half-open, in order — among them a
+//     breaker this request tripped, which with a single backend is the
+//     only recovery path before ErrAllDown;
+//   - a 2xx ends the walk, and so does a 4xx: the request is the problem;
+//   - 5xx, 429 and transport failures move on, each leaving its cause;
+//   - with every candidate spent, the last reply a backend did send is
+//     surfaced (carrying the largest Retry-After seen); with none, the
+//     causes are joined under ErrAllDown.
+func (g *Gateway) walk(cands []cluster.Candidate, placed bool, workflow, rawQuery string) (reply, error) {
+	var (
+		last    reply // the last 5xx or 429 a backend answered
+		lastErr error
+		causes  []error
+	)
+	first := len(cands) // cands[first:] is the half-open queue the loop appends to
 	tried := 0
-	for pass := 0; pass < 3; pass++ {
-		for i := uint64(0); i < n; i++ {
-			idx := (start + i) % n
-			b := g.backends[idx]
-			match := pass == want[idx]
-			if pass == 2 && !match {
-				// The half-open pass also re-probes backends whose
-				// breaker tripped during this request (a pass-0/1
-				// forward transport-failed): with a single backend
-				// that is the only recovery path before ErrAllDown.
-				match = b.isDown(time.Now())
+	for i := 0; i < len(cands); i++ {
+		c := cands[i]
+		b := g.states[c.Addr]
+		if i < first && b.isDown(time.Now()) {
+			cands = append(cands, c)
+			continue
+		}
+		if tried > 0 {
+			g.failovers.Add(1)
+		}
+		tried++
+		rep, err, outcome := g.forward(b, workflow, rawQuery)
+		switch outcome {
+		case outcomeOK:
+			if placed {
+				g.Cluster.NoteServed(c)
 			}
-			if !match {
-				continue
-			}
-			if tried > 0 {
-				g.failovers.Add(1)
-			}
-			tried++
-			body, err, outcome := g.forward(b, workflow, rawQuery)
-			switch outcome {
-			case outcomeOK:
-				return body, nil
-			case outcomeApp:
-				return body, err
-			case outcomeBackend, outcomeShed:
-				lastBody, lastErr = body, err
-				causes[idx] = err
-			case outcomeTransport:
-				lastErr = err
-				causes[idx] = err
-			}
+			return rep, nil
+		case outcomeApp:
+			return rep, err
+		case outcomeBackend, outcomeShed:
+			rep.retryAfter = max(rep.retryAfter, last.retryAfter)
+			last, lastErr = rep, err
+		}
+		causes = append(causes, err)
+		if i < first && b.isDown(time.Now()) {
+			cands = append(cands, c)
 		}
 	}
-	if lastBody != nil {
-		// Every reachable backend rejected the invocation at the
-		// application layer: surface the response, not ErrAllDown.
-		return lastBody, lastErr
+	if last.body != nil {
+		return last, lastErr
 	}
-	return nil, fmt.Errorf("%w: %w", ErrAllDown, errors.Join(causes...))
+	return reply{}, fmt.Errorf("%w: %w", ErrAllDown, errors.Join(causes...))
 }
 
 // Failovers reports how many times a request moved past its first
 // candidate backend.
 func (g *Gateway) Failovers() int64 { return g.failovers.Load() }
 
-// BackendStatus reports each backend's breaker state (true = in the
-// primary rotation).
+// BackendStatus reports each backend's breaker state (true = closed).
 func (g *Gateway) BackendStatus() map[string]bool {
 	now := time.Now()
 	out := make(map[string]bool, len(g.backends))
@@ -335,40 +334,20 @@ func (g *Gateway) BackendStatus() map[string]bool {
 	return out
 }
 
-// CheckHealth actively probes every backend's /healthz, updating the
-// breaker: an unreachable or erroring backend is marked down, a
-// responsive one rejoins the rotation. Returns the post-probe status.
+// CheckHealth is one health turn: poll every backend's /cluster (one
+// request each, feeding breaker and membership view alike), then trigger
+// the pre-warms the refreshed view calls for. Returns the post-poll
+// breaker status.
 func (g *Gateway) CheckHealth() map[string]bool {
 	client := &http.Client{Timeout: 2 * time.Second}
 	for _, b := range g.backends {
-		resp, err := client.Get(fmt.Sprintf("http://%s/healthz", b.addr))
-		if err != nil {
-			b.markDown(g.cooldown(), time.Now())
-			continue
-		}
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode < 300 {
-			b.markUp()
-			// The watchdog self-reports "degraded ..." when one of its
-			// workflows is inside an SLO breach; such a backend stays up
-			// but drops behind healthy peers in the rotation.
-			b.setDegraded(bytes.HasPrefix(body, []byte("degraded")))
-		} else {
-			b.markDown(g.cooldown(), time.Now())
-		}
+		g.poll(client, b)
 	}
-	if g.Cluster != nil {
-		// The cluster plane rides the same loop: refresh the membership
-		// view from each backend's /cluster advertisement, then trigger
-		// any pre-warms the refreshed view calls for.
-		g.pollCluster(client)
-		g.PrewarmSweep()
-	}
+	g.PrewarmSweep()
 	return g.BackendStatus()
 }
 
-// StartHealthLoop probes backends every interval until Stop (or
+// StartHealthLoop runs CheckHealth every interval until Stop (or
 // StopHealthLoop) is called.
 func (g *Gateway) StartHealthLoop(interval time.Duration) {
 	if g.healthStop != nil {
@@ -415,32 +394,27 @@ func (g *Gateway) Start(addr string) (string, error) {
 			return
 		}
 		name := r.URL.Path[len("/invoke/"):]
-		body, err := g.InvokeQuery(name, r.URL.RawQuery)
+		rep, err := g.route(name, r.URL.RawQuery)
 		var sbe *cluster.ShardBudgetError
-		if errors.As(err, &sbe) {
+		switch {
+		case errors.As(err, &sbe):
 			// The workflow's shard budget is exhausted at the gateway:
-			// 429 with the limiter's Retry-After hint, mirroring the
-			// watchdogs' admission-control surface.
-			secs := int(sbe.RetryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(map[string]string{
-				"workflow": sbe.Workflow, "error": sbe.Error()})
-			return
-		}
-		if err != nil && body == nil {
+			// shed in the watchdogs' own shape, with the limiter's hint.
+			rep.status = http.StatusTooManyRequests
+			rep.retryAfter = max(1, int(sbe.RetryAfter/time.Second))
+			rep.body, _ = json.Marshal(map[string]string{"workflow": sbe.Workflow, "error": sbe.Error()}) // cannot fail: two strings
+		case rep.body == nil:
+			// No backend could be reached.
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		if err != nil {
-			w.WriteHeader(http.StatusInternalServerError)
+		// Relay what the node said: its status, its body, its Retry-After.
+		if rep.retryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(rep.retryAfter))
 		}
-		w.Write(body)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(rep.status)
+		w.Write(rep.body)
 	})
 	mux.HandleFunc("/metrics", g.handleMetrics)
 	mux.HandleFunc("/cluster", g.handleCluster)
@@ -449,9 +423,17 @@ func (g *Gateway) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// gauge renders a boolean as a 0/1 sample.
+func gauge(on bool) float64 {
+	if on {
+		return 1
+	}
+	return 0
+}
+
 // handleMetrics serves the metrics exposition: routed requests,
-// failover count and each backend's circuit-breaker state (1 = in the
-// primary rotation, 0 = tripped). The dialect (0.0.4 vs OpenMetrics)
+// failover count and each backend's circuit-breaker state (1 = closed,
+// 0 = tripped), in configured order. The dialect (0.0.4 vs OpenMetrics)
 // is negotiated from the Accept header.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw, ctype := metrics.NegotiateWriter(w, r.Header.Get("Accept"))
@@ -466,54 +448,35 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Backend 429 responses absorbed by spilling to another backend.")
 	pw.Value("alloystack_gateway_shed_total", float64(g.shed.Load()))
 	pw.Header("alloystack_gateway_backend_up", "gauge",
-		"Circuit-breaker state per backend (1 = in rotation).")
-	status := g.BackendStatus()
-	addrs := make([]string, 0, len(status))
-	for addr := range status {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	for _, addr := range addrs {
-		up := 0.0
-		if status[addr] {
-			up = 1.0
-		}
-		pw.Value("alloystack_gateway_backend_up", up, "backend", addr)
+		"Circuit-breaker state per backend (1 = closed).")
+	now := time.Now()
+	for _, b := range g.backends {
+		pw.Value("alloystack_gateway_backend_up", gauge(!b.isDown(now)), "backend", b.addr)
 	}
 	pw.Header("alloystack_gateway_backend_degraded", "gauge",
-		"Backend self-reported SLO-degraded state (1 = deprioritised).")
-	byAddr := make(map[string]*backendState, len(g.backends))
-	for _, b := range g.backends {
-		byAddr[b.addr] = b
+		"Backend self-reported SLO-degraded state (1 = ranked at half weight).")
+	for _, m := range g.Cluster.Membership().Snapshot() {
+		pw.Value("alloystack_gateway_backend_degraded", gauge(m.Alive && m.Info.Degraded), "backend", m.Addr)
 	}
-	for _, addr := range addrs {
-		deg := 0.0
-		if byAddr[addr].isDegraded() {
-			deg = 1.0
-		}
-		pw.Value("alloystack_gateway_backend_degraded", deg, "backend", addr)
-	}
-	if g.Cluster != nil {
-		cs := g.Cluster.Stats()
-		pw.Header("alloystack_cluster_nodes", "gauge",
-			"Nodes in the membership view (alive or not).")
-		pw.Value("alloystack_cluster_nodes", float64(cs.Nodes))
-		pw.Header("alloystack_cluster_nodes_alive", "gauge",
-			"Nodes whose last /cluster poll succeeded.")
-		pw.Value("alloystack_cluster_nodes_alive", float64(cs.NodesAlive))
-		pw.Header("alloystack_cluster_warm_hits_total", "counter",
-			"Routed invocations served by a node holding a warm template.")
-		pw.Value("alloystack_cluster_warm_hits_total", float64(cs.WarmHits))
-		pw.Header("alloystack_cluster_warm_misses_total", "counter",
-			"Routed invocations served by a node without a warm template.")
-		pw.Value("alloystack_cluster_warm_misses_total", float64(cs.WarmMisses))
-		pw.Header("alloystack_cluster_prewarms_total", "counter",
-			"Pre-warm builds triggered by placement sweeps.")
-		pw.Value("alloystack_cluster_prewarms_total", float64(cs.Prewarms))
-		pw.Header("alloystack_cluster_shard_shed_total", "counter",
-			"Invocations shed by per-workflow shard budgets (429).")
-		pw.Value("alloystack_cluster_shard_shed_total", float64(cs.ShardShed))
-	}
+	cs := g.Cluster.Stats()
+	pw.Header("alloystack_cluster_nodes", "gauge",
+		"Nodes in the membership view (alive or not).")
+	pw.Value("alloystack_cluster_nodes", float64(cs.Nodes))
+	pw.Header("alloystack_cluster_nodes_alive", "gauge",
+		"Nodes whose last /cluster poll succeeded.")
+	pw.Value("alloystack_cluster_nodes_alive", float64(cs.NodesAlive))
+	pw.Header("alloystack_cluster_warm_hits_total", "counter",
+		"Routed invocations served by a node holding a warm template.")
+	pw.Value("alloystack_cluster_warm_hits_total", float64(cs.WarmHits))
+	pw.Header("alloystack_cluster_warm_misses_total", "counter",
+		"Routed invocations served by a node without a warm template.")
+	pw.Value("alloystack_cluster_warm_misses_total", float64(cs.WarmMisses))
+	pw.Header("alloystack_cluster_prewarms_total", "counter",
+		"Pre-warm builds triggered by placement sweeps.")
+	pw.Value("alloystack_cluster_prewarms_total", float64(cs.Prewarms))
+	pw.Header("alloystack_cluster_shard_shed_total", "counter",
+		"Invocations shed by per-workflow shard budgets (429).")
+	pw.Value("alloystack_cluster_shard_shed_total", float64(cs.ShardShed))
 	pw.Histogram("alloystack_gateway_request_latency_seconds",
 		"End-to-end gateway request latency including failovers.", g.lat)
 	pw.BuildInfo("alloystack_build_info", metrics.CurrentBuild())

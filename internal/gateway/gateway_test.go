@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,8 +18,9 @@ import (
 	"alloystack/internal/visor"
 )
 
-// startBackend spins one visor+watchdog with a trivial workflow.
-func startBackend(t *testing.T) *visor.Watchdog {
+// startBackend spins one visor+watchdog with a trivial workflow;
+// configure hooks run before it starts.
+func startBackend(t *testing.T, configure ...func(*visor.Watchdog)) *visor.Watchdog {
 	t.Helper()
 	r := visor.NewRegistry()
 	r.RegisterNative("noop", func(env *asstd.Env, ctx visor.FuncContext) error {
@@ -40,6 +40,9 @@ func startBackend(t *testing.T) *visor.Watchdog {
 		o.CostScale = 0
 		o.BufHeapSize = 1 << 20
 		return o
+	}
+	for _, c := range configure {
+		c(wd)
 	}
 	if _, err := wd.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
@@ -141,14 +144,14 @@ func TestGatewayHTTPFrontEnd(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 
-	// Backend error surfaces as non-200 with the backend body.
+	// The node's own answer is relayed: an unknown workflow is its 404.
 	resp2, err := http.Post("http://"+addr+"/invoke/ghost", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	if resp2.StatusCode == http.StatusOK {
-		t.Fatal("ghost invocation reported OK")
+	if resp2.StatusCode != http.StatusNotFound {
+		t.Fatalf("ghost invocation status = %d, want the node's 404", resp2.StatusCode)
 	}
 }
 
@@ -334,6 +337,8 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 		"alloystack_gateway_requests_total 1",
 		"alloystack_gateway_failovers_total 0",
 		`alloystack_gateway_backend_up{backend="` + b.Addr() + `"} 1`,
+		"alloystack_gateway_request_latency_seconds_count",
+		"alloystack_build_info{",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
@@ -358,79 +363,6 @@ func TestGatewayMetricsEndpoint(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDegradedBackendDeprioritised checks the three-pass rotation: a
-// backend self-reporting "degraded" on /healthz keeps serving only when
-// no healthy peer can, and its state shows on the gateway's /metrics.
-func TestDegradedBackendDeprioritised(t *testing.T) {
-	var degradedHits, healthyHits int64
-	fake := func(hits *int64, health string) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/healthz" {
-				io.WriteString(w, health)
-				return
-			}
-			atomic.AddInt64(hits, 1)
-			w.Header().Set("Content-Type", "application/json")
-			io.WriteString(w, `{"workflow":"noop"}`)
-		}))
-	}
-	sick := fake(&degradedHits, "degraded workflows=noop inflight=0 completed=9\n")
-	well := fake(&healthyHits, "ok inflight=0 completed=9\n")
-	defer sick.Close()
-	defer well.Close()
-	sickAddr := strings.TrimPrefix(sick.URL, "http://")
-	wellAddr := strings.TrimPrefix(well.URL, "http://")
-
-	g, err := New(sickAddr, wellAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	status := g.CheckHealth()
-	if !status[sickAddr] || !status[wellAddr] {
-		t.Fatalf("probe status = %v, want both up", status)
-	}
-
-	// All traffic lands on the healthy backend while one exists.
-	for i := 0; i < 6; i++ {
-		if _, err := g.Invoke("noop"); err != nil {
-			t.Fatalf("invoke %d: %v", i, err)
-		}
-	}
-	if atomic.LoadInt64(&degradedHits) != 0 || atomic.LoadInt64(&healthyHits) != 6 {
-		t.Fatalf("traffic split degraded=%d healthy=%d, want 0/6",
-			degradedHits, healthyHits)
-	}
-
-	// The degraded backend is still a last resort: lose the healthy one
-	// and requests flow to it rather than failing.
-	well.Close()
-	if _, err := g.Invoke("noop"); err != nil {
-		t.Fatalf("invoke with only a degraded backend: %v", err)
-	}
-	if atomic.LoadInt64(&degradedHits) == 0 {
-		t.Fatal("degraded backend never served as last resort")
-	}
-
-	// Recovery: the backend stops self-reporting degraded, the next probe
-	// clears the flag.
-	addr, err := g.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Stop()
-	body := httpGetString(t, "http://"+addr+"/metrics")
-	for _, want := range []string{
-		`alloystack_gateway_backend_degraded{backend="` + sickAddr + `"} 1`,
-		`alloystack_gateway_backend_degraded{backend="` + wellAddr + `"} 0`,
-		"alloystack_gateway_request_latency_seconds_count",
-		"alloystack_build_info{",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
-		}
-	}
-}
-
 func httpGetString(t *testing.T, url string) string {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -449,47 +381,42 @@ func httpGetString(t *testing.T, url string) string {
 }
 
 // TestWatchdogDegradedFlowsToGateway wires a real watchdog whose SLO is
-// breached into the gateway and checks the probe picks the state up
-// end-to-end.
+// breached into the gateway and follows the one degraded signal end to
+// end: /cluster advertisement, member in the view, gauge, damped rank.
 func TestWatchdogDegradedFlowsToGateway(t *testing.T) {
-	r := visor.NewRegistry()
-	r.RegisterNative("noop", func(env *asstd.Env, ctx visor.FuncContext) error {
-		_, err := asstd.Now(env)
-		return err
+	wd := startBackend(t, func(wd *visor.Watchdog) {
+		wd.Telemetry = visor.NewTelemetry(visor.TelemetryConfig{
+			SamplerSeed: 1,
+			SLO:         metrics.SLOConfig{Objective: time.Nanosecond},
+		})
 	})
-	v := visor.New(r)
-	if err := v.RegisterWorkflow(&dag.Workflow{
-		Name:      "noop",
-		Functions: []dag.FuncSpec{{Name: "noop"}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wd := visor.NewWatchdog(v)
-	wd.OptionsFor = func(string) visor.RunOptions {
-		o := visor.DefaultRunOptions()
-		o.CostScale = 0
-		o.BufHeapSize = 1 << 20
-		return o
-	}
-	wd.Telemetry = visor.NewTelemetry(visor.TelemetryConfig{
-		SamplerSeed: 1,
-		SLO:         metrics.SLOConfig{Objective: time.Nanosecond},
-	})
-	if _, err := wd.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { wd.Stop() })
-
 	g, err := New(wd.Addr())
 	if err != nil {
 		t.Fatal(err)
+	}
+	g.CheckHealth()
+	if route := g.Cluster.Route("noop"); len(route) != 1 || route[0].Weight != 1 {
+		t.Fatalf("route before the breach = %+v, want one member at full weight", route)
 	}
 	if _, err := g.Invoke("noop"); err != nil {
 		t.Fatal(err)
 	}
 	g.CheckHealth()
-	if !g.backends[0].isDegraded() {
-		t.Fatal("gateway probe missed the backend's degraded self-report")
+	members := g.Cluster.Membership().Alive()
+	if len(members) != 1 || !members[0].Info.Degraded {
+		t.Fatalf("members = %+v, want the backend alive and degraded", members)
+	}
+	if route := g.Cluster.Route("noop"); route[0].Weight != 0.5 {
+		t.Errorf("degraded member ranks at weight %v, want 0.5", route[0].Weight)
+	}
+	addr, err := g.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	want := `alloystack_gateway_backend_degraded{backend="` + wd.Addr() + `"} 1`
+	if body := httpGetString(t, "http://"+addr+"/metrics"); !strings.Contains(body, want) {
+		t.Fatalf("metrics missing %q:\n%s", want, body)
 	}
 }
 

@@ -174,7 +174,6 @@ func TestCrashResumeChild(t *testing.T) {
 	opts.CostScale = 0
 	opts.BufHeapSize = 16 << 20
 	opts.Trace = tr
-	opts.Durable = true
 	opts.Journal = store
 	opts.ExportSlots = []string{visor.Slot("fin", 0, "out", 0)}
 	opts.Resume = resume

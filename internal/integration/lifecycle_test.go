@@ -169,7 +169,6 @@ func slowNode(t *testing.T, dwell time.Duration, peak *atomic.Int64) *visor.Watc
 		ro := visor.DefaultRunOptions()
 		ro.CostScale = 0
 		ro.BufHeapSize = 16 << 20
-		ro.UseRamfs = true
 		ro.Stdout = io.Discard
 		return ro
 	}

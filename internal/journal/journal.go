@@ -111,11 +111,11 @@ type Options struct {
 	Clock func() time.Time
 	// NoSync skips the per-append fsync (benchmarks measuring the
 	// framing overhead alone; durability tests keep it off).
-	NoSync bool
+	NoSync bool //asvet:allow unreachable -- set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 	// KV, when non-nil, spills barrier payloads through the kv
 	// transport's client surface (xfer.KVClient, satisfied by
 	// *kvstore.Client) instead of files next to the journal.
-	KV xfer.KVClient
+	KV xfer.KVClient //asvet:allow unreachable -- the kv spill backend; in-repo only journal's and visor's tests wire a store
 }
 
 // Store manages the journals under one directory.

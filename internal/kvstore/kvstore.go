@@ -291,10 +291,10 @@ type Client struct {
 
 	// MaxReconnects bounds redial-and-replay attempts per command
 	// (default 2).
-	MaxReconnects int
+	MaxReconnects int //asvet:allow unreachable -- test seam: the reconnect chaos tests bound the redials
 	// Faults, when non-nil, is consulted before every command so a
 	// deterministic plan can drop the connection (KVDropConn).
-	Faults *faults.Plan
+	Faults *faults.Plan //asvet:allow unreachable -- the chaos seam: KVDropConn plans are installed by the reconnect tests
 }
 
 // Dial connects to the store at addr.

@@ -64,12 +64,9 @@ type Config struct {
 	// forked fatfs load performs zero device reads.
 	Fat *fatfs.FS
 
-	// UseRamfs mounts a ramfs instead of formatting/mounting the FAT
-	// image — the Figure 16 configuration.
-	UseRamfs bool
-	// Ramfs optionally supplies a pre-populated in-memory filesystem
-	// (shared input staging); if nil and UseRamfs is set, an empty one
-	// is created.
+	// Ramfs, when non-nil, is mounted instead of formatting/mounting
+	// the FAT image — the Figure 16 configuration. It may arrive
+	// pre-populated (shared input staging).
 	Ramfs *ramfs.FS
 
 	// Hub and IP configure the socket module's virtual NIC.

@@ -201,7 +201,6 @@ func TestRamfsMode(t *testing.T) {
 	shared := ramfs.New()
 	shared.WriteFile("input.txt", []byte("staged"))
 	l, ns := newWFDEnv(t, func(c *Config) {
-		c.UseRamfs = true
 		c.Ramfs = shared
 		c.DiskImage = nil
 	})

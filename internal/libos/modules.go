@@ -9,7 +9,6 @@ import (
 	"alloystack/internal/loader"
 	"alloystack/internal/mem"
 	"alloystack/internal/netstack"
-	"alloystack/internal/ramfs"
 	"alloystack/internal/vfs"
 )
 
@@ -142,11 +141,7 @@ func initFatfs(e any) (loader.Instance, error) {
 		l.mu.Lock()
 		l.fat = l.cfg.Fat
 		l.mu.Unlock()
-	} else if l.cfg.UseRamfs {
-		r := l.cfg.Ramfs
-		if r == nil {
-			r = ramfs.New()
-		}
+	} else if r := l.cfg.Ramfs; r != nil {
 		if err := l.VFS.Mount("/", vfs.RamFS{FS: r}); err != nil {
 			return nil, err
 		}

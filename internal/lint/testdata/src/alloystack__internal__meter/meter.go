@@ -74,3 +74,24 @@ var registered = map[string]func() int{"boot": fromInit}
 
 // fromInit is only referenced by a package-level initialiser.
 func fromInit() int { return 0 }
+
+// RunOptions: visor.RunOptions before the analyzer learnt fields, cut down.
+type RunOptions struct {
+	Journal  string // a composite-literal key in the main fixture
+	Resume   string // assigned there
+	Retries  int    // incremented there
+	Deadline int    // its address is taken there
+	Verdict  string `json:"verdict"` // filled by reflection
+	RunID    string // want "RunOptions.RunID is never written"
+	Peer     *Clock // want "RunOptions.Peer is never written"
+	//asvet:allow unreachable -- fixture: the kill-the-process seam a test installs
+	CrashFn func(point string)
+	Grace   int // want "RunOptions.Grace is never written" -- a constant default is no writer
+}
+
+func (o RunOptions) WithDefaults() RunOptions {
+	if o.Grace <= 0 {
+		o.Grace = 10
+	}
+	return o
+}

@@ -12,6 +12,11 @@ func main() {
 	var c meter.Clock
 	c.Add(time.Second)
 	fmt.Println(meter.FormatBytes(1), meter.Compute, notInternal())
+
+	o := meter.RunOptions{Journal: "dir"}
+	o.Resume = "run-1"
+	o.Retries++
+	fmt.Println(o.WithDefaults(), &o.Deadline)
 }
 
 // notInternal is dead too, but only internal/... packages are reported.

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -36,7 +37,8 @@ import (
 var Unreachable = &Analyzer{
 	Name: "unreachable",
 	Doc: "functions in internal/... must be reachable from a main, an init, " +
-		"or an exported symbol that non-test code outside the package references",
+		"or an exported symbol that non-test code outside the package references; " +
+		"exported struct fields there must have a non-test writer",
 	RunModule: runUnreachable,
 }
 
@@ -92,6 +94,7 @@ func runUnreachable(pass *ModulePass) {
 			"%s is unreachable: no non-test code reaches it from a main, an init or "+
 				"an exported symbol referenced outside its package", n.Name)
 	}
+	reportUnwrittenFields(pass)
 }
 
 // typesUsedAbroad returns "pkgpath.Type" for every type that non-test
@@ -175,4 +178,94 @@ func externallyDispatched(mod *Module) []*types.Func {
 		}
 	}
 	return out
+}
+
+// reportUnwrittenFields is the same argument one level down: an exported
+// field of an exported internal/... struct that no non-test code writes
+// holds one value in every shipped binary, so each branch on it is
+// weight. A write is a composite-literal key (or position), an
+// assignment, x.F++ or &x.F; filling in a constant default,
+// `if x.F <= 0 { x.F = 0.5 }`, is not. `json:` fields are filled by
+// reflection and exempt.
+func reportUnwrittenFields(pass *ModulePass) {
+	written := make(map[*types.Var]bool)
+	for _, pkg := range pass.Module.Packages {
+		fieldOf := func(e ast.Expr) *types.Var {
+			if sel, ok := unparen(e).(*ast.SelectorExpr); ok {
+				e = sel.Sel
+			}
+			id, _ := e.(*ast.Ident)
+			if v, ok := pkg.Info.Uses[id].(*types.Var); ok && v.IsField() {
+				return v.Origin()
+			}
+			return nil
+		}
+		defaulted := make(map[ast.Stmt]bool)
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					tested := make(map[*types.Var]bool)
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						if e, ok := c.(ast.Expr); ok {
+							tested[fieldOf(e)] = true
+						}
+						return true
+					})
+					for _, s := range n.Body.List {
+						if as, ok := s.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 &&
+							tested[fieldOf(as.Lhs[0])] && pkg.Info.Types[as.Rhs[0]].Value != nil {
+							defaulted[as] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written[fieldOf(lhs)] = written[fieldOf(lhs)] || !defaulted[n]
+					}
+				case *ast.IncDecStmt:
+					written[fieldOf(n.X)] = true
+				case *ast.UnaryExpr: // &x.F: whoever holds the address may write
+					written[fieldOf(n.X)] = written[fieldOf(n.X)] || n.Op == token.AND
+				case *ast.CompositeLit:
+					st := structOf(pkg.Info.TypeOf(n))
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							written[fieldOf(kv.Key)] = true
+						} else if st != nil && i < st.NumFields() {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, pkg := range pass.Module.Packages {
+		if !strings.Contains(pkg.PkgPath, "/internal/") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, _ := scope.Lookup(name).(*types.TypeName)
+			if tn == nil || !tn.Exported() {
+				continue
+			}
+			st := structOf(tn.Type())
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !written[f] && !strings.Contains(st.Tag(i), `json:"`) {
+					pass.Reportf(f.Pos(), "%s.%s is never written: no non-test code sets it, "+
+						"so a shipped binary only ever sees one value", name, f.Name())
+				}
+			}
+		}
+	}
+}
+
+// structOf returns the struct behind t or, for an elided &T{...}, *t.
+func structOf(t types.Type) *types.Struct {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
 }

@@ -39,11 +39,11 @@ type SLOConfig struct {
 	Target float64
 	// ShortWindow and LongWindow are the burn-rate windows (defaults
 	// 1m and 10m). Both must burn past BurnThreshold for Breached.
-	ShortWindow time.Duration
+	ShortWindow time.Duration //asvet:allow unreachable -- test seam: the burn-rate tests shorten the window (asvisor exposes Objective and Target only)
 	LongWindow  time.Duration
 	// BurnThreshold is the burn rate that counts as a breach (default
 	// 2: budget being spent at twice the sustainable pace).
-	BurnThreshold float64
+	BurnThreshold float64 //asvet:allow unreachable -- test seam, see ShortWindow
 }
 
 func (c SLOConfig) withDefaults() SLOConfig {

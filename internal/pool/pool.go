@@ -66,23 +66,23 @@ type Config struct {
 	Min, Max int
 	// IdleTTL evicts clones idle longer than this (default 2m; stock
 	// never drops below the autoscaler's current target).
-	IdleTTL time.Duration
+	IdleTTL time.Duration //asvet:allow unreachable -- test seam: the pool and lifecycle tests shorten eviction time through it
 	// RefillEvery is the background maintenance period (default 1s).
 	RefillEvery time.Duration
 	// Jitter spreads maintenance ticks by ±Jitter fraction of
 	// RefillEvery so many pools do not refill in lockstep (default 0.1).
-	Jitter float64
+	Jitter float64 //asvet:allow unreachable -- set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 	// Seed seeds the jitter RNG; a fixed seed makes maintenance timing
 	// reproducible (the determinism contract of the chaos suite).
 	Seed int64
 	// Window is the arrival-rate window the autoscaler sizes from
 	// (default 30s).
-	Window time.Duration
+	Window time.Duration //asvet:allow unreachable -- test seam, see IdleTTL
 	// Clock is the time source (tests inject a fake; default time.Now).
 	Clock func() time.Time
 	// Trace, when set, records pool lifecycle spans (template boot,
 	// fork, evict) for the structural fingerprint.
-	Trace *trace.Tracer
+	Trace *trace.Tracer //asvet:allow unreachable -- test seam: the pool fingerprint test records lifecycle spans through it
 }
 
 // Pool serves warm clones of one workflow's template WFD.

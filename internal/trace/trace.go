@@ -78,7 +78,7 @@ type Options struct {
 	// TraceID names the trace; empty derives a process-unique ID from
 	// the proc label. Multi-node runs overwrite it via Adopt so both
 	// halves stitch into one trace.
-	TraceID string
+	TraceID string //asvet:allow unreachable -- test seam: fingerprint tests pin the ID; shipped code adopts one via Adopt
 	// Syscalls enables per-LibOS-crossing spans (verbose; off by
 	// default because a large run makes thousands of them).
 	Syscalls bool

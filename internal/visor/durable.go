@@ -101,14 +101,14 @@ func (d *durableRun) committedPrefix() int {
 // leaves r.dj nil.
 func (r *run) openJournal() error {
 	opts := &r.opts
-	if !opts.Durable && opts.Resume == "" {
-		return nil
-	}
 	s := opts.Journal
 	if s == nil {
-		// Never degrade silently: a resume request without a journal
-		// store would re-run the whole workflow fresh and non-durable.
-		return errors.New("visor: RunOptions.Durable/Resume require a Journal store")
+		if opts.Resume != "" {
+			// Never degrade silently: a resume request without a journal
+			// store would re-run the whole workflow fresh and non-durable.
+			return errors.New("visor: RunOptions.Resume requires a Journal store")
+		}
+		return nil
 	}
 	d := &durableRun{opts: opts, store: s, async: opts.Faults == nil}
 	if opts.Resume != "" {
@@ -125,7 +125,7 @@ func (r *run) openJournal() error {
 		d.resumeFrom = st.CommittedPrefix()
 		d.committed = d.resumeFrom
 	} else {
-		jr, err := s.Begin(opts.RunID, r.w)
+		jr, err := s.Begin("", r.w)
 		if err != nil {
 			return err
 		}

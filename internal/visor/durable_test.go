@@ -80,7 +80,6 @@ func countingRegistry(counts map[string]*atomic.Int64) *Registry {
 
 func durableOpts(store *journal.Store, mutate func(*RunOptions)) RunOptions {
 	return testOpts(func(o *RunOptions) {
-		o.Durable = true
 		o.Journal = store
 		o.ExportSlots = []string{Slot("sum", 0, "out", 0)}
 		if mutate != nil {
@@ -206,7 +205,6 @@ func TestDurableFailureUnwindsSaga(t *testing.T) {
 	v := New(sagaRegistry(counts))
 	store := openTestStore(t)
 	o := testOpts(func(o *RunOptions) {
-		o.Durable = true
 		o.Journal = store
 	})
 	res, err := v.RunWorkflow(sagaWorkflow(3), o)
@@ -240,7 +238,6 @@ func TestCompensationsExactlyOnceAcrossResume(t *testing.T) {
 
 	// Crash mid-unwind, right after the first compensation commits.
 	o := testOpts(func(o *RunOptions) {
-		o.Durable = true
 		o.Journal = store
 		o.Faults = faults.NewPlan(1, faults.Crash{Point: "after-comp:0"})
 	})
@@ -254,7 +251,6 @@ func TestCompensationsExactlyOnceAcrossResume(t *testing.T) {
 
 	// The resume goes straight to the unwind and skips the journaled key.
 	ro := testOpts(func(o *RunOptions) {
-		o.Durable = true
 		o.Journal = store
 		o.Resume = res.RunID
 	})
@@ -282,16 +278,12 @@ func TestCompensationsExactlyOnceAcrossResume(t *testing.T) {
 
 func TestDurableRequiresJournalStore(t *testing.T) {
 	v := New(countingRegistry(map[string]*atomic.Int64{}))
-	// Durable (and Resume) without a journal store must fail loudly, not
-	// degrade into a fresh non-durable run.
-	for _, mutate := range []func(*RunOptions){
-		func(o *RunOptions) { o.Durable = true },
-		func(o *RunOptions) { o.Resume = "some-run" },
-	} {
-		_, err := v.RunWorkflow(pipelineWorkflow(2), testOpts(mutate))
-		if err == nil || !strings.Contains(err.Error(), "Journal") {
-			t.Fatalf("err = %v, want journal-required error", err)
-		}
+	// Resume without a journal store must fail loudly, not degrade into
+	// a fresh non-durable run. (The store is what asks for durability, so
+	// "durable without a store" cannot be written.)
+	_, err := v.RunWorkflow(pipelineWorkflow(2), testOpts(func(o *RunOptions) { o.Resume = "some-run" }))
+	if err == nil || !strings.Contains(err.Error(), "Journal") {
+		t.Fatalf("err = %v, want journal-required error", err)
 	}
 }
 

@@ -63,7 +63,6 @@ func TestWatchdogStopDrainsInflight(t *testing.T) {
 	}
 	wd := NewWatchdog(v)
 	wd.OptionsFor = func(string) RunOptions { return fastOpts() }
-	wd.StopGrace = 10 * time.Second
 	addr, err := wd.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

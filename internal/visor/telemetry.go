@@ -65,13 +65,10 @@ type TelemetryConfig struct {
 	// is always retained (default 0.99). Runs measured before the
 	// workflow has MinTailCount observations never match the tail rule —
 	// the estimate is not meaningful yet.
-	TailQuantile float64
+	TailQuantile float64 //asvet:allow unreachable -- test seam: the tail-retention test lowers it to reach the rule in a few runs
 	// RetainedTraces bounds the Chrome-export store (default 32; FIFO
 	// eviction).
-	RetainedTraces int
-	// FlightSpans sizes each run's flight recorder ring (default
-	// trace.DefaultRecorderSize).
-	FlightSpans int
+	RetainedTraces int //asvet:allow unreachable -- test seam: the eviction test shrinks the store
 	// SLO, when Objective > 0, enables per-workflow SLO tracking with
 	// this shared configuration.
 	SLO metrics.SLOConfig
@@ -98,9 +95,6 @@ func (c TelemetryConfig) withDefaults() TelemetryConfig {
 	}
 	if c.RetainedTraces <= 0 {
 		c.RetainedTraces = 32
-	}
-	if c.FlightSpans <= 0 {
-		c.FlightSpans = trace.DefaultRecorderSize
 	}
 	if c.CaptureCPUProfile <= 0 {
 		c.CaptureCPUProfile = 250 * time.Millisecond
@@ -133,7 +127,7 @@ func (t *Telemetry) StartRun(workflow string) *trace.Tracer {
 		return nil
 	}
 	return trace.New("watchdog", trace.Options{
-		Recorder: trace.NewRecorder(t.cfg.FlightSpans),
+		Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
 	})
 }
 

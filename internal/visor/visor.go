@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,15 +18,12 @@ import (
 
 	"alloystack/internal/asstd"
 	"alloystack/internal/asvm"
-	"alloystack/internal/blockdev"
 	"alloystack/internal/core"
 	"alloystack/internal/dag"
 	"alloystack/internal/faults"
 	"alloystack/internal/journal"
 	"alloystack/internal/metrics"
-	"alloystack/internal/netstack"
 	"alloystack/internal/pool"
-	"alloystack/internal/ramfs"
 	"alloystack/internal/scan"
 	"alloystack/internal/trace"
 	"alloystack/internal/xfer"
@@ -170,28 +166,11 @@ func (r *Registry) lookup(name, language string) (NativeFunc, *VMFunc, error) {
 
 // RunOptions configure one workflow invocation.
 type RunOptions struct {
-	// OnDemand / IFI / CostScale / MemLimit map directly onto the WFD
-	// options (see core.Options).
-	OnDemand  bool
-	IFI       bool
-	CostScale float64
-	MemLimit  uint64
-	// BufHeapSize bounds the intermediate-data heap.
-	BufHeapSize uint64
-
-	// DiskImage supplies the WFD's input filesystem image (already
-	// populated by the workload's setup phase). May be nil.
-	DiskImage blockdev.Device
-	// UseRamfs/Ramfs run the Figure 16 in-memory-filesystem mode.
-	UseRamfs bool
-	Ramfs    *ramfs.FS
-
-	// Hub/IP attach the WFD to the virtual network when set.
-	Hub *netstack.Hub
-	IP  netstack.Addr
-
-	// Stdout captures function console output.
-	Stdout io.Writer
+	// Options is the WFD half: memory and heap bounds, the disk image
+	// or ramfs, the virtual NIC, stdout, on-demand loading, IFI and the
+	// injected-cost scale, handed to core.Instantiate as they stand. A
+	// non-nil Ramfs runs the Figure 16 in-memory-filesystem mode.
+	core.Options
 
 	// Transfer pins the data plane for intermediate data to one of
 	// xfer.Kinds ("refpass", "file", "kv", "net"). Empty means refpass,
@@ -203,11 +182,7 @@ type RunOptions struct {
 
 	// KV backs Transfer="kv": the store client payloads round-trip
 	// through (the OpenFaaS/Faasm-style third-party forwarding path).
-	KV xfer.KVClient
-
-	// Peer backs Transfer="net" and the ExportPeer/ImportPeer bridge
-	// hooks below: a framed connection to an xfer.Bridge.
-	Peer *xfer.Peer
+	KV xfer.KVClient //asvet:allow unreachable -- the kv data plane's store client; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 
 	// Retry, when non-nil, restarts a function instance that faults
 	// (panics), provided the WFD survived — the paper's §3.1 retry-based
@@ -259,27 +234,23 @@ type RunOptions struct {
 	// echoed into the trace as a "queue" span and into RunResult.
 	QueueWait time.Duration
 
-	// Durable journals the run through internal/journal: a write-ahead
-	// record at every stage barrier, barrier-crossing slots spilled, and
-	// a terminal seal — so a crashed run can be resumed from its last
-	// committed stage. Requires Journal. Failed durable runs unwind
+	// Journal, when non-nil, makes the run durable: a write-ahead record
+	// in this store at every stage barrier, barrier-crossing slots
+	// spilled, and a terminal seal — so a crashed run can be resumed
+	// from its last committed stage. Failed durable runs unwind
 	// committed stages' declared compensations (saga) before sealing.
-	Durable bool
-	// Journal is the store durable runs write to (and resumes read
-	// from). Ignored unless Durable is set or Resume is non-empty.
 	Journal *journal.Store
-	// RunID pins the durable run's identifier; empty allocates one.
-	RunID string
 	// Resume re-opens the named journaled run instead of starting
 	// fresh: committed stages are skipped (their spilled outputs are
 	// re-imported), and a run that had failed terminally goes straight
 	// to the saga unwind. Sealed runs refuse with journal.ErrSealed.
+	// Requires Journal.
 	Resume string
 	// CrashFn is invoked when a faults.Crash point fires, after the
 	// journal is closed unsealed — the kill-the-process hook
 	// (integration tests install os.Exit). Nil aborts the run
 	// in-process with ErrCrashPoint instead.
-	CrashFn func(point string)
+	CrashFn func(point string) //asvet:allow unreachable -- the process-kill seam: the crash-resume integration test installs os.Exit
 
 	// ExportPeer, when set, ships ExportSlots through the net
 	// transport to the far side's xfer.Bridge instead of returning
@@ -288,17 +259,14 @@ type RunOptions struct {
 	// pulled from the bridge and registered as AsBuffers before the
 	// first stage (names absent on the bridge are skipped, mirroring
 	// the export side's never-registered slots).
-	ExportPeer  *xfer.Peer
-	ImportPeer  *xfer.Peer
-	ImportNames []string
+	ExportPeer  *xfer.Peer //asvet:allow unreachable -- the net-bridge seam of the §9 cut: the multinode tests and ROADMAP 12's two-visor measurement set it
+	ImportPeer  *xfer.Peer //asvet:allow unreachable -- see ExportPeer
+	ImportNames []string   //asvet:allow unreachable -- see ExportPeer
 }
 
 // DefaultRunOptions are the paper's standard AlloyStack configuration.
 func DefaultRunOptions() RunOptions {
-	return RunOptions{
-		OnDemand:  true,
-		CostScale: 1.0,
-	}
+	return RunOptions{Options: core.Options{OnDemand: true, CostScale: 1.0}}
 }
 
 // RunResult summarises one workflow invocation.
@@ -370,7 +338,7 @@ type Visor struct {
 	// ImportAllowlist is the host-import set granted to guest images at
 	// admission. Nil means scan.WASIAllowlist(). Fix it before the
 	// first invocation: admission verdicts are cached per program.
-	ImportAllowlist map[string]bool
+	ImportAllowlist map[string]bool //asvet:allow unreachable -- test seam: the admission tests narrow the host-import set
 
 	mu        sync.RWMutex
 	workflows map[string]*dag.Workflow
@@ -665,19 +633,7 @@ func (r *run) boot() error {
 	defer span.End()
 	if !warm {
 		var err error
-		r.wfd, err = core.Instantiate(core.Options{
-			MemLimit:    opts.MemLimit,
-			BufHeapSize: opts.BufHeapSize,
-			DiskImage:   opts.DiskImage,
-			UseRamfs:    opts.UseRamfs,
-			Ramfs:       opts.Ramfs,
-			Hub:         opts.Hub,
-			IP:          opts.IP,
-			Stdout:      opts.Stdout,
-			OnDemand:    opts.OnDemand,
-			IFI:         opts.IFI,
-			CostScale:   opts.CostScale,
-		})
+		r.wfd, err = core.Instantiate(opts.Options)
 		if err != nil {
 			return err
 		}
@@ -888,7 +844,7 @@ func (r *run) entry(spec dag.FuncSpec) (NativeFunc, error) {
 
 // bind attaches env to this run: the stage clock, the span its syscalls
 // and transfers chart under, and the transport its edges resolve to,
-// built over the run-wide pool, path registry, store client and peer.
+// built over the run-wide pool, path registry and store client.
 func (r *run) bind(env *asstd.Env, span *trace.Span, params map[string]string) error {
 	env.Clock = r.res.Clock
 	env.Span = span
@@ -897,7 +853,6 @@ func (r *run) bind(env *asstd.Env, span *trace.Span, params map[string]string) e
 		Pool:  r.bufs,
 		Paths: r.paths,
 		KV:    r.opts.KV,
-		Peer:  r.opts.Peer,
 		Stats: r.res.Transfer,
 	})
 	if err != nil {

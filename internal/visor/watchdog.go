@@ -35,10 +35,6 @@ type Watchdog struct {
 	// (disk images, hubs) here.
 	OptionsFor func(workflow string) RunOptions
 
-	// StopGrace bounds how long Stop waits for in-flight invocations to
-	// drain before aborting them (default 10s).
-	StopGrace time.Duration
-
 	// Sched, when non-nil, is the node's admission control: a cap on
 	// concurrently executing invocations and, unless it was built with
 	// no queue, per-workflow FIFO queues with weighted-fair dispatch,
@@ -165,8 +161,12 @@ func (wd *Watchdog) Start(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// stopGrace bounds how long Stop waits for in-flight invocations to
+// drain before aborting them.
+const stopGrace = 10 * time.Second
+
 // Stop shuts the server down gracefully: in-flight invocations drain
-// for up to StopGrace before being aborted, so a node restart does not
+// for up to stopGrace before being aborted, so a node restart does not
 // kill running workflows mid-flight.
 func (wd *Watchdog) Stop() error {
 	if wd.specLn != nil {
@@ -176,11 +176,7 @@ func (wd *Watchdog) Stop() error {
 	if wd.srv == nil {
 		return nil
 	}
-	grace := wd.StopGrace
-	if grace <= 0 {
-		grace = 10 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), grace)
+	ctx, cancel := context.WithTimeout(context.Background(), stopGrace)
 	defer cancel()
 	if err := wd.srv.Shutdown(ctx); err != nil {
 		// Grace expired with requests still running: abort them.
@@ -279,18 +275,16 @@ func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, s
 		defer grant.Release()
 		opts.QueueWait = grant.Wait
 	}
-	// Tracer: one from OptionsFor wins (the harness keeps ownership),
-	// then ?trace=1. Either way the caller asked for this trace, so its
-	// Chrome export goes inline in the response. Otherwise the telemetry
-	// plane still traces the run into a bounded flight recorder and
-	// decides retention after the fact (tail sampling).
-	if opts.Trace == nil && q.Get("trace") == "1" {
+	// Tracer: ?trace=1 asks for this run's trace, so its Chrome export
+	// goes inline in the response. Otherwise the telemetry plane traces
+	// the run into a bounded flight recorder and decides retention after
+	// the fact (tail sampling).
+	inline := q.Get("trace") == "1"
+	if inline {
 		opts.Trace = trace.New("watchdog", trace.Options{
 			Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
 		})
-	}
-	inline := opts.Trace != nil
-	if !inline {
+	} else {
 		opts.Trace = wd.Telemetry.StartRun(name)
 	}
 
@@ -354,16 +348,16 @@ func (wd *Watchdog) runOptions(ctx context.Context, q url.Values, name string, s
 	}
 	switch {
 	case st != nil:
-		opts.Durable, opts.Journal, opts.Resume = true, wd.Journal, st.ID
-	case q.Get("durable") == "1" && !opts.Durable:
+		opts.Journal, opts.Resume = wd.Journal, st.ID
+	case q.Get("durable") == "1" && opts.Journal == nil:
 		// ?durable=1 journals this run through the watchdog's store so a
-		// crash mid-run is resumable. A durable configuration from
-		// OptionsFor wins; a node with no store refuses rather than run
-		// non-durable behind the client's back.
+		// crash mid-run is resumable. A store from OptionsFor wins; a
+		// node with none refuses rather than run non-durable behind the
+		// client's back.
 		if wd.Journal == nil {
 			return opts, errNoJournal
 		}
-		opts.Durable, opts.Journal = true, wd.Journal
+		opts.Journal = wd.Journal
 	}
 	// Warm pools: boot from a snapshot/fork clone when a pool serves
 	// this workflow, unless the client asked for a cold boot (?warm=0).

@@ -191,7 +191,6 @@ func TestParallelSortingRamfs(t *testing.T) {
 	var out bytes.Buffer
 	w := ParallelSorting(3, "native")
 	_, err := v.RunWorkflow(w, runOpts(t, func(o *visor.RunOptions) {
-		o.UseRamfs = true
 		o.Ramfs = BuildBinRamfs(256*1024, false)
 		o.Stdout = &out
 	}))

@@ -75,7 +75,7 @@ type Config struct {
 	KV KVClient
 
 	// Peer is the framed connection to a Bridge for the net transport.
-	Peer *Peer
+	Peer *Peer //asvet:allow unreachable -- New's net kind: the visor builds its §9 transports with NewNet directly, xfer's tests come through New
 
 	// Stats, when set, receives per-kind transfer counters.
 	Stats *metrics.TransportStats
