@@ -4,7 +4,7 @@ PKGS       := ./...
 CHAOS_PKGS := ./internal/faults ./internal/visor ./internal/gateway ./internal/kvstore ./internal/integration
 RACE_PKGS  := ./internal/...
 
-.PHONY: all build vet lint test fuzz-smoke race chaos bench bench-e2e-smoke trace-demo coldstart-demo ci
+.PHONY: all build vet lint test fuzz-smoke race chaos bench bench-e2e-smoke layout-smoke trace-demo coldstart-demo ci
 
 all: build
 
@@ -25,11 +25,14 @@ test:
 
 # fuzz-smoke gives the differential engine fuzzer (switch interpreter vs
 # AOT register engine, internal/asvm) ten seconds beyond the committed
-# corpus and the fixed-seed property test `make test` already replays. A
-# crasher is written under internal/asvm/testdata/fuzz/ and becomes a
-# regression test by being committed.
+# corpus and the fixed-seed property test `make test` already replays,
+# then the payload-pattern kernels (internal/workloads) five seconds
+# against their per-byte formula. A crasher is written under the
+# package's testdata/fuzz/ and becomes a regression test by being
+# committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnginesAgree -fuzztime 10s ./internal/asvm
+	$(GO) test -run '^$$' -fuzz FuzzPattern -fuzztime 5s ./internal/workloads
 
 # race runs every internal package under the race detector; the chaos
 # tests are concurrency-heavy by design, so this is where races
@@ -58,6 +61,13 @@ bench-e2e-smoke:
 
 # trace-demo runs a traced fan-out pipeline and emits trace.json,
 # loadable at https://ui.perfetto.dev (CI uploads it as an artifact).
+# layout-smoke runs scripts/layout.sh at two code-layout phases under
+# the benchmark's -smoke: it checks that the sampler still builds HEAD
+# through its overlay and reads a floor from every workload, and
+# measures nothing.
+layout-smoke:
+	./scripts/layout.sh -phases 2 -smoke
+
 trace-demo:
 	$(GO) run ./examples/tracedemo -o trace.json
 

@@ -58,9 +58,7 @@ func blPipeSend(p *Platform) error {
 	// Match the AlloyStack pipe's measurement window (§8.3): the payload
 	// write counts as part of the transfer, allocation does not.
 	return p.TimeTransfer(func() error {
-		for i := range data {
-			data[i] = byte(i*131 + 17)
-		}
+		workloads.FillPattern(data)
 		return p.Send(visor.Slot("pipe-send", 0, "pipe-recv", 0), data)
 	})
 }
@@ -71,10 +69,8 @@ func blPipeRecv(p *Platform) error {
 		if err != nil {
 			return err
 		}
-		for i := range data {
-			if data[i] != byte(i*131+17) {
-				return fmt.Errorf("baselines: pipe payload corrupted at %d", i)
-			}
+		if !workloads.CheckPattern(data) {
+			return fmt.Errorf("baselines: %s received a corrupted payload", p.Ctx().Function)
 		}
 		return nil
 	})
@@ -89,14 +85,12 @@ func blChain(p *Platform) error {
 	}
 	length := int(ctx.ParamInt("length", 2))
 	size := ctx.ParamInt("size", 4096)
-	outSlot := visor.Slot(name, 0, fmt.Sprintf("chain-%d", idx+1), 0)
-	inSlot := visor.Slot(fmt.Sprintf("chain-%d", idx-1), 0, name, 0)
+	outSlot := visor.Slot(name, 0, "chain-"+strconv.Itoa(idx+1), 0)
+	inSlot := visor.Slot("chain-"+strconv.Itoa(idx-1), 0, name, 0)
 
 	if idx == 0 {
 		data := make([]byte, size)
-		for i := range data {
-			data[i] = byte(i*131 + 17)
-		}
+		workloads.FillPattern(data)
 		return p.Send(outSlot, data)
 	}
 	data, err := p.Recv(inSlot)
@@ -104,11 +98,9 @@ func blChain(p *Platform) error {
 		return err
 	}
 	if err := p.Compute(func() error {
-		sum := byte(0)
-		for _, v := range data {
-			sum ^= v
+		if !workloads.CheckPattern(data) {
+			return fmt.Errorf("baselines: %s received a corrupted payload", name)
 		}
-		_ = sum
 		return nil
 	}); err != nil {
 		return err

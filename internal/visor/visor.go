@@ -72,7 +72,7 @@ func (c FuncContext) ParamInt(key string, def int64) int64 {
 // Slot builds a namespaced AsBuffer slot: "fn:i->fn:j" style keys keep
 // fan-out edges distinct inside the WFD (paper §5's slot parameter).
 func Slot(from string, fromIdx int, to string, toIdx int) string {
-	return fmt.Sprintf("%s:%d->%s:%d", from, fromIdx, to, toIdx)
+	return from + ":" + strconv.Itoa(fromIdx) + "->" + to + ":" + strconv.Itoa(toIdx)
 }
 
 // NativeFunc is a native-tier (≈Rust) function body.
@@ -705,7 +705,12 @@ func (r *run) runStage(si int) error {
 	if err := r.dj.beginStage(si); err != nil {
 		return err
 	}
-	st := &stage{span: r.root.Child(fmt.Sprintf("stage-%d", si), trace.CatStage)}
+	// Span names are built only under a live parent, here and in launch
+	// and runInstance: an untraced run formats nothing.
+	st := &stage{}
+	if r.root != nil {
+		st.span = r.root.Child("stage-"+strconv.Itoa(si), trace.CatStage)
+	}
 	start := time.Now()
 	st.ctx, st.cancel = context.WithCancel(r.ctx)
 	// An early return must not leave cancelled instances running into
@@ -751,7 +756,10 @@ func (r *run) runStage(si int) error {
 // launch starts one function instance of the stage on its own goroutine
 // and trace lane, and records how it ended.
 func (r *run) launch(st *stage, fn NativeFunc, fctx FuncContext) {
-	inst := st.span.Child(fmt.Sprintf("%s[%d]", fctx.Function, fctx.Instance), trace.CatFunc)
+	var inst *trace.Span
+	if st.span != nil {
+		inst = st.span.Child(fctx.Function+"["+strconv.Itoa(fctx.Instance)+"]", trace.CatFunc)
+	}
 	inst.SetLane(r.lanes)
 	r.lanes++
 	st.wg.Add(1)
@@ -895,7 +903,10 @@ func (r *run) runInstance(ctx context.Context, fctx FuncContext, span *trace.Spa
 					fctx.Function, fctx.Instance, a))
 			}
 		}
-		attemptSpan := span.Child(fmt.Sprintf("attempt-%d", attempt), trace.CatAttempt)
+		var attemptSpan *trace.Span
+		if span != nil {
+			attemptSpan = span.Child("attempt-"+strconv.Itoa(attempt), trace.CatAttempt)
+		}
 		ferr := r.runAttempt(ctx, fctx.Function, attemptBody)
 		if ferr != nil {
 			attemptSpan.SetAttr("error", ferr.Error())

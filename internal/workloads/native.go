@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -95,18 +95,18 @@ func pipeSendFn(env *asstd.Env, ctx visor.FuncContext) error {
 			return err
 		}
 		return timeStage(env, metrics.StageTransfer, func() error {
-			fillPattern(b.Bytes())
+			FillPattern(b.Bytes())
 			return t.SendBuffer(b)
 		})
 	}
 	data := make([]byte, size)
 	return timeStage(env, metrics.StageTransfer, func() error {
-		fillPattern(data)
+		FillPattern(data)
 		return t.Send(slot, data)
 	})
 }
 
-// pipeRecvFn consumes the pipe's intermediate data, touching every byte
+// pipeRecvFn consumes the pipe's intermediate data, verifying every byte
 // so lazy paths cannot cheat the measurement.
 func pipeRecvFn(env *asstd.Env, ctx visor.FuncContext) error {
 	slot := visor.Slot("pipe-send", 0, "pipe-recv", 0)
@@ -116,28 +116,38 @@ func pipeRecvFn(env *asstd.Env, ctx visor.FuncContext) error {
 			return err
 		}
 		defer done()
-		if !checkPattern(data) {
-			return errors.New("workloads: pipe payload corrupted")
-		}
-		return nil
+		return verifyPayload(ctx.Function, data)
 	})
 }
 
-// fillPattern writes a verifiable pattern.
-func fillPattern(b []byte) {
-	for i := range b {
-		b[i] = byte(i*131 + 17)
+// pattern is one period of byte(i*131+17), which repeats every 256 bytes.
+var pattern = func() (p [256]byte) {
+	for i := range p {
+		p[i] = byte(i*131 + 17)
+	}
+	return p
+}()
+
+// FillPattern writes byte(i*131+17) to b: one period, then doubling copies.
+func FillPattern(b []byte) {
+	for n := copy(b, pattern[:]); n < len(b); {
+		n += copy(b[n:], b[:n])
 	}
 }
 
-// checkPattern verifies fillPattern output (touching every byte).
-func checkPattern(b []byte) bool {
-	for i := range b {
-		if b[i] != byte(i*131+17) {
-			return false
-		}
+// CheckPattern reports whether b holds FillPattern's output, reading every
+// byte: the first period against the table, then b[256:] against b.
+func CheckPattern(b []byte) bool {
+	n := min(len(b), len(pattern))
+	return bytes.Equal(b[:n], pattern[:n]) && bytes.Equal(b[n:], b[:len(b)-n])
+}
+
+// verifyPayload names the receiving function fn when b is corrupted.
+func verifyPayload(fn string, b []byte) error {
+	if !CheckPattern(b) {
+		return fmt.Errorf("workloads: %s received a corrupted payload", fn)
 	}
-	return true
+	return nil
 }
 
 // ---- FunctionChain -----------------------------------------------------------
@@ -154,8 +164,8 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 	size := uint64(ctx.ParamInt("size", 4096))
 	last := idx == length-1
 
-	outSlot := visor.Slot(ctx.Function, 0, fmt.Sprintf("chain-%d", idx+1), 0)
-	inSlot := visor.Slot(fmt.Sprintf("chain-%d", idx-1), 0, ctx.Function, 0)
+	outSlot := visor.Slot(ctx.Function, 0, "chain-"+strconv.Itoa(idx+1), 0)
+	inSlot := visor.Slot("chain-"+strconv.Itoa(idx-1), 0, ctx.Function, 0)
 
 	t := tp(env)
 	if idx == 0 {
@@ -165,11 +175,11 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 				if err != nil {
 					return err
 				}
-				fillPattern(b.Bytes())
+				FillPattern(b.Bytes())
 				return t.SendBuffer(b)
 			}
 			data := make([]byte, size)
-			fillPattern(data)
+			FillPattern(data)
 			return t.Send(outSlot, data)
 		})
 	}
@@ -179,14 +189,9 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 		if err != nil {
 			return err
 		}
-		// Touch the payload (the per-hop "work" of the benchmark).
+		// Verify the payload (the per-hop "work" of the benchmark).
 		if err := timeStage(env, metrics.StageCompute, func() error {
-			sum := byte(0)
-			for _, v := range b.Bytes() {
-				sum ^= v
-			}
-			_ = sum
-			return nil
+			return verifyPayload(ctx.Function, b.Bytes())
 		}); err != nil {
 			return err
 		}
@@ -206,7 +211,7 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 	}
 	defer done()
 	if last {
-		return nil
+		return verifyPayload(ctx.Function, data)
 	}
 	return timeStage(env, metrics.StageTransfer, func() error {
 		return t.Send(outSlot, data)
@@ -214,12 +219,6 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 }
 
 // chainIndex extracts the position from a "chain-<i>" node name.
-//
-// Declared below chainFn, not above, for the yardstick's sake: chainFn's
-// closures hold the byte loops the chain workloads time, and the head's
-// 64 KiB fill runs in 31 us or 53 us depending on which half of a
-// 64-byte line chainFn.func1 starts on. This function's seven 32-byte
-// slots set that phase (ROADMAP, ground rules, "code placement").
 func chainIndex(name string) (int, error) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {

@@ -36,6 +36,9 @@ go run ./examples/tracedemo -o trace.json
 for w in frontdoor-noop chain-refpass chain-file wc-py-warm; do
 	go run ./benchmarks/e2e -workload "$w" -smoke
 done
+# The code-layout sampler at two phases, also under -smoke: HEAD builds
+# with its padding overlay and every workload still reports a floor.
+make layout-smoke
 # The cheap experiment subset with injected cost off, gating nothing
 # (the experiments' counts were compared with their golden by
 # `go test ./internal/bench` above): it produces the artifacts CI
