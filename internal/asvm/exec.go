@@ -222,6 +222,9 @@ loop:
 		case ropAddI + rop(OpGeS-OpAdd):
 			r[ins.a] = b2i(r[ins.b] >= ins.imm)
 			continue
+		case ropOrEqI:
+			r[ins.a] = r[ins.b] | b2i(r[ins.c] == ins.imm)
+			continue
 
 		// Everything from here on ends a block and falls out of the
 		// switch into the charge below.
@@ -282,6 +285,37 @@ loop:
 			}
 		case ropBrEqI + rop(OpGeS-OpEq):
 			if r[ins.b] >= ins.imm {
+				pc = int(ins.a)
+			}
+		// The increment is written before the compare reads: b may be c.
+		case ropIncBrEq + rop(OpEq-OpEq):
+			r[ins.b] += ins.imm
+			if r[ins.b] == r[ins.c] {
+				pc = int(ins.a)
+			}
+		case ropIncBrEq + rop(OpNe-OpEq):
+			r[ins.b] += ins.imm
+			if r[ins.b] != r[ins.c] {
+				pc = int(ins.a)
+			}
+		case ropIncBrEq + rop(OpLtS-OpEq):
+			r[ins.b] += ins.imm
+			if r[ins.b] < r[ins.c] {
+				pc = int(ins.a)
+			}
+		case ropIncBrEq + rop(OpGtS-OpEq):
+			r[ins.b] += ins.imm
+			if r[ins.b] > r[ins.c] {
+				pc = int(ins.a)
+			}
+		case ropIncBrEq + rop(OpLeS-OpEq):
+			r[ins.b] += ins.imm
+			if r[ins.b] <= r[ins.c] {
+				pc = int(ins.a)
+			}
+		case ropIncBrEq + rop(OpGeS-OpEq):
+			r[ins.b] += ins.imm
+			if r[ins.b] >= r[ins.c] {
 				pc = int(ins.a)
 			}
 

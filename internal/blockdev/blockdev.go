@@ -111,10 +111,9 @@ type Shaped struct {
 	PerOpLatency time.Duration //asvet:allow unreachable -- only the read cap is set outside tests (workloads.ShapeImage); blockdev's tests pin the latency and two-way caps
 	// BytesPerSecond caps throughput in both directions; 0 = unlimited.
 	BytesPerSecond int64 //asvet:allow unreachable -- see PerOpLatency
-	// ReadBytesPerSecond / WriteBytesPerSecond cap one direction,
-	// overriding BytesPerSecond for that direction when non-zero.
-	ReadBytesPerSecond  int64
-	WriteBytesPerSecond int64 //asvet:allow unreachable -- set nowhere today, tests included: a deletion candidate (ROADMAP 3)
+	// ReadBytesPerSecond caps reads, overriding BytesPerSecond for them
+	// when non-zero.
+	ReadBytesPerSecond int64
 
 	// debt accumulates sub-millisecond delays so filesystems issuing
 	// many small sector reads are throttled to the configured rate
@@ -154,7 +153,7 @@ func (s *Shaped) ReadAt(p []byte, off int64) error {
 
 // WriteAt implements Device.
 func (s *Shaped) WriteAt(p []byte, off int64) error {
-	s.delay(len(p), s.WriteBytesPerSecond)
+	s.delay(len(p), s.BytesPerSecond)
 	return s.Inner.WriteAt(p, off)
 }
 

@@ -69,9 +69,6 @@ type Config struct {
 	IdleTTL time.Duration //asvet:allow unreachable -- test seam: the pool and lifecycle tests shorten eviction time through it
 	// RefillEvery is the background maintenance period (default 1s).
 	RefillEvery time.Duration
-	// Jitter spreads maintenance ticks by ±Jitter fraction of
-	// RefillEvery so many pools do not refill in lockstep (default 0.1).
-	Jitter float64 //asvet:allow unreachable -- set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 	// Seed seeds the jitter RNG; a fixed seed makes maintenance timing
 	// reproducible (the determinism contract of the chaos suite).
 	Seed int64
@@ -134,9 +131,6 @@ func New(spec Spec, cfg Config) (*Pool, error) {
 	}
 	if cfg.RefillEvery <= 0 {
 		cfg.RefillEvery = time.Second
-	}
-	if cfg.Jitter <= 0 {
-		cfg.Jitter = 0.1
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 30 * time.Second
@@ -312,8 +306,12 @@ func (p *Pool) noteArrivalLocked(now time.Time) {
 	}
 }
 
+// refillJitter spreads maintenance ticks by ±10% of RefillEvery so many
+// pools do not refill in lockstep.
+const refillJitter = 0.1
+
 // Start runs background maintenance until Stop. Tick spacing is
-// RefillEvery ± Jitter, drawn from the seeded RNG.
+// RefillEvery ± refillJitter, drawn from the seeded RNG.
 func (p *Pool) Start() {
 	p.mu.Lock()
 	if p.started || p.closed {
@@ -326,7 +324,7 @@ func (p *Pool) Start() {
 		defer close(p.done)
 		for {
 			p.mu.Lock()
-			jitter := 1 + p.cfg.Jitter*(2*p.rng.Float64()-1)
+			jitter := 1 + refillJitter*(2*p.rng.Float64()-1)
 			p.mu.Unlock()
 			d := time.Duration(float64(p.cfg.RefillEvery) * jitter)
 			select {

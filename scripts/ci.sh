@@ -19,6 +19,10 @@ else
 	go run ./cmd/asvet ./...
 fi
 go test -short ./...
+# Every benchmark once, so one that panics on what it measures (the AOT
+# engine's register code under BenchmarkWcMapAOT and BenchmarkAOTLoop)
+# fails here; no number is read.
+go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
 # Ten seconds of differential fuzzing of the two ASVM engines past the
 # committed corpus; a crasher fails the build and is left under
 # internal/asvm/testdata/fuzz/ to be committed as a test.
