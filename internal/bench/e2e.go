@@ -84,6 +84,7 @@ func Fig11(o Options) (*Result, error) {
 			row = append(row, us(res.Clock.Total(metrics.StageTransfer)))
 			copiesRow = append(copiesRow, rep.count(countKey("copies", systems[4+i], key),
 				res.Transfer.Totals().Copies))
+			rep.baselineCounts(countKey(systems[4+i], key), res)
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -208,6 +209,7 @@ func Fig12(o Options) (*Result, error) {
 				return nil, fmt.Errorf("fig12 %s %s: %w", sys, c.label(size), err)
 			}
 			row = append(row, ms(res.E2E))
+			rep.baselineCounts(countKey(c.key(size), string(sys)), res)
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -244,6 +246,7 @@ func Fig13(o Options) (*Result, error) {
 			}
 			row = append(row, ms(asRes.E2E), ms(faasmRes.E2E))
 			rep.alloyCounts(countKey(c.key(tier.size), "AS-"+tier.lang), asRes)
+			rep.baselineCounts(countKey(c.key(tier.size), "Faasm-"+tier.lang), faasmRes)
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -346,12 +349,14 @@ func Fig15(o Options) (*Result, error) {
 			return nil, fmt.Errorf("fig15 Faastlane %s: %w", c.label(size), err)
 		}
 		rep.Rows = append(rep.Rows, breakdownRow("", "Faastlane-refer", flRes.Clock))
+		rep.baselineCounts(countKey(c.key(size), "Faastlane-refer"), flRes)
 		fmRes, err := runBaseline(o, baselines.SysFaasm, "c",
 			c.workflow("c", size), c.inputs(size))
 		if err != nil {
 			return nil, fmt.Errorf("fig15 Faasm %s: %w", c.label(size), err)
 		}
 		rep.Rows = append(rep.Rows, breakdownRow("", "Faasm-C", fmRes.Clock))
+		rep.baselineCounts(countKey(c.key(size), "Faasm-C"), fmRes)
 	}
 	return emit(o, rep), nil
 }
@@ -408,6 +413,7 @@ func Fig16(o Options) (*Result, error) {
 			return nil, fmt.Errorf("fig16 kata x%d: %w", inst, err)
 		}
 		rep.alloyCounts(fmt.Sprintf("x%d", inst), asRes)
+		rep.baselineCounts(fmt.Sprintf("x%d/Faastlane-refer-kata", inst), klRes)
 		rep.Rows = append(rep.Rows, []string{fmt.Sprint(inst), ms(asRes.E2E), ms(klRes.E2E)})
 	}
 	return emit(o, rep), nil

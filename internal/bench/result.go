@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"alloystack/internal/baselines"
 	"alloystack/internal/metrics"
 	"alloystack/internal/visor"
 )
@@ -51,7 +52,18 @@ func (r *Result) alloyCounts(arm string, res *visor.RunResult) {
 	r.count(countKey("crossings", arm), int64(res.Crossings))
 	r.count(countKey("retries", arm), int64(res.Retries))
 	r.count(countKey("stages_skipped", arm), int64(res.StagesSkipped))
-	for kind, k := range res.Transfer.Kinds() {
+	r.transferCounts(arm, res.Transfer)
+}
+
+// baselineCounts records what a comparison system's run moved: payload
+// copies and bytes per transport kind, so a baseline that runs the
+// shared app code is held to the same exact counts as AlloyStack.
+func (r *Result) baselineCounts(arm string, res *baselines.Result) {
+	r.transferCounts(arm, res.Transfer)
+}
+
+func (r *Result) transferCounts(arm string, t *metrics.TransportStats) {
+	for kind, k := range t.Kinds() {
 		r.count(countKey("copies", arm, kind), k.Copies)
 		r.count(countKey("bytes", arm, kind), k.Bytes)
 	}
