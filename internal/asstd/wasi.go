@@ -7,80 +7,111 @@ import (
 	"time"
 
 	"alloystack/internal/asvm"
-	"alloystack/internal/libos"
 	"alloystack/internal/metrics"
-	"alloystack/internal/vfs"
 )
 
 // This file is the adaptation layer between the ASVM guest runtime and
-// as-std (paper §7.2): every host call a guest makes is forwarded to the
-// same LibOS entry points native functions use, so C- and Python-tier
-// functions cross the identical MPK boundary. Two custom interfaces,
-// buffer_register and access_buffer, carry intermediate data — as in the
-// paper, guests move data as strings/bytes (copies into and out of the
-// guest's linear memory), while the native AsBuffer stays zero-copy.
+// as-std (paper §7.2): one binder defines every host import over a
+// GuestHost, and AlloyStack's GuestHost forwards each call to the same
+// LibOS entry points native functions use. Intermediate data crosses
+// as byte copies into and out of the guest's linear memory (as in the
+// paper, guests move data as strings/bytes), while the native AsBuffer
+// stays zero-copy.
 
 // WASI host-call error sentinel (guest-visible calls return -1 on error;
 // the Go error carries detail for diagnostics).
 var errWASI = errors.New("asstd: wasi host call failed")
 
-// guestFDs tracks file handles opened by one guest instance.
-type guestState struct {
-	env   *Env
-	files map[int64]*File
-	next  int64
+// GuestHost is the substrate a guest's host imports run on. BindHost is
+// the one binder of the imports: it owns the guest-memory bounds, the fd
+// table, the edge-to-slot resolution and the -1 conventions, and asks the
+// substrate only for the operations below. AlloyStack's substrate is the
+// LibOS behind an Env (BindWASISlots); a comparison system supplies its
+// own, so the same guest bytecode runs on each.
+type GuestHost interface {
+	Mount() error
+	Open(path string) (GuestFile, error)
+	Create(path string) (GuestFile, error)
+	Stdout(b []byte) (int, error)
+	Now() (time.Time, error)
+	// RegisterBuffer copies data into a new buffer under slot;
+	// AccessBuffer copies slot's buffer into dst and frees it.
+	RegisterBuffer(slot string, data []byte) error
+	AccessBuffer(slot string, dst []byte) (int, error)
+	// Send copies data, which aliases guest memory, out under slot.
+	Send(slot string, data []byte) error
+	// Recv acquires slot's payload; drain copies it into guest memory
+	// and releases it.
+	Recv(slot string) (data []byte, drain func(dst []byte) (int, error), err error)
 }
 
-// BindWASI defines the WASI-style host interface on l, routing through
-// env. Call once per guest instantiation.
-func BindWASI(l *asvm.Linker, env *Env) {
-	gs := &guestState{env: env, files: make(map[int64]*File), next: 3}
+// GuestFile is an open file as the fd_* imports use it.
+type GuestFile interface {
+	io.ReadWriteSeeker
+	Size() (int64, error)
+	Close() error
+}
 
-	// path helpers read (ptr, len) strings out of guest memory.
-	str := func(vm *asvm.Instance, ptr, n int64) (string, error) {
-		return vm.ReadString(ptr, n)
-	}
+// guestState is one guest instance's host-side state: its open files,
+// fd 3 onward (nil once closed), and per in-edge the payload held
+// between slot_size and slot_recv.
+type guestState struct {
+	h       GuestHost
+	in, out []string
+	files   []GuestFile
+	held    []inbound
+}
+
+type inbound struct {
+	data  []byte
+	drain func(dst []byte) (int, error)
+}
+
+// BindWASISlots defines the guest host imports on l over env's LibOS:
+// every call is forwarded to the entry points native functions use, so
+// C- and Python-tier functions cross the identical MPK boundary. The
+// guest addresses logical edges (0, 1, 2 …); the host, which knows the
+// workflow topology, resolves them to the slot names in inSlots and
+// outSlots, the same division of labour Faasm's chaining API uses, so
+// guests need no string formatting to participate in a DAG. Call once
+// per guest instantiation.
+//
+//	slot_send(ptr, len, edge)        copy guest bytes out to outSlots[edge]
+//	slot_size(edge) -> size          peek inSlots[edge]'s size (acquires
+//	                                 and caches the payload)
+//	slot_recv(ptr, cap, edge) -> n   copy inSlots[edge]'s bytes into the
+//	                                 guest (releases the cached payload)
+func BindWASISlots(l *asvm.Linker, env *Env, inSlots, outSlots []string) {
+	BindHost(l, libosHost{env}, inSlots, outSlots)
+}
+
+// BindHost defines the guest host imports (WASISlotImports) on l over h.
+func BindHost(l *asvm.Linker, h GuestHost, inSlots, outSlots []string) {
+	s := &guestState{h: h, in: inSlots, out: outSlots, held: make([]inbound, len(inSlots))}
 
 	l.Define("fs_mount", func(vm *asvm.Instance, args []int64) (int64, error) {
-		if err := MountFS(env); err != nil {
+		if err := s.h.Mount(); err != nil {
 			return -1, err
 		}
 		return 0, nil
 	})
-
 	l.Define("path_open", func(vm *asvm.Instance, args []int64) (int64, error) {
-		path, err := str(vm, args[0], args[1])
+		path, err := vm.ReadString(args[0], args[1])
 		if err != nil {
 			return -1, err
 		}
-		f, err := Open(env, path)
-		if err != nil {
-			return -1, nil // soft failure: guest sees -1
-		}
-		fd := gs.next
-		gs.next++
-		gs.files[fd] = f
-		return fd, nil
+		return s.addFile(s.h.Open(path))
 	})
-
 	l.Define("path_create", func(vm *asvm.Instance, args []int64) (int64, error) {
-		path, err := str(vm, args[0], args[1])
+		path, err := vm.ReadString(args[0], args[1])
 		if err != nil {
 			return -1, err
 		}
-		f, err := Create(env, path)
-		if err != nil {
-			return -1, nil
-		}
-		fd := gs.next
-		gs.next++
-		gs.files[fd] = f
-		return fd, nil
+		return s.addFile(s.h.Create(path))
 	})
-
 	l.Define("fd_read", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := gs.files[args[0]]
-		if !ok {
+		f := s.file(args[0])
+		if f == nil {
 			return -1, nil
 		}
 		buf, err := vm.Bytes(args[1], args[2])
@@ -93,10 +124,9 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		}
 		return int64(got), nil
 	})
-
 	l.Define("fd_write", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := gs.files[args[0]]
-		if !ok {
+		f := s.file(args[0])
+		if f == nil {
 			return -1, nil
 		}
 		buf, err := vm.Bytes(args[1], args[2])
@@ -109,10 +139,9 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		}
 		return int64(wrote), nil
 	})
-
 	l.Define("fd_seek", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := gs.files[args[0]]
-		if !ok {
+		f := s.file(args[0])
+		if f == nil {
 			return -1, nil
 		}
 		pos, err := f.Seek(args[1], int(args[2]))
@@ -121,10 +150,9 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		}
 		return pos, nil
 	})
-
 	l.Define("fd_size", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := gs.files[args[0]]
-		if !ok {
+		f := s.file(args[0])
+		if f == nil {
 			return -1, nil
 		}
 		n, err := f.Size()
@@ -133,43 +161,43 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		}
 		return n, nil
 	})
-
 	l.Define("fd_close", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := gs.files[args[0]]
-		if !ok {
+		f := s.file(args[0])
+		if f == nil {
 			return -1, nil
 		}
-		delete(gs.files, args[0])
+		s.files[args[0]-3] = nil
 		if err := f.Close(); err != nil {
 			return -1, nil
 		}
 		return 0, nil
 	})
-
 	l.Define("clock_time_get", func(vm *asvm.Instance, args []int64) (int64, error) {
-		t, err := Now(env)
+		t, err := s.h.Now()
 		if err != nil {
 			return -1, err
 		}
 		return t.UnixMicro(), nil
 	})
-
 	l.Define("proc_stdout", func(vm *asvm.Instance, args []int64) (int64, error) {
 		buf, err := vm.Bytes(args[0], args[1])
 		if err != nil {
 			return -1, fmt.Errorf("%w: proc_stdout oob", errWASI)
 		}
-		wrote, err := Stdout(env, buf)
+		wrote, err := s.h.Stdout(buf)
 		if err != nil {
 			return -1, err
 		}
 		return int64(wrote), nil
 	})
 
-	// buffer_register(slotPtr, slotLen, dataPtr, dataLen): copy guest
-	// bytes into a freshly allocated AsBuffer under slot.
+	// buffer_register(slotPtr, slotLen, dataPtr, dataLen) and
+	// access_buffer(slotPtr, slotLen, dstPtr, dstCap) -> n: the by-name
+	// buffer interfaces, copies in and out of guest memory as in the
+	// paper (guests move data as bytes; the native AsBuffer stays
+	// zero-copy).
 	l.Define("buffer_register", func(vm *asvm.Instance, args []int64) (int64, error) {
-		slot, err := str(vm, args[0], args[1])
+		slot, err := vm.ReadString(args[0], args[1])
 		if err != nil {
 			return -1, err
 		}
@@ -177,18 +205,13 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		if err != nil {
 			return -1, fmt.Errorf("%w: buffer_register oob", errWASI)
 		}
-		b, err := NewBuffer(env, slot, uint64(max(len(data), 1)))
-		if err != nil {
+		if err := s.h.RegisterBuffer(slot, data); err != nil {
 			return -1, nil
 		}
-		copy(b.Bytes(), data)
 		return 0, nil
 	})
-
-	// access_buffer(slotPtr, slotLen, dstPtr, dstCap): copy the slot's
-	// AsBuffer into guest memory, returning the byte count.
 	l.Define("access_buffer", func(vm *asvm.Instance, args []int64) (int64, error) {
-		slot, err := str(vm, args[0], args[1])
+		slot, err := vm.ReadString(args[0], args[1])
 		if err != nil {
 			return -1, err
 		}
@@ -196,132 +219,47 @@ func BindWASI(l *asvm.Linker, env *Env) {
 		if err != nil {
 			return -1, fmt.Errorf("%w: access_buffer oob", errWASI)
 		}
-		b, err := FromSlot(env, slot)
+		n, err := s.h.AccessBuffer(slot, dst)
 		if err != nil {
 			return -1, nil
 		}
-		n := copy(dst, b.Bytes())
-		b.Free()
 		return int64(n), nil
 	})
 
-	l.Define("slot_send", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return -1, fmt.Errorf("%w: slot_send needs BindWASISlots", errWASI)
-	})
-	l.Define("slot_recv", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return -1, fmt.Errorf("%w: slot_recv needs BindWASISlots", errWASI)
-	})
-	l.Define("slot_size", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return -1, fmt.Errorf("%w: slot_size needs BindWASISlots", errWASI)
-	})
-
 	l.Define("random_get", func(vm *asvm.Instance, args []int64) (int64, error) {
-		// Deterministic LCG seeded from the clock: guests only need
-		// "some" entropy for benchmark data generation.
-		t, err := Now(env)
+		// Derived from the clock: guests only need "some" entropy for
+		// benchmark data generation.
+		t, err := s.h.Now()
 		if err != nil {
 			return -1, err
 		}
 		return t.UnixNano()&0x7FFFFFFF | 1, nil
 	})
 
-	_ = vfs.FD(0)
-	_ = libos.Modules // keep the import shape explicit for the adaptation layer
-}
-
-// BindWASISlots binds the edge-indexed data-transfer imports on top of
-// BindWASI. The guest addresses logical edges (0, 1, 2 …); the host —
-// which knows the workflow topology — resolves them to AsBuffer slot
-// names, the same division of labour Faasm's chaining API uses. Guests
-// therefore need no string formatting to participate in a DAG.
-//
-//	slot_send(ptr, len, edge)        copy guest bytes out to outSlots[edge]
-//	slot_size(edge) -> size          peek inSlots[edge]'s size (acquires
-//	                                 and caches the buffer)
-//	slot_recv(ptr, cap, edge) -> n   copy inSlots[edge]'s bytes into the
-//	                                 guest (frees the cached buffer)
-func BindWASISlots(l *asvm.Linker, env *Env, inSlots, outSlots []string) {
-	BindWASI(l, env)
-
-	// Inbound payloads are cached between slot_size (peek) and
-	// slot_recv (drain). With a visor-installed transport the payload
-	// arrives through the unified data plane — the same code path the
-	// native tier uses — and the release closure recycles its backing
-	// storage; the direct AsBuffer path remains for envs built outside
-	// the visor. The guest-memory copy itself is inherent to the tier
-	// (guests move data as bytes, §7.2) and is charged to the stage
-	// clock, not to the transport's copy counters.
-	type inbound struct {
-		data    []byte
-		release func() error
-	}
-	cached := make(map[int64]*inbound)
-
-	acquire := func(edge int64) (*inbound, error) {
-		if c, ok := cached[edge]; ok {
-			return c, nil
-		}
-		if edge < 0 || edge >= int64(len(inSlots)) {
-			return nil, fmt.Errorf("%w: in edge %d out of range", errWASI, edge)
-		}
-		var c *inbound
-		if t := env.Transport(); t != nil {
-			data, release, err := t.Recv(inSlots[edge])
-			if err != nil {
-				return nil, err
-			}
-			c = &inbound{data: data, release: release}
-		} else {
-			b, err := FromSlot(env, inSlots[edge])
-			if err != nil {
-				return nil, err
-			}
-			c = &inbound{data: b.Bytes(), release: b.Free}
-		}
-		cached[edge] = c
-		return c, nil
-	}
-
 	l.Define("slot_send", func(vm *asvm.Instance, args []int64) (int64, error) {
 		edge := args[2]
-		if edge < 0 || edge >= int64(len(outSlots)) {
+		if edge < 0 || edge >= int64(len(s.out)) {
 			return -1, fmt.Errorf("%w: out edge %d out of range", errWASI, edge)
 		}
 		data, err := vm.Bytes(args[0], args[1])
 		if err != nil {
 			return -1, fmt.Errorf("%w: slot_send oob", errWASI)
 		}
-		var b *Buffer
-		if t := env.Transport(); t != nil {
-			b, err = t.Alloc(outSlots[edge], uint64(max(len(data), 1)))
-		} else {
-			b, err = NewBuffer(env, outSlots[edge], uint64(max(len(data), 1)))
-		}
-		if err != nil {
+		if err := s.h.Send(s.out[edge], data); err != nil {
 			return -1, err
-		}
-		start := time.Now()
-		copy(b.Bytes(), data)
-		env.ChargeStage(metrics.StageTransfer, start, time.Since(start))
-		if t := env.Transport(); t != nil {
-			if err := t.SendBuffer(b); err != nil {
-				return -1, err
-			}
 		}
 		return 0, nil
 	})
-
 	l.Define("slot_size", func(vm *asvm.Instance, args []int64) (int64, error) {
-		c, err := acquire(args[0])
+		c, err := s.acquire(args[0])
 		if err != nil {
 			return -1, err
 		}
 		return int64(len(c.data)), nil
 	})
-
 	l.Define("slot_recv", func(vm *asvm.Instance, args []int64) (int64, error) {
 		edge := args[2]
-		c, err := acquire(edge)
+		c, err := s.acquire(edge)
 		if err != nil {
 			return -1, err
 		}
@@ -329,15 +267,142 @@ func BindWASISlots(l *asvm.Linker, env *Env, inSlots, outSlots []string) {
 		if err != nil {
 			return -1, fmt.Errorf("%w: slot_recv oob", errWASI)
 		}
-		start := time.Now()
-		n := copy(dst, c.data)
-		env.ChargeStage(metrics.StageTransfer, start, time.Since(start))
-		delete(cached, edge)
-		if err := c.release(); err != nil {
+		s.held[edge] = inbound{}
+		n, err := c.drain(dst)
+		if err != nil {
 			return -1, err
 		}
 		return int64(n), nil
 	})
+}
+
+// addFile gives a file path_open or path_create opened the next fd. A
+// path the substrate refuses is a soft failure, -1 to the guest.
+func (s *guestState) addFile(f GuestFile, err error) (int64, error) {
+	if err != nil {
+		return -1, nil
+	}
+	s.files = append(s.files, f)
+	return int64(len(s.files)) + 2, nil
+}
+
+// file returns the open file behind fd, or nil.
+func (s *guestState) file(fd int64) GuestFile {
+	if fd < 3 || fd-3 >= int64(len(s.files)) {
+		return nil
+	}
+	return s.files[fd-3]
+}
+
+// acquire returns in-edge edge's payload, receiving it on first use and
+// holding it until slot_recv drains it.
+func (s *guestState) acquire(edge int64) (inbound, error) {
+	if edge < 0 || edge >= int64(len(s.in)) {
+		return inbound{}, fmt.Errorf("%w: in edge %d out of range", errWASI, edge)
+	}
+	if c := s.held[edge]; c.drain != nil {
+		return c, nil
+	}
+	data, drain, err := s.h.Recv(s.in[edge])
+	if err != nil {
+		return inbound{}, err
+	}
+	s.held[edge] = inbound{data: data, drain: drain}
+	return s.held[edge], nil
+}
+
+// libosHost is the LibOS substrate. Payloads travel through the
+// visor-installed transport, the same data plane native functions use,
+// or directly as AsBuffers for envs built outside the visor. The
+// guest-memory copy is inherent to the tier (guests move data as bytes,
+// §7.2) and is charged to the transfer stage, not to the transport's
+// copy counters.
+type libosHost struct{ env *Env }
+
+func (h libosHost) Mount() error { return MountFS(h.env) }
+
+func (h libosHost) Open(path string) (GuestFile, error) {
+	f, err := Open(h.env, path)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (h libosHost) Create(path string) (GuestFile, error) {
+	f, err := Create(h.env, path)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (h libosHost) Stdout(b []byte) (int, error) { return Stdout(h.env, b) }
+
+func (h libosHost) Now() (time.Time, error) { return Now(h.env) }
+
+func (h libosHost) RegisterBuffer(slot string, data []byte) error {
+	b, err := NewBuffer(h.env, slot, uint64(max(len(data), 1)))
+	if err != nil {
+		return err
+	}
+	copy(b.Bytes(), data)
+	return nil
+}
+
+func (h libosHost) AccessBuffer(slot string, dst []byte) (int, error) {
+	b, err := FromSlot(h.env, slot)
+	if err != nil {
+		return 0, err
+	}
+	n := copy(dst, b.Bytes())
+	b.Free()
+	return n, nil
+}
+
+func (h libosHost) Send(slot string, data []byte) error {
+	t := h.env.Transport()
+	var b *Buffer
+	var err error
+	if t != nil {
+		b, err = t.Alloc(slot, uint64(max(len(data), 1)))
+	} else {
+		b, err = NewBuffer(h.env, slot, uint64(max(len(data), 1)))
+	}
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	copy(b.Bytes(), data)
+	h.env.ChargeStage(metrics.StageTransfer, start, time.Since(start))
+	if t != nil {
+		return t.SendBuffer(b)
+	}
+	return nil
+}
+
+func (h libosHost) Recv(slot string) ([]byte, func([]byte) (int, error), error) {
+	var data []byte
+	var release func() error
+	if t := h.env.Transport(); t != nil {
+		d, r, err := t.Recv(slot)
+		if err != nil {
+			return nil, nil, err
+		}
+		data, release = d, r
+	} else {
+		b, err := FromSlot(h.env, slot)
+		if err != nil {
+			return nil, nil, err
+		}
+		data, release = b.Bytes(), b.Free
+	}
+	return data, func(dst []byte) (int, error) {
+		start := time.Now()
+		n := copy(dst, data)
+		h.env.ChargeStage(metrics.StageTransfer, start, time.Since(start))
+		return n, release()
+	}, nil
 }
 
 // WASISlotImports extends WASIImports with the edge-indexed transfers.
@@ -348,7 +413,7 @@ import slot_recv 3 1
 `
 
 // WASIImports declares the import table guest programs assemble against,
-// in the order BindWASI defines them. Keeping it here means a guest
+// in the order BindHost defines them. Keeping it here means a guest
 // program and the host binding cannot drift apart.
 const WASIImports = `
 import fs_mount 0 1

@@ -1,21 +1,24 @@
 package baselines
 
 import (
-	"fmt"
+	"bytes"
+	"errors"
 	"time"
 
+	"alloystack/internal/asstd"
 	"alloystack/internal/asvm"
 	"alloystack/internal/metrics"
 	"alloystack/internal/workloads"
 )
 
 // runFaasmGuest executes the identical ASVM guest bytecode AlloyStack's
-// C/Python tiers run, but on the Faasm platform model: host calls bind
-// to Faasm's two-tier state (Platform.Send/Recv with page-fault charges)
-// and its input files, and the AOT engine runs with WAVM's efficiency
-// (OverheadFactor 1.0, the LLVM code generator of §8.5) for the C tier
-// or the Python tier's interpretive factor, scaled like every other
-// modelled cost by the run's CostScale.
+// C/Python tiers run, bound by AlloyStack's own host-import binder, but
+// on the Faasm platform model: host calls reach Faasm's two-tier state
+// (Platform.Send/Recv with page-fault charges) and its input files, and
+// the AOT engine runs with WAVM's efficiency (OverheadFactor 1.0, the
+// LLVM code generator of §8.5) for the C tier or the Python tier's
+// interpretive factor, scaled like every other modelled cost by the
+// run's CostScale.
 func (r *Runner) runFaasmGuest(p *Platform) error {
 	ctx := p.Ctx()
 	prog, args, err := workloads.GuestProgram(ctx.Function, ctx)
@@ -25,7 +28,7 @@ func (r *Runner) runFaasmGuest(p *Platform) error {
 	in, out := workloads.GuestEdges(ctx.Function, ctx)
 
 	l := asvm.NewLinker()
-	bindFaasmHost(l, p, in, out)
+	asstd.BindHost(l, faasmHost{p}, in, out)
 
 	factor := 1.0 // WAVM / LLVM codegen
 	if r.cfg.Language == "python" {
@@ -44,167 +47,52 @@ func (r *Runner) runFaasmGuest(p *Platform) error {
 	return err
 }
 
-// bindFaasmHost defines the guest host interface backed by the baseline
-// platform: same import names as the AlloyStack WASI layer, different
-// substrate underneath.
-func bindFaasmHost(l *asvm.Linker, p *Platform, inSlots, outSlots []string) {
-	type openFile struct {
-		data []byte
-		pos  int64
-	}
-	files := map[int64]*openFile{}
-	nextFD := int64(3)
-	cached := map[int64][]byte{}
+// errFaasmRefused is what a Faasm guest gets for the host calls that
+// need a LibOS: it has no filesystem to write and no AsBuffers, so the
+// guest sees -1.
+var errFaasmRefused = errors.New("baselines: not available to Faasm guests")
 
-	str := func(vm *asvm.Instance, ptr, n int64) (string, error) {
-		return vm.ReadString(ptr, n)
-	}
+// faasmHost is the guest host imports' substrate on Faasm: staged inputs
+// open as read-only in-memory files through the ext4 model, and slots
+// go through the platform's two-tier state. Both time themselves.
+type faasmHost struct{ p *Platform }
 
-	l.Define("fs_mount", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return 0, nil
-	})
-	l.Define("path_open", func(vm *asvm.Instance, args []int64) (int64, error) {
-		path, err := str(vm, args[0], args[1])
-		if err != nil {
-			return -1, err
-		}
-		data, err := p.ReadInput(path)
-		if err != nil {
-			return -1, nil
-		}
-		fd := nextFD
-		nextFD++
-		files[fd] = &openFile{data: data}
-		return fd, nil
-	})
-	l.Define("path_create", func(vm *asvm.Instance, args []int64) (int64, error) {
-		fd := nextFD
-		nextFD++
-		files[fd] = &openFile{}
-		return fd, nil
-	})
-	l.Define("fd_read", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := files[args[0]]
-		if !ok {
-			return -1, nil
-		}
-		buf, err := vm.Bytes(args[1], args[2])
-		if err != nil {
-			return -1, fmt.Errorf("baselines: fd_read oob")
-		}
-		if f.pos >= int64(len(f.data)) {
-			return 0, nil
-		}
-		c := copy(buf, f.data[f.pos:])
-		f.pos += int64(c)
-		return int64(c), nil
-	})
-	l.Define("fd_write", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := files[args[0]]
-		if !ok {
-			return -1, nil
-		}
-		buf, err := vm.Bytes(args[1], args[2])
-		if err != nil {
-			return -1, fmt.Errorf("baselines: fd_write oob")
-		}
-		f.data = append(f.data[:f.pos], buf...)
-		f.pos += int64(len(buf))
-		return int64(len(buf)), nil
-	})
-	l.Define("fd_seek", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := files[args[0]]
-		if !ok {
-			return -1, nil
-		}
-		switch args[2] {
-		case 0:
-			f.pos = args[1]
-		case 1:
-			f.pos += args[1]
-		case 2:
-			f.pos = int64(len(f.data)) + args[1]
-		}
-		return f.pos, nil
-	})
-	l.Define("fd_size", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f, ok := files[args[0]]
-		if !ok {
-			return -1, nil
-		}
-		return int64(len(f.data)), nil
-	})
-	l.Define("fd_close", func(vm *asvm.Instance, args []int64) (int64, error) {
-		delete(files, args[0])
-		return 0, nil
-	})
-	l.Define("clock_time_get", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return time.Now().UnixMicro(), nil
-	})
-	l.Define("proc_stdout", func(vm *asvm.Instance, args []int64) (int64, error) {
-		s, err := str(vm, args[0], args[1])
-		if err != nil {
-			return -1, err
-		}
-		p.Print("%s", s)
-		return int64(len(s)), nil
-	})
-	l.Define("buffer_register", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return -1, fmt.Errorf("baselines: guests use slot_send on Faasm")
-	})
-	l.Define("access_buffer", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return -1, fmt.Errorf("baselines: guests use slot_recv on Faasm")
-	})
-	l.Define("random_get", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return time.Now().UnixNano()&0x7FFFFFFF | 1, nil
-	})
-	l.Define("slot_send", func(vm *asvm.Instance, args []int64) (int64, error) {
-		edge := args[2]
-		if edge < 0 || edge >= int64(len(outSlots)) {
-			return -1, fmt.Errorf("baselines: out edge %d out of range", edge)
-		}
-		data, err := vm.Bytes(args[0], args[1])
-		if err != nil {
-			return -1, fmt.Errorf("baselines: slot_send oob")
-		}
-		if err := p.Send(outSlots[edge], data); err != nil {
-			return -1, err
-		}
-		return 0, nil
-	})
-	acquire := func(edge int64) ([]byte, error) {
-		if d, ok := cached[edge]; ok {
-			return d, nil
-		}
-		if edge < 0 || edge >= int64(len(inSlots)) {
-			return nil, fmt.Errorf("baselines: in edge %d out of range", edge)
-		}
-		d, err := p.Recv(inSlots[edge])
-		if err != nil {
-			return nil, err
-		}
-		cached[edge] = d
-		return d, nil
+func (h faasmHost) Mount() error { return nil }
+
+func (h faasmHost) Open(path string) (asstd.GuestFile, error) {
+	data, err := h.p.ReadInput(path)
+	if err != nil {
+		return nil, err
 	}
-	l.Define("slot_size", func(vm *asvm.Instance, args []int64) (int64, error) {
-		d, err := acquire(args[0])
-		if err != nil {
-			return -1, err
-		}
-		return int64(len(d)), nil
-	})
-	l.Define("slot_recv", func(vm *asvm.Instance, args []int64) (int64, error) {
-		edge := args[2]
-		d, err := acquire(edge)
-		if err != nil {
-			return -1, err
-		}
-		dst, err := vm.Bytes(args[0], args[1])
-		if err != nil {
-			return -1, fmt.Errorf("baselines: slot_recv oob")
-		}
-		n := copy(dst, d)
-		delete(cached, edge)
-		return int64(n), nil
-	})
+	return inputFile{bytes.NewReader(data)}, nil
 }
+
+func (h faasmHost) Create(string) (asstd.GuestFile, error) { return nil, errFaasmRefused }
+
+func (h faasmHost) Stdout(b []byte) (int, error) { return h.p.r.cfg.Stdout.Write(b) }
+
+func (h faasmHost) Now() (time.Time, error) { return time.Now(), nil }
+
+func (h faasmHost) RegisterBuffer(string, []byte) error { return errFaasmRefused }
+
+func (h faasmHost) AccessBuffer(string, []byte) (int, error) { return 0, errFaasmRefused }
+
+func (h faasmHost) Send(slot string, data []byte) error { return h.p.Send(slot, data) }
+
+func (h faasmHost) Recv(slot string) ([]byte, func([]byte) (int, error), error) {
+	data, _, err := h.p.Recv(slot)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, func(dst []byte) (int, error) { return copy(dst, data), nil }, nil
+}
+
+// inputFile is a staged input opened by a guest: readable, seekable,
+// never writable.
+type inputFile struct{ *bytes.Reader }
+
+func (inputFile) Write([]byte) (int, error) { return 0, errFaasmRefused }
+
+func (f inputFile) Size() (int64, error) { return f.Reader.Size(), nil }
+
+func (inputFile) Close() error { return nil }

@@ -323,9 +323,14 @@ func (p *Platform) TimeTransfer(fn func() error) error {
 	return err
 }
 
-// Print writes to the platform's captured stdout.
-func (p *Platform) Print(format string, args ...any) {
-	fmt.Fprintf(p.r.cfg.Stdout, format, args...)
+// Transfer runs fn as the app's transfer window. It adds no time of its
+// own: the Send and Recv calls inside already charge theirs.
+func (p *Platform) Transfer(fn func() error) error { return fn() }
+
+// Printf writes to the platform's captured stdout.
+func (p *Platform) Printf(format string, args ...any) error {
+	_, err := fmt.Fprintf(p.r.cfg.Stdout, format, args...)
+	return err
 }
 
 // Baseline-only transport kinds recorded in Result.Transfer alongside
@@ -374,8 +379,16 @@ func (p *Platform) Send(slot string, data []byte) error {
 	}
 }
 
-// Recv obtains the data registered under slot.
-func (p *Platform) Recv(slot string) ([]byte, error) {
+// Recv obtains the data registered under slot. The payload is the
+// receiver's to keep, so release has nothing to free.
+func (p *Platform) Recv(slot string) (data []byte, release func() error, err error) {
+	data, err = p.recv(slot)
+	return data, noRelease, err
+}
+
+func noRelease() error { return nil }
+
+func (p *Platform) recv(slot string) ([]byte, error) {
 	start := time.Now()
 	defer func() { p.clock.Add(metrics.StageTransfer, time.Since(start)) }()
 	switch p.r.cfg.System {

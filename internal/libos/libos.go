@@ -299,11 +299,6 @@ const (
 	costMmapFB = 26 * time.Millisecond
 )
 
-// Modules lists the as-libos module names in Table 2 order.
-func Modules() []string {
-	return []string{"mm", "fdtab", "fatfs", "socket", "stdio", "mmap_file_backend", "time"}
-}
-
 // NewRegistry builds the loader registry exposing every as-libos module.
 // The registry is per-WFD in spirit but stateless, so callers may share
 // one across WFDs; each namespace still instantiates its own modules.

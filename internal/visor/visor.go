@@ -82,8 +82,6 @@ type NativeFunc func(env *asstd.Env, ctx FuncContext) error
 type VMFunc struct {
 	Prog  *asvm.Program
 	Entry string
-	// Args builds the entry-point arguments from the context.
-	Args func(ctx FuncContext) []int64
 	// Engine/OverheadFactor select the runtime model: AOT+1.3 for the
 	// AlloyStack-C tier (Wasmtime), AOT+1.0 for Faasm-C (WAVM), AOT
 	// plus an interpretive factor for the Python tier. The factor is a
@@ -99,10 +97,11 @@ type VMFunc struct {
 	// image read (interpreter startup, module import machinery); it is
 	// scaled by the run's CostScale.
 	InitCost time.Duration
-	// InSlots/OutSlots resolve the guest's logical edges to AsBuffer
-	// slot names for the slot_send/slot_recv host calls.
-	InSlots  func(ctx FuncContext) []string
-	OutSlots func(ctx FuncContext) []string
+	// Resolve gives one instance its entry-point arguments and the slot
+	// names behind its logical in/out edges (the slot_send/slot_recv
+	// host calls). Nil means arguments (instance, instances) and no
+	// edges.
+	Resolve func(ctx FuncContext) (args []int64, in, out []string)
 }
 
 // Registry maps (function, language) to an implementation.
@@ -985,14 +984,14 @@ func (r *run) runVM(env *asstd.Env, ctx FuncContext, vf *VMFunc) error {
 			time.Sleep(time.Duration(float64(vf.InitCost) * r.opts.CostScale))
 		}
 	}
-	l := asvm.NewLinker()
+	var args []int64
 	var in, out []string
-	if vf.InSlots != nil {
-		in = vf.InSlots(ctx)
+	if vf.Resolve != nil {
+		args, in, out = vf.Resolve(ctx)
+	} else {
+		args = []int64{int64(ctx.Instance), int64(ctx.Instances)}
 	}
-	if vf.OutSlots != nil {
-		out = vf.OutSlots(ctx)
-	}
+	l := asvm.NewLinker()
 	asstd.BindWASISlots(l, env, in, out)
 	inst, err := l.Instantiate(vf.Prog, asvm.Config{
 		Engine:         vf.Engine,
@@ -1000,10 +999,6 @@ func (r *run) runVM(env *asstd.Env, ctx FuncContext, vf *VMFunc) error {
 	})
 	if err != nil {
 		return err
-	}
-	args := []int64{int64(ctx.Instance), int64(ctx.Instances)}
-	if vf.Args != nil {
-		args = vf.Args(ctx)
 	}
 	_, err = inst.Call(vf.Entry, args...)
 	return err

@@ -21,14 +21,11 @@ func RegisterNative(reg *visor.Registry) {
 	reg.RegisterNative("pipe-send", pipeSendFn)
 	reg.RegisterNative("pipe-recv", pipeRecvFn)
 	reg.RegisterNative("chain", chainFn)
-	reg.RegisterNative("wc-split", wcSplitFn)
-	reg.RegisterNative("wc-map", wcMapFn)
-	reg.RegisterNative("wc-reduce", wcReduceFn)
-	reg.RegisterNative("wc-merge", wcMergeFn)
-	reg.RegisterNative("ps-split", psSplitFn)
-	reg.RegisterNative("ps-sort", psSortFn)
-	reg.RegisterNative("ps-merge", psMergeFn)
-	reg.RegisterNative("ps-final", psFinalFn)
+	for name, app := range apps {
+		reg.RegisterNative(name, func(env *asstd.Env, ctx visor.FuncContext) error {
+			return app(envIO{env}, ctx)
+		})
+	}
 }
 
 // timeStage charges fn's duration to a breakdown stage — one
@@ -227,28 +224,92 @@ func chainIndex(name string) (int, error) {
 	return strconv.Atoi(name[i+1:])
 }
 
-// ---- WordCount ----------------------------------------------------------------
+// ---- WordCount and ParallelSorting ------------------------------------------------
 
-// wcSplitFn reads the input text and cuts it into per-mapper chunks.
-func wcSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
-	input := ctx.Param("input", "/INPUT.TXT")
-	mappers := int(ctx.ParamInt("instances", 1))
-	var text []byte
-	if err := timeStage(env, metrics.StageReadInput, func() error {
-		if err := asstd.MountFS(env); err != nil {
+// AppIO is the I/O surface the WordCount and ParallelSorting bodies run
+// on. AlloyStack's native tier passes the LibOS (envIO); a comparison
+// system passes its own platform, so every system runs the same app
+// code and differs only underneath.
+type AppIO interface {
+	// ReadInput reads a staged input file whole.
+	ReadInput(path string) ([]byte, error)
+	// Send moves data downstream under slot.
+	Send(slot string, data []byte) error
+	// Recv takes slot's payload; release frees it once read.
+	Recv(slot string) (data []byte, release func() error, err error)
+	// Compute and Transfer run fn as a compute or transfer window of the
+	// stage breakdown.
+	Compute(fn func() error) error
+	Transfer(fn func() error) error
+	Printf(format string, args ...any) error
+}
+
+// apps are the WordCount and ParallelSorting bodies by base name.
+var apps = map[string]func(AppIO, visor.FuncContext) error{
+	"wc-split":  wcSplit,
+	"wc-map":    wcMap,
+	"wc-reduce": wcReduce,
+	"wc-merge":  wcMerge,
+	"ps-split":  psSplit,
+	"ps-sort":   psSort,
+	"ps-merge":  psMerge,
+	"ps-final":  psFinal,
+}
+
+// RunApp runs the WordCount or ParallelSorting body of ctx's function on
+// io.
+func RunApp(io AppIO, ctx visor.FuncContext) error {
+	app, ok := apps[BaseName(ctx.Function)]
+	if !ok {
+		return fmt.Errorf("workloads: no app body for %q", ctx.Function)
+	}
+	return app(io, ctx)
+}
+
+// envIO is the LibOS side of AppIO: inputs come through the filesystem
+// module, intermediate data through the instance's transport, and each
+// window is one timeStage.
+type envIO struct{ env *asstd.Env }
+
+func (e envIO) ReadInput(path string) ([]byte, error) {
+	var data []byte
+	err := timeStage(e.env, metrics.StageReadInput, func() error {
+		if err := asstd.MountFS(e.env); err != nil {
 			return err
 		}
 		var err error
-		text, err = asstd.ReadFile(env, input)
+		data, err = asstd.ReadFile(e.env, path)
 		return err
-	}); err != nil {
+	})
+	return data, err
+}
+
+func (e envIO) Send(slot string, data []byte) error { return tp(e.env).Send(slot, data) }
+
+func (e envIO) Recv(slot string) ([]byte, func() error, error) { return tp(e.env).Recv(slot) }
+
+func (e envIO) Compute(fn func() error) error {
+	return timeStage(e.env, metrics.StageCompute, fn)
+}
+
+func (e envIO) Transfer(fn func() error) error {
+	return timeStage(e.env, metrics.StageTransfer, fn)
+}
+
+func (e envIO) Printf(format string, args ...any) error {
+	return asstd.Printf(e.env, format, args...)
+}
+
+// wcSplit reads the input text and cuts it into per-mapper chunks.
+func wcSplit(io AppIO, ctx visor.FuncContext) error {
+	text, err := io.ReadInput(ctx.Param("input", TextInputPath))
+	if err != nil {
 		return err
 	}
-	chunks := SplitTextChunks(text, mappers)
-	t := tp(env)
-	return timeStage(env, metrics.StageTransfer, func() error {
+	chunks := SplitTextChunks(text, int(ctx.ParamInt("instances", 1)))
+	return io.Transfer(func() error {
 		for i, chunk := range chunks {
-			if err := t.Send(visor.Slot("wc-split", 0, "wc-map", i), chunk); err != nil {
+			if err := io.Send(visor.Slot("wc-split", 0, "wc-map", i), chunk); err != nil {
 				return err
 			}
 		}
@@ -256,16 +317,15 @@ func wcSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
 	})
 }
 
-// wcMapFn counts words in its chunk and shuffles the counts to reducers
+// wcMap counts words in its chunk and shuffles the counts to reducers
 // partitioned by word hash.
-func wcMapFn(env *asstd.Env, ctx visor.FuncContext) error {
-	t := tp(env)
-	chunk, done, err := t.Recv(visor.Slot("wc-split", 0, "wc-map", ctx.Instance))
+func wcMap(io AppIO, ctx visor.FuncContext) error {
+	chunk, release, err := io.Recv(visor.Slot("wc-split", 0, "wc-map", ctx.Instance))
 	if err != nil {
 		return err
 	}
 	var partitions []map[string]uint64
-	if err := timeStage(env, metrics.StageCompute, func() error {
+	if err := io.Compute(func() error {
 		counts := CountWords(chunk)
 		partitions = make([]map[string]uint64, ctx.Instances)
 		for i := range partitions {
@@ -278,11 +338,11 @@ func wcMapFn(env *asstd.Env, ctx visor.FuncContext) error {
 	}); err != nil {
 		return err
 	}
-	done()
-	return timeStage(env, metrics.StageTransfer, func() error {
+	release()
+	return io.Transfer(func() error {
 		for r, part := range partitions {
 			slot := visor.Slot("wc-map", ctx.Instance, "wc-reduce", r)
-			if err := t.Send(slot, EncodeCounts(part)); err != nil {
+			if err := io.Send(slot, EncodeCounts(part)); err != nil {
 				return err
 			}
 		}
@@ -290,80 +350,67 @@ func wcMapFn(env *asstd.Env, ctx visor.FuncContext) error {
 	})
 }
 
-// wcReduceFn merges its hash partition from every mapper.
-func wcReduceFn(env *asstd.Env, ctx visor.FuncContext) error {
-	t := tp(env)
+// wcReduce merges its hash partition from every mapper.
+func wcReduce(io AppIO, ctx visor.FuncContext) error {
 	merged := make(map[string]uint64)
 	mappers := ctx.Instances // map and reduce run with equal instance counts
 	for m := 0; m < mappers; m++ {
-		data, done, err := t.Recv(visor.Slot("wc-map", m, "wc-reduce", ctx.Instance))
+		data, release, err := io.Recv(visor.Slot("wc-map", m, "wc-reduce", ctx.Instance))
 		if err != nil {
 			return err
 		}
-		if err := timeStage(env, metrics.StageCompute, func() error {
+		err = io.Compute(func() error {
 			return DecodeCountsInto(merged, data)
-		}); err != nil {
-			done()
+		})
+		release()
+		if err != nil {
 			return err
 		}
-		done()
 	}
-	return timeStage(env, metrics.StageTransfer, func() error {
+	return io.Transfer(func() error {
 		slot := visor.Slot("wc-reduce", ctx.Instance, "wc-merge", 0)
-		return t.Send(slot, EncodeCounts(merged))
+		return io.Send(slot, EncodeCounts(merged))
 	})
 }
 
-// wcMergeFn folds every reducer's table into the final result.
-func wcMergeFn(env *asstd.Env, ctx visor.FuncContext) error {
+// wcMerge folds every reducer's table into the final result.
+func wcMerge(io AppIO, ctx visor.FuncContext) error {
 	reducers := int(ctx.ParamInt("instances", 1))
-	t := tp(env)
 	final := make(map[string]uint64)
 	for r := 0; r < reducers; r++ {
-		data, done, err := t.Recv(visor.Slot("wc-reduce", r, "wc-merge", 0))
+		data, release, err := io.Recv(visor.Slot("wc-reduce", r, "wc-merge", 0))
 		if err != nil {
 			return err
 		}
-		if err := DecodeCountsInto(final, data); err != nil {
-			done()
+		err = DecodeCountsInto(final, data)
+		release()
+		if err != nil {
 			return err
 		}
-		done()
 	}
 	var total uint64
 	for _, c := range final {
 		total += c
 	}
-	return asstd.Printf(env, "words=%d distinct=%d\n", total, len(final))
+	return io.Printf("words=%d distinct=%d\n", total, len(final))
 }
 
-// ---- ParallelSorting ------------------------------------------------------------
-
-// psSplitFn reads the input values, samples pivots and scatters
+// psSplit reads the input values, samples pivots and scatters
 // pivot-headed chunks to the sorters.
-func psSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
-	input := ctx.Param("input", "/INPUT.BIN")
-	sorters := int(ctx.ParamInt("instances", 1))
-	var raw []byte
-	if err := timeStage(env, metrics.StageReadInput, func() error {
-		if err := asstd.MountFS(env); err != nil {
-			return err
-		}
-		var err error
-		raw, err = asstd.ReadFile(env, input)
-		return err
-	}); err != nil {
+func psSplit(io AppIO, ctx visor.FuncContext) error {
+	raw, err := io.ReadInput(ctx.Param("input", BinInputPath))
+	if err != nil {
 		return err
 	}
+	sorters := int(ctx.ParamInt("instances", 1))
 	var pivots []uint64
-	if err := timeStage(env, metrics.StageCompute, func() error {
+	if err := io.Compute(func() error {
 		pivots = PickPivots(BytesToU64s(raw), sorters)
 		return nil
 	}); err != nil {
 		return err
 	}
-	t := tp(env)
-	return timeStage(env, metrics.StageTransfer, func() error {
+	return io.Transfer(func() error {
 		per := (len(raw) / 8 / sorters) * 8
 		for i := 0; i < sorters; i++ {
 			start := i * per
@@ -372,7 +419,7 @@ func psSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
 				end = len(raw)
 			}
 			payload := EncodePivotChunk(pivots, raw[start:end])
-			if err := t.Send(visor.Slot("ps-split", 0, "ps-sort", i), payload); err != nil {
+			if err := io.Send(visor.Slot("ps-split", 0, "ps-sort", i), payload); err != nil {
 				return err
 			}
 		}
@@ -380,15 +427,14 @@ func psSplitFn(env *asstd.Env, ctx visor.FuncContext) error {
 	})
 }
 
-// psSortFn sorts its chunk and scatters pivot ranges to the mergers.
-func psSortFn(env *asstd.Env, ctx visor.FuncContext) error {
-	t := tp(env)
-	data, done, err := t.Recv(visor.Slot("ps-split", 0, "ps-sort", ctx.Instance))
+// psSort sorts its chunk and scatters pivot ranges to the mergers.
+func psSort(io AppIO, ctx visor.FuncContext) error {
+	data, release, err := io.Recv(visor.Slot("ps-split", 0, "ps-sort", ctx.Instance))
 	if err != nil {
 		return err
 	}
 	var pivots, vals []uint64
-	if err := timeStage(env, metrics.StageCompute, func() error {
+	err = io.Compute(func() error {
 		var chunk []byte
 		var err error
 		pivots, chunk, err = DecodePivotChunk(data)
@@ -398,12 +444,12 @@ func psSortFn(env *asstd.Env, ctx visor.FuncContext) error {
 		vals = BytesToU64s(chunk)
 		slices.Sort(vals)
 		return nil
-	}); err != nil {
-		done()
+	})
+	release()
+	if err != nil {
 		return err
 	}
-	done()
-	return timeStage(env, metrics.StageTransfer, func() error {
+	return io.Transfer(func() error {
 		mergers := len(pivots) + 1
 		start := 0
 		for j := 0; j < mergers; j++ {
@@ -415,7 +461,7 @@ func psSortFn(env *asstd.Env, ctx visor.FuncContext) error {
 				end = start
 			}
 			slot := visor.Slot("ps-sort", ctx.Instance, "ps-merge", j)
-			if err := t.Send(slot, U64sToBytes(vals[start:end])); err != nil {
+			if err := io.Send(slot, U64sToBytes(vals[start:end])); err != nil {
 				return err
 			}
 			start = end
@@ -424,54 +470,51 @@ func psSortFn(env *asstd.Env, ctx visor.FuncContext) error {
 	})
 }
 
-// psMergeFn k-way merges its range from every sorter.
-func psMergeFn(env *asstd.Env, ctx visor.FuncContext) error {
+// psMerge k-way merges its range from every sorter.
+func psMerge(io AppIO, ctx visor.FuncContext) error {
 	sorters := ctx.Instances
-	t := tp(env)
 	runs := make([][]uint64, 0, sorters)
 	for i := 0; i < sorters; i++ {
-		data, done, err := t.Recv(visor.Slot("ps-sort", i, "ps-merge", ctx.Instance))
+		data, release, err := io.Recv(visor.Slot("ps-sort", i, "ps-merge", ctx.Instance))
 		if err != nil {
 			return err
 		}
 		runs = append(runs, BytesToU64s(data))
-		done()
+		release()
 	}
 	var merged []uint64
-	if err := timeStage(env, metrics.StageCompute, func() error {
+	if err := io.Compute(func() error {
 		merged = MergeSortedRuns(runs)
 		return nil
 	}); err != nil {
 		return err
 	}
-	return timeStage(env, metrics.StageTransfer, func() error {
+	return io.Transfer(func() error {
 		slot := visor.Slot("ps-merge", ctx.Instance, "ps-final", 0)
-		return t.Send(slot, U64sToBytes(merged))
+		return io.Send(slot, U64sToBytes(merged))
 	})
 }
 
-// psFinalFn concatenates the ranges in order and verifies global
+// psFinal concatenates the ranges in order and verifies global
 // sortedness.
-func psFinalFn(env *asstd.Env, ctx visor.FuncContext) error {
+func psFinal(io AppIO, ctx visor.FuncContext) error {
 	mergers := int(ctx.ParamInt("instances", 1))
-	t := tp(env)
 	var prev uint64
 	var total int
 	for j := 0; j < mergers; j++ {
-		data, done, err := t.Recv(visor.Slot("ps-merge", j, "ps-final", 0))
+		data, release, err := io.Recv(visor.Slot("ps-merge", j, "ps-final", 0))
 		if err != nil {
 			return err
 		}
 		vals := BytesToU64s(data)
+		release()
 		for _, v := range vals {
 			if v < prev {
-				done()
 				return fmt.Errorf("workloads: output not sorted at range %d", j)
 			}
 			prev = v
 		}
 		total += len(vals)
-		done()
 	}
-	return asstd.Printf(env, "sorted=%d\n", total)
+	return io.Printf("sorted=%d\n", total)
 }
