@@ -19,29 +19,16 @@ import (
 	"alloystack/internal/netstack"
 )
 
-// ForkConfig carries the per-clone resources a fork cannot inherit from
-// its template: output streams and (optionally) a network identity.
-// Everything else — modules, filesystem, runtime pages — comes from the
-// snapshot.
-type ForkConfig struct {
-	// Stdout receives the clone's stdio output (defaults to the
-	// template's writer).
-	Stdout io.Writer //asvet:allow unreachable -- the pool forks with the zero ForkConfig and the visor calls SetStdout; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
-
-	// Hub and IP give the clone its own virtual NIC. Clones cannot share
-	// the template's NIC address, so socket-using workflows must supply
-	// these (or boot cold).
-	Hub *netstack.Hub //asvet:allow unreachable -- Hub-attached runs boot cold (run.boot); set nowhere today, tests included: a deletion candidate (ROADMAP 3)
-	IP  netstack.Addr //asvet:allow unreachable -- see Hub
-}
-
 // Fork cuts a warm clone from the WFD. The template's address space is
 // sealed and shared copy-on-write; the clone gets a fresh MPK domain
 // (fresh protection keys), its own LibOS state adopting the template's
 // mounted filesystem, and a namespace with the template's modules
-// replayed at zero cost. The clone's ColdStart is the measured fork
-// latency — the warm-boot analogue of the Figure 10 quantity.
-func (w *WFD) Fork(fc ForkConfig) (*WFD, error) {
+// replayed at zero cost. The clone has no virtual NIC (it cannot share
+// the template's address, so socket-using workflows boot cold) and
+// writes to the template's stdout until SetStdout re-points it. Its
+// ColdStart is the measured fork latency — the warm-boot analogue of
+// the Figure 10 quantity.
+func (w *WFD) Fork() (*WFD, error) {
 	start := time.Now()
 
 	w.mu.Lock()
@@ -63,11 +50,7 @@ func (w *WFD) Fork(fc ForkConfig) (*WFD, error) {
 	space := w.Space.Fork()
 	domain := mpk.NewDomain(space)
 
-	if fc.Stdout != nil {
-		opts.Stdout = fc.Stdout
-	}
-	opts.Hub = fc.Hub
-	opts.IP = fc.IP
+	opts.Hub, opts.IP = nil, netstack.Addr{}
 
 	cfg := libos.Config{
 		Space:       space,

@@ -43,7 +43,7 @@ func TestForkPerformsZeroDeviceReads(t *testing.T) {
 	reads0, _, bytes0, _ := dev.Stats()
 
 	for i := 0; i < 3; i++ {
-		clone, err := tpl.Fork(ForkConfig{})
+		clone, err := tpl.Fork()
 		if err != nil {
 			t.Fatalf("Fork: %v", err)
 		}
@@ -99,7 +99,7 @@ func TestForkInheritsWarmMarkers(t *testing.T) {
 	dev := &blockdev.Counting{Inner: blockdev.NewMemDisk(8 << 20)}
 	tpl := warmTemplate(t, dev)
 
-	clone, err := tpl.Fork(ForkConfig{})
+	clone, err := tpl.Fork()
 	if err != nil {
 		t.Fatalf("Fork: %v", err)
 	}
@@ -130,12 +130,12 @@ func TestForkClonesAreIsolated(t *testing.T) {
 	dev := &blockdev.Counting{Inner: blockdev.NewMemDisk(8 << 20)}
 	tpl := warmTemplate(t, dev)
 
-	a, err := tpl.Fork(ForkConfig{})
+	a, err := tpl.Fork()
 	if err != nil {
 		t.Fatalf("Fork a: %v", err)
 	}
 	defer a.Destroy()
-	b, err := tpl.Fork(ForkConfig{})
+	b, err := tpl.Fork()
 	if err != nil {
 		t.Fatalf("Fork b: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestForkAfterDestroyFails(t *testing.T) {
 	dev := &blockdev.Counting{Inner: blockdev.NewMemDisk(8 << 20)}
 	tpl := warmTemplate(t, dev)
 	tpl.Destroy()
-	if _, err := tpl.Fork(ForkConfig{}); !errors.Is(err, ErrDestroyed) {
+	if _, err := tpl.Fork(); !errors.Is(err, ErrDestroyed) {
 		t.Fatalf("Fork after destroy = %v, want ErrDestroyed", err)
 	}
 }

@@ -255,7 +255,7 @@ func (p *Pool) Maintain(now time.Time) int {
 	forked := 0
 	for i := 0; i < need; i++ {
 		span := p.cfg.Trace.Start("pool-fork:"+p.spec.Workflow, trace.CatPool)
-		clone, err := p.template.Fork(core.ForkConfig{})
+		clone, err := p.template.Fork()
 		span.End()
 		if err != nil {
 			break
