@@ -241,7 +241,7 @@ func clusterShed(o Options) (shedStats, error) {
 	if st.ShardShed == 0 {
 		return shedStats{}, fmt.Errorf("shard shed counter is zero after a shed")
 	}
-	return shedStats{shed: st.ShardShed, bystanderP99: percentile(lat, 99)}, nil
+	return shedStats{shed: st.ShardShed, bystanderP99: metrics.Summarize(lat).P99}, nil
 }
 
 // startClusterFleet boots n visor nodes with the full cluster surface:

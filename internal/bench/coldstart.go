@@ -2,9 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"alloystack/internal/metrics"
 	"alloystack/internal/pool"
 	"alloystack/internal/workloads"
 )
@@ -81,15 +81,14 @@ func Coldstart(o Options) (*Result, error) {
 	}
 
 	r.Header = []string{"boot", "e2e p50 (ms)", "e2e p99 (ms)", "boot p50 (ms)", "boot p99 (ms)"}
-	arm := func(name string, e2e, boot []time.Duration) []string {
-		return []string{name,
-			ms(percentile(e2e, 50)), ms(percentile(e2e, 99)),
-			ms(percentile(boot, 50)), ms(percentile(boot, 99)),
-		}
+	coldE2ESum, coldBootSum := metrics.Summarize(coldE2E), metrics.Summarize(coldBoot)
+	warmE2ESum, warmBootSum := metrics.Summarize(warmE2E), metrics.Summarize(warmBoot)
+	arm := func(name string, e2e, boot metrics.Summary) []string {
+		return []string{name, ms(e2e.P50), ms(e2e.P99), ms(boot.P50), ms(boot.P99)}
 	}
 	r.Rows = [][]string{
-		arm("cold", coldE2E, coldBoot),
-		arm("warm", warmE2E, warmBoot),
+		arm("cold", coldE2ESum, coldBootSum),
+		arm("warm", warmE2ESum, warmBootSum),
 	}
 	st := p.Stats()
 	r.count("pool_hits", st.Hits)
@@ -100,26 +99,9 @@ func Coldstart(o Options) (*Result, error) {
 		fmt.Sprintf("%d runs per arm; warm pool: %d hits, %d forks, template boot %.0f ms paid once",
 			coldstartRuns, st.Hits, st.Forks, st.TemplateBoot),
 		fmt.Sprintf("e2e speedup p50: %.1fx, boot speedup p50: %.1fx",
-			ratio(percentile(coldE2E, 50), percentile(warmE2E, 50)),
-			ratio(percentile(coldBoot, 50), percentile(warmBoot, 50))))
+			ratio(coldE2ESum.P50, warmE2ESum.P50),
+			ratio(coldBootSum.P50, warmBootSum.P50)))
 	return emit(o, r), nil
-}
-
-// percentile returns the pth percentile (nearest-rank) of samples.
-func percentile(samples []time.Duration, p int) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (p*len(s) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(s) {
-		idx = len(s)
-	}
-	return s[idx-1]
 }
 
 func ratio(a, b time.Duration) float64 {

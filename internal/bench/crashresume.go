@@ -7,6 +7,7 @@ import (
 
 	"alloystack/internal/faults"
 	"alloystack/internal/journal"
+	"alloystack/internal/metrics"
 	"alloystack/internal/visor"
 	"alloystack/internal/workloads"
 )
@@ -130,15 +131,15 @@ func CrashResume(o Options) (*Result, error) {
 		replayed = len(rres.Stages) - rres.StagesSkipped
 	}
 
-	overhead := 100 * (float64(percentile(durable, 50)) - float64(percentile(plain, 50))) /
-		float64(percentile(plain, 50))
+	plainSum, durableSum, resumeSum := metrics.Summarize(plain), metrics.Summarize(durable), metrics.Summarize(resume)
+	overhead := 100 * (float64(durableSum.P50) - float64(plainSum.P50)) / float64(plainSum.P50)
 
 	r := newResult("crashresume", "durable-run journal: crash-resume vs cold re-run (python chain x5)")
 	r.Header = []string{"arm", "p50 (ms)", "p99 (ms)", "stages run"}
 	r.Rows = [][]string{
-		{"plain (cold re-run)", ms(percentile(plain, 50)), ms(percentile(plain, 99)), "5"},
-		{"durable (no crash)", ms(percentile(durable, 50)), ms(percentile(durable, 99)), "5"},
-		{"resume after crash", ms(percentile(resume, 50)), ms(percentile(resume, 99)),
+		{"plain (cold re-run)", ms(plainSum.P50), ms(plainSum.P99), "5"},
+		{"durable (no crash)", ms(durableSum.P50), ms(durableSum.P99), "5"},
+		{"resume after crash", ms(resumeSum.P50), ms(resumeSum.P99),
 			fmt.Sprintf("%d (%d skipped)", replayed, skipped)},
 	}
 	r.alloyCounts("plain", plainRuns)
@@ -154,7 +155,7 @@ func CrashResume(o Options) (*Result, error) {
 		fmt.Sprintf("journal: %d appends, %d bytes, %d resumes (group-commit fsync, async barriers)",
 			st.Appends, st.Bytes, st.Resumes),
 		fmt.Sprintf("durable overhead p50: %+.1f%% (target < 5%%); resume speedup p50: %.1fx vs cold re-run",
-			overhead, ratio(percentile(plain, 50), percentile(resume, 50))))
+			overhead, ratio(plainSum.P50, resumeSum.P50)))
 	if o.ArtifactsDir != "" {
 		r.Notes = append(r.Notes, fmt.Sprintf("journal artifacts kept in %s", dir))
 	}

@@ -131,14 +131,14 @@ func Observability(o Options) (*Result, error) {
 		return nil, fmt.Errorf("SLO breach produced no anomaly capture in %s", capDir)
 	}
 
-	overhead := 100 * (float64(percentile(on, 50)) - float64(percentile(off, 50))) /
-		float64(percentile(off, 50))
+	offSum, onSum := metrics.Summarize(off), metrics.Summarize(on)
+	overhead := 100 * (float64(onSum.P50) - float64(offSum.P50)) / float64(offSum.P50)
 
 	r := newResult("obs", "always-on telemetry: histogram + tail-sampled tracing overhead (python chain x5)")
 	r.Header = []string{"arm", "p50 (ms)", "p99 (ms)"}
 	r.Rows = [][]string{
-		{"telemetry off", ms(percentile(off, 50)), ms(percentile(off, 99))},
-		{"telemetry on (always-on path)", ms(percentile(on, 50)), ms(percentile(on, 99))},
+		{"telemetry off", ms(offSum.P50), ms(offSum.P99)},
+		{"telemetry on (always-on path)", ms(onSum.P50), ms(onSum.P99)},
 	}
 	r.alloyCounts("off", offRuns)
 	r.alloyCounts("on", onRuns)
