@@ -173,19 +173,6 @@ func runLockPair(pass *Pass) {
 					}
 					return false
 				}
-				// Deferred release anywhere covers all exits.
-				for _, d := range cfg.defers {
-					found := false
-					ast.Inspect(d.Call, func(n ast.Node) bool {
-						if isRelease(n) {
-							found = true
-						}
-						return !found
-					})
-					if found {
-						return true
-					}
-				}
 				// Obligation transfer: a matching release inside any
 				// nested function literal, or the release method taken
 				// as a value.
@@ -195,12 +182,7 @@ func runLockPair(pass *Pass) {
 						return false
 					}
 					if lit, ok := n.(*ast.FuncLit); ok {
-						ast.Inspect(lit.Body, func(inner ast.Node) bool {
-							if isRelease(inner) {
-								transferred = true
-							}
-							return !transferred
-						})
+						transferred = findNode(lit.Body, ast.Inspect, isRelease)
 						return false
 					}
 					if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == release {
@@ -216,21 +198,7 @@ func runLockPair(pass *Pass) {
 					}
 					return true
 				})
-				if transferred {
-					return true
-				}
-
-				itemReleases := func(item ast.Node) bool {
-					found := false
-					inspectSameFunc(item, func(n ast.Node) bool {
-						if isRelease(n) {
-							found = true
-						}
-						return !found
-					})
-					return found
-				}
-				if cfg.reachesExitWithout(call, itemReleases) {
+				if !transferred && !cfg.released(call, isRelease) {
 					pass.Reportf(call.Pos(),
 						"%s.%s is not %sed on all paths to return (defer %s.%s())",
 						key, method, release, key, release)

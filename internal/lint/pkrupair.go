@@ -128,38 +128,6 @@ func runPKRUPair(pass *Pass) {
 				id, ok := unparen(call.Args[0]).(*ast.Ident)
 				return ok && saved[pass.Info.Uses[id]]
 			}
-			itemHas := func(pred func(ast.Node) bool) func(ast.Node) bool {
-				return func(item ast.Node) bool {
-					found := false
-					inspectSameFunc(item, func(n ast.Node) bool {
-						if pred(n) {
-							found = true
-						}
-						return !found
-					})
-					return found
-				}
-			}
-			// Deferred restores cover every exit path, including the
-			// ones a panic unwinds through. A deferred closure counts:
-			// its body runs at exit, so the same-func walk is widened
-			// to the defer's whole call expression.
-			deferredHas := func(pred func(ast.Node) bool) bool {
-				for _, d := range cfg.defers {
-					found := false
-					ast.Inspect(d.Call, func(n ast.Node) bool {
-						if pred(n) {
-							found = true
-						}
-						return !found
-					})
-					if found {
-						return true
-					}
-				}
-				return false
-			}
-
 			inspectSameFunc(body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -182,10 +150,9 @@ func runPKRUPair(pass *Pass) {
 							o := calleeOf(pass.Info, c)
 							return o != nil && halves[o] == leave
 						}
-						if deferredHas(isLeaveCall) {
-							return true
-						}
-						if cfg.reachesExitWithout(call, itemHas(isLeaveCall)) {
+						// Deferred leaves also cover the exits a panic
+						// unwinds through.
+						if !cfg.released(call, isLeaveCall) {
 							pass.Reportf(call.Pos(),
 								"%s switches the PKRU domain but %s is not called on all paths to return (defer it)",
 								name, leave)
@@ -201,10 +168,7 @@ func runPKRUPair(pass *Pass) {
 				if isRestoreCall(call) {
 					return true
 				}
-				if deferredHas(isRestoreCall) {
-					return true
-				}
-				if len(saved) == 0 || cfg.reachesExitWithout(call, itemHas(isRestoreCall)) {
+				if len(saved) == 0 || !cfg.released(call, isRestoreCall) {
 					pass.Reportf(call.Pos(),
 						"PKRU domain switch without a matching restore of a ReadPKRU-saved value on all paths"+
 							" (save with ReadPKRU and restore via defer, or construct the context with mpk.NewContext)")

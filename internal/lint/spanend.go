@@ -87,29 +87,7 @@ func runSpanEnd(pass *Pass) {
 					recv, ok := unparen(sel.X).(*ast.Ident)
 					return ok && pass.Info.Uses[recv] == obj
 				}
-				for _, d := range cfg.defers {
-					found := false
-					ast.Inspect(d.Call, func(n ast.Node) bool {
-						if isEndCall(n) {
-							found = true
-						}
-						return !found
-					})
-					if found {
-						return true
-					}
-				}
-				itemEnds := func(item ast.Node) bool {
-					found := false
-					inspectSameFunc(item, func(n ast.Node) bool {
-						if isEndCall(n) {
-							found = true
-						}
-						return !found
-					})
-					return found
-				}
-				if cfg.reachesExitWithout(as, itemEnds) {
+				if !cfg.released(as, isEndCall) {
 					pass.Reportf(as.Pos(),
 						"span %q started here is not Ended on all paths to return (defer %s.End())",
 						id.Name, id.Name)
