@@ -27,12 +27,15 @@ test:
 # AOT register engine, internal/asvm) ten seconds beyond the committed
 # corpus and the fixed-seed property test `make test` already replays,
 # then the payload-pattern kernels (internal/workloads) five seconds
-# against their per-byte formula. A crasher is written under the
-# package's testdata/fuzz/ and becomes a regression test by being
-# committed.
+# against their per-byte formula, then the two wire decoders that read
+# bytes from a peer (the kvstore command reader and xfer's framed
+# protocol) five seconds each. A crasher is written under the package's
+# testdata/fuzz/ and becomes a regression test by being committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnginesAgree -fuzztime 10s ./internal/asvm
 	$(GO) test -run '^$$' -fuzz FuzzPattern -fuzztime 5s ./internal/workloads
+	$(GO) test -run '^$$' -fuzz FuzzKVCommand -fuzztime 5s ./internal/kvstore
+	$(GO) test -run '^$$' -fuzz FuzzNetFrame -fuzztime 5s ./internal/xfer
 
 # race runs every internal package under the race detector; the chaos
 # tests are concurrency-heavy by design, so this is where races

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"time"
 
 	"alloystack/internal/libos"
@@ -112,17 +111,6 @@ type Transport interface {
 	// the returned bytes (it frees the underlying buffer on the
 	// refpass path; elsewhere it is a no-op).
 	Recv(slot string) ([]byte, func() error, error)
-
-	// Free discards the payload registered under slot without reading
-	// it (e.g. a fan-in consumer dropping surplus inputs).
-	Free(slot string) error
-
-	// SendStream opens a chunked writer for payloads larger than one
-	// AsBuffer slot; closing it completes the transfer.
-	SendStream(slot string) (io.WriteCloser, error)
-
-	// RecvStream opens the chunked reader counterpart.
-	RecvStream(slot string) (io.ReadCloser, error)
 }
 
 // SetTransport installs the data plane for this function instance; the

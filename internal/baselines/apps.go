@@ -17,7 +17,7 @@ import (
 // chain pass AsBuffers by reference (Alloc, SendBuffer, Forward), which
 // no baseline has, so each platform states them over its own transfers.
 func runNativeApp(p *Platform) error {
-	switch workloads.BaseName(p.Ctx().Function) {
+	switch visor.BaseName(p.Ctx().Function) {
 	case "noops":
 		return nil
 	case "pipe-send":

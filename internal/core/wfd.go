@@ -47,8 +47,6 @@ const baseInitCost = 700 * time.Microsecond
 
 // Options configures a WFD instantiation.
 type Options struct {
-	// MemLimit caps the WFD address space (0 = unlimited).
-	MemLimit uint64 //asvet:allow unreachable -- the WFD address-space cap mem.Space enforces; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 	// BufHeapSize bounds the intermediate-data heap (default 1 GiB).
 	BufHeapSize uint64
 
@@ -138,7 +136,7 @@ func Instantiate(opts Options) (*WFD, error) {
 		opts.Registry = Registry()
 	}
 
-	space := mem.NewSpace(opts.MemLimit)
+	space := mem.NewSpace(0)
 	domain := mpk.NewDomain(space)
 
 	// Carve the system partition: trampoline code, visor-side state and

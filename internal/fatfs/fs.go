@@ -26,24 +26,14 @@ type FS struct {
 	freeHint uint32   // next-free search start
 }
 
-// MkfsOptions configures Format.
-type MkfsOptions struct {
-	// SectorsPerCluster must be a power of two; 8 (4 KiB clusters) if 0.
-	SectorsPerCluster int //asvet:allow unreachable -- mkfs geometry: every image uses the defaults; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
-	// NumFATs is the number of FAT copies; 2 if 0.
-	NumFATs int //asvet:allow unreachable -- see SectorsPerCluster
-}
+// MkfsOptions configures Format. Every image uses the one geometry, so
+// it has no fields.
+type MkfsOptions struct{}
 
-// Format writes a fresh FAT32 layout onto dev and mounts it.
-func Format(dev blockdev.Device, opts MkfsOptions) (*FS, error) {
-	spc := opts.SectorsPerCluster
-	if spc == 0 {
-		spc = 8
-	}
-	nfats := opts.NumFATs
-	if nfats == 0 {
-		nfats = 2
-	}
+// Format writes a fresh FAT32 layout onto dev and mounts it: 4 KiB
+// clusters (8 sectors) and two FAT copies.
+func Format(dev blockdev.Device, _ MkfsOptions) (*FS, error) {
+	const spc, nfats = 8, 2
 	totalSectors := uint32(dev.Size() / sectorSize)
 	if totalSectors < 128 {
 		return nil, fmt.Errorf("%w: device too small (%d sectors)", ErrBadImage, totalSectors)

@@ -10,8 +10,9 @@
 //	*<argc>\r\n then argc of: $<len>\r\n<bytes>\r\n
 //
 // Commands: SET key value → +OK, GET key → $len payload or $-1,
-// DEL key → :n, PING → +PONG, APPEND key value → :newlen,
-// INCR key → :n.
+// DEL key → :n. A bulk length outside [0, 512 MiB] is a protocol
+// error, and a bulk's buffer grows as its bytes arrive, so a claimed
+// length costs what the peer actually sends.
 package kvstore
 
 import (
@@ -31,12 +32,11 @@ var (
 	ErrNotFound = errors.New("kvstore: key not found")
 	ErrProtocol = errors.New("kvstore: protocol error")
 	ErrServer   = errors.New("kvstore: server error")
-	// ErrAmbiguous reports a non-idempotent command (APPEND, INCR) whose
-	// connection died before the reply arrived: the server may or may
-	// not have applied it, and replaying would risk applying it twice.
-	// The caller must reconcile (read the key back) before retrying.
-	ErrAmbiguous = errors.New("kvstore: non-idempotent command outcome unknown")
 )
+
+// maxBulk bounds one bulk string's length (Redis's default
+// proto-max-bulk-len).
+const maxBulk = 512 << 20
 
 // Server is the store plus its TCP acceptor.
 type Server struct {
@@ -48,8 +48,6 @@ type Server struct {
 	closed chan struct{}
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
-
-	gets sync.Map // metrics: per-command counters (string -> *int64)
 }
 
 // NewServer starts a store listening on addr ("127.0.0.1:0" for an
@@ -169,36 +167,6 @@ func (s *Server) serve(conn net.Conn) {
 				n = 1
 			}
 			fmt.Fprintf(w, ":%d\r\n", n)
-		case "APPEND":
-			if len(args) != 3 {
-				writeError(w, "APPEND wants 2 arguments")
-				break
-			}
-			s.mu.Lock()
-			cur := s.data[string(args[1])]
-			val := make([]byte, 0, len(cur)+len(args[2]))
-			val = append(append(val, cur...), args[2]...)
-			s.data[string(args[1])] = val
-			s.mu.Unlock()
-			fmt.Fprintf(w, ":%d\r\n", len(val))
-		case "INCR":
-			if len(args) != 2 {
-				writeError(w, "INCR wants 1 argument")
-				break
-			}
-			s.mu.Lock()
-			n, err := strconv.ParseInt(string(s.data[string(args[1])]), 10, 64)
-			if err != nil && len(s.data[string(args[1])]) > 0 {
-				s.mu.Unlock()
-				writeError(w, "value is not an integer")
-				break
-			}
-			n++
-			s.data[string(args[1])] = []byte(strconv.FormatInt(n, 10))
-			s.mu.Unlock()
-			fmt.Fprintf(w, ":%d\r\n", n)
-		case "PING":
-			w.WriteString("+PONG\r\n")
 		default:
 			writeError(w, "unknown command "+string(args[0]))
 		}
@@ -235,19 +203,34 @@ func readCommand(r *bufio.Reader) ([][]byte, error) {
 			return nil, ErrProtocol
 		}
 		n, err := strconv.Atoi(string(hdr[1:]))
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > maxBulk {
 			return nil, ErrProtocol
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if args[i], err = readBulk(r, n); err != nil {
 			return nil, err
 		}
-		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return nil, ErrProtocol
-		}
-		args[i] = buf[:n]
 	}
 	return args, nil
+}
+
+// readBulk reads a bulk string's n-byte body and its CRLF. The buffer
+// starts at 64 KiB at most and doubles as bytes arrive.
+func readBulk(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n+2, 64<<10))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, buf[off:])
+		if err != nil {
+			return nil, err
+		}
+		if off += m; off == n+2 {
+			break
+		}
+		buf = append(buf, make([]byte, min(n+2-off, off))...)
+	}
+	if buf[n] != '\r' || buf[n+1] != '\n' {
+		return nil, ErrProtocol
+	}
+	return buf[:n], nil
 }
 
 func readLine(r *bufio.Reader) ([]byte, error) {
@@ -272,13 +255,11 @@ func (s *Server) Keys() int {
 // are serialised on the single connection like a real Redis client.
 //
 // Transient failures — a dropped TCP connection, a server restart on
-// the same address — are absorbed transparently for idempotent
-// commands (SET/GET/DEL/PING): the client redials and replays the
-// failed command up to MaxReconnects times before surfacing the error.
-// Non-idempotent commands (APPEND/INCR) are never replayed — an
-// ambiguous outcome fails fast with ErrAmbiguous. Protocol- and
-// application-level errors (ErrServer, ErrProtocol, ErrNotFound) are
-// never retried.
+// the same address — are absorbed transparently: every command (SET,
+// GET, DEL) is idempotent, so the client redials and replays the failed
+// command up to MaxReconnects times before surfacing the error.
+// Protocol- and application-level errors (ErrServer, ErrProtocol,
+// ErrNotFound) are never retried.
 type Client struct {
 	mu   sync.Mutex
 	addr string
@@ -354,15 +335,10 @@ func (c *Client) redial() error {
 	return nil
 }
 
-// do runs one command attempt under the client lock. Idempotent
-// commands (SET/GET/DEL/PING) are replayed across reconnects on
-// transient failure: applying them twice converges on the same state.
-// Non-idempotent commands (APPEND/INCR) must never be silently
-// double-applied — a connection that dies before the reply leaves the
-// command's outcome unknown, so the client redials once to heal the
-// connection for later commands but fails fast with ErrAmbiguous
-// instead of replaying.
-func (c *Client) do(idempotent bool, attempt func() error) error {
+// do runs one command attempt under the client lock and replays it
+// across reconnects on transient failure: SET, GET and DEL applied
+// twice converge on the same state.
+func (c *Client) do(attempt func() error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ops++
@@ -373,14 +349,6 @@ func (c *Client) do(idempotent bool, attempt func() error) error {
 	err := attempt()
 	if !transient(err) {
 		return err
-	}
-	if !idempotent {
-		// Heal the connection so the next command starts clean, but
-		// surface the ambiguity: the server may have applied this one.
-		if derr := c.redial(); derr == nil {
-			c.reconnects++
-		}
-		return fmt.Errorf("%w: %v", ErrAmbiguous, err)
 	}
 	max := c.MaxReconnects
 	if max <= 0 {
@@ -411,7 +379,7 @@ func (c *Client) send(args ...[]byte) error {
 
 // Set stores value under key.
 func (c *Client) Set(key string, value []byte) error {
-	return c.do(true, func() error {
+	return c.do(func() error {
 		if err := c.send([]byte("SET"), []byte(key), value); err != nil {
 			return err
 		}
@@ -429,7 +397,7 @@ func (c *Client) Set(key string, value []byte) error {
 // Get fetches the value under key.
 func (c *Client) Get(key string) ([]byte, error) {
 	var out []byte
-	err := c.do(true, func() error {
+	err := c.do(func() error {
 		if err := c.send([]byte("GET"), []byte(key)); err != nil {
 			return err
 		}
@@ -441,18 +409,14 @@ func (c *Client) Get(key string) ([]byte, error) {
 			return fmt.Errorf("%w: %s", ErrServer, line)
 		}
 		n, err := strconv.Atoi(string(line[1:]))
-		if err != nil {
-			return ErrProtocol
-		}
-		if n == -1 {
+		if err == nil && n == -1 {
 			return ErrNotFound
 		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(c.r, buf); err != nil {
-			return err
+		if err != nil || n < 0 || n > maxBulk {
+			return ErrProtocol
 		}
-		out = buf[:n]
-		return nil
+		out, err = readBulk(c.r, n)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -463,7 +427,7 @@ func (c *Client) Get(key string) ([]byte, error) {
 // Del removes key, reporting whether it existed.
 func (c *Client) Del(key string) (bool, error) {
 	var existed bool
-	err := c.do(true, func() error {
+	err := c.do(func() error {
 		if err := c.send([]byte("DEL"), []byte(key)); err != nil {
 			return err
 		}
@@ -478,74 +442,4 @@ func (c *Client) Del(key string) (bool, error) {
 		return nil
 	})
 	return existed, err
-}
-
-// Append appends value to key's current value, returning the new
-// length. APPEND is not idempotent: a transient failure mid-command
-// fails fast with ErrAmbiguous instead of redial-and-replay (which
-// could double-append). Read the key back to reconcile.
-func (c *Client) Append(key string, value []byte) (int, error) {
-	var newLen int
-	err := c.do(false, func() error {
-		if err := c.send([]byte("APPEND"), []byte(key), value); err != nil {
-			return err
-		}
-		line, err := readLine(c.r)
-		if err != nil {
-			return err
-		}
-		if len(line) == 0 || line[0] != ':' {
-			return fmt.Errorf("%w: %s", ErrServer, line)
-		}
-		n, err := strconv.Atoi(string(line[1:]))
-		if err != nil {
-			return ErrProtocol
-		}
-		newLen = n
-		return nil
-	})
-	return newLen, err
-}
-
-// Incr increments the integer at key (missing counts as 0), returning
-// the new value. INCR is not idempotent: like Append, a transient
-// failure surfaces ErrAmbiguous rather than risking a double increment.
-func (c *Client) Incr(key string) (int64, error) {
-	var val int64
-	err := c.do(false, func() error {
-		if err := c.send([]byte("INCR"), []byte(key)); err != nil {
-			return err
-		}
-		line, err := readLine(c.r)
-		if err != nil {
-			return err
-		}
-		if len(line) == 0 || line[0] != ':' {
-			return fmt.Errorf("%w: %s", ErrServer, line)
-		}
-		n, err := strconv.ParseInt(string(line[1:]), 10, 64)
-		if err != nil {
-			return ErrProtocol
-		}
-		val = n
-		return nil
-	})
-	return val, err
-}
-
-// Ping round-trips a health check.
-func (c *Client) Ping() error {
-	return c.do(true, func() error {
-		if err := c.send([]byte("PING")); err != nil {
-			return err
-		}
-		line, err := readLine(c.r)
-		if err != nil {
-			return err
-		}
-		if string(line) != "+PONG" {
-			return fmt.Errorf("%w: %s", ErrServer, line)
-		}
-		return nil
-	})
 }

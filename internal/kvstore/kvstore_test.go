@@ -87,13 +87,6 @@ func TestDel(t *testing.T) {
 	}
 }
 
-func TestPing(t *testing.T) {
-	_, c := newPair(t)
-	if err := c.Ping(); err != nil {
-		t.Fatalf("Ping: %v", err)
-	}
-}
-
 func TestOverwrite(t *testing.T) {
 	_, c := newPair(t)
 	c.Set("k", []byte("first"))

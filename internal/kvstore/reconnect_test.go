@@ -85,77 +85,6 @@ func TestNotFoundNotRetried(t *testing.T) {
 	}
 }
 
-// Non-idempotent commands work normally on a healthy connection.
-func TestAppendIncrRoundTrip(t *testing.T) {
-	_, c := newPair(t)
-	if n, err := c.Append("log", []byte("ab")); err != nil || n != 2 {
-		t.Fatalf("Append: n=%d err=%v", n, err)
-	}
-	if n, err := c.Append("log", []byte("cd")); err != nil || n != 4 {
-		t.Fatalf("Append 2: n=%d err=%v", n, err)
-	}
-	got, err := c.Get("log")
-	if err != nil || string(got) != "abcd" {
-		t.Fatalf("Get log: %q, %v", got, err)
-	}
-	if n, err := c.Incr("ctr"); err != nil || n != 1 {
-		t.Fatalf("Incr: n=%d err=%v", n, err)
-	}
-	if n, err := c.Incr("ctr"); err != nil || n != 2 {
-		t.Fatalf("Incr 2: n=%d err=%v", n, err)
-	}
-}
-
-// A non-idempotent command whose connection dies must NOT be replayed:
-// the server may have applied it, and a silent replay would double it.
-// The client fails fast with ErrAmbiguous but heals the connection so
-// the next command succeeds.
-func TestAmbiguousAppendNotReplayed(t *testing.T) {
-	s, c := newPair(t)
-	if _, err := c.Append("log", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	// Drop the connection on the next op (op counter is at 1).
-	c.Faults = faults.NewPlan(1, faults.KVDropConn{AfterOps: 2})
-	_, err := c.Append("log", []byte("y"))
-	if !errors.Is(err, ErrAmbiguous) {
-		t.Fatalf("ambiguous append: err = %v, want ErrAmbiguous", err)
-	}
-	// The value must not have been double-appended by a replay: the
-	// server either has "x" (command lost) or "xy" (applied before the
-	// drop was noticed), never "xyy".
-	got, gerr := c.Get("log")
-	if gerr != nil {
-		t.Fatalf("Get after ambiguity: %v (connection not healed)", gerr)
-	}
-	if string(got) != "x" && string(got) != "xy" {
-		t.Fatalf("log = %q: non-idempotent command was replayed", got)
-	}
-	if s.Keys() != 1 {
-		t.Fatalf("keys = %d", s.Keys())
-	}
-}
-
-// Same fail-fast contract for INCR: an ambiguous increment surfaces
-// ErrAmbiguous and the counter advances at most once.
-func TestAmbiguousIncrNotReplayed(t *testing.T) {
-	_, c := newPair(t)
-	if _, err := c.Incr("ctr"); err != nil {
-		t.Fatal(err)
-	}
-	c.Faults = faults.NewPlan(1, faults.KVDropConn{AfterOps: 2})
-	if _, err := c.Incr("ctr"); !errors.Is(err, ErrAmbiguous) {
-		t.Fatalf("ambiguous incr: err = %v, want ErrAmbiguous", err)
-	}
-	got, err := c.Get("ctr")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "1" && string(got) != "2" {
-		t.Fatalf("ctr = %q: increment was replayed", got)
-	}
-}
-
 // A permanently unreachable server exhausts MaxReconnects and surfaces
 // the transport error instead of spinning forever.
 func TestReconnectBudgetExhausted(t *testing.T) {

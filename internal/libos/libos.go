@@ -100,10 +100,6 @@ type LibOS struct {
 	fat    *fatfs.FS
 	ram    *ramfs.FS
 	stdout io.Writer
-
-	// ifiRebind, when set, is called by acquire_buffer to rebind buffer
-	// pages to the receiving function's key (inter-function isolation).
-	ifiRebind func(addr, size uint64) error
 }
 
 // slotEntry is one registered intermediate-data buffer (paper §5).
@@ -159,14 +155,6 @@ func (l *LibOS) writeStdout(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stdout.Write(p)
-}
-
-// SetIFIRebind installs the inter-function-isolation page-rebinding hook
-// (set by the visor when the tenant enables per-function keys).
-func (l *LibOS) SetIFIRebind(fn func(addr, size uint64) error) {
-	l.mu.Lock()
-	l.ifiRebind = fn
-	l.mu.Unlock()
 }
 
 // Net returns the WFD's network stack, once the socket module loaded it.

@@ -136,22 +136,6 @@ func TestFreeBuffer(t *testing.T) {
 	}
 }
 
-func TestIFIRebindHookRuns(t *testing.T) {
-	l, ns := newWFDEnv(t, nil)
-	var rebound []uint64
-	l.SetIFIRebind(func(addr, size uint64) error {
-		rebound = append(rebound, addr)
-		return nil
-	})
-	alloc := resolve[AllocBufferFn](t, ns, "mm.alloc_buffer")
-	acquire := resolve[AcquireBufferFn](t, ns, "mm.acquire_buffer")
-	addr, _ := alloc("ifi", 64, 0, 0)
-	acquire("ifi", 0)
-	if len(rebound) != 1 || rebound[0] != addr {
-		t.Fatalf("rebind hook calls = %v", rebound)
-	}
-}
-
 func TestFdtabThroughFat(t *testing.T) {
 	_, ns := newWFDEnv(t, nil)
 	create := resolve[CreateFn](t, ns, "fdtab.create")

@@ -49,20 +49,12 @@ func initMM(e any) (loader.Instance, error) {
 			// own the same buffer (§7.1).
 			delete(l.slots, slot)
 		}
-		rebind := l.ifiRebind
 		l.mu.Unlock()
 		if !ok {
 			return 0, 0, fmt.Errorf("%w: %q", ErrSlotMissing, slot)
 		}
 		if entry.fingerprint != fingerprint {
 			return 0, 0, fmt.Errorf("%w: %q", ErrFingerprint, slot)
-		}
-		if rebind != nil {
-			// Inter-function isolation: hand the pages to the receiver's
-			// protection key before it touches them.
-			if err := rebind(entry.addr, entry.size); err != nil {
-				return 0, 0, err
-			}
 		}
 		return entry.addr, entry.size, nil
 	})

@@ -133,16 +133,31 @@ func (r *Registry) RegisterVM(name, language string, vf VMFunc) {
 	r.vm[name+"/"+language] = vf
 }
 
+// BaseName strips a node name's all-digit instance suffix ("chain-7" ->
+// "chain"); any other name is its own base ("chain-x", "wc-map"). The
+// digits are checked by hand because a failed strconv.Atoi allocates,
+// and "wc-map" and its siblings would fail it on every guest instance
+// of every invoke.
+func BaseName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i <= 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
+}
+
 func (r *Registry) lookup(name, language string) (NativeFunc, *VMFunc, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	// Generic implementations register a base name and serve every
 	// node derived from it ("chain-7" -> "chain"); the instance learns
 	// its position from the context. The full name is probed first.
-	base := name
-	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		base = name[:i]
-	}
+	base := BaseName(name)
 	if language == "" || language == "native" {
 		fn, ok := r.native[name]
 		if !ok {
@@ -171,17 +186,13 @@ type RunOptions struct {
 	// non-nil Ramfs runs the Figure 16 in-memory-filesystem mode.
 	core.Options
 
-	// Transfer pins the data plane for intermediate data to one of
-	// xfer.Kinds ("refpass", "file", "kv", "net"). Empty means refpass,
+	// Transfer pins the data plane for intermediate data to one of the
+	// kinds xfer.New builds ("refpass", "file"). Empty means refpass,
 	// the AlloyStack default; "file" is the Figure 14 ablation ("when
 	// reference passing is disabled, AlloyStack uses files as an
 	// intermediary mechanism"). A function spec can override per edge
 	// with Params["transfer"].
 	Transfer string
-
-	// KV backs Transfer="kv": the store client payloads round-trip
-	// through (the OpenFaaS/Faasm-style third-party forwarding path).
-	KV xfer.KVClient //asvet:allow unreachable -- the kv data plane's store client; set nowhere today, tests included: a deletion candidate (ROADMAP 3)
 
 	// Retry, when non-nil, restarts a function instance that faults
 	// (panics), provided the WFD survived — the paper's §3.1 retry-based
@@ -851,7 +862,7 @@ func (r *run) entry(spec dag.FuncSpec) (NativeFunc, error) {
 
 // bind attaches env to this run: the stage clock, the span its syscalls
 // and transfers chart under, and the transport its edges resolve to,
-// built over the run-wide pool, path registry and store client.
+// built over the run-wide pool and path registry.
 func (r *run) bind(env *asstd.Env, span *trace.Span, params map[string]string) error {
 	env.Clock = r.res.Clock
 	env.Span = span
@@ -859,7 +870,6 @@ func (r *run) bind(env *asstd.Env, span *trace.Span, params map[string]string) e
 		Env:   env,
 		Pool:  r.bufs,
 		Paths: r.paths,
-		KV:    r.opts.KV,
 		Stats: r.res.Transfer,
 	})
 	if err != nil {

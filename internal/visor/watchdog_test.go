@@ -7,9 +7,11 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"alloystack/internal/asstd"
 	"alloystack/internal/asvm"
 	"alloystack/internal/dag"
 	"alloystack/internal/faults"
@@ -153,6 +155,47 @@ func TestInvokeAndResumeShareOneFrontEnd(t *testing.T) {
 				t.Fatalf("resume reply = %+v", ir)
 			}
 		})
+	}
+}
+
+// Only an all-digit suffix names an instance of a generic body: "chain-3"
+// runs the registered "chain", while "chain-x" is a function nobody
+// registered. It is refused before anything runs, with 404 at the front
+// door, instead of being handed to the chain body to fail inside it.
+func TestOnlyDigitSuffixesShareABody(t *testing.T) {
+	var ran sync.Map
+	reg := NewRegistry()
+	reg.RegisterNative("chain", func(_ *asstd.Env, ctx FuncContext) error {
+		ran.Store(ctx.Function, true)
+		return nil
+	})
+	v := New(reg)
+	for _, name := range []string{"chain-3", "chain-x"} {
+		if err := v.RegisterWorkflow(&dag.Workflow{Name: name, Functions: []dag.FuncSpec{{Name: name}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := v.Invoke("chain-3", testOpts(nil)); err != nil {
+		t.Fatalf("chain-3: %v", err)
+	}
+	if _, err := v.Invoke("chain-x", testOpts(nil)); !errors.Is(err, ErrUnknownFunction) {
+		t.Fatalf("chain-x: err = %v, want ErrUnknownFunction", err)
+	}
+
+	wd := NewWatchdog(v)
+	wd.OptionsFor = func(string) RunOptions { return testOpts(nil) }
+	if _, err := wd.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer wd.Stop()
+	if resp, ir := postInvoke(t, "http://"+wd.Addr()+"/invoke/chain-x"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status = %d, reply = %+v; want 404", resp.StatusCode, ir)
+	}
+	if _, ok := ran.Load("chain-x"); ok {
+		t.Fatal("chain-x ran the chain body")
+	}
+	if _, ok := ran.Load("chain-3"); !ok {
+		t.Fatal("chain-3 did not run the chain body")
 	}
 }
 

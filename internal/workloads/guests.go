@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"alloystack/internal/asstd"
@@ -784,28 +783,11 @@ var guestBases = []struct {
 	{"ps-final", PsFinalGuest},
 }
 
-// BaseName strips a node name's all-digit instance suffix ("chain-7" ->
-// "chain"); any other name is its own base. The digits are checked by
-// hand because a failed strconv.Atoi allocates, and "wc-map" and its
-// siblings would fail it on every guest instance of every invoke.
-func BaseName(name string) string {
-	i := strings.LastIndexByte(name, '-')
-	if i <= 0 || i == len(name)-1 {
-		return name
-	}
-	for _, c := range name[i+1:] {
-		if c < '0' || c > '9' {
-			return name
-		}
-	}
-	return name[:i]
-}
-
 // GuestProgram returns the guest program and entry arguments for a
 // benchmark function, shared by the AlloyStack guest tiers and the Faasm
 // baseline (which runs the identical bytecode on its own platform).
 func GuestProgram(funcName string, ctx visor.FuncContext) (*asvm.Program, []int64, error) {
-	base := BaseName(funcName)
+	base := visor.BaseName(funcName)
 	var prog *asvm.Program
 	for _, g := range guestBases {
 		if g.base == base {
@@ -842,7 +824,7 @@ func GuestProgram(funcName string, ctx visor.FuncContext) (*asvm.Program, []int6
 // names (the guest-tier topology documented above).
 func GuestEdges(funcName string, ctx visor.FuncContext) (in, out []string) {
 	n := int(ctx.ParamInt("instances", 1))
-	switch BaseName(funcName) {
+	switch visor.BaseName(funcName) {
 	case "pipe-send":
 		out = []string{visor.Slot("pipe-send", 0, "pipe-recv", 0)}
 	case "pipe-recv":

@@ -259,7 +259,7 @@ var apps = map[string]func(AppIO, visor.FuncContext) error{
 // RunApp runs the WordCount or ParallelSorting body of ctx's function on
 // io.
 func RunApp(io AppIO, ctx visor.FuncContext) error {
-	app, ok := apps[BaseName(ctx.Function)]
+	app, ok := apps[visor.BaseName(ctx.Function)]
 	if !ok {
 		return fmt.Errorf("workloads: no app body for %q", ctx.Function)
 	}

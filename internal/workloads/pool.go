@@ -16,18 +16,15 @@ var PoolModules = []string{"mm", "fdtab", "fatfs", "stdio", "time"}
 
 // PoolSpecFor builds a warm-pool template spec for a workflow, or
 // reports false when the workflow does not benefit from pooling (no
-// guest runtime image to warm) or cannot be pooled (needs the network).
-// The template owns a fresh disk image staged exactly like a cold
-// invocation's — input files plus the Python runtime — so clones adopt
-// a filesystem indistinguishable from a cold boot's.
+// guest runtime image to warm). The template owns a fresh disk image
+// staged exactly like a cold invocation's — input files plus the Python
+// runtime — so clones adopt a filesystem indistinguishable from a cold
+// boot's.
 func PoolSpecFor(w *dag.Workflow, inputSize int64, costScale float64) (pool.Spec, bool) {
 	needsPy := false
 	for _, f := range w.Functions {
 		if f.Language == "python" {
 			needsPy = true
-		}
-		if f.Param("transfer", "") == "net" {
-			return pool.Spec{}, false
 		}
 	}
 	if !needsPy {

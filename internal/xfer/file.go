@@ -3,7 +3,6 @@ package xfer
 import (
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sync"
 
 	"alloystack/internal/asstd"
@@ -52,7 +51,7 @@ func (r *PathRegistry) Claim(slot string) (string, error) {
 }
 
 // Release returns slot's spill path to the free pool (the payload was
-// consumed or discarded).
+// consumed).
 func (r *PathRegistry) Release(slot string) {
 	if r == nil {
 		return
@@ -137,22 +136,4 @@ func (t *File) Recv(slot string) ([]byte, func() error, error) {
 	t.paths.Release(slot)
 	t.stats.CountOp(KindFile, int64(len(data)), 1)
 	return data, nopRelease, nil
-}
-
-// Free releases the slot's path claim. The spill file itself is left
-// behind, matching the pre-refactor behaviour (the WFD's filesystem
-// dies with the run).
-func (t *File) Free(slot string) error {
-	t.paths.Release(slot)
-	return nil
-}
-
-// SendStream opens the chunked writer.
-func (t *File) SendStream(slot string) (io.WriteCloser, error) {
-	return newChunkWriter(t, slot, DefaultChunkSize), nil
-}
-
-// RecvStream opens the chunked reader.
-func (t *File) RecvStream(slot string) (io.ReadCloser, error) {
-	return newChunkReader(t, slot)
 }

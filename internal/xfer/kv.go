@@ -2,7 +2,6 @@ package xfer
 
 import (
 	"errors"
-	"io"
 
 	"alloystack/internal/asstd"
 	"alloystack/internal/kvstore"
@@ -28,8 +27,8 @@ type KV struct {
 	stats  *metrics.TransportStats
 }
 
-// NewKV builds the transport. env may be nil when only Send/Recv/Free
-// are used (the baselines' case).
+// NewKV builds the transport. env may be nil when only Send/Recv are
+// used (the baselines' case).
 func NewKV(client KVClient, env *asstd.Env, stats *metrics.TransportStats) *KV {
 	return &KV{env: env, client: client, stats: stats}
 }
@@ -77,20 +76,4 @@ func (t *KV) Recv(slot string) ([]byte, func() error, error) {
 	}
 	t.stats.CountOp(KindKV, int64(len(data)), 1)
 	return data, nopRelease, nil
-}
-
-// Free drops the slot's value without reading it.
-func (t *KV) Free(slot string) error {
-	_, err := t.client.Del(slot)
-	return err
-}
-
-// SendStream opens the chunked writer.
-func (t *KV) SendStream(slot string) (io.WriteCloser, error) {
-	return newChunkWriter(t, slot, DefaultChunkSize), nil
-}
-
-// RecvStream opens the chunked reader.
-func (t *KV) RecvStream(slot string) (io.ReadCloser, error) {
-	return newChunkReader(t, slot)
 }

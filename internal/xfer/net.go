@@ -21,15 +21,15 @@ import (
 // stream — the in-repo netstack for WFD-to-WFD traffic, a host TCP
 // socket for the visor bridge, or an in-process pipe in tests.
 const (
-	opSet  = 'S'
-	opGet  = 'G'
-	opFree = 'F'
+	opSet = 'S'
+	opGet = 'G'
 
 	stOK      = 0
 	stMissing = 1
 	stError   = 2
 
-	// maxFrame bounds one payload (a chunked Stream carries more).
+	// maxFrame bounds the length one payload may claim; readPayload
+	// allocates for the bytes that arrive, not for the claim.
 	maxFrame = 1 << 30
 )
 
@@ -84,11 +84,6 @@ func (p *Peer) set(slot string, data []byte) error {
 
 func (p *Peer) get(slot string) ([]byte, error) { return p.roundTrip(opGet, slot, nil) }
 
-func (p *Peer) free(slot string) error {
-	_, err := p.roundTrip(opFree, slot, nil)
-	return err
-}
-
 // traceMetaSlot is the reserved bridge slot that carries the exporting
 // node's trace ID across a multi-node cut. It rides the ordinary framed
 // SET/GET protocol — no wire-format change — and is consumed by the
@@ -142,7 +137,7 @@ func readRequest(r io.Reader) (op byte, slot string, payload []byte, err error) 
 		return 0, "", nil, err
 	}
 	op = hdr[0]
-	if op != opSet && op != opGet && op != opFree {
+	if op != opSet && op != opGet {
 		return 0, "", nil, ErrNetProtocol
 	}
 	slotLen := binary.BigEndian.Uint32(hdr[1:])
@@ -157,16 +152,7 @@ func readRequest(r io.Reader) (op byte, slot string, payload []byte, err error) 
 	if op != opSet {
 		return op, slot, nil, nil
 	}
-	var sz [8]byte
-	if _, err = io.ReadFull(r, sz[:]); err != nil {
-		return 0, "", nil, err
-	}
-	n := binary.BigEndian.Uint64(sz[:])
-	if n > maxFrame {
-		return 0, "", nil, ErrNetProtocol
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	if payload, err = readPayload(r); err != nil {
 		return 0, "", nil, err
 	}
 	return op, slot, payload, nil
@@ -189,8 +175,8 @@ func writeResponse(w io.Writer, status byte, payload []byte) error {
 }
 
 // readResponse returns (payload, status, err). GET-ok responses carry a
-// payload; SET/FREE-ok responses are a bare status byte — the requester
-// knows which op it sent, so the frame needs no op echo.
+// payload; SET-ok responses are a bare status byte — the requester knows
+// which op it sent, so the frame needs no op echo.
 func readResponse(r io.Reader, wantPayload bool) ([]byte, byte, error) {
 	var st [1]byte
 	if _, err := io.ReadFull(r, st[:]); err != nil {
@@ -199,19 +185,37 @@ func readResponse(r io.Reader, wantPayload bool) ([]byte, byte, error) {
 	if st[0] != stOK || !wantPayload {
 		return nil, st[0], nil
 	}
-	var sz [8]byte
-	if _, err := io.ReadFull(r, sz[:]); err != nil {
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint64(sz[:])
-	if n > maxFrame {
-		return nil, 0, ErrNetProtocol
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r)
+	if err != nil {
 		return nil, 0, err
 	}
 	return payload, stOK, nil
+}
+
+// readPayload reads a payloadLen(u64)-prefixed payload. The buffer
+// starts at 64 KiB at most and doubles only as bytes arrive, so a frame
+// that claims maxFrame and then stalls or hangs up costs what it sent,
+// not what it claimed.
+func readPayload(r io.Reader) ([]byte, error) {
+	var sz [8]byte
+	if _, err := io.ReadFull(r, sz[:]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint64(sz[:])
+	if n > maxFrame {
+		return nil, ErrNetProtocol
+	}
+	buf := make([]byte, min(n, 64<<10))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, buf[off:])
+		if err != nil {
+			return nil, err
+		}
+		if off += m; uint64(off) == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-uint64(off), uint64(off)))...)
+	}
 }
 
 // Bridge is the slot store on the receiving side of a multi-node cut:
@@ -287,11 +291,6 @@ func (b *Bridge) ServeConn(rw io.ReadWriter) error {
 				data = []byte{}
 			}
 			err = writeResponse(rw, stOK, data)
-		case opFree:
-			b.mu.Lock()
-			delete(b.slots, slot)
-			b.mu.Unlock()
-			err = writeResponse(rw, stOK, nil)
 		}
 		if err != nil {
 			return err
@@ -323,7 +322,7 @@ type Net struct {
 }
 
 // NewNet builds the transport over an established peer connection. env
-// may be nil when only Send/Recv/Free are used.
+// may be nil when only Send/Recv are used.
 func NewNet(peer *Peer, env *asstd.Env, stats *metrics.TransportStats) *Net {
 	return &Net{env: env, peer: peer, stats: stats}
 }
@@ -367,17 +366,4 @@ func (t *Net) Recv(slot string) ([]byte, func() error, error) {
 	}
 	t.stats.CountOp(KindNet, int64(len(data)), 1)
 	return data, nopRelease, nil
-}
-
-// Free drops the slot on the bridge without reading it.
-func (t *Net) Free(slot string) error { return t.peer.free(slot) }
-
-// SendStream opens the chunked writer.
-func (t *Net) SendStream(slot string) (io.WriteCloser, error) {
-	return newChunkWriter(t, slot, DefaultChunkSize), nil
-}
-
-// RecvStream opens the chunked reader.
-func (t *Net) RecvStream(slot string) (io.ReadCloser, error) {
-	return newChunkReader(t, slot)
 }

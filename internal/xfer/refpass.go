@@ -1,7 +1,6 @@
 package xfer
 
 import (
-	"io"
 	"sync"
 
 	"alloystack/internal/asstd"
@@ -21,7 +20,6 @@ import (
 type BufPool struct {
 	mu     sync.Mutex
 	bySize map[uint64][]*asstd.Buffer
-	reuses int64
 
 	// perClass bounds how many buffers one size class parks before
 	// overflow goes back to the heap.
@@ -53,9 +51,6 @@ func (p *BufPool) get(slot string, size uint64) *asstd.Buffer {
 		b.Free()
 		return nil
 	}
-	p.mu.Lock()
-	p.reuses++
-	p.mu.Unlock()
 	return b
 }
 
@@ -72,32 +67,6 @@ func (p *BufPool) put(b *asstd.Buffer) bool {
 	}
 	p.bySize[b.Size()] = append(p.bySize[b.Size()], b)
 	return true
-}
-
-// Reuses reports how many allocations the pool absorbed.
-func (p *BufPool) Reuses() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reuses
-}
-
-// Drain frees every parked buffer back to the WFD heap.
-func (p *BufPool) Drain() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	classes := p.bySize
-	p.bySize = make(map[uint64][]*asstd.Buffer)
-	p.mu.Unlock()
-	for _, list := range classes {
-		for _, b := range list {
-			b.Free()
-		}
-	}
 }
 
 // Refpass is the AsBuffer reference-passing transport (§5): payloads
@@ -165,28 +134,9 @@ func (t *Refpass) Recv(slot string) ([]byte, func() error, error) {
 	return b.Bytes(), func() error { return t.release(b) }, nil
 }
 
-// Free discards the payload under slot without reading it.
-func (t *Refpass) Free(slot string) error {
-	b, err := asstd.FromSlot(t.env, slot)
-	if err != nil {
-		return err
-	}
-	return t.release(b)
-}
-
 func (t *Refpass) release(b *asstd.Buffer) error {
 	if t.pool.put(b) {
 		return nil
 	}
 	return b.Free()
-}
-
-// SendStream opens the chunked writer (payloads larger than one slot).
-func (t *Refpass) SendStream(slot string) (io.WriteCloser, error) {
-	return newChunkWriter(t, slot, DefaultChunkSize), nil
-}
-
-// RecvStream opens the chunked reader.
-func (t *Refpass) RecvStream(slot string) (io.ReadCloser, error) {
-	return newChunkReader(t, slot)
 }

@@ -8,11 +8,11 @@ import (
 // ServeSource answers framed GET requests on rw from a read-only
 // lookup, speaking the same wire protocol as Bridge.ServeConn. Unlike
 // a Bridge, a GET does not consume the slot — the source stays able to
-// serve the same slot to any number of peers — and SET/FREE are
-// rejected with an error status. The cluster plane uses it as the
-// "spec server": a visor node serves its sealed workflow specs so a
-// pre-warming peer can pull them without HTTP plumbing or a shared
-// store. Run one goroutine per accepted connection.
+// serve the same slot to any number of peers — and SET is rejected with
+// an error status. The cluster plane uses it as the "spec server": a
+// visor node serves its sealed workflow specs so a pre-warming peer can
+// pull them without HTTP plumbing or a shared store. Run one goroutine
+// per accepted connection.
 func ServeSource(rw io.ReadWriter, lookup func(slot string) ([]byte, bool)) error {
 	for {
 		op, slot, _, err := readRequest(rw)

@@ -36,13 +36,10 @@ func TestServeSource(t *testing.T) {
 	if _, err := p.get("spec:unknown"); !errors.Is(err, libos.ErrSlotMissing) {
 		t.Fatalf("missing slot err = %v, want ErrSlotMissing", err)
 	}
-	// The source is read-only: writes and frees are rejected as
-	// protocol errors, and the connection stays usable.
+	// The source is read-only: a write is rejected as a protocol error,
+	// and the connection stays usable.
 	if err := p.set("spec:wc", []byte("overwrite")); !errors.Is(err, ErrNetProtocol) {
 		t.Fatalf("set err = %v, want ErrNetProtocol", err)
-	}
-	if err := p.free("spec:wc"); !errors.Is(err, ErrNetProtocol) {
-		t.Fatalf("free err = %v, want ErrNetProtocol", err)
 	}
 	if data, err := p.get("spec:wc"); err != nil || string(data) != "payload" {
 		t.Fatalf("get after rejected write = %q, %v", data, err)

@@ -1,17 +1,15 @@
 package xfer
 
 import (
-	"io"
-
 	"alloystack/internal/asstd"
 	"alloystack/internal/trace"
 )
 
-// WithTrace wraps a transport so every Send/Recv/SendBuffer and every
-// chunked stream records a CatXfer span under the function instance's
-// span, attributed with the transport kind, slot and payload bytes —
-// the per-edge view behind the Figure 11/14 copy accounting. A nil span
-// returns the transport unwrapped, so disabled tracing pays nothing.
+// WithTrace wraps a transport so every Send/Recv/SendBuffer records a
+// CatXfer span under the function instance's span, attributed with the
+// transport kind, slot and payload bytes — the per-edge view behind the
+// Figure 11/14 copy accounting. A nil span returns the transport
+// unwrapped, so disabled tracing pays nothing.
 func WithTrace(t Transport, span *trace.Span) Transport {
 	if span == nil || t == nil {
 		return t
@@ -61,66 +59,4 @@ func (t *traced) Recv(slot string) ([]byte, func() error, error) {
 	}
 	sp.End()
 	return data, release, err
-}
-
-func (t *traced) Free(slot string) error {
-	sp := t.op("free", slot, -1)
-	defer sp.End()
-	return t.inner.Free(slot)
-}
-
-func (t *traced) SendStream(slot string) (io.WriteCloser, error) {
-	w, err := t.inner.SendStream(slot)
-	if err != nil {
-		return nil, err
-	}
-	// The stream span runs from open to Close, counting bytes as they
-	// pass — large payloads show as one long transfer, not many ops.
-	return &tracedWriter{w: w, sp: t.op("send-stream", slot, -1)}, nil
-}
-
-func (t *traced) RecvStream(slot string) (io.ReadCloser, error) {
-	r, err := t.inner.RecvStream(slot)
-	if err != nil {
-		return nil, err
-	}
-	return &tracedReader{r: r, sp: t.op("recv-stream", slot, -1)}, nil
-}
-
-type tracedWriter struct {
-	w  io.WriteCloser
-	sp *trace.Span
-	n  int64
-}
-
-func (tw *tracedWriter) Write(p []byte) (int, error) {
-	n, err := tw.w.Write(p)
-	tw.n += int64(n)
-	return n, err
-}
-
-func (tw *tracedWriter) Close() error {
-	err := tw.w.Close()
-	tw.sp.SetAttr("bytes", tw.n)
-	tw.sp.End()
-	return err
-}
-
-type tracedReader struct {
-	r  io.ReadCloser
-	sp *trace.Span
-	n  int64
-}
-
-func (tr *tracedReader) Read(p []byte) (int, error) {
-	n, err := tr.r.Read(p)
-	tr.n += int64(n)
-	return n, err
-}
-
-func (tr *tracedReader) Close() error {
-	err := tr.r.Close()
-	tr.sp.SetAttr("bytes", tr.n)
-	tr.sp.End()
-	return err
 }

@@ -52,14 +52,12 @@ var (
 	ErrNoEnv         = errors.New("xfer: transport requires an Env for buffer staging")
 	ErrNoBackend     = errors.New("xfer: transport backend not configured")
 	ErrPathCollision = errors.New("xfer: 8.3 spill path collision between distinct slots")
-	ErrNotStream     = errors.New("xfer: slot does not hold a stream manifest")
 )
 
 // Config carries the shared per-run resources a transport needs. Zero
 // fields are filled with private defaults where possible.
 type Config struct {
-	// Env backs AsBuffer allocation: required by refpass and file, and
-	// by Alloc/SendBuffer on kv and net (their Send/Recv work without).
+	// Env backs AsBuffer allocation; both kinds New builds require it.
 	Env *asstd.Env
 
 	// Pool recycles freed AsBuffers on the refpass path. Share one per
@@ -71,39 +69,26 @@ type Config struct {
 	// one per run so cross-stage collisions are detected.
 	Paths *PathRegistry
 
-	// KV is the store client for the kv transport.
-	KV KVClient
-
-	// Peer is the framed connection to a Bridge for the net transport.
-	Peer *Peer //asvet:allow unreachable -- New's net kind: the visor builds its §9 transports with NewNet directly, xfer's tests come through New
-
 	// Stats, when set, receives per-kind transfer counters.
 	Stats *metrics.TransportStats
 }
 
-// New builds the named transport from cfg.
+// New builds the named in-WFD transport from cfg: refpass or file. The
+// kv and net kinds need a store client or a bridge connection, which
+// their callers hold and pass to NewKV or NewNet; New answers
+// ErrNoBackend for them.
 func New(kind string, cfg Config) (Transport, error) {
 	switch kind {
-	case KindRefpass:
+	case KindRefpass, KindFile:
 		if cfg.Env == nil {
 			return nil, fmt.Errorf("%w (kind %q)", ErrNoEnv, kind)
+		}
+		if kind == KindFile {
+			return NewFile(cfg.Env, cfg.Paths, cfg.Stats), nil
 		}
 		return NewRefpass(cfg.Env, cfg.Pool, cfg.Stats), nil
-	case KindFile:
-		if cfg.Env == nil {
-			return nil, fmt.Errorf("%w (kind %q)", ErrNoEnv, kind)
-		}
-		return NewFile(cfg.Env, cfg.Paths, cfg.Stats), nil
-	case KindKV:
-		if cfg.KV == nil {
-			return nil, fmt.Errorf("%w (kind %q wants Config.KV)", ErrNoBackend, kind)
-		}
-		return NewKV(cfg.KV, cfg.Env, cfg.Stats), nil
-	case KindNet:
-		if cfg.Peer == nil {
-			return nil, fmt.Errorf("%w (kind %q wants Config.Peer)", ErrNoBackend, kind)
-		}
-		return NewNet(cfg.Peer, cfg.Env, cfg.Stats), nil
+	case KindKV, KindNet:
+		return nil, fmt.Errorf("%w (kind %q: build it with NewKV or NewNet)", ErrNoBackend, kind)
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"testing"
 
@@ -75,28 +74,38 @@ func testEnv(t *testing.T) *asstd.Env {
 }
 
 // newTransport builds one instance of each kind for the conformance
-// suite, all stats-instrumented.
+// suite, all stats-instrumented: the in-WFD kinds through New, kv and
+// net over their backends as the baselines and the §9 bridge build them.
 func newTransport(t *testing.T, kind string, stats *metrics.TransportStats) xfer.Transport {
 	t.Helper()
 	env := testEnv(t)
-	cfg := xfer.Config{Env: env, Stats: stats}
 	switch kind {
-	case xfer.KindRefpass:
-		cfg.Pool = xfer.NewBufPool()
-	case xfer.KindFile:
-		cfg.Paths = xfer.NewPathRegistry()
 	case xfer.KindKV:
-		cfg.KV = newFakeKV()
+		return xfer.NewKV(newFakeKV(), env, stats)
 	case xfer.KindNet:
 		peer := xfer.NewBridge().Dial()
 		t.Cleanup(func() { peer.Close() })
-		cfg.Peer = peer
+		return xfer.NewNet(peer, env, stats)
 	}
-	tr, err := xfer.New(kind, cfg)
+	tr, err := xfer.New(kind, xfer.Config{Env: env, Pool: xfer.NewBufPool(), Paths: xfer.NewPathRegistry(), Stats: stats})
 	if err != nil {
 		t.Fatalf("New(%q): %v", kind, err)
 	}
 	return tr
+}
+
+// New builds the in-WFD kinds only; kv and net need a backend their
+// callers hold.
+func TestNewRefusesBackendKinds(t *testing.T) {
+	env := testEnv(t)
+	for _, kind := range []string{xfer.KindKV, xfer.KindNet} {
+		if _, err := xfer.New(kind, xfer.Config{Env: env}); !errors.Is(err, xfer.ErrNoBackend) {
+			t.Errorf("New(%q) err = %v, want ErrNoBackend", kind, err)
+		}
+	}
+	if _, err := xfer.New("carrier-pigeon", xfer.Config{Env: env}); !errors.Is(err, xfer.ErrUnknownKind) {
+		t.Errorf("New of an unknown kind: err = %v, want ErrUnknownKind", err)
+	}
 }
 
 func pattern(n int) []byte {
@@ -162,48 +171,22 @@ func TestConformance(t *testing.T) {
 				}
 			})
 
-			t.Run("Free", func(t *testing.T) {
-				if err := tr.Send("drop", pattern(64)); err != nil {
+			t.Run("LargeRoundTrip", func(t *testing.T) {
+				// Many times the wire readers' first 64 KiB buffer, with a
+				// ragged tail: a payload moves as one slot, whatever its size.
+				want := pattern(1<<20 + 12345)
+				if err := tr.Send("big", want); err != nil {
 					t.Fatalf("Send: %v", err)
 				}
-				if err := tr.Free("drop"); err != nil {
-					t.Fatalf("Free: %v", err)
-				}
-			})
-
-			t.Run("StreamRoundTrip", func(t *testing.T) {
-				want := pattern(1<<20 + 12345) // > 4 chunks, ragged tail
-				w, err := tr.SendStream("big")
+				got, release, err := tr.Recv("big")
 				if err != nil {
-					t.Fatalf("SendStream: %v", err)
-				}
-				// Write in awkward pieces to exercise chunk boundaries.
-				for off := 0; off < len(want); {
-					n := 100_000
-					if off+n > len(want) {
-						n = len(want) - off
-					}
-					if _, err := w.Write(want[off : off+n]); err != nil {
-						t.Fatalf("stream Write: %v", err)
-					}
-					off += n
-				}
-				if err := w.Close(); err != nil {
-					t.Fatalf("stream Close: %v", err)
-				}
-				r, err := tr.RecvStream("big")
-				if err != nil {
-					t.Fatalf("RecvStream: %v", err)
-				}
-				got, err := io.ReadAll(r)
-				if err != nil {
-					t.Fatalf("stream ReadAll: %v", err)
-				}
-				if err := r.Close(); err != nil {
-					t.Fatalf("stream reader Close: %v", err)
+					t.Fatalf("Recv: %v", err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("stream payload mismatch: %d bytes vs %d", len(got), len(want))
+					t.Fatalf("payload mismatch: %d bytes vs %d", len(got), len(want))
+				}
+				if err := release(); err != nil {
+					t.Fatalf("release: %v", err)
 				}
 			})
 
@@ -286,8 +269,7 @@ func TestCopyAccounting(t *testing.T) {
 func TestBufPoolReuse(t *testing.T) {
 	stats := metrics.NewTransportStats()
 	env := testEnv(t)
-	pool := xfer.NewBufPool()
-	tr := xfer.NewRefpass(env, pool, stats)
+	tr := xfer.NewRefpass(env, xfer.NewBufPool(), stats)
 
 	want := pattern(8192)
 	if err := tr.Send("a", want); err != nil {
@@ -312,9 +294,6 @@ func TestBufPoolReuse(t *testing.T) {
 	if err := tr.Send("b", want2); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Reuses() != 1 {
-		t.Fatalf("pool reuses = %d, want 1", pool.Reuses())
-	}
 	if got := stats.Kind(xfer.KindRefpass).SlotsReused; got != 1 {
 		t.Fatalf("stats slots reused = %d, want 1", got)
 	}
@@ -331,11 +310,9 @@ func TestBufPoolReuse(t *testing.T) {
 	if err := tr.Send("c", pattern(64)); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Reuses() != 1 {
-		t.Fatalf("pool reused across size classes (reuses = %d)", pool.Reuses())
+	if got := stats.Kind(xfer.KindRefpass).SlotsReused; got != 1 {
+		t.Fatalf("pool reused across size classes (slots reused = %d)", got)
 	}
-	tr.Free("c")
-	pool.Drain()
 }
 
 // findCollision brute-forces two distinct slot names whose FNV-32

@@ -23,9 +23,10 @@ go test -short ./...
 # engine's register code under BenchmarkWcMapAOT and BenchmarkAOTLoop)
 # fails here; no number is read.
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
-# Ten seconds of differential fuzzing of the two ASVM engines past the
-# committed corpus; a crasher fails the build and is left under
-# internal/asvm/testdata/fuzz/ to be committed as a test.
+# Short fuzz budgets past each committed corpus: the two ASVM engines,
+# the payload-pattern kernels and the kvstore and framed-xfer decoders;
+# a crasher fails the build and is left under the package's
+# testdata/fuzz/ to be committed as a test.
 make fuzz-smoke
 # The ./internal/... wildcard includes internal/cluster and the
 # gateway's cluster plane: rendezvous routing, membership, shard
