@@ -231,8 +231,8 @@ func (lw *lowerer) pop() operand {
 	return o
 }
 
-// settle copies entry i of the symbolic stack into its own slot.
-func (lw *lowerer) settle(i int) {
+// settleAt copies entry i of the symbolic stack into its own slot.
+func (lw *lowerer) settleAt(i int) {
 	o, s := lw.st[i], lw.slot(i)
 	switch {
 	case o.isConst:
@@ -247,7 +247,7 @@ func (lw *lowerer) settle(i int) {
 // a duplicate reads a slot below it, which is then already in place.
 func (lw *lowerer) settleFrom(from int) {
 	for i := from; i < len(lw.st); i++ {
-		lw.settle(i)
+		lw.settleAt(i)
 	}
 }
 
@@ -481,7 +481,7 @@ func (lw *lowerer) localSet(x int32) {
 	case pending:
 		for i := range lw.st {
 			if o := lw.st[i]; !o.isConst && o.reg == x {
-				lw.settle(i)
+				lw.settleAt(i)
 			}
 		}
 		fallthrough

@@ -152,7 +152,7 @@ func CrashResume(o Options) (*Result, error) {
 	r.count("journal_resumes", st.Resumes)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d runs per arm; crash point after-commit:1 → committed prefix 2 of 5", crashresumeRuns),
-		fmt.Sprintf("journal: %d appends, %d bytes, %d resumes (group-commit fsync, async barriers)",
+		fmt.Sprintf("journal: %d appends, %d bytes, %d resumes (group-commit fsync)",
 			st.Appends, st.Bytes, st.Resumes),
 		fmt.Sprintf("durable overhead p50: %+.1f%% (target < 5%%); resume speedup p50: %.1fx vs cold re-run",
 			overhead, ratio(plainSum.P50, resumeSum.P50)))

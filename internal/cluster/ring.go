@@ -16,9 +16,10 @@ import (
 // only moves the keys whose new maximum is the joining node (or whose
 // owner left): on an N+1-node ring at equal weights, an expected 1/(N+1)
 // of keys move and at least (N-1)/N keep their node — the stability
-// property the scale tests assert. Weights reshape the distribution
-// smoothly: halving a node's weight halves its expected keyspace share
-// without disturbing the draws of other (node, key) pairs.
+// property the scale tests assert. Per-node weights reshape the
+// distribution smoothly: halving a node's weight halves its expected
+// keyspace share without disturbing the draws of other (node, key)
+// pairs.
 
 // fnv64 is FNV-1a over the bytes of s — stable across processes and
 // architectures, which keeps ring assignment identical on every

@@ -5,8 +5,9 @@
 // intermediate data instead of re-executing its producers.
 //
 // One run maps onto one append-only journal file (<id>.journal) plus a
-// spill area for the intermediate payloads that crossed a barrier. The
-// record stream is ordinary JSON inside a binary frame:
+// spill segment (<id>.spill) for the intermediate payloads that crossed
+// a barrier. The record stream is ordinary JSON inside the package's one
+// binary frame (frame.go), which the spill segment shares:
 //
 //	[4-byte LE payload length][4-byte LE CRC32-IEEE of payload][payload]
 //
@@ -37,11 +38,10 @@
 package journal
 
 import (
-	"encoding/binary"
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"alloystack/internal/dag"
-	"alloystack/internal/xfer"
 )
 
 // Record kinds.
@@ -74,6 +73,7 @@ var (
 	ErrNotFound = errors.New("journal: run not found")
 	ErrExists   = errors.New("journal: run already exists")
 	ErrChecksum = errors.New("journal: spill payload checksum mismatch")
+	ErrNoSpill  = errors.New("journal: spill payload missing")
 )
 
 // Record is one journal entry. Fields are populated per kind; zero
@@ -112,10 +112,6 @@ type Options struct {
 	// NoSync skips the per-append fsync (benchmarks measuring the
 	// framing overhead alone; durability tests keep it off).
 	NoSync bool //asvet:allow unreachable -- set nowhere today, tests included: a deletion candidate (ROADMAP 3)
-	// KV, when non-nil, spills barrier payloads through the kv
-	// transport's client surface (xfer.KVClient, satisfied by
-	// *kvstore.Client) instead of files next to the journal.
-	KV xfer.KVClient //asvet:allow unreachable -- the kv spill backend; in-repo only journal's and visor's tests wire a store
 }
 
 // Store manages the journals under one directory.
@@ -123,7 +119,6 @@ type Store struct {
 	dir    string
 	clock  func() time.Time
 	noSync bool
-	kv     xfer.KVClient
 
 	idSeq atomic.Uint64
 
@@ -143,7 +138,7 @@ func Open(dir string, o Options) (*Store, error) {
 	if o.Clock == nil {
 		o.Clock = time.Now //asvet:allow wallclock -- the approved injection point
 	}
-	return &Store{dir: dir, clock: o.Clock, noSync: o.NoSync, kv: o.KV}, nil
+	return &Store{dir: dir, clock: o.Clock, noSync: o.NoSync}, nil
 }
 
 // Dir returns the store's directory.
@@ -369,13 +364,8 @@ func (r *Run) appendSync(rec Record, sync bool) error {
 	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := r.f.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := r.f.Write(payload); err != nil {
+	n, err := writeFrame(r.f, false, "", payload)
+	if err != nil {
 		return err
 	}
 	if sync && !r.s.noSync {
@@ -385,7 +375,7 @@ func (r *Run) appendSync(rec Record, sync bool) error {
 	}
 	r.seq++
 	r.s.appends.Add(1)
-	r.s.bytes.Add(int64(len(hdr) + len(payload)))
+	r.s.bytes.Add(n)
 	return nil
 }
 
@@ -397,7 +387,7 @@ func (r *Run) StageStarted(si int) error {
 }
 
 // SlotSpilled records one persisted barrier payload (the payload itself
-// goes through the run's SpillStore). Sync is deferred to the barrier's
+// goes to the run's spill Segment). Sync is deferred to the barrier's
 // commit record (group commit).
 func (r *Run) SlotSpilled(si int, slot string, size int64, sum uint32) error {
 	return r.appendDeferred(Record{Kind: KindSlotSpilled, Workflow: r.workflow,
@@ -451,14 +441,9 @@ func (r *Run) Close() error {
 	return err
 }
 
-// Spill returns the spill store for this run's barrier payloads.
-func (r *Run) Spill() SpillStore { return r.s.Spill(r.id) }
-
 // ---- replay ---------------------------------------------------------------
 
-// replayFile reads every intact frame from a journal. A torn tail
-// (short frame or CRC mismatch) ends the replay cleanly; good is the
-// byte offset of the last intact frame's end, for truncate-on-resume.
+// replayFile reads every intact record from a journal file.
 func replayFile(path string) (recs []Record, good int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -468,29 +453,23 @@ func replayFile(path string) (recs []Record, good int64, err error) {
 		return nil, 0, err
 	}
 	defer f.Close()
-	var hdr [8]byte
+	recs, good = replay(f)
+	return recs, good, nil
+}
+
+// replay decodes records until the first torn, corrupt or undecodable
+// frame, which ends the replay cleanly; good is the offset past the
+// last record, where Resume truncates.
+func replay(r io.Reader) (recs []Record, good int64) {
+	fr := &frameReader{r: bufio.NewReader(r), limit: maxRecord}
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return recs, good, nil // clean EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > 64<<20 {
-			return recs, good, nil // implausible length: torn tail
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return recs, good, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, good, nil // corrupt frame: stop before it
-		}
+		_, payload, ok := fr.next()
 		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, good, nil
+		if !ok || json.Unmarshal(payload, &rec) != nil {
+			return recs, good
 		}
 		recs = append(recs, rec)
-		good += int64(len(hdr)) + int64(n)
+		good = fr.off
 	}
 }
 
@@ -509,21 +488,19 @@ type State struct {
 	// Spec is the journaled workflow definition (nil if the admitted
 	// record predates spec journaling).
 	Spec *dag.Workflow
-	// Committed/Started index stage lifecycle records.
+	// Committed indexes the stage-committed records.
 	Committed map[int]bool
-	Started   map[int]bool
 	// Spilled lists barrier payloads in append order.
 	Spilled []Spill
-	// CompStarted/CompDone track saga idempotency keys; CompDone maps
-	// key -> "ok"/"failed".
-	CompStarted map[string]bool
-	CompDone    map[string]string
-	Failed      bool
-	FailDetail  string
-	Sealed      bool
-	Verdict     string
-	Resumes     int
-	Records     int
+	// CompDone maps each finished compensation's idempotency key to
+	// "ok"/"failed".
+	CompDone   map[string]string
+	Failed     bool
+	FailDetail string
+	Sealed     bool
+	Verdict    string
+	Resumes    int
+	Records    int
 }
 
 func buildState(id string, recs []Record) (*State, error) {
@@ -531,12 +508,10 @@ func buildState(id string, recs []Record) (*State, error) {
 		return nil, fmt.Errorf("%w: %s (empty journal)", ErrNotFound, id)
 	}
 	st := &State{
-		ID:          id,
-		Committed:   make(map[int]bool),
-		Started:     make(map[int]bool),
-		CompStarted: make(map[string]bool),
-		CompDone:    make(map[string]string),
-		Records:     len(recs),
+		ID:        id,
+		Committed: make(map[int]bool),
+		CompDone:  make(map[string]string),
+		Records:   len(recs),
 	}
 	for _, rec := range recs {
 		switch rec.Kind {
@@ -548,8 +523,6 @@ func buildState(id string, recs []Record) (*State, error) {
 					st.Spec = &w
 				}
 			}
-		case KindStageStart:
-			st.Started[rec.Stage] = true
 		case KindSlotSpilled:
 			st.Spilled = append(st.Spilled, Spill{
 				Slot: rec.Slot, Stage: rec.Stage, Size: rec.Size, Sum: rec.Sum})
@@ -560,8 +533,6 @@ func buildState(id string, recs []Record) (*State, error) {
 		case KindFailed:
 			st.Failed = true
 			st.FailDetail = rec.Detail
-		case KindCompStart:
-			st.CompStarted[rec.Key] = true
 		case KindCompDone:
 			st.CompDone[rec.Key] = rec.Verdict
 		case KindSealed:

@@ -170,7 +170,7 @@ func TestCompensationRecords(t *testing.T) {
 	if !st.Failed || st.FailDetail != "boom" {
 		t.Fatalf("failed state: %+v", st)
 	}
-	if st.CompDone["f0:0@stage-0"] != "ok" || !st.CompStarted["f0:0@stage-0"] {
+	if st.CompDone["f0:0@stage-0"] != "ok" {
 		t.Fatalf("comp state: %+v", st)
 	}
 	if st.Verdict != "compensated" {
@@ -180,7 +180,11 @@ func TestCompensationRecords(t *testing.T) {
 
 func TestFileSpillRoundTripAndChecksum(t *testing.T) {
 	s := openStore(t)
-	sp := s.Spill("r1")
+	run, err := s.Begin("r1", testWorkflow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := run.Spill()
 	data := []byte("intermediate payload")
 	if err := sp.Put("f0:0->f1:0", data); err != nil {
 		t.Fatal(err)
@@ -193,25 +197,8 @@ func TestFileSpillRoundTripAndChecksum(t *testing.T) {
 	if _, err := sp.Get("f0:0->f1:0", sum+1); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("bad sum = %v, want ErrChecksum", err)
 	}
-}
-
-func TestKVSpillRoundTrip(t *testing.T) {
-	kv := &fakeKV{m: make(map[string][]byte)}
-	s, err := Open(t.TempDir(), Options{Clock: fixedClock(), KV: kv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := s.Spill("r1")
-	data := []byte("kv payload")
-	if err := sp.Put("a:0->b:0", data); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sp.Get("a:0->b:0", checksum(data))
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("kv get = %q, %v", got, err)
-	}
-	if len(kv.m) != 1 {
-		t.Fatalf("kv keys = %d", len(kv.m))
+	if _, err := run.Spill().Get("f1:0->f2:0", sum); !errors.Is(err, ErrNoSpill) {
+		t.Fatalf("missing slot = %v, want ErrNoSpill", err)
 	}
 }
 
@@ -274,23 +261,5 @@ func TestInjectedClockStampsRecords(t *testing.T) {
 	}
 }
 
-// checksum mirrors the spill stores' CRC32-IEEE.
+// checksum mirrors the spill segment's CRC32-IEEE.
 func checksum(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
-
-// fakeKV is an in-memory xfer.KVClient.
-type fakeKV struct{ m map[string][]byte }
-
-func (f *fakeKV) Set(key string, value []byte) error {
-	v := make([]byte, len(value))
-	copy(v, value)
-	f.m[key] = v
-	return nil
-}
-
-func (f *fakeKV) Get(key string) ([]byte, error) { return f.m[key], nil }
-
-func (f *fakeKV) Del(key string) (bool, error) {
-	_, ok := f.m[key]
-	delete(f.m, key)
-	return ok, nil
-}

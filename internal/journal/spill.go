@@ -1,59 +1,29 @@
 package journal
 
 import (
-	"encoding/binary"
+	"bufio"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-
-	"alloystack/internal/xfer"
 )
 
-// SpillStore persists barrier payloads outside the WFD's address space
-// so they survive a visor crash. Two backends mirror the file and kv
-// arms of the xfer transport matrix: an append-only segment file beside
-// the journal, or the external kvstore reached through xfer.KVClient.
-type SpillStore interface {
-	// Put persists one slot's payload. File-backed stores may buffer:
-	// the payload is only guaranteed durable after the next Sync.
-	Put(slot string, data []byte) error
-	// Sync makes every payload Put so far durable. The barrier calls it
-	// once, before the stage-commit record — group commit for payloads.
-	Sync() error
-	// Get reads a payload back, verifying it against the journaled
-	// CRC32; a mismatch fails with ErrChecksum.
-	Get(slot string, sum uint32) ([]byte, error)
-}
-
-// Spill returns the spill store for one run: kv-backed when the store
-// was opened with Options.KV, file-backed otherwise.
-func (s *Store) Spill(runID string) SpillStore {
-	if s.kv != nil {
-		return &kvSpill{kv: s.kv, prefix: "journal/" + runID}
-	}
-	return &fileSpill{path: filepath.Join(s.dir, runID+".spill"), noSync: s.noSync}
-}
-
-// fileSpill lays payloads down in one append-only segment per run,
-// framed like the journal itself:
-//
-//	[4-byte LE slot-name length][slot name]
-//	[4-byte LE payload length][4-byte LE CRC32-IEEE of payload][payload]
-//
-// One file per run means one fsync per barrier (in Sync) instead of one
-// per slot. A crash mid-Put leaves a torn final frame; the scanner
-// stops there, which is safe because the stage-commit record that would
-// reference the torn slot was never fsync'd either.
-type fileSpill struct {
+// Segment persists one run's barrier payloads outside the WFD's address
+// space so they survive a visor crash. It is one append-only file beside
+// the journal, <id>.spill, of named frames (frame.go): one fsync per
+// barrier (in Sync), not one per slot. A crash mid-Put leaves a torn
+// final frame. Reading stops there, which is safe because the
+// stage-commit record that would reference the torn slot was never
+// fsync'd either, and the first Put cuts it off, as Resume does to the
+// journal's. A Segment serves one run's barrier loop and is not safe for
+// concurrent use.
+type Segment struct {
 	path   string
 	noSync bool
-
-	mu    sync.Mutex
-	f     *os.File           // lazily opened for append
-	index map[string]spillAt // slot -> location of its latest frame
+	f      *os.File           // open for writing between a Put and the next Sync
+	index  map[string]spillAt // slot -> its latest frame; nil until scanned
+	end    int64              // offset past the last intact frame
 }
 
 // spillAt locates one payload inside the segment.
@@ -62,79 +32,74 @@ type spillAt struct {
 	size int64
 }
 
-func (f *fileSpill) Put(slot string, data []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.f == nil {
-		fh, err := os.OpenFile(f.path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+// Spill returns the spill segment for this run's barrier payloads.
+func (r *Run) Spill() *Segment {
+	return &Segment{path: filepath.Join(r.s.dir, r.id+".spill"), noSync: r.s.noSync}
+}
+
+// Put appends one slot's payload. It is durable only after the next
+// Sync; a later Put of the same slot supersedes it.
+func (s *Segment) Put(slot string, data []byte) error {
+	if err := s.scan(); err != nil {
+		return err
+	}
+	if s.f == nil {
+		f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
-		f.f = fh
+		if err := f.Truncate(s.end); err != nil {
+			f.Close()
+			return err
+		}
+		s.f = f
 	}
-	end, err := f.f.Seek(0, io.SeekEnd)
+	n, err := writeFrame(io.NewOffsetWriter(s.f, s.end), true, slot, data)
 	if err != nil {
 		return err
 	}
-	name := []byte(slot)
-	hdr := make([]byte, 4+len(name)+8)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(name)))
-	copy(hdr[4:], name)
-	binary.LittleEndian.PutUint32(hdr[4+len(name):], uint32(len(data)))
-	binary.LittleEndian.PutUint32(hdr[8+len(name):], crc32.ChecksumIEEE(data))
-	if _, err := f.f.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := f.f.Write(data); err != nil {
-		return err
-	}
-	if f.index == nil {
-		f.index = make(map[string]spillAt)
-	}
-	f.index[slot] = spillAt{off: end + int64(len(hdr)), size: int64(len(data))}
+	s.end += n
+	s.index[slot] = spillAt{off: s.end - int64(len(data)), size: int64(len(data))}
 	return nil
 }
 
-func (f *fileSpill) Sync() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.f == nil {
+// Sync makes every payload Put so far durable. The barrier calls it
+// once, before the stage-commit record: group commit for payloads.
+func (s *Segment) Sync() error {
+	if s.f == nil {
 		return nil
 	}
 	// Close the handle at the barrier boundary: the next barrier
-	// reopens for append, and no descriptor outlives the run.
+	// reopens it, and no descriptor outlives the run.
 	var err error
-	if !f.noSync {
-		err = f.f.Sync()
+	if !s.noSync {
+		err = s.f.Sync()
 	}
-	if cerr := f.f.Close(); err == nil {
+	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
-	f.f = nil
+	s.f = nil
 	return err
 }
 
-func (f *fileSpill) Get(slot string, sum uint32) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.index == nil {
-		// A resume opens the spill cold: build the index by scanning
-		// the segment once, stopping at any torn tail.
-		if err := f.scan(); err != nil {
-			return nil, err
-		}
+// Get reads a slot's payload back, verifying it against the journaled
+// CRC32: a mismatch fails with ErrChecksum, and a slot outside the
+// segment's intact prefix with ErrNoSpill.
+func (s *Segment) Get(slot string, sum uint32) ([]byte, error) {
+	if err := s.scan(); err != nil {
+		return nil, err
 	}
-	at, ok := f.index[slot]
+	at, ok := s.index[slot]
 	if !ok {
-		return nil, fmt.Errorf("journal: spill segment %s has no slot %q", f.path, slot)
+		return nil, fmt.Errorf("%w: slot %q in %s", ErrNoSpill, slot, s.path)
 	}
-	fh, err := os.Open(f.path)
+	f, err := os.Open(s.path)
 	if err != nil {
 		return nil, err
 	}
-	defer fh.Close()
+	defer f.Close()
 	data := make([]byte, at.size)
-	if _, err := fh.ReadAt(data, at.off); err != nil {
+	if _, err := f.ReadAt(data, at.off); err != nil {
 		return nil, err
 	}
 	if crc32.ChecksumIEEE(data) != sum {
@@ -143,79 +108,24 @@ func (f *fileSpill) Get(slot string, sum uint32) ([]byte, error) {
 	return data, nil
 }
 
-// scan rebuilds the slot index from the segment file. Later frames for
-// the same slot win (a re-spilled slot after a partial resume).
-func (f *fileSpill) scan() error {
-	f.index = make(map[string]spillAt)
-	fh, err := os.Open(f.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // no payloads were ever spilled
+// scan indexes the segment's intact prefix once per handle: a fresh
+// run finds no file, a resume finds the frames earlier runs wrote.
+func (s *Segment) scan() error {
+	if s.index != nil {
+		return nil
+	}
+	index := make(map[string]spillAt)
+	f, err := os.Open(s.path)
+	if err == nil {
+		defer f.Close()
+		fr := &frameReader{r: bufio.NewReader(f), named: true}
+		for slot, data, ok := fr.next(); ok; slot, data, ok = fr.next() {
+			index[slot] = spillAt{off: fr.off - int64(len(data)), size: int64(len(data))}
 		}
+		s.end = fr.off
+	} else if !os.IsNotExist(err) {
 		return err
 	}
-	defer fh.Close()
-	var off int64
-	var lenBuf [4]byte
-	for {
-		if _, err := io.ReadFull(fh, lenBuf[:]); err != nil {
-			return nil // clean EOF or torn header
-		}
-		nameLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if nameLen > 1<<16 {
-			return nil // implausible: torn tail
-		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(fh, name); err != nil {
-			return nil
-		}
-		var dataHdr [8]byte
-		if _, err := io.ReadFull(fh, dataHdr[:]); err != nil {
-			return nil
-		}
-		size := int64(binary.LittleEndian.Uint32(dataHdr[0:4]))
-		frameStart := off + 4 + int64(nameLen) + 8
-		if _, err := fh.Seek(size, io.SeekCurrent); err != nil {
-			return nil
-		}
-		// Verify the payload was fully written (a torn payload would
-		// leave the file short).
-		end := frameStart + size
-		if st, err := fh.Stat(); err != nil || st.Size() < end {
-			return nil
-		}
-		f.index[string(name)] = spillAt{off: frameStart, size: size}
-		off = end
-		if _, err := fh.Seek(off, io.SeekStart); err != nil {
-			return nil
-		}
-	}
-}
-
-// kvSpill round-trips payloads through the external kvstore under a
-// per-run key prefix; the store must outlive the visor process for the
-// spill to be recoverable.
-type kvSpill struct {
-	kv     xfer.KVClient
-	prefix string
-}
-
-func (k *kvSpill) key(slot string) string { return k.prefix + "/" + slot }
-
-func (k *kvSpill) Put(slot string, data []byte) error {
-	return k.kv.Set(k.key(slot), data)
-}
-
-// Sync is a no-op: each kv Set is already acknowledged by the store.
-func (k *kvSpill) Sync() error { return nil }
-
-func (k *kvSpill) Get(slot string, sum uint32) ([]byte, error) {
-	data, err := k.kv.Get(k.key(slot))
-	if err != nil {
-		return nil, err
-	}
-	if crc32.ChecksumIEEE(data) != sum {
-		return nil, fmt.Errorf("%w: slot %q", ErrChecksum, slot)
-	}
-	return data, nil
+	s.index = index
+	return nil
 }

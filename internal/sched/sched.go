@@ -5,8 +5,8 @@
 //
 // The scheduler replaces that with explicit admission control:
 //
-//   - per-workflow FIFO queues, drained by a deficit-weighted
-//     round-robin picker so one hot workflow cannot starve the rest;
+//   - per-workflow FIFO queues, drained round-robin, one grant per
+//     queue per turn, so one hot workflow cannot starve the rest;
 //   - a global concurrency limit bounding simultaneous WFD boots;
 //   - per-workflow queue-depth caps — requests beyond the cap are shed
 //     immediately (the watchdog turns ErrShed into 429 + Retry-After);
@@ -50,10 +50,6 @@ type Config struct {
 	// 64); arrivals beyond the cap are shed. Negative means no queue: an
 	// arrival that finds every slot taken is shed at once.
 	MaxQueue int
-	// Weights gives per-workflow drain weights (default 1). A workflow
-	// with weight 2 is granted twice per round-robin cycle of a
-	// weight-1 workflow when both have backlog.
-	Weights map[string]int //asvet:allow unreachable -- weighted-fair drain; asvisor has no flag for it yet, sched's tests pin the arithmetic
 	// Clock is the time source (tests inject a fake; default time.Now).
 	Clock func() time.Time
 }
@@ -82,8 +78,6 @@ type Scheduler struct {
 // queue is one workflow's FIFO backlog.
 type queue struct {
 	name    string
-	weight  int
-	deficit int
 	waiters []*waiter
 }
 
@@ -219,29 +213,26 @@ func (s *Scheduler) release(service time.Duration) {
 	s.mu.Unlock()
 }
 
-// dispatchLocked grants queued waiters while slots are free, draining
-// queues deficit-round-robin in sorted-name order. Expired waiters are
-// rejected instead of granted. Caller holds s.mu.
+// dispatchLocked grants queued waiters while slots are free, one per
+// non-empty queue per turn, round-robin in sorted-name order. Expired
+// waiters are rejected instead of granted. Caller holds s.mu.
 func (s *Scheduler) dispatchLocked() {
 	if len(s.order) == 0 {
 		return
 	}
 	now := s.cfg.Clock()
-	// A full cycle with no grant and no backlog means we are done; the
-	// guard bounds the scan when every queue is empty.
+	// A full cycle over empty queues means we are done; the guard bounds
+	// the scan when every queue is empty.
 	idle := 0
 	for s.inflight < s.cfg.MaxConcurrent && idle < len(s.order) {
 		q := s.queues[s.order[s.cursor%len(s.order)]]
+		s.cursor++
 		if len(q.waiters) == 0 {
-			q.deficit = 0
-			s.cursor++
 			idle++
 			continue
 		}
-		if q.deficit <= 0 {
-			q.deficit += q.weight
-		}
-		for q.deficit > 0 && len(q.waiters) > 0 && s.inflight < s.cfg.MaxConcurrent {
+		idle = 0
+		for len(q.waiters) > 0 {
 			w := q.waiters[0]
 			q.waiters = q.waiters[1:]
 			if !w.deadline.IsZero() && now.After(w.deadline) {
@@ -249,14 +240,12 @@ func (s *Scheduler) dispatchLocked() {
 				w.ready <- fmt.Errorf("%w: %s queued past deadline", ErrDeadline, q.name)
 				continue
 			}
-			q.deficit--
 			s.inflight++
 			s.admitted++
 			w.granted = true
 			w.ready <- nil
+			break
 		}
-		s.cursor++
-		idle = 0
 	}
 }
 
@@ -273,11 +262,7 @@ func (s *Scheduler) backlogLocked() int {
 func (s *Scheduler) queueLocked(workflow string) *queue {
 	q, ok := s.queues[workflow]
 	if !ok {
-		weight := 1
-		if w, ok := s.cfg.Weights[workflow]; ok && w > 0 {
-			weight = w
-		}
-		q = &queue{name: workflow, weight: weight}
+		q = &queue{name: workflow}
 		s.queues[workflow] = q
 		s.order = append(s.order, workflow)
 		sort.Strings(s.order)

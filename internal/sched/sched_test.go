@@ -135,64 +135,6 @@ func TestNoQueueShedsAtLimit(t *testing.T) {
 	}
 }
 
-func TestWeightedFairness(t *testing.T) {
-	s := New(Config{
-		MaxConcurrent: 1,
-		MaxQueue:      64,
-		Weights:       map[string]int{"heavy": 3, "light": 1},
-	})
-	gate, _ := s.Admit(context.Background(), "other", 0)
-
-	type grant struct {
-		wf string
-		g  *Grant
-	}
-	grants := make(chan grant, 24)
-	var wg sync.WaitGroup
-	enqueue := func(wf string, n int) {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				g, err := s.Admit(context.Background(), wf, 0)
-				if err != nil {
-					t.Errorf("Admit %s: %v", wf, err)
-					return
-				}
-				grants <- grant{wf, g}
-			}()
-			for s.Stats().Depths[wf] != i+1 {
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-	enqueue("heavy", 9)
-	enqueue("light", 3)
-
-	// Drain: weight 3 vs 1 means each cycle grants 3 heavy + 1 light.
-	gate.Release()
-	var first8 []string
-	for i := 0; i < 12; i++ {
-		gr := <-grants
-		if i < 8 {
-			first8 = append(first8, gr.wf)
-		}
-		gr.g.Release()
-	}
-	wg.Wait()
-	light := 0
-	for _, wf := range first8 {
-		if wf == "light" {
-			light++
-		}
-	}
-	// In 8 grants of a 3:1 schedule light gets 2; allow 1..3 for
-	// scheduling slack but reject starvation and domination.
-	if light < 1 || light > 3 {
-		t.Fatalf("light got %d of first 8 grants (%v)", light, first8)
-	}
-}
-
 func TestDeadlineRejectedAtAdmission(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }

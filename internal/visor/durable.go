@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"alloystack/internal/asstd"
@@ -49,50 +48,13 @@ type durableRun struct {
 	opts  *RunOptions
 	store *journal.Store
 	jr    *journal.Run
-	spill journal.SpillStore
+	spill *journal.Segment
 	// st is the replayed journal state when resuming, nil for a fresh
 	// run. resumeFrom is the first stage the forward pass must execute;
 	// committed counts the stages durable so far (grows at barriers).
 	st         *journal.State
 	resumeFrom int
-
-	// async enables the pipelined barrier: the spill write and commit
-	// record of stage N overlap stage N+1's compute, hiding the
-	// checkpoint IO behind useful work. It is off whenever a fault plan
-	// is armed, so seeded crashpoints keep their deterministic position
-	// in the record stream. committed and asyncErr are guarded by mu;
-	// wg tracks in-flight barrier commits (settle drains them).
-	async     bool
-	wg        sync.WaitGroup
-	mu        sync.Mutex
-	committed int
-	asyncErr  error
-	// commitGate serialises async barrier commits in stage order: each
-	// barrier's goroutine waits for the previous barrier's records to
-	// reach the journal before appending its own. Without the chain,
-	// stage N+1's stage-committed record could land before stage N's;
-	// a crash in that window would leave a non-prefix committed set,
-	// and the journaled-but-past-the-gap stage would re-execute on
-	// resume. Only the run loop writes this field (barrier is called
-	// from a single goroutine); spawned commits capture it by value.
-	commitGate chan struct{}
-}
-
-// settle waits for every in-flight barrier commit and surfaces the
-// first error. Every terminal path — seal, failure unwind — must pass
-// through here before reading committed state.
-func (d *durableRun) settle() error {
-	d.wg.Wait()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.asyncErr
-}
-
-// committedPrefix reads the stages durable so far.
-func (d *durableRun) committedPrefix() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.committed
+	committed  int
 }
 
 // openJournal opens the run's write-ahead journal before any work
@@ -110,7 +72,7 @@ func (r *run) openJournal() error {
 		}
 		return nil
 	}
-	d := &durableRun{opts: opts, store: s, async: opts.Faults == nil}
+	d := &durableRun{opts: opts, store: s}
 	if opts.Resume != "" {
 		jr, st, err := s.Resume(opts.Resume)
 		if err != nil {
@@ -131,7 +93,7 @@ func (r *run) openJournal() error {
 		}
 		d.jr = jr
 	}
-	d.spill = s.Spill(d.jr.ID())
+	d.spill = d.jr.Spill()
 	r.dj = d
 	return nil
 }
@@ -223,8 +185,7 @@ func (d *durableRun) beginStage(si int) error {
 }
 
 // commitStage is the barrier after stage si: its outputs are spilled and
-// its commit record journaled before (or, pipelined, while) the next
-// stage runs.
+// its commit record journaled before the next stage runs.
 func (d *durableRun) commitStage(r *run, si int) error {
 	if d == nil {
 		return nil
@@ -240,15 +201,11 @@ func (d *durableRun) commitStage(r *run, si int) error {
 }
 
 // failStage is the terminal failure of stage si: journal it, unwind the
-// committed prefix as a saga and seal with the unwind's verdict. In-flight
-// async barrier commits settle first, so the unwind sees the true
-// committed prefix. It returns ferr unless the journal itself fails.
+// committed prefix as a saga and seal with the unwind's verdict. It
+// returns ferr unless the journal itself fails.
 func (d *durableRun) failStage(r *run, si int, ferr error) error {
 	if d == nil {
 		return ferr
-	}
-	if err := d.settle(); err != nil {
-		return err
 	}
 	if err := d.jr.Failed(si, ferr.Error()); err != nil {
 		return err
@@ -259,15 +216,10 @@ func (d *durableRun) failStage(r *run, si int, ferr error) error {
 	return ferr
 }
 
-// seal drains any in-flight async barrier commits (an ok-seal asserts
-// every stage is durable), writes the terminal record and reports its
-// verdict.
+// seal writes the terminal record and reports its verdict.
 func (d *durableRun) seal(res *RunResult, verdict string) error {
 	if d == nil {
 		return nil
-	}
-	if err := d.settle(); err != nil {
-		return err
 	}
 	if err := d.jr.Seal(verdict); err != nil {
 		return err
@@ -279,61 +231,26 @@ func (d *durableRun) seal(res *RunResult, verdict string) error {
 
 // barrier makes stage si durable: snapshot every AsBuffer slot the stage
 // produced for a later consumer (plus the run's export slots at the
-// final stage), persist each through the spill store, journal a
+// final stage), persist each to the spill segment, journal a
 // slot-spilled record per payload, then commit the stage. The snapshot
-// is always synchronous (it must copy the slots before the next stage
-// consumes them); in async mode the persistence half runs in the
-// background, overlapped with the next stage's compute — a crash before
-// it lands simply re-executes the uncommitted stage on resume.
+// copies the slots before the next stage consumes them; a crash before
+// the commit lands simply re-executes the uncommitted stage on resume.
 func (d *durableRun) barrier(r *run, si int) error {
 	want := edgeSlots(r.stages, func(from, to int) bool { return from == si && to > si })
 	if si == len(r.stages)-1 {
 		want = append(want, r.opts.ExportSlots...)
 	}
 	sp := r.root.Child(fmt.Sprintf("journal-barrier-%d", si), trace.CatJournal)
+	defer sp.End()
 	var data map[string][]byte
 	if len(want) > 0 {
 		var err error
 		if data, err = snapshotSlots(r.wfd, want); err != nil {
-			sp.End()
 			return err
 		}
 		sp.SetAttr("slots", len(data))
 	}
-	if !d.async {
-		defer sp.End()
-		return d.persist(si, data)
-	}
-	prev := d.commitGate
-	next := make(chan struct{})
-	d.commitGate = next
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer close(next)
-		defer sp.End()
-		if prev != nil {
-			<-prev
-		}
-		d.mu.Lock()
-		failed := d.asyncErr != nil
-		d.mu.Unlock()
-		if failed {
-			// An earlier barrier's records never reached the journal;
-			// appending this stage's commit after the gap would journal
-			// a non-prefix committed set. Drop it — settle surfaces the
-			// original error and the run fails before sealing.
-			return
-		}
-		if err := d.persist(si, data); err != nil {
-			d.mu.Lock()
-			if d.asyncErr == nil {
-				d.asyncErr = fmt.Errorf("visor: journal barrier %d: %w", si, err)
-			}
-			d.mu.Unlock()
-		}
-	}()
-	return nil
+	return d.persist(si, data)
 }
 
 // persist is the barrier's IO half: spill stage si's snapshotted
@@ -365,11 +282,7 @@ func (d *durableRun) persist(si int, data map[string][]byte) error {
 	if err := d.jr.StageCommitted(si); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	if si+1 > d.committed {
-		d.committed = si + 1
-	}
-	d.mu.Unlock()
+	d.committed = si + 1
 	return nil
 }
 
@@ -437,7 +350,7 @@ func consumerStage(slot string, stageOf map[string]int) int {
 // consuming them: acquire (which deregisters), copy, re-register the
 // same buffer under the same slot. Downstream stages still find their
 // inputs exactly where the producer left them; the copy is what the
-// spill store persists. Slots never registered are skipped.
+// spill segment persists. Slots never registered are skipped.
 func snapshotSlots(wfd *core.WFD, slots []string) (map[string][]byte, error) {
 	out := make(map[string][]byte)
 	err := wfd.Run("__journal-spill", func(env *asstd.Env) error {
@@ -473,7 +386,7 @@ func snapshotSlots(wfd *core.WFD, slots []string) (map[string][]byte, error) {
 func (d *durableRun) unwind(r *run) error {
 	verdict := "compensated"
 	compSeq := 0
-	for si := d.committedPrefix() - 1; si >= 0; si-- {
+	for si := d.committed - 1; si >= 0; si-- {
 		for _, spec := range r.stages[si] {
 			comp, ok := r.w.CompensationSpec(spec.Compensate)
 			if spec.Compensate == "" || !ok {

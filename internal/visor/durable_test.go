@@ -3,16 +3,13 @@ package visor
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"alloystack/internal/asstd"
 	"alloystack/internal/dag"
@@ -358,107 +355,135 @@ func TestResumeIgnoresUncommittedSpills(t *testing.T) {
 	}
 }
 
-// slowKV is an in-memory xfer.KVClient whose Set stalls on chosen keys,
-// stretching one barrier's spill write to expose commit reordering.
-type slowKV struct {
-	delay func(key string) time.Duration
-	mu    sync.Mutex
-	m     map[string][]byte
-}
-
-func (k *slowKV) Set(key string, value []byte) error {
-	if d := k.delay(key); d > 0 {
-		time.Sleep(d)
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.m == nil {
-		k.m = map[string][]byte{}
-	}
-	k.m[key] = append([]byte(nil), value...)
-	return nil
-}
-
-func (k *slowKV) Get(key string) ([]byte, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	v, ok := k.m[key]
-	if !ok {
-		return nil, errors.New("slowKV: no such key")
-	}
-	return append([]byte(nil), v...), nil
-}
-
-func (k *slowKV) Del(key string) (bool, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	_, ok := k.m[key]
-	delete(k.m, key)
-	return ok, nil
-}
-
-// readJournalRecords hand-decodes a journal file's length-prefixed
-// record frames.
-func readJournalRecords(t *testing.T, path string) []journal.Record {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []journal.Record
-	for off := 0; off+8 <= len(raw); {
-		n := int(binary.LittleEndian.Uint32(raw[off : off+4]))
-		if off+8+n > len(raw) {
-			break
-		}
-		var rec journal.Record
-		if err := json.Unmarshal(raw[off+8:off+8+n], &rec); err != nil {
-			t.Fatalf("record at offset %d: %v", off, err)
-		}
-		recs = append(recs, rec)
-		off += 8 + n
-	}
-	return recs
-}
-
-// TestAsyncBarrierCommitsInStageOrder pins the prefix invariant of the
-// pipelined barrier: even when stage 0's spill write is much slower
-// than the later stages' (a 150ms-per-Put kv store here), the
-// stage-committed records must reach the journal in stage order — a
-// crash must never find stage N+1 committed without stage N.
-func TestAsyncBarrierCommitsInStageOrder(t *testing.T) {
+// TestTornSpillSurvivesSecondResume covers a crash mid-spill: stage 1's
+// barrier dies with its last spill frame cut short. The resume re-runs
+// stage 1 and re-spills it, then crashes after that commit; the second
+// resume must read the re-spilled payloads back, which needs the torn
+// frame gone before the re-spill was appended.
+func TestTornSpillSurvivesSecondResume(t *testing.T) {
 	counts := map[string]*atomic.Int64{}
 	v := New(countingRegistry(counts))
-	kv := &slowKV{delay: func(key string) time.Duration {
-		if strings.Contains(key, "produce:") {
-			return 150 * time.Millisecond
-		}
-		return 0
-	}}
-	store, err := journal.Open(t.TempDir(), journal.Options{KV: kv})
+	store := openTestStore(t)
+	res, err := v.RunWorkflow(pipelineWorkflow(2), durableOpts(store, func(o *RunOptions) {
+		o.Faults = faults.NewPlan(1, faults.Crash{Point: "after-commit:0"})
+	}))
+	if !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("crashpoint: err = %v, want ErrCrashPoint", err)
+	}
+	id := res.RunID
+
+	// The crash mid-spill: both of stage 1's payloads written, the last
+	// three bytes of the second never reaching the disk.
+	jr, _, err := store.Resume(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No fault plan, so the run uses the async (pipelined) barrier.
-	res, err := v.RunWorkflow(pipelineWorkflow(2), durableOpts(store, nil))
-	if err != nil {
-		t.Fatalf("durable run: %v", err)
-	}
-	if res.Verdict != "ok" {
-		t.Fatalf("verdict = %q, want ok", res.Verdict)
-	}
-	var commits []int
-	for _, rec := range readJournalRecords(t, filepath.Join(store.Dir(), res.RunID+".journal")) {
-		if rec.Kind == journal.KindStageCommit {
-			commits = append(commits, rec.Stage)
+	spill := jr.Spill()
+	for i := 0; i < 2; i++ {
+		payload := binary.LittleEndian.AppendUint64(nil, uint64((i+1)*2))
+		if err := spill.Put(Slot("double", i, "sum", 0), payload); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(commits) != 3 {
-		t.Fatalf("stage-committed records = %v, want 3", commits)
+	if err := spill.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	for i, si := range commits {
-		if si != i {
-			t.Fatalf("stage-committed order = %v, want [0 1 2]", commits)
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(store.Dir(), id+".spill")
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = v.RunWorkflow(pipelineWorkflow(2), durableOpts(store, func(o *RunOptions) {
+		o.Resume = id
+		o.Faults = faults.NewPlan(1, faults.Crash{Point: "after-commit:1"})
+	}))
+	if !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("first resume: err = %v, want ErrCrashPoint", err)
+	}
+	rres, err := v.RunWorkflow(pipelineWorkflow(2), durableOpts(store, func(o *RunOptions) { o.Resume = id }))
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	if rres.StagesSkipped != 2 || rres.Verdict != "ok" {
+		t.Fatalf("second resume result = %+v", rres)
+	}
+	if got := binary.LittleEndian.Uint64(rres.Exports[Slot("sum", 0, "out", 0)]); got != 6 {
+		t.Fatalf("export = %d, want 6", got)
+	}
+	if p, d, s := counts["produce"].Load(), counts["double"].Load(), counts["sum"].Load(); p != 1 || d != 2 || s != 1 {
+		t.Fatalf("executions produce/double/sum = %d/%d/%d, want 1/2/1", p, d, s)
+	}
+}
+
+// TestTornWriteSweep cuts a crashed run's journal, then its spill
+// segment, at every byte offset and resumes each cut. A cut resumes to
+// the uninterrupted run's export or fails with a typed error:
+// journal.ErrNotFound for a journal cut inside its first frame,
+// journal.ErrNoSpill for a spill cut that loses a committed payload.
+// -short strides the offsets.
+func TestTornWriteSweep(t *testing.T) {
+	v := New(countingRegistry(map[string]*atomic.Int64{}))
+	rec := openTestStore(t)
+	res, err := v.RunWorkflow(pipelineWorkflow(2), durableOpts(rec, func(o *RunOptions) {
+		o.Faults = faults.NewPlan(1, faults.Crash{Point: "after-commit:1"})
+	}))
+	if !errors.Is(err, ErrCrashPoint) {
+		t.Fatalf("crashpoint: err = %v, want ErrCrashPoint", err)
+	}
+	id := res.RunID
+	jbytes, err := os.ReadFile(filepath.Join(rec.Dir(), id+".journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbytes, err := os.ReadFile(filepath.Join(rec.Dir(), id+".spill"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store := openTestStore(t)
+	resume := func(j, s []byte) error {
+		if err := os.WriteFile(filepath.Join(store.Dir(), id+".journal"), j, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(store.Dir(), id+".spill"), s, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rres, err := v.RunWorkflow(pipelineWorkflow(2), durableOpts(store, func(o *RunOptions) { o.Resume = id }))
+		if err == nil {
+			if got := binary.LittleEndian.Uint64(rres.Exports[Slot("sum", 0, "out", 0)]); got != 6 {
+				t.Fatalf("export = %d, want 6", got)
+			}
+		}
+		return err
+	}
+	cuts := func(n int) []int {
+		stride := 1
+		if testing.Short() {
+			stride = 7
+		}
+		var out []int
+		for cut := 0; cut < n; cut += stride {
+			out = append(out, cut)
+		}
+		return append(out, n)
+	}
+	firstFrame := 8 + int(binary.LittleEndian.Uint32(jbytes))
+	for _, cut := range cuts(len(jbytes)) {
+		err := resume(jbytes[:cut], sbytes)
+		if cut < firstFrame && !errors.Is(err, journal.ErrNotFound) || cut >= firstFrame && err != nil {
+			t.Fatalf("journal cut at %d of %d: %v", cut, len(jbytes), err)
+		}
+	}
+	for _, cut := range cuts(len(sbytes)) {
+		if err := resume(jbytes, sbytes[:cut]); err != nil && !errors.Is(err, journal.ErrNoSpill) {
+			t.Fatalf("spill cut at %d of %d: %v", cut, len(sbytes), err)
 		}
 	}
 }

@@ -24,7 +24,8 @@ go test -short ./...
 # fails here; no number is read.
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
 # Short fuzz budgets past each committed corpus: the two ASVM engines,
-# the payload-pattern kernels and the kvstore and framed-xfer decoders;
+# the payload-pattern kernels, the kvstore and framed-xfer decoders and
+# the journal's replay;
 # a crasher fails the build and is left under the package's
 # testdata/fuzz/ to be committed as a test.
 make fuzz-smoke
