@@ -29,15 +29,17 @@ test:
 # then the payload-pattern kernels (internal/workloads) five seconds
 # against their per-byte formula, then the two wire decoders that read
 # bytes from a peer (the kvstore command reader and xfer's framed
-# protocol) and the journal's replay five seconds each. A crasher is
-# written under the package's testdata/fuzz/ and becomes a regression
-# test by being committed.
+# protocol), the journal's replay and dag.Parse (which reads specs a
+# peer's spec server sends) five seconds each. A crasher is written
+# under the package's testdata/fuzz/ and becomes a regression test by
+# being committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnginesAgree -fuzztime 10s ./internal/asvm
 	$(GO) test -run '^$$' -fuzz FuzzPattern -fuzztime 5s ./internal/workloads
 	$(GO) test -run '^$$' -fuzz FuzzKVCommand -fuzztime 5s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzNetFrame -fuzztime 5s ./internal/xfer
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzDAGParse -fuzztime 5s ./internal/dag
 
 # race runs every internal package under the race detector; the chaos
 # tests are concurrency-heavy by design, so this is where races

@@ -80,20 +80,19 @@ type Env struct {
 	transport Transport
 }
 
-// Transport is the unified data plane seam (ISSUE 2): every path an
-// intermediate payload can take between two functions — AsBuffer
-// reference passing, LibOS file spill, kvstore forwarding, TCP across
-// nodes — implements this one interface. It is declared here (rather
-// than in internal/xfer, which provides the implementations) because
-// Env carries one and Buffer is the zero-copy currency; xfer re-exports
-// it as `xfer.Transport`.
+// Transport is the unified data plane seam: every path an intermediate
+// payload can take between two functions — AsBuffer reference passing,
+// LibOS file spill, kvstore forwarding — implements this one interface.
+// It is declared here (rather than in internal/xfer, which provides the
+// implementations) because Env carries one and Buffer is the zero-copy
+// currency; xfer re-exports it as `xfer.Transport`.
 type Transport interface {
-	// Kind names the path: "refpass", "file", "kv" or "net".
+	// Kind names the path: "refpass", "file" or "kv".
 	Kind() string
 
 	// Send registers data downstream under slot, copying as the path
-	// requires (refpass: one copy into a fresh AsBuffer; file/kv/net:
-	// one copy into the medium).
+	// requires (refpass: one copy into a fresh AsBuffer; file/kv: one
+	// copy into the medium).
 	Send(slot string, data []byte) error
 
 	// Alloc returns a buffer registered under slot for the producer to

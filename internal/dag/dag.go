@@ -27,6 +27,13 @@ var (
 	ErrUnknownComp = errors.New("dag: compensate references unknown handler")
 )
 
+// maxInstances caps a function's instance count. The visor launches
+// one goroutine per instance and names a slot for every
+// (producer instance, consumer instance) pair of an edge, so the count
+// a spec claims is work a node does; a spec can arrive from a peer's
+// spec server.
+const maxInstances = 256
+
 // FuncSpec declares one function node of the workflow.
 type FuncSpec struct {
 	// Name identifies the function; it must be registered with the
@@ -85,8 +92,8 @@ func (w *Workflow) Validate() error {
 			return fmt.Errorf("%w: %s", ErrDupFunction, f.Name)
 		}
 		seen[f.Name] = true
-		if f.Instances < 0 {
-			return fmt.Errorf("%w: %s: negative instances", ErrBadConfig, f.Name)
+		if f.Instances < 0 || f.Instances > maxInstances {
+			return fmt.Errorf("%w: %s: instances %d outside 0..%d", ErrBadConfig, f.Name, f.Instances, maxInstances)
 		}
 		switch f.Language {
 		case "", "native", "c", "python":

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -48,6 +49,22 @@ func TestParseErrors(t *testing.T) {
 	for name, c := range cases {
 		if _, err := Parse([]byte(c.cfg)); !errors.Is(err, c.want) {
 			t.Fatalf("%s: err = %v, want %v", name, err, c.want)
+		}
+	}
+}
+
+// A spec's instance count is work the node does (a goroutine per
+// instance, a slot name per instance pair of an edge), so Parse caps it.
+func TestParseCapsInstances(t *testing.T) {
+	spec := func(n int64) []byte {
+		return []byte(fmt.Sprintf(`{"functions":[{"name":"a"},{"name":"b","depends_on":["a"],"instances":%d}]}`, n))
+	}
+	if _, err := Parse(spec(maxInstances)); err != nil {
+		t.Fatalf("instances = cap: %v", err)
+	}
+	for _, n := range []int64{maxInstances + 1, 1 << 40} {
+		if _, err := Parse(spec(n)); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("instances = %d: err = %v, want ErrBadConfig", n, err)
 		}
 	}
 }

@@ -111,7 +111,7 @@ type Options struct {
 	Clock func() time.Time
 	// NoSync skips the per-append fsync (benchmarks measuring the
 	// framing overhead alone; durability tests keep it off).
-	NoSync bool //asvet:allow unreachable -- set nowhere today, tests included: a deletion candidate (ROADMAP 3)
+	NoSync bool //asvet:allow unreachable -- set nowhere today, tests included: ROADMAP 12's durable benchmark is its planned first writer
 }
 
 // Store manages the journals under one directory.
@@ -518,10 +518,9 @@ func buildState(id string, recs []Record) (*State, error) {
 		case KindAdmitted:
 			st.Workflow = rec.Workflow
 			if len(rec.Spec) > 0 {
-				var w dag.Workflow
-				if err := json.Unmarshal(rec.Spec, &w); err == nil {
-					st.Spec = &w
-				}
+				// A spec that fails validation is dropped; the resume
+				// falls back to the registered workflow.
+				st.Spec, _ = dag.Parse(rec.Spec)
 			}
 		case KindSlotSpilled:
 			st.Spilled = append(st.Spilled, Spill{

@@ -76,9 +76,10 @@ type EventData struct {
 // Options configure a Tracer.
 type Options struct {
 	// TraceID names the trace; empty derives a process-unique ID from
-	// the proc label. Multi-node runs overwrite it via Adopt so both
-	// halves stitch into one trace.
-	TraceID string //asvet:allow unreachable -- test seam: fingerprint tests pin the ID; shipped code adopts one via Adopt
+	// the proc label. The ID is fixed for the tracer's lifetime: a
+	// caller that propagates an ID from upstream builds the tracer
+	// with it.
+	TraceID string //asvet:allow unreachable -- test seam: fingerprint tests pin the ID; ROADMAP 6's propagated request ID is its planned shipped writer
 	// Syscalls enables per-LibOS-crossing spans (verbose; off by
 	// default because a large run makes thousands of them).
 	Syscalls bool
@@ -98,12 +99,12 @@ type Tracer struct {
 	proc     string
 	syscalls bool
 	rec      *Recorder
+	traceID  string
 
-	mu      sync.Mutex
-	traceID string
-	seq     uint64
-	spans   []SpanData
-	events  []EventData
+	mu     sync.Mutex
+	seq    uint64
+	spans  []SpanData
+	events []EventData
 }
 
 // New builds a tracer labelled with a process/node name ("node1",
@@ -132,25 +133,13 @@ func (t *Tracer) Proc() string {
 	return t.proc
 }
 
-// TraceID returns the current trace identifier ("" when disabled).
+// TraceID returns the trace identifier ("" when disabled). It is fixed
+// when the tracer is built.
 func (t *Tracer) TraceID() string {
 	if t == nil {
 		return ""
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.traceID
-}
-
-// Adopt replaces the trace ID — the importing side of a multi-node cut
-// calls it with the exporter's ID so both halves export as one trace.
-func (t *Tracer) Adopt(traceID string) {
-	if t == nil || traceID == "" {
-		return
-	}
-	t.mu.Lock()
-	t.traceID = traceID
-	t.mu.Unlock()
 }
 
 // Recorder returns the attached flight recorder, if any.

@@ -32,7 +32,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	child.End()
 	sp.End()
-	tr.Adopt("other")
 	tr.FlightDump(&bytes.Buffer{}, "r")
 	if tr.Spans() != nil || tr.Events() != nil {
 		t.Fatal("nil tracer has data")
@@ -96,18 +95,6 @@ func TestFingerprintDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "func:invoke:w>inst") {
 		t.Fatalf("fingerprint missing structure: %s", a)
-	}
-}
-
-func TestAdoptStitchesTraceID(t *testing.T) {
-	a := New("node1", Options{})
-	b := New("node2", Options{})
-	if a.TraceID() == b.TraceID() {
-		t.Fatal("distinct tracers share a default trace ID")
-	}
-	b.Adopt(a.TraceID())
-	if b.TraceID() != a.TraceID() {
-		t.Fatal("adopt failed")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // build and seal a warm pool for a workflow (pulling the spec from a
 // peer's spec server when it does not know the workflow yet), and the
 // spec server itself answers framed GETs for "spec:{workflow}" slots
-// over the same wire protocol the multi-node data plane speaks.
+// (xfer.ServeSource).
 
 // specSlotPrefix namespaces workflow specs on the spec server.
 const specSlotPrefix = "spec:"
@@ -56,7 +56,7 @@ func (wd *Watchdog) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // StartSpecServer listens on addr (use "127.0.0.1:0" for ephemeral)
-// and serves this node's workflow specs to peers over the framed slot
+// and serves this node's workflow specs to peers over the framed GET
 // protocol. It returns the bound address, which the node advertises as
 // SpecAddr. Stop closes it.
 func (wd *Watchdog) StartSpecServer(addr string) (string, error) {

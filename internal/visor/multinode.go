@@ -148,50 +148,12 @@ func drainSlots(wfd *core.WFD, slots []string, sink func(slot string, src []byte
 func importSlots(wfd *core.WFD, slots map[string][]byte) error {
 	return wfd.Run("__bridge-import", func(env *asstd.Env) error {
 		for slot, data := range slots {
-			if err := registerImport(env, slot, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// importVia pulls the named slots from an inbound transport (the net
-// transport from a remote bridge) and registers them as AsBuffers.
-// Names absent on the far side are skipped — they mirror the export
-// side's never-registered candidate pairs.
-func importVia(wfd *core.WFD, tr xfer.Transport, names []string) error {
-	return wfd.Run("__bridge-import", func(env *asstd.Env) error {
-		for _, slot := range names {
-			data, release, err := tr.Recv(slot)
+			b, err := asstd.NewBuffer(env, slot, max(uint64(len(data)), 1))
 			if err != nil {
-				if errors.Is(err, libos.ErrSlotMissing) {
-					continue
-				}
 				return err
 			}
-			if err := registerImport(env, slot, data); err != nil {
-				release()
-				return err
-			}
-			if err := release(); err != nil {
-				return err
-			}
+			copy(b.Bytes(), data)
 		}
 		return nil
 	})
-}
-
-// registerImport parks one payload in a slot-registered AsBuffer.
-func registerImport(env *asstd.Env, slot string, data []byte) error {
-	size := uint64(len(data))
-	if size == 0 {
-		size = 1
-	}
-	b, err := asstd.NewBuffer(env, slot, size)
-	if err != nil {
-		return err
-	}
-	copy(b.Bytes(), data)
-	return nil
 }

@@ -12,8 +12,6 @@ import (
 	"alloystack/internal/dag"
 	"alloystack/internal/faults"
 	"alloystack/internal/kvstore"
-	"alloystack/internal/netstack"
-	"alloystack/internal/xfer"
 )
 
 // chainRegistry registers a chain implementation that forwards a counter,
@@ -182,112 +180,6 @@ func TestTwoNodeSplitRun(t *testing.T) {
 	// 6 hops: head writes 1, five increments -> 6.
 	if out.String() != "hops=6" {
 		t.Fatalf("cross-node result = %q, want hops=6", out.String())
-	}
-}
-
-// TestTwoNodeNetTransport runs the same split chain with the boundary
-// slot shipped through the net transport's framed byte protocol over
-// the in-repo virtual network: node 1 exports straight to a bridge
-// node, node 2 imports from it, and the result must be byte-identical
-// to the single-node run.
-func TestTwoNodeNetTransport(t *testing.T) {
-	w := hopChain(6)
-	front, back, err := SplitAt(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cross, err := CrossSlots(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The bridge node listens on the shared virtual network; each visor
-	// node dials it from its own NIC.
-	hub := netstack.NewHub()
-	bridgeNIC, err := hub.Attach(netstack.Addr{10, 9, 0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := netstack.NewStack(bridgeNIC).Listen(9100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bridge := xfer.NewBridge()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				bridge.ServeConn(conn)
-				conn.Close()
-			}()
-		}
-	}()
-	dialBridge := func(last byte) *xfer.Peer {
-		t.Helper()
-		nic, err := hub.Attach(netstack.Addr{10, 9, 0, last})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := netstack.NewStack(nic).Dial(netstack.Endpoint{Addr: netstack.Addr{10, 9, 0, 1}, Port: 9100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return xfer.NewPeer(conn)
-	}
-
-	// Node 1: front subgraph, boundary slots exported over the wire.
-	exportPeer := dialBridge(2)
-	defer exportPeer.Close()
-	ro1 := DefaultRunOptions()
-	ro1.CostScale = 0
-	ro1.BufHeapSize = 8 << 20
-	ro1.ExportSlots = cross
-	ro1.ExportPeer = exportPeer
-	res1, err := New(chainRegistry(t)).RunWorkflow(front, ro1)
-	if err != nil {
-		t.Fatalf("front: %v", err)
-	}
-	if len(res1.Exports) != 0 {
-		t.Fatalf("exports should ship via peer, got %v", res1.Exports)
-	}
-	if bridge.Len() != 1 {
-		t.Fatalf("bridge holds %d slots, want 1", bridge.Len())
-	}
-	if net := res1.Transfer.Kind(xfer.KindNet); net.Ops == 0 || net.Bytes == 0 {
-		t.Fatalf("no net-transport traffic counted: %+v", net)
-	}
-
-	// Node 2: back subgraph, boundary slots imported over the wire.
-	importPeer := dialBridge(3)
-	defer importPeer.Close()
-	var out bytes.Buffer
-	ro2 := DefaultRunOptions()
-	ro2.CostScale = 0
-	ro2.BufHeapSize = 8 << 20
-	ro2.ImportPeer = importPeer
-	ro2.ImportNames = cross
-	ro2.Stdout = &out
-	if _, err := New(chainRegistry(t)).RunWorkflow(back, ro2); err != nil {
-		t.Fatalf("back: %v", err)
-	}
-	if bridge.Len() != 0 {
-		t.Fatalf("bridge not drained: %d slots left", bridge.Len())
-	}
-
-	// Byte-identical to the unsplit single-node run.
-	var ref bytes.Buffer
-	ro := DefaultRunOptions()
-	ro.CostScale = 0
-	ro.BufHeapSize = 8 << 20
-	ro.Stdout = &ref
-	if _, err := New(chainRegistry(t)).RunWorkflow(hopChain(6), ro); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), ref.Bytes()) {
-		t.Fatalf("two-node output %q != single-node %q", out.String(), ref.String())
 	}
 }
 

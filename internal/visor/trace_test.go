@@ -56,7 +56,6 @@ type chromeDoc struct {
 		Ph   string  `json:"ph"`
 		Dur  float64 `json:"dur"`
 	} `json:"traceEvents"`
-	OtherData map[string]string `json:"otherData"`
 }
 
 // TestTraceAgreesWithStageClock checks the acceptance bar for the span
@@ -193,91 +192,6 @@ func TestFailedRunDumpsFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(dump, "active span: phased[0]") {
 		t.Fatalf("dump does not name the active span:\n%s", dump)
-	}
-}
-
-// TestTraceStitchesAcrossNetTransport splits a chain across two visors
-// bridged by the net transport and checks the importer adopts the
-// exporter's trace ID: both halves render into one Chrome file under a
-// single trace identifier.
-func TestTraceStitchesAcrossNetTransport(t *testing.T) {
-	w := hopChain(6)
-	front, back, err := SplitAt(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cross, err := CrossSlots(w, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bridge := xfer.NewBridge()
-
-	// Node 1: front subgraph, traced, boundary slots + trace ID shipped.
-	tr1 := trace.New("node1", trace.Options{})
-	exportPeer := bridge.Dial()
-	defer exportPeer.Close()
-	ro1 := DefaultRunOptions()
-	ro1.CostScale = 0
-	ro1.BufHeapSize = 8 << 20
-	ro1.ExportSlots = cross
-	ro1.ExportPeer = exportPeer
-	ro1.Trace = tr1
-	res1, err := New(chainRegistry(t)).RunWorkflow(front, ro1)
-	if err != nil {
-		t.Fatalf("front: %v", err)
-	}
-
-	// Node 2: back subgraph with its own tracer; the import path must
-	// adopt node 1's trace ID off the bridge before pulling payloads.
-	tr2 := trace.New("node2", trace.Options{})
-	importPeer := bridge.Dial()
-	defer importPeer.Close()
-	var out bytes.Buffer
-	ro2 := DefaultRunOptions()
-	ro2.CostScale = 0
-	ro2.BufHeapSize = 8 << 20
-	ro2.ImportPeer = importPeer
-	ro2.ImportNames = cross
-	ro2.Stdout = &out
-	ro2.Trace = tr2
-	res2, err := New(chainRegistry(t)).RunWorkflow(back, ro2)
-	if err != nil {
-		t.Fatalf("back: %v", err)
-	}
-	if out.String() != "hops=6" {
-		t.Fatalf("split result = %q", out.String())
-	}
-	if res1.TraceID == "" || res2.TraceID != res1.TraceID {
-		t.Fatalf("trace not stitched: exporter %q, importer %q", res1.TraceID, res2.TraceID)
-	}
-	if tr2.TraceID() != tr1.TraceID() {
-		t.Fatalf("tracer IDs differ: %q vs %q", tr1.TraceID(), tr2.TraceID())
-	}
-
-	// One stitched Chrome file holds both processes under one trace ID.
-	var stitched bytes.Buffer
-	if err := trace.ExportChrome(&stitched, tr1, tr2); err != nil {
-		t.Fatal(err)
-	}
-	var doc chromeDoc
-	if err := json.Unmarshal(stitched.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.OtherData["trace_id"] != res1.TraceID {
-		t.Fatalf("stitched trace_id = %q, want %q", doc.OtherData["trace_id"], res1.TraceID)
-	}
-	procs := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "M" {
-			procs[ev.Name] = true
-		}
-	}
-	// Both nodes' process-name metadata must be present.
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("stitched trace is empty")
-	}
-	if !strings.Contains(stitched.String(), "node1") || !strings.Contains(stitched.String(), "node2") {
-		t.Fatalf("stitched trace missing a node's spans")
 	}
 }
 

@@ -261,17 +261,6 @@ type RunOptions struct {
 	// (integration tests install os.Exit). Nil aborts the run
 	// in-process with ErrCrashPoint instead.
 	CrashFn func(point string) //asvet:allow unreachable -- the process-kill seam: the crash-resume integration test installs os.Exit
-
-	// ExportPeer, when set, ships ExportSlots through the net
-	// transport to the far side's xfer.Bridge instead of returning
-	// them in RunResult.Exports — the §9 multi-node cut over a real
-	// byte stream. ImportPeer is the receiving half: ImportNames are
-	// pulled from the bridge and registered as AsBuffers before the
-	// first stage (names absent on the bridge are skipped, mirroring
-	// the export side's never-registered slots).
-	ExportPeer  *xfer.Peer //asvet:allow unreachable -- the net-bridge seam of the §9 cut: the multinode tests and ROADMAP 12's two-visor measurement set it
-	ImportPeer  *xfer.Peer //asvet:allow unreachable -- see ExportPeer
-	ImportNames []string   //asvet:allow unreachable -- see ExportPeer
 }
 
 // DefaultRunOptions are the paper's standard AlloyStack configuration.
@@ -304,13 +293,14 @@ type RunResult struct {
 	RetryBudget int
 	// RetryWait is the total backoff time spent between retries.
 	RetryWait time.Duration
-	// Exports carries the drained ExportSlots data (multi-node bridge).
+	// Exports carries the drained ExportSlots data (the front half of a
+	// §9 multi-node cut).
 	Exports map[string][]byte
 	// Transfer aggregates per-transport counters (bytes moved, copies
 	// made, slots reused) for the run's data plane.
 	Transfer *metrics.TransportStats
-	// TraceID echoes the tracer's (possibly adopted) trace identifier,
-	// "" when the run was not traced.
+	// TraceID echoes the tracer's trace identifier, "" when the run was
+	// not traced.
 	TraceID string
 	// RunID is the durable run's journal identifier ("" for
 	// non-durable runs).
@@ -665,27 +655,14 @@ func (r *run) release() {
 // importInputs registers the intermediate data a multi-node cut hands
 // this subgraph, before its first stage runs.
 func (r *run) importInputs() error {
-	if len(r.opts.ImportSlots) > 0 {
-		sp := r.root.Child("import-slots", trace.CatXfer)
-		err := importSlots(r.wfd, r.opts.ImportSlots)
-		sp.End()
-		if err != nil {
-			return fmt.Errorf("visor: import slots: %w", err)
-		}
+	if len(r.opts.ImportSlots) == 0 {
+		return nil
 	}
-	if r.opts.ImportPeer != nil && len(r.opts.ImportNames) > 0 {
-		// Stitch into the exporting node's trace: the far side parked
-		// its trace ID on the bridge before the payload slots.
-		if id, ok := r.opts.ImportPeer.FetchTraceID(); ok {
-			r.opts.Trace.Adopt(id)
-		}
-		tr := xfer.NewNet(r.opts.ImportPeer, nil, r.res.Transfer)
-		sp := r.root.Child("import-via-net", trace.CatXfer)
-		err := importVia(r.wfd, tr, r.opts.ImportNames)
-		sp.End()
-		if err != nil {
-			return fmt.Errorf("visor: import via net: %w", err)
-		}
+	sp := r.root.Child("import-slots", trace.CatXfer)
+	err := importSlots(r.wfd, r.opts.ImportSlots)
+	sp.End()
+	if err != nil {
+		return fmt.Errorf("visor: import slots: %w", err)
 	}
 	return nil
 }
@@ -797,35 +774,19 @@ func (r *run) launch(st *stage, fn NativeFunc, fctx FuncContext) {
 	}()
 }
 
-// export drains ExportSlots after the last stage: through the net
-// transport to the far side's bridge when ExportPeer is set, into
-// RunResult.Exports (copies: the data is leaving the address space)
-// otherwise.
+// export drains ExportSlots after the last stage into RunResult.Exports
+// (copies: the data is leaving the address space).
 func (r *run) export() error {
 	if len(r.opts.ExportSlots) == 0 {
 		return nil
 	}
-	if r.opts.ExportPeer == nil {
-		r.res.Exports = make(map[string][]byte)
-		err := drainSlots(r.wfd, r.opts.ExportSlots, func(slot string, src []byte) error {
-			r.res.Exports[slot] = append([]byte(nil), src...)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("visor: export slots: %w", err)
-		}
+	r.res.Exports = make(map[string][]byte)
+	err := drainSlots(r.wfd, r.opts.ExportSlots, func(slot string, src []byte) error {
+		r.res.Exports[slot] = append([]byte(nil), src...)
 		return nil
-	}
-	// Park the trace ID before the payload slots so the importing node
-	// can stitch its half of the run into this trace.
-	if r.opts.Trace.Enabled() {
-		_ = r.opts.ExportPeer.ShipTraceID(r.opts.Trace.TraceID())
-	}
-	sp := r.root.Child("export-via-net", trace.CatXfer)
-	err := drainSlots(r.wfd, r.opts.ExportSlots, xfer.NewNet(r.opts.ExportPeer, nil, r.res.Transfer).Send)
-	sp.End()
+	})
 	if err != nil {
-		return fmt.Errorf("visor: export via net: %w", err)
+		return fmt.Errorf("visor: export slots: %w", err)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ type Watchdog struct {
 
 	// Sched, when non-nil, is the node's admission control: a cap on
 	// concurrently executing invocations and, unless it was built with
-	// no queue, per-workflow FIFO queues with weighted-fair dispatch,
+	// no queue, per-workflow FIFO queues with round-robin dispatch,
 	// queue-depth caps and deadline-aware rejection. Shed requests get
 	// 429 with a load-derived Retry-After. Nil admits everything.
 	Sched *sched.Scheduler
@@ -290,7 +290,7 @@ func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, s
 
 	var wf *dag.Workflow
 	if st != nil {
-		wf = st.Spec // nil when the journal predates spec records
+		wf = st.Spec // nil when the journal predates spec records or its spec fails dag.Parse
 	}
 	wd.inflight.Add(1)
 	start := time.Now()

@@ -2,48 +2,52 @@ package xfer
 
 import (
 	"errors"
+	"fmt"
 	"io"
 )
 
 // ServeSource answers framed GET requests on rw from a read-only
-// lookup, speaking the same wire protocol as Bridge.ServeConn. Unlike
-// a Bridge, a GET does not consume the slot — the source stays able to
-// serve the same slot to any number of peers — and SET is rejected with
-// an error status. The cluster plane uses it as the "spec server": a
-// visor node serves its sealed workflow specs so a pre-warming peer can
-// pull them without HTTP plumbing or a shared store. Run one goroutine
-// per accepted connection.
+// lookup until EOF or error. A GET does not consume the slot, so the
+// source can serve the same slot to any number of peers. Any other op
+// is ErrNetProtocol and ends the connection without reading what the
+// frame claims to carry. The cluster plane uses it as the "spec
+// server": a visor node serves its sealed workflow specs so a
+// pre-warming peer can pull them without HTTP plumbing or a shared
+// store. Run one goroutine per accepted connection.
 func ServeSource(rw io.ReadWriter, lookup func(slot string) ([]byte, bool)) error {
 	for {
-		op, slot, _, err := readRequest(rw)
+		slot, err := readRequest(rw)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
 			return err
 		}
-		switch op {
-		case opGet:
-			data, ok := lookup(slot)
-			if !ok {
-				err = writeResponse(rw, stMissing, nil)
-				break
-			}
-			if data == nil {
-				data = []byte{}
-			}
-			err = writeResponse(rw, stOK, data)
-		default:
-			err = writeResponse(rw, stError, nil)
+		data, ok := lookup(slot)
+		status := byte(stOK)
+		if !ok {
+			status = stMissing
 		}
-		if err != nil {
+		if err := writeResponse(rw, status, data); err != nil {
 			return err
 		}
 	}
 }
 
-// FetchFrom pulls one slot from a ServeSource peer: a convenience for
-// one-shot pulls (the pre-warm path dials, fetches the spec, hangs up).
+// FetchFrom pulls one slot from a ServeSource peer: one request, one
+// response (the pre-warm path dials, fetches the spec, hangs up).
 func FetchFrom(rw io.ReadWriter, slot string) ([]byte, error) {
-	return NewPeer(rw).get(slot)
+	if err := writeRequest(rw, slot); err != nil {
+		return nil, err
+	}
+	data, status, err := readResponse(rw)
+	switch {
+	case err != nil:
+		return nil, err
+	case status == stMissing:
+		return nil, missing(slot)
+	case status != stOK:
+		return nil, fmt.Errorf("%w: source answered status %d for %q", ErrNetProtocol, status, slot)
+	}
+	return data, nil
 }

@@ -1,7 +1,9 @@
 package xfer
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"testing"
 
@@ -21,11 +23,9 @@ func TestServeSource(t *testing.T) {
 		server.Close()
 	}()
 
-	p := NewPeer(client)
-	// Unlike a Bridge, a source GET does not consume: the same slot
-	// serves repeatedly.
+	// A source GET does not consume: the same slot serves repeatedly.
 	for i := 0; i < 2; i++ {
-		data, err := p.get("spec:wc")
+		data, err := FetchFrom(client, "spec:wc")
 		if err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
@@ -33,15 +33,41 @@ func TestServeSource(t *testing.T) {
 			t.Fatalf("get %d = %q", i, data)
 		}
 	}
-	if _, err := p.get("spec:unknown"); !errors.Is(err, libos.ErrSlotMissing) {
+	if _, err := FetchFrom(client, "spec:unknown"); !errors.Is(err, libos.ErrSlotMissing) {
 		t.Fatalf("missing slot err = %v, want ErrSlotMissing", err)
 	}
-	// The source is read-only: a write is rejected as a protocol error,
-	// and the connection stays usable.
-	if err := p.set("spec:wc", []byte("overwrite")); !errors.Is(err, ErrNetProtocol) {
-		t.Fatalf("set err = %v, want ErrNetProtocol", err)
+}
+
+// The source is read-only: a frame with any op but GET ends the
+// connection with ErrNetProtocol, and the payload it claims is neither
+// read nor allocated.
+func TestServeSourceRefusesClaimedSet(t *testing.T) {
+	const sent = 1 << 20
+	// A SET for slot "x" whose payload length claims maxFrame, followed
+	// by the first MiB of that payload.
+	frame := append([]byte{'S', 0, 0, 0, 1, 'x'}, claim()...)
+	frame = append(frame, make([]byte, sent)...)
+	in := bytes.NewReader(frame)
+	var reply bytes.Buffer
+	var err error
+	if n := allocated(func() {
+		err = ServeSource(struct {
+			io.Reader
+			io.Writer
+		}{in, &reply}, func(string) ([]byte, bool) {
+			t.Error("lookup called for a SET frame")
+			return nil, false
+		})
+	}); n >= 1<<20 {
+		t.Errorf("ServeSource of a SET claiming %d bytes allocated %d bytes", maxFrame, n)
 	}
-	if data, err := p.get("spec:wc"); err != nil || string(data) != "payload" {
-		t.Fatalf("get after rejected write = %q, %v", data, err)
+	if !errors.Is(err, ErrNetProtocol) {
+		t.Fatalf("ServeSource err = %v, want ErrNetProtocol", err)
+	}
+	if in.Len() < sent {
+		t.Errorf("ServeSource read %d bytes of the claimed payload", sent-in.Len())
+	}
+	if reply.Len() != 0 {
+		t.Errorf("ServeSource answered a SET with %q", reply.Bytes())
 	}
 }

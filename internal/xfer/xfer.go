@@ -3,7 +3,7 @@
 // of one Transport interface (declared in internal/asstd so the env can
 // carry it without an import cycle; re-exported here as xfer.Transport).
 //
-// Four implementations cover the paper's transfer matrix:
+// Three implementations cover the paper's transfer matrix:
 //
 //	refpass — AsBuffer reference passing (§5), the AlloyStack default.
 //	          Zero payload copies on the Alloc/SendBuffer/Recv path;
@@ -14,12 +14,11 @@
 //	kv      — kvstore-mediated forwarding, the third-party storage path
 //	          the OpenFaaS and Faasm baselines use (Figure 11): at
 //	          least two payload copies end to end.
-//	net     — framed TCP to a Bridge over the in-repo netstack, backing
-//	          visor.SplitAt/CrossSlots multi-node cuts.
 //
-// All four charge their traffic to a shared metrics.TransportStats so
+// All three charge their traffic to a shared metrics.TransportStats so
 // the evaluation harness can print a copies column proving the
-// zero-copy path really makes zero copies.
+// zero-copy path really makes zero copies. The package also holds the
+// spec server's framed GET protocol (ServeSource, FetchFrom).
 package xfer
 
 import (
@@ -35,16 +34,15 @@ import (
 // method contracts.
 type Transport = asstd.Transport
 
-// The four transport kinds.
+// The three transport kinds.
 const (
 	KindRefpass = "refpass"
 	KindFile    = "file"
 	KindKV      = "kv"
-	KindNet     = "net"
 )
 
 // Kinds lists every transport kind, in preference order.
-var Kinds = []string{KindRefpass, KindFile, KindKV, KindNet}
+var Kinds = []string{KindRefpass, KindFile, KindKV}
 
 // Errors returned by the transports.
 var (
@@ -74,9 +72,8 @@ type Config struct {
 }
 
 // New builds the named in-WFD transport from cfg: refpass or file. The
-// kv and net kinds need a store client or a bridge connection, which
-// their callers hold and pass to NewKV or NewNet; New answers
-// ErrNoBackend for them.
+// kv kind needs a store client, which its callers hold and pass to
+// NewKV; New answers ErrNoBackend for it.
 func New(kind string, cfg Config) (Transport, error) {
 	switch kind {
 	case KindRefpass, KindFile:
@@ -87,8 +84,8 @@ func New(kind string, cfg Config) (Transport, error) {
 			return NewFile(cfg.Env, cfg.Paths, cfg.Stats), nil
 		}
 		return NewRefpass(cfg.Env, cfg.Pool, cfg.Stats), nil
-	case KindKV, KindNet:
-		return nil, fmt.Errorf("%w (kind %q: build it with NewKV or NewNet)", ErrNoBackend, kind)
+	case KindKV:
+		return nil, fmt.Errorf("%w (kind %q: build it with NewKV)", ErrNoBackend, kind)
 	}
 	return nil, fmt.Errorf("%w: %q", ErrUnknownKind, kind)
 }

@@ -13,7 +13,6 @@ import (
 	"alloystack/internal/kvstore"
 	"alloystack/internal/libos"
 	"alloystack/internal/metrics"
-	"alloystack/internal/netstack"
 	"alloystack/internal/xfer"
 )
 
@@ -74,18 +73,14 @@ func testEnv(t *testing.T) *asstd.Env {
 }
 
 // newTransport builds one instance of each kind for the conformance
-// suite, all stats-instrumented: the in-WFD kinds through New, kv and
-// net over their backends as the baselines and the §9 bridge build them.
+// suite, all stats-instrumented: the in-WFD kinds through New, kv over
+// its backend as the baselines build it.
 func newTransport(t *testing.T, kind string, stats *metrics.TransportStats) xfer.Transport {
 	t.Helper()
 	env := testEnv(t)
 	switch kind {
 	case xfer.KindKV:
 		return xfer.NewKV(newFakeKV(), env, stats)
-	case xfer.KindNet:
-		peer := xfer.NewBridge().Dial()
-		t.Cleanup(func() { peer.Close() })
-		return xfer.NewNet(peer, env, stats)
 	}
 	tr, err := xfer.New(kind, xfer.Config{Env: env, Pool: xfer.NewBufPool(), Paths: xfer.NewPathRegistry(), Stats: stats})
 	if err != nil {
@@ -94,14 +89,12 @@ func newTransport(t *testing.T, kind string, stats *metrics.TransportStats) xfer
 	return tr
 }
 
-// New builds the in-WFD kinds only; kv and net need a backend their
-// callers hold.
+// New builds the in-WFD kinds only; kv needs a backend its callers
+// hold.
 func TestNewRefusesBackendKinds(t *testing.T) {
 	env := testEnv(t)
-	for _, kind := range []string{xfer.KindKV, xfer.KindNet} {
-		if _, err := xfer.New(kind, xfer.Config{Env: env}); !errors.Is(err, xfer.ErrNoBackend) {
-			t.Errorf("New(%q) err = %v, want ErrNoBackend", kind, err)
-		}
+	if _, err := xfer.New(xfer.KindKV, xfer.Config{Env: env}); !errors.Is(err, xfer.ErrNoBackend) {
+		t.Errorf("New(%q) err = %v, want ErrNoBackend", xfer.KindKV, err)
 	}
 	if _, err := xfer.New("carrier-pigeon", xfer.Config{Env: env}); !errors.Is(err, xfer.ErrUnknownKind) {
 		t.Errorf("New of an unknown kind: err = %v, want ErrUnknownKind", err)
@@ -204,7 +197,7 @@ func TestConformance(t *testing.T) {
 // acquire. (The file path deliberately keeps the spill file — its
 // consume tracking lives in the path registry.)
 func TestConsumeOnce(t *testing.T) {
-	for _, kind := range []string{xfer.KindRefpass, xfer.KindKV, xfer.KindNet} {
+	for _, kind := range []string{xfer.KindRefpass, xfer.KindKV} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			tr := newTransport(t, kind, nil)
@@ -409,66 +402,11 @@ func TestKVOverRealStore(t *testing.T) {
 	}
 }
 
-// TestNetOverNetstack runs the net transport over the in-repo virtual
-// network — the path visor multi-node cuts use — instead of an
-// in-process pipe.
-func TestNetOverNetstack(t *testing.T) {
-	hub := netstack.NewHub()
-	serverNIC, err := hub.Attach(netstack.Addr{10, 0, 0, 1})
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	clientNIC, err := hub.Attach(netstack.Addr{10, 0, 0, 2})
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
-	}
-	serverStack := netstack.NewStack(serverNIC)
-	clientStack := netstack.NewStack(clientNIC)
-
-	ln, err := serverStack.Listen(9000)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	bridge := xfer.NewBridge()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		bridge.ServeConn(conn)
-		conn.Close()
-	}()
-
-	conn, err := clientStack.Dial(netstack.Endpoint{Addr: netstack.Addr{10, 0, 0, 1}, Port: 9000})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	peer := xfer.NewPeer(conn)
-	defer peer.Close()
-
-	tr := xfer.NewNet(peer, nil, nil)
-	want := pattern(300_000)
-	if err := tr.Send("n", want); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	got, release, err := tr.Recv("n")
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	defer release()
-	if !bytes.Equal(got, want) {
-		t.Fatal("payload mismatch over netstack")
-	}
-	if _, _, err := tr.Recv("n"); !errors.Is(err, libos.ErrSlotMissing) {
-		t.Fatalf("consumed slot Recv err = %v, want ErrSlotMissing", err)
-	}
-}
-
 // TestTransportsConcurrent exercises one shared transport from many
-// goroutines (parallel stage instances all funnel into one peer/client)
+// goroutines (parallel stage instances all funnel into one client)
 // under -race.
 func TestTransportsConcurrent(t *testing.T) {
-	for _, kind := range []string{xfer.KindKV, xfer.KindNet} {
+	for _, kind := range []string{xfer.KindKV} {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			stats := metrics.NewTransportStats()

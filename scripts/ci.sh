@@ -24,9 +24,8 @@ go test -short ./...
 # fails here; no number is read.
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
 # Short fuzz budgets past each committed corpus: the two ASVM engines,
-# the payload-pattern kernels, the kvstore and framed-xfer decoders and
-# the journal's replay;
-# a crasher fails the build and is left under the package's
+# the payload-pattern kernels, the kvstore and framed-xfer decoders, the
+# journal's replay and dag.Parse; a crasher fails the build and is left under the package's
 # testdata/fuzz/ to be committed as a test.
 make fuzz-smoke
 # The ./internal/... wildcard includes internal/cluster and the
