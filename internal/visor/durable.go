@@ -392,7 +392,7 @@ func (d *durableRun) unwind(r *run) error {
 			if spec.Compensate == "" || !ok {
 				continue // Validate rejects a dangling name before any run starts
 			}
-			fn, lerr := r.entry(comp)
+			im := r.comps[comp.Name]
 			params := make(map[string]string, len(comp.Params)+1)
 			for k, val := range comp.Params {
 				params[k] = val
@@ -416,17 +416,14 @@ func (d *durableRun) unwind(r *run) error {
 					return err
 				}
 				span := r.root.Child("comp:"+key, trace.CatComp)
-				cerr := lerr
-				if cerr == nil {
-					fctx := FuncContext{Workflow: r.w.Name, Function: comp.Name,
-						Instance: i, Instances: n, Stage: si, Params: params}
-					cerr = r.wfd.Run(comp.Name, func(env *asstd.Env) error {
-						if err := r.bind(env, span, params); err != nil {
-							return err
-						}
-						return fn(env, fctx)
-					})
-				}
+				fctx := FuncContext{Workflow: r.w.Name, Function: comp.Name,
+					Instance: i, Instances: n, Stage: si, Params: params}
+				cerr := r.wfd.Run(comp.Name, func(env *asstd.Env) error {
+					if err := r.bind(env, span, params); err != nil {
+						return err
+					}
+					return r.call(&im, env, fctx)
+				})
 				detail := ""
 				if cerr != nil {
 					detail = cerr.Error()

@@ -6,9 +6,11 @@
 package visor
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,7 +153,7 @@ func BaseName(name string) string {
 	return name[:i]
 }
 
-func (r *Registry) lookup(name, language string) (NativeFunc, *VMFunc, error) {
+func (r *Registry) lookup(name, language string) (impl, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	// Generic implementations register a base name and serve every
@@ -164,18 +166,18 @@ func (r *Registry) lookup(name, language string) (NativeFunc, *VMFunc, error) {
 			fn, ok = r.native[base]
 		}
 		if !ok {
-			return nil, nil, fmt.Errorf("%w: %s (native)", ErrUnknownFunction, name)
+			return impl{}, fmt.Errorf("%w: %s (native)", ErrUnknownFunction, name)
 		}
-		return fn, nil, nil
+		return impl{native: fn}, nil
 	}
 	vf, ok := r.vm[name+"/"+language]
 	if !ok {
 		vf, ok = r.vm[base+"/"+language]
 	}
 	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s (%s)", ErrUnknownFunction, name, language)
+		return impl{}, fmt.Errorf("%w: %s (%s)", ErrUnknownFunction, name, language)
 	}
-	return nil, &vf, nil
+	return impl{vm: &vf}, nil
 }
 
 // RunOptions configure one workflow invocation.
@@ -336,37 +338,32 @@ type Visor struct {
 	Funcs *Registry
 
 	// ImportAllowlist is the host-import set granted to guest images at
-	// admission. Nil means scan.WASIAllowlist(). Fix it before the
-	// first invocation: admission verdicts are cached per program.
+	// admission. Nil means scan.WASIAllowlist(). It is read when a plan
+	// is compiled, so fix it before RegisterWorkflow.
 	ImportAllowlist map[string]bool //asvet:allow unreachable -- test seam: the admission tests narrow the host-import set
 
-	mu        sync.RWMutex
-	workflows map[string]*dag.Workflow
-
-	// defaultAllow is scan.WASIAllowlist(), built by the first invoke
-	// that finds ImportAllowlist nil.
-	defaultAllowOnce sync.Once
-	defaultAllow     map[string]bool
-
-	// verified caches the admission verdict per *asvm.Program: the same
-	// bytecode is proven once per visor, not once per invocation.
-	verified    sync.Map // *asvm.Program -> error (nil sentinel: verified OK)
+	mu          sync.RWMutex
+	workflows   map[string]*plan
 	scanRejects atomic.Int64
 }
 
 // New returns a visor with the given function registry.
 func New(funcs *Registry) *Visor {
-	return &Visor{Funcs: funcs, workflows: make(map[string]*dag.Workflow)}
+	return &Visor{Funcs: funcs, workflows: make(map[string]*plan)}
 }
 
-// RegisterWorkflow binds a workflow definition to its invocation name.
+// RegisterWorkflow validates w and compiles it into the plan every
+// invoke of it runs, resolving its functions against the registry as it
+// stands: register them first. A registered workflow is not mutated
+// afterwards; registering its name again replaces the plan.
 func (v *Visor) RegisterWorkflow(w *dag.Workflow) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}
+	p := v.compile(w)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.workflows[w.Name] = w
+	v.workflows[w.Name] = p
 	return nil
 }
 
@@ -374,11 +371,11 @@ func (v *Visor) RegisterWorkflow(w *dag.Workflow) error {
 func (v *Visor) Workflow(name string) (*dag.Workflow, error) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	w, ok := v.workflows[name]
+	p, ok := v.workflows[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownWorkflow, name)
 	}
-	return w, nil
+	return p.w, nil
 }
 
 // Workflows lists registered workflow names, sorted.
@@ -398,49 +395,61 @@ func (v *Visor) Workflows() []string {
 // alloystack_scan_rejects_total).
 func (v *Visor) ScanRejects() int64 { return v.scanRejects.Load() }
 
-// admitGuests statically verifies every guest image the workflow's
-// stages would execute, before any WFD boots — §6's
-// validate-before-execute: an image that could jump between
-// instructions, unbalance the shared value stack or call an
-// off-allowlist host import never reaches an engine. Native-tier
-// functions carry no image and pass trivially; unknown functions are
-// left for the stage loop to report with its own error.
-func (v *Visor) admitGuests(w *dag.Workflow, stages [][]dag.FuncSpec) error {
-	allow := v.ImportAllowlist
-	if allow == nil {
-		v.defaultAllowOnce.Do(func() { v.defaultAllow = scan.WASIAllowlist() })
-		allow = v.defaultAllow
-	}
-	for _, stage := range stages {
-		for _, spec := range stage {
-			_, vm, err := v.Funcs.lookup(spec.Name, spec.Language)
-			if err != nil || vm == nil {
-				continue
-			}
-			if verr := v.verifyProgram(vm.Prog, allow); verr != nil {
-				v.scanRejects.Add(1)
-				return fmt.Errorf("%w: workflow %q function %q: %v",
-					ErrRejected, w.Name, spec.Name, verr)
-			}
-		}
-	}
-	return nil
+// plan is a workflow compiled once for every invoke of it: the stages,
+// what each spec and compensation handler runs, one verdict. Immutable.
+type plan struct {
+	w      *dag.Workflow
+	stages [][]dag.FuncSpec
+	impls  [][]impl // impls[si][k] runs stages[si][k]
+	comps  map[string]impl
+	// err is the first function or handler the registry lacks, or the
+	// scan's rejection: each invoke returns it before journal and boot.
+	err error
 }
 
-func (v *Visor) verifyProgram(prog *asvm.Program, allow map[string]bool) error {
-	if cached, ok := v.verified.Load(prog); ok {
-		if cached == nil {
-			return nil
+// impl is one spec resolved against the registry: a native body or a
+// guest image.
+type impl struct {
+	native NativeFunc
+	vm     *VMFunc
+}
+
+// compile levels w, resolves every spec and passes each distinct guest
+// image, compensations included, through the admission scan: §6's
+// validate-before-execute, so an image that could jump between
+// instructions, unbalance the shared value stack or call an
+// off-allowlist host import never reaches an engine.
+func (v *Visor) compile(w *dag.Workflow) *plan {
+	stages, err := w.Stages()
+	p := &plan{w: w, stages: stages, err: err,
+		impls: make([][]impl, len(stages)), comps: make(map[string]impl)}
+	allow := v.ImportAllowlist
+	var scanned []*asvm.Program
+	resolve := func(spec dag.FuncSpec) impl {
+		im, err := v.Funcs.lookup(spec.Name, spec.Language)
+		p.err = cmp.Or(p.err, err)
+		if im.vm == nil || p.err != nil || slices.Contains(scanned, im.vm.Prog) {
+			return im
 		}
-		return cached.(error)
+		if allow == nil { // built only for a workflow with guests
+			allow = scan.WASIAllowlist()
+		}
+		scanned = append(scanned, im.vm.Prog)
+		if _, err := scan.Verify(im.vm.Prog, allow); err != nil {
+			p.err = fmt.Errorf("%w: workflow %q function %q: %v", ErrRejected, w.Name, spec.Name, err)
+		}
+		return im
 	}
-	_, err := scan.Verify(prog, allow)
-	if err != nil {
-		v.verified.Store(prog, err)
-		return err
+	for si, stage := range stages {
+		p.impls[si] = make([]impl, len(stage))
+		for k, spec := range stage {
+			p.impls[si][k] = resolve(spec)
+		}
 	}
-	v.verified.Store(prog, nil)
-	return nil
+	for _, c := range w.Compensations {
+		p.comps[c.Name] = resolve(c)
+	}
+	return p
 }
 
 // Invoke runs a registered workflow by name.
@@ -450,15 +459,6 @@ func (v *Visor) Invoke(name string, opts RunOptions) (*RunResult, error) {
 		return nil, err
 	}
 	return v.RunWorkflow(w, opts)
-}
-
-// retryPolicy resolves the effective retry policy: Retry when set, no
-// retries otherwise.
-func (o RunOptions) retryPolicy() faults.RetryPolicy {
-	if o.Retry != nil {
-		return *o.Retry
-	}
-	return faults.RetryPolicy{}
 }
 
 // RunWorkflow executes one invocation of w: instantiate the WFD, run the
@@ -488,11 +488,9 @@ func (v *Visor) RunWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error
 }
 
 // run is one invocation's state: what the step methods runWorkflow calls
-// in order share. Nothing in it outlives the call.
+// in order share. Nothing in it but the read-only plan outlives the call.
 type run struct {
-	v      *Visor
-	w      *dag.Workflow
-	stages [][]dag.FuncSpec
+	*plan
 	opts   RunOptions
 	policy faults.RetryPolicy
 
@@ -568,18 +566,28 @@ func (v *Visor) runWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error
 	return r.res, nil
 }
 
-// newRun levels the DAG into stages, passes its guest images through
-// the admission scan and sets up the state of a run that may start.
+// newRun takes w's registered plan, or compiles a throwaway one when w
+// is not the registered pointer (unregistered, or a resume's journaled
+// spec), and sets up a run the plan admits. A rejection counts one scan
+// reject.
 func (v *Visor) newRun(w *dag.Workflow, opts RunOptions) (*run, error) {
-	stages, err := w.Stages()
-	if err != nil {
-		return nil, err
+	v.mu.RLock()
+	p := v.workflows[w.Name]
+	v.mu.RUnlock()
+	if p == nil || p.w != w {
+		p = v.compile(w)
 	}
-	if err := v.admitGuests(w, stages); err != nil {
-		return nil, err
+	if p.err != nil {
+		if errors.Is(p.err, ErrRejected) {
+			v.scanRejects.Add(1)
+		}
+		return nil, p.err
 	}
-	policy := opts.retryPolicy()
-	return &run{v: v, w: w, stages: stages, opts: opts, policy: policy,
+	var policy faults.RetryPolicy // no retries unless opts.Retry is set
+	if opts.Retry != nil {
+		policy = *opts.Retry
+	}
+	return &run{plan: p, opts: opts, policy: policy,
 		bufs: xfer.NewBufPool(), paths: xfer.NewPathRegistry(),
 		res: &RunResult{
 			QueueWait:   opts.QueueWait,
@@ -704,15 +712,10 @@ func (r *run) runStage(si int) error {
 	// the WFD's teardown.
 	defer st.wg.Wait()
 	defer st.cancel()
-	for _, spec := range r.stages[si] {
-		fn, err := r.entry(spec)
-		if err != nil {
-			st.span.End()
-			return err
-		}
+	for k, spec := range r.stages[si] {
 		n := spec.InstancesOf()
 		for i := 0; i < n; i++ {
-			r.launch(st, fn, FuncContext{
+			r.launch(st, &r.impls[si][k], FuncContext{
 				Workflow:  r.w.Name,
 				Function:  spec.Name,
 				Instance:  i,
@@ -742,7 +745,7 @@ func (r *run) runStage(si int) error {
 
 // launch starts one function instance of the stage on its own goroutine
 // and trace lane, and records how it ended.
-func (r *run) launch(st *stage, fn NativeFunc, fctx FuncContext) {
+func (r *run) launch(st *stage, im *impl, fctx FuncContext) {
 	var inst *trace.Span
 	if st.span != nil {
 		inst = st.span.Child(fctx.Function+"["+strconv.Itoa(fctx.Instance)+"]", trace.CatFunc)
@@ -753,7 +756,7 @@ func (r *run) launch(st *stage, fn NativeFunc, fctx FuncContext) {
 	go func() {
 		defer st.wg.Done()
 		defer inst.End()
-		ferr := r.runInstance(st.ctx, fctx, inst, fn)
+		ferr := r.runInstance(st.ctx, fctx, inst, im)
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		now := time.Now()
@@ -809,16 +812,13 @@ func (r *run) fail(err error) (*RunResult, error) {
 	return nil, err
 }
 
-// entry resolves a spec to what one instance of it runs: the native
-// body itself, or the guest tier's VM runner closed over its image.
-func (r *run) entry(spec dag.FuncSpec) (NativeFunc, error) {
-	native, vm, err := r.v.Funcs.lookup(spec.Name, spec.Language)
-	if err != nil || native != nil {
-		return native, err
+// call runs one instance of a resolved spec in env: the native body
+// itself, or the guest tier's VM over its image.
+func (r *run) call(im *impl, env *asstd.Env, fctx FuncContext) error {
+	if im.vm != nil {
+		return r.runVM(env, fctx, im.vm)
 	}
-	return func(env *asstd.Env, fctx FuncContext) error {
-		return r.runVM(env, fctx, vm)
-	}, nil
+	return im.native(env, fctx)
 }
 
 // bind attaches env to this run: the stage clock, the span its syscalls
@@ -846,12 +846,12 @@ func (r *run) bind(env *asstd.Env, span *trace.Span, params map[string]string) e
 // stage context allow. Only faults are retried; ordinary errors are
 // programming results, and timeouts are not retried because the
 // abandoned attempt may still be executing.
-func (r *run) runInstance(ctx context.Context, fctx FuncContext, span *trace.Span, fn NativeFunc) error {
+func (r *run) runInstance(ctx context.Context, fctx FuncContext, span *trace.Span, im *impl) error {
 	body := func(env *asstd.Env) error {
 		if err := r.bind(env, span, fctx.Params); err != nil {
 			return err
 		}
-		return fn(env, fctx)
+		return r.call(im, env, fctx)
 	}
 	start := time.Now()
 	for attempt := 0; ; attempt++ {

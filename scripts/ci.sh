@@ -25,8 +25,9 @@ go test -short ./...
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
 # Short fuzz budgets past each committed corpus: the two ASVM engines,
 # the payload-pattern kernels, the kvstore and framed-xfer decoders, the
-# journal's replay and dag.Parse; a crasher fails the build and is left under the package's
-# testdata/fuzz/ to be committed as a test.
+# journal's replay, dag.Parse and metrics.ParseProm; a crasher fails the
+# build and is left under the package's testdata/fuzz/ to be committed
+# as a test.
 make fuzz-smoke
 # The ./internal/... wildcard includes internal/cluster and the
 # gateway's cluster plane: rendezvous routing, membership, shard
