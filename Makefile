@@ -30,8 +30,9 @@ test:
 # against their per-byte formula, then the two wire decoders that read
 # bytes from a peer (the kvstore command reader and xfer's framed
 # protocol), the journal's replay, dag.Parse (which reads specs a
-# peer's spec server sends) and metrics.ParseProm (which reads a node's
-# /metrics for asctl top) five seconds each. A crasher is written
+# peer's spec server sends), metrics.ParseProm (which reads a node's
+# /metrics for asctl top) and fatfs.Mount of a mutated disk image five
+# seconds each. A crasher is written
 # under the package's testdata/fuzz/ and becomes a regression test by
 # being committed.
 fuzz-smoke:
@@ -42,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzDAGParse -fuzztime 5s ./internal/dag
 	$(GO) test -run '^$$' -fuzz FuzzPromParse -fuzztime 5s ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzFatfsMount -fuzztime 5s ./internal/fatfs
 
 # race runs every internal package under the race detector; the chaos
 # tests are concurrency-heavy by design, so this is where races
