@@ -214,7 +214,8 @@ func (st *Stack) allocPort() uint16 {
 }
 
 // Dial opens a TCP connection to remote, blocking until the handshake
-// completes or fails.
+// completes or fails. The connection it returns may already hold the
+// peer's FIN.
 func (st *Stack) Dial(remote Endpoint) (*Conn, error) {
 	st.mu.Lock()
 	if st.closed {
@@ -251,7 +252,11 @@ func (st *Stack) Dial(remote Endpoint) (*Conn, error) {
 	switch {
 	case c.err != nil:
 		return nil, c.err
-	case c.state == stEstablished:
+	case c.state != stSynSent:
+		// ESTABLISHED, or already CLOSE_WAIT: a peer that writes and
+		// closes at once can land its data and FIN before this goroutine
+		// wakes. The handshake succeeded either way, and the bytes wait
+		// in the receive buffer.
 		return c, nil
 	default:
 		c.toClosed(ErrTimeout)

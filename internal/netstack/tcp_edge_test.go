@@ -245,3 +245,37 @@ func TestLargeTransferWithHighLoss(t *testing.T) {
 		t.Fatal("payload corrupted under heavy loss")
 	}
 }
+
+// TestDialSurvivesEarlyFIN: an acceptor that writes and closes at once
+// can get its data and FIN to the dialer before the dialer wakes from
+// the handshake wait, so the dialer's connection is already in
+// CLOSE_WAIT when Dial checks it. That handshake succeeded: Dial must
+// return the connection, and the dialer must read the bytes, then EOF.
+func TestDialSurvivesEarlyFIN(t *testing.T) {
+	s1, s2, _ := pair(t)
+	l, err := s2.Listen(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			c.Write([]byte("hello"))
+			c.Close()
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		c, err := s1.Dial(Endpoint{Addr: s2.Addr(), Port: 9})
+		if err != nil {
+			t.Fatalf("dial %d: %v", i, err)
+		}
+		got, err := io.ReadAll(c)
+		if err != nil || string(got) != "hello" {
+			t.Fatalf("dial %d: read %q, %v; want \"hello\" then EOF", i, got, err)
+		}
+		c.Close()
+	}
+}
