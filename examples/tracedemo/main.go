@@ -101,10 +101,7 @@ func main() {
 	syscalls := flag.Bool("syscalls", false, "record per-LibOS-crossing spans (verbose)")
 	flag.Parse()
 
-	tracer := trace.New("visor", trace.Options{
-		Syscalls: *syscalls,
-		Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
-	})
+	tracer := trace.New("visor", trace.Options{Syscalls: *syscalls})
 
 	w := &dag.Workflow{Name: "trace-demo", Functions: []dag.FuncSpec{
 		{Name: "produce"},

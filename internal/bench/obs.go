@@ -21,9 +21,9 @@ const obsRuns = 9
 //	off — the bare runtime path: RunWorkflow with no tracer and no
 //	      histogram observation
 //	on  — the full always-on path every production invocation takes:
-//	      a flight-recorder tracer from Telemetry.StartRun, the run
-//	      itself, then ObserveRun (tail-sampling decision, histogram
-//	      observation with exemplar, trace retention)
+//	      the run's own tracer from Telemetry.StartRun, the run itself,
+//	      then ObserveRun (tail-sampling decision, histogram observation
+//	      with exemplar, trace retention)
 //
 // The telemetry plane is built for always-on deployment, so the added
 // p50 must stay under 2% — the headline acceptance number, reported in
@@ -32,7 +32,7 @@ const obsRuns = 9
 // A third, untimed phase points a tight SLO (objective 1ns, so every
 // run burns budget) at the same workflow to demonstrate the anomaly
 // capture path end to end: the breach transition must produce a
-// capture directory with profiles and the flight recorder.
+// capture directory with profiles and the flight dump.
 func Observability(o Options) (*Result, error) {
 	o = o.withDefaults()
 	size := o.size(16 << 20)
@@ -95,7 +95,7 @@ func Observability(o Options) (*Result, error) {
 	// Phase 3 (untimed): drive the anomaly-capture path. A 1ns objective
 	// makes every run burn error budget, so the first observation
 	// transitions the SLO into breach and snapshots profiles plus the
-	// triggering run's flight recorder.
+	// triggering run's flight dump.
 	capDir := o.ArtifactsDir
 	if capDir == "" {
 		tmp, err := os.MkdirTemp("", "asbench-obs-")

@@ -169,7 +169,7 @@ func TestCrashResumeChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New("child", trace.Options{Recorder: trace.NewRecorder(0)})
+	tr := trace.New("child", trace.Options{})
 	opts := visor.DefaultRunOptions()
 	opts.CostScale = 0
 	opts.BufHeapSize = 16 << 20

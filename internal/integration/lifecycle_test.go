@@ -296,9 +296,7 @@ func TestSchedulerQueuesThenSheds(t *testing.T) {
 // deterministically from a seed.
 func TestLifecycleFingerprintDeterministic(t *testing.T) {
 	run := func(seed int64) string {
-		tr := trace.New("lifecycle", trace.Options{
-			Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
-		})
+		tr := trace.New("lifecycle", trace.Options{})
 		base := time.Unix(1700000000, 0)
 		now := base
 		clock := func() time.Time { return now }

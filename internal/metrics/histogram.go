@@ -11,9 +11,11 @@ import (
 // always-on telemetry plane: a fixed log-spaced bucket layout shared by
 // every instance, so merging two histograms is an element-wise add and
 // a long-lived watchdog's memory cost per workflow is a few hundred
-// words no matter how many invocations it serves. This is what replaces
-// the unbounded Recorder sample vectors on hot paths: Observe is one
-// binary search plus a handful of integer updates under a mutex.
+// words no matter how many invocations it serves; the watchdog's
+// all-workflow latency family is the Merge of its per-workflow
+// histograms. Observe is one binary search plus a handful of integer
+// updates under a mutex, cheap enough for every invocation; exact
+// nearest-rank percentiles over a bounded sample set are Summary's job.
 //
 // Each bucket additionally remembers the most recent trace ID observed
 // into it (an exemplar), so a scraped histogram line can point straight

@@ -7,10 +7,9 @@ import (
 )
 
 // Chrome trace_event export: the JSON Object Format with complete ("X")
-// events, loadable in Perfetto and chrome://tracing. One Tracer maps to
-// one Chrome process (pid); span lanes map to threads (tid); instant
-// events map to "i"-phase markers. Multi-node runs pass both tracers so
-// the stitched trace renders as two processes sharing one trace ID.
+// events, loadable in Perfetto and chrome://tracing. The tracer maps to
+// one Chrome process (pid 1, named by its proc label); span lanes map to
+// threads (tid); instant events map to "i"-phase markers.
 
 // chromeEvent is one entry of the traceEvents array.
 type chromeEvent struct {
@@ -35,77 +34,71 @@ type chromeFile struct {
 // micros converts a duration to trace_event microseconds.
 func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// buildChrome assembles the document for one or more tracers. The
-// earliest span start across all tracers becomes ts=0, keeping
-// timestamps small and runs visually aligned from their origin.
-func buildChrome(tracers []*Tracer) chromeFile {
-	var epoch time.Time
-	for _, t := range tracers {
-		for _, sd := range t.Spans() {
-			if epoch.IsZero() || sd.Start.Before(epoch) {
-				epoch = sd.Start
-			}
-		}
-	}
-
+// buildChrome assembles the document for one tracer. The earliest
+// span start becomes ts=0, keeping timestamps small and the run
+// visually aligned from its origin.
+func buildChrome(t *Tracer) chromeFile {
 	doc := chromeFile{
 		TraceEvents:     []chromeEvent{},
 		DisplayTimeUnit: "ms",
 		OtherData:       map[string]string{},
 	}
-	for pi, t := range tracers {
-		if !t.Enabled() {
-			continue
+	if !t.Enabled() {
+		return doc
+	}
+	spans := t.Spans() // ordered by start
+	var epoch time.Time
+	if len(spans) > 0 {
+		epoch = spans[0].Start
+	}
+	const pid = 1
+	id := t.TraceID()
+	doc.OtherData["trace_id"] = id
+	doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+		Name: "process_name",
+		Ph:   "M",
+		PID:  pid,
+		Args: map[string]string{"name": t.Proc()},
+	})
+	for _, sd := range spans {
+		args := map[string]string{"trace_id": id}
+		for k, v := range sd.Attrs {
+			args[k] = v
 		}
-		pid := pi + 1
-		id := t.TraceID()
-		doc.OtherData["trace_id"] = id
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name: "process_name",
-			Ph:   "M",
+			Name: sd.Name,
+			Cat:  sd.Cat,
+			Ph:   "X",
+			TS:   micros(sd.Start.Sub(epoch)),
+			Dur:  micros(sd.Dur),
 			PID:  pid,
-			Args: map[string]string{"name": t.Proc()},
+			TID:  sd.Lane,
+			Args: args,
 		})
-		for _, sd := range t.Spans() {
-			args := map[string]string{"trace_id": id}
-			for k, v := range sd.Attrs {
-				args[k] = v
-			}
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: sd.Name,
-				Cat:  sd.Cat,
-				Ph:   "X",
-				TS:   micros(sd.Start.Sub(epoch)),
-				Dur:  micros(sd.Dur),
-				PID:  pid,
-				TID:  sd.Lane,
-				Args: args,
-			})
-		}
-		for _, ev := range t.Events() {
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: ev.Name,
-				Cat:  "event",
-				Ph:   "i",
-				S:    "p", // process-scoped instant
-				TS:   micros(ev.When.Sub(epoch)),
-				PID:  pid,
-				Args: map[string]string{"trace_id": id, "span": ev.SpanName},
-			})
-		}
+	}
+	for _, ev := range t.Events() {
+		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+			Name: ev.Name,
+			Cat:  "event",
+			Ph:   "i",
+			S:    "p", // process-scoped instant
+			TS:   micros(ev.When.Sub(epoch)),
+			PID:  pid,
+			Args: map[string]string{"trace_id": id, "span": ev.SpanName},
+		})
 	}
 	return doc
 }
 
-// ExportChrome writes the trace_event JSON for the given tracers to w.
-func ExportChrome(w io.Writer, tracers ...*Tracer) error {
+// ExportChrome writes the tracer's trace_event JSON to w.
+func ExportChrome(w io.Writer, t *Tracer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(buildChrome(tracers))
+	return enc.Encode(buildChrome(t))
 }
 
 // ChromeJSON renders the trace_event document as a byte slice (the
 // watchdog embeds it in an invocation response).
-func ChromeJSON(tracers ...*Tracer) ([]byte, error) {
-	return json.Marshal(buildChrome(tracers))
+func ChromeJSON(t *Tracer) ([]byte, error) {
+	return json.Marshal(buildChrome(t))
 }

@@ -22,12 +22,13 @@
 //     canonicalises an injected-fault log.
 //
 // Export surfaces: Chrome trace_event JSON (chrome.go, loadable in
-// Perfetto/chrome://tracing) and a bounded in-memory flight recorder
-// (recorder.go) dumped when a run dies mid-flight.
+// Perfetto/chrome://tracing) and the flight dump (FlightDump), the
+// tail of the tracer's own spans printed when a run dies mid-flight.
 package trace
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,9 +84,6 @@ type Options struct {
 	// Syscalls enables per-LibOS-crossing spans (verbose; off by
 	// default because a large run makes thousands of them).
 	Syscalls bool
-	// Recorder, when non-nil, additionally receives every completed
-	// span and event into its bounded ring (the flight recorder).
-	Recorder *Recorder
 }
 
 // traceSeq makes default trace IDs process-unique without randomness,
@@ -98,7 +96,6 @@ var traceSeq atomic.Uint64
 type Tracer struct {
 	proc     string
 	syscalls bool
-	rec      *Recorder
 	traceID  string
 
 	mu     sync.Mutex
@@ -117,7 +114,6 @@ func New(proc string, opts Options) *Tracer {
 	return &Tracer{
 		proc:     proc,
 		syscalls: opts.Syscalls,
-		rec:      opts.Recorder,
 		traceID:  id,
 	}
 }
@@ -140,14 +136,6 @@ func (t *Tracer) TraceID() string {
 		return ""
 	}
 	return t.traceID
-}
-
-// Recorder returns the attached flight recorder, if any.
-func (t *Tracer) Recorder() *Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.rec
 }
 
 // nextID hands out span IDs. IDs order publication, not structure;
@@ -174,9 +162,6 @@ func (t *Tracer) publish(sd SpanData) {
 	t.mu.Lock()
 	t.spans = append(t.spans, sd)
 	t.mu.Unlock()
-	if t.rec != nil {
-		t.rec.noteSpan(sd)
-	}
 }
 
 // Spans snapshots the completed spans, ordered by start time so
@@ -316,7 +301,7 @@ func (s *Span) Name() string {
 }
 
 // Event records an instant event anchored to this span — the flight
-// recorder's "what was active when the fault fired" marker.
+// dump's "what was active when the fault fired" marker.
 func (s *Span) Event(name string) {
 	if s == nil {
 		return
@@ -326,9 +311,6 @@ func (s *Span) Event(name string) {
 	t.mu.Lock()
 	t.events = append(t.events, ev)
 	t.mu.Unlock()
-	if t.rec != nil {
-		t.rec.noteEvent(ev)
-	}
 }
 
 // End completes the span and publishes it. Ending twice is a no-op, so
@@ -339,4 +321,56 @@ func (s *Span) End() {
 	}
 	s.data.Dur = time.Since(s.data.Start)
 	s.tr.publish(s.data)
+}
+
+// flightSpans is how many of the most recently published spans a
+// flight dump prints.
+const flightSpans = 256
+
+// FlightDump writes a human-readable post-mortem to w: the reason,
+// every recorded event with the span it interrupted, and the last
+// flightSpans published spans in start order. No-op when tracing is
+// disabled or w is nil — callers need no conditionals on the failure
+// path.
+func (t *Tracer) FlightDump(w io.Writer, reason string) {
+	if t == nil || w == nil {
+		return
+	}
+	t.mu.Lock()
+	seen := len(t.spans)
+	spans := append([]SpanData(nil), t.spans[max(0, seen-flightSpans):]...)
+	events := append([]EventData(nil), t.events...)
+	t.mu.Unlock()
+
+	fmt.Fprintf(w, "\n--- flight recorder: %s ---\n", reason)
+	if len(events) > 0 {
+		fmt.Fprintf(w, "events (%d):\n", len(events))
+		for _, ev := range events {
+			fmt.Fprintf(w, "  %s  active span: %s\n", ev.Name, ev.SpanName)
+		}
+	} else {
+		fmt.Fprintln(w, "events: none recorded")
+	}
+	if seen > len(spans) {
+		fmt.Fprintf(w, "spans: last %d of %d (older spans evicted)\n", len(spans), seen)
+	} else {
+		fmt.Fprintf(w, "spans: %d\n", len(spans))
+	}
+	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
+	for _, sd := range spans {
+		attrs := ""
+		if len(sd.Attrs) > 0 {
+			keys := make([]string, 0, len(sd.Attrs))
+			for k := range sd.Attrs {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				attrs += fmt.Sprintf(" %s=%s", k, sd.Attrs[k])
+			}
+		}
+		fmt.Fprintf(w, "  [%-7s] %-28s %10s%s\n",
+			sd.Cat, sd.Name, sd.Dur.Round(time.Microsecond), attrs)
+	}
+	fmt.Fprintf(w, "--- end flight recorder ---\n")
 }

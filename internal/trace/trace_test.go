@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -142,10 +143,9 @@ func TestChromeExport(t *testing.T) {
 }
 
 func TestFlightRecorderRingAndDump(t *testing.T) {
-	rec := NewRecorder(4)
-	tr := New("node", Options{TraceID: "t", Recorder: rec})
+	tr := New("node", Options{TraceID: "t"})
 	root := tr.Start("invoke:w", CatInvoke)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < flightSpans+10; i++ {
 		s := root.Child("s", CatSyscall)
 		s.End()
 	}
@@ -154,9 +154,6 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 	inst.End()
 	root.End()
 
-	if got := len(rec.Spans()); got != 4 {
-		t.Fatalf("ring holds %d spans, want 4", got)
-	}
 	var buf bytes.Buffer
 	tr.FlightDump(&buf, "run failed: boom")
 	out := buf.String()
@@ -164,16 +161,19 @@ func TestFlightRecorderRingAndDump(t *testing.T) {
 		"flight recorder: run failed: boom",
 		"injected panic wc-map[1] attempt 0",
 		"active span: wc-map[1]",
-		"older spans evicted",
+		fmt.Sprintf("spans: last %d of %d (older spans evicted)", flightSpans, flightSpans+12),
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
 	}
+	if got := strings.Count(out, "\n  [syscall]"); got != flightSpans-2 {
+		t.Fatalf("dump prints %d syscall spans, want the last %d spans minus wc-map[1] and the root", got, flightSpans)
+	}
 	// Nil-safety of the dump path.
-	var none *Recorder
-	none.Dump(&buf, "x")
-	rec.Dump(nil, "x")
+	var none *Tracer
+	none.FlightDump(&buf, "x")
+	tr.FlightDump(nil, "x")
 }
 
 func TestSyscallSpansGated(t *testing.T) {
@@ -213,8 +213,7 @@ func TestDoubleEndIsIdempotent(t *testing.T) {
 }
 
 func TestConcurrentSpansRaceClean(t *testing.T) {
-	rec := NewRecorder(64)
-	tr := New("n", Options{TraceID: "c", Recorder: rec})
+	tr := New("n", Options{TraceID: "c"})
 	root := tr.Start("invoke", CatInvoke)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {

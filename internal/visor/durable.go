@@ -44,7 +44,7 @@ var ErrCrashPoint = errors.New("visor: durability crashpoint reached")
 // calls on it is a no-op there, the way a nil *trace.Tracer is.
 type durableRun struct {
 	// opts is the run's options: the fault plan crashpoints consult,
-	// CrashFn, and the tracer whose flight recorder is dumped.
+	// CrashFn, and the tracer whose flight dump is written.
 	opts  *RunOptions
 	store *journal.Store
 	jr    *journal.Run
@@ -111,7 +111,7 @@ func (d *durableRun) close() {
 func (d *durableRun) skips(si int) bool { return d != nil && si < d.resumeFrom }
 
 // crash consults the fault plan for the crashpoint "kind:n". When it
-// fires, the flight recorder is dumped next to the journal (pre-crash
+// fires, the flight dump is written next to the journal (pre-crash
 // spans must survive the process), the journal handle is closed
 // *unsealed* — a crash is not a failure — and either CrashFn kills the
 // process or the run aborts with ErrCrashPoint.
@@ -128,13 +128,13 @@ func (d *durableRun) crash(kind string, n int) error {
 	return fmt.Errorf("%w: %s", ErrCrashPoint, point)
 }
 
-// flightDump appends the tracer's flight recorder to the run's
+// flightDump appends the tracer's flight dump to the run's
 // <id>.flight.log beside the journal. Barrier commits, resume starts,
 // crashpoints and seals all dump here, so the spans leading up to a
 // crash are on disk before the process dies.
 func (d *durableRun) flightDump(reason string) {
 	tr := d.opts.Trace
-	if tr == nil || tr.Recorder() == nil {
+	if tr == nil {
 		return
 	}
 	f, err := os.OpenFile(d.store.FlightPath(d.jr.ID()),

@@ -20,17 +20,14 @@ import (
 //
 //   - a constant-memory latency histogram with trace-ID exemplars,
 //     rendered as real Prometheus histogram exposition on /metrics;
-//   - tail-sampled tracing: every run records spans into a bounded
-//     flight recorder, and the full Chrome-trace export is retained
+//   - tail-sampled tracing: every run records spans into its own
+//     tracer, and the full Chrome-trace export is retained
 //     (GET /traces/{id}) only for runs that failed, landed beyond the
 //     configured latency quantile, or won the seeded base-rate draw;
 //   - an SLO (latency objective + error budget, multi-window burn
 //     rate) whose breach triggers an anomaly capture — CPU + heap
-//     profiles and the triggering run's flight recorder snapshotted
-//     into an artifacts directory — and flips /healthz to degraded.
-//
-// The nil *Telemetry is the disabled plane: every method no-ops, so
-// the watchdog's hot path carries no conditionals.
+//     profiles and the triggering run's flight dump snapshotted into
+//     an artifacts directory — and flips /healthz to degraded.
 type Telemetry struct {
 	cfg     TelemetryConfig
 	clock   func() time.Time
@@ -119,16 +116,11 @@ func NewTelemetry(cfg TelemetryConfig) *Telemetry {
 	}
 }
 
-// StartRun hands out the always-on tracer for one invocation: spans
-// flow into a fresh bounded flight recorder whether or not the trace
-// is later retained. Returns nil on a nil plane.
+// StartRun hands out the always-on tracer for one invocation. It
+// records the run whether or not ObserveRun later retains its export,
+// so a failed run can always print its flight dump.
 func (t *Telemetry) StartRun(workflow string) *trace.Tracer {
-	if t == nil {
-		return nil
-	}
-	return trace.New("watchdog", trace.Options{
-		Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
-	})
+	return trace.New("watchdog", trace.Options{})
 }
 
 // RunTelemetry reports what ObserveRun did with one finished run.
@@ -170,9 +162,6 @@ func (t *Telemetry) slo(workflow string) *metrics.SLO {
 // exemplar; scrapers must tolerate a 404 there) — and the SLO, whose
 // breach transition triggers an anomaly capture.
 func (t *Telemetry) ObserveRun(workflow string, tracer *trace.Tracer, dur time.Duration, runErr error) RunTelemetry {
-	if t == nil {
-		return RunTelemetry{}
-	}
 	t.mu.Lock()
 	h := t.hist(workflow)
 	var tail time.Duration
@@ -222,7 +211,7 @@ func (t *Telemetry) ObserveRun(workflow string, tracer *trace.Tracer, dur time.D
 }
 
 // capture snapshots the process on an SLO breach transition: CPU and
-// heap profiles plus the triggering run's flight recorder and trace,
+// heap profiles plus the triggering run's flight dump and trace,
 // written to a per-capture directory. At most one capture runs at a
 // time; the profile window happens on a background goroutine so the
 // breaching request is not held hostage.
@@ -276,18 +265,12 @@ func sanitizeCaptureName(s string) string {
 // WaitCaptures blocks until in-flight anomaly captures finish (tests
 // and shutdown paths).
 func (t *Telemetry) WaitCaptures() {
-	if t == nil {
-		return
-	}
 	t.captureWG.Wait()
 }
 
 // Captures reports completed anomaly captures and the most recent
 // capture directory.
 func (t *Telemetry) Captures() (int64, string) {
-	if t == nil {
-		return 0, ""
-	}
 	dir, _ := t.lastCap.Load().(string)
 	return t.captures.Load(), dir
 }
@@ -296,25 +279,16 @@ func (t *Telemetry) Captures() (int64, string) {
 // retained counts exports that actually landed in the store, dropped
 // everything else (sampler drops and failed exports alike).
 func (t *Telemetry) Retained() (int64, int64) {
-	if t == nil {
-		return 0, 0
-	}
 	return t.retained.Load(), t.dropped.Load()
 }
 
 // TraceJSON returns a retained run's Chrome trace export by trace ID.
 func (t *Telemetry) TraceJSON(id string) ([]byte, bool) {
-	if t == nil {
-		return nil, false
-	}
 	return t.traces.get(id)
 }
 
 // TraceIDs lists the retained trace IDs, newest last.
 func (t *Telemetry) TraceIDs() []string {
-	if t == nil {
-		return nil
-	}
 	return t.traces.ids()
 }
 
@@ -323,9 +297,6 @@ func (t *Telemetry) TraceIDs() []string {
 // roll forward, so the state is re-evaluated from the live SLOs on
 // every read rather than latched.
 func (t *Telemetry) Degraded() (bool, []string) {
-	if t == nil {
-		return false, nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var bad []string
@@ -340,12 +311,33 @@ func (t *Telemetry) Degraded() (bool, []string) {
 	return len(bad) > 0, bad
 }
 
+// Latency merges the per-workflow histograms, in workflow order, into
+// one across all workflows: the watchdog's invoke-latency family is
+// rendered from it at scrape time, exemplars included.
+func (t *Telemetry) Latency() *metrics.Histogram {
+	all := metrics.NewHistogram()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, wf := range t.workflows() {
+		all.Merge(t.hists[wf])
+	}
+	return all
+}
+
+// workflows lists the workflows with a histogram, sorted. Caller holds
+// t.mu.
+func (t *Telemetry) workflows() []string {
+	names := make([]string, 0, len(t.hists))
+	for wf := range t.hists {
+		names = append(names, wf)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // Quantile reports a workflow's current histogram quantile (0 when the
 // workflow has no observations).
 func (t *Telemetry) Quantile(workflow string, q float64) time.Duration {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	h := t.hists[workflow]
 	t.mu.Unlock()
@@ -356,15 +348,8 @@ func (t *Telemetry) Quantile(workflow string, q float64) time.Duration {
 // histograms with exemplars, SLO burn gauges, and the trace-retention
 // counters. Called from the watchdog's /metrics handler.
 func (t *Telemetry) WriteMetrics(pw *metrics.PromWriter) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
-	names := make([]string, 0, len(t.hists))
-	for wf := range t.hists {
-		names = append(names, wf)
-	}
-	sort.Strings(names)
+	names := t.workflows()
 	series := make([]metrics.LabeledHistogram, 0, len(names))
 	for _, wf := range names {
 		series = append(series, metrics.LabeledHistogram{

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -23,37 +24,41 @@ func (c *telClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
 func newTelClock() *telClock { return &telClock{now: time.Unix(1_700_000_000, 0)} }
 
-func TestTelemetryNilSafe(t *testing.T) {
-	var tel *Telemetry
-	if tr := tel.StartRun("wf"); tr != nil {
-		t.Fatalf("nil plane handed out a tracer: %v", tr)
-	}
-	if rt := tel.ObserveRun("wf", nil, time.Second, nil); rt.Retained {
-		t.Fatalf("nil plane retained a run: %+v", rt)
+// TestTelemetryZeroConfig: the plane NewWatchdog builds (the zero
+// config) starts empty — no traces, captures or degraded workflows —
+// and still renders the retention and capture counters.
+func TestTelemetryZeroConfig(t *testing.T) {
+	tel := NewTelemetry(TelemetryConfig{})
+	if tr := tel.StartRun("wf"); !tr.Enabled() {
+		t.Fatal("plane handed out a disabled tracer")
 	}
 	if bad, wfs := tel.Degraded(); bad || wfs != nil {
-		t.Fatalf("nil plane degraded: %v %v", bad, wfs)
+		t.Fatalf("fresh plane degraded: %v %v", bad, wfs)
 	}
 	if _, ok := tel.TraceJSON("x"); ok {
-		t.Fatal("nil plane resolved a trace")
+		t.Fatal("fresh plane resolved a trace")
 	}
-	if ids := tel.TraceIDs(); ids != nil {
-		t.Fatalf("nil plane listed traces: %v", ids)
+	if ids := tel.TraceIDs(); len(ids) != 0 {
+		t.Fatalf("fresh plane listed traces: %v", ids)
 	}
 	if q := tel.Quantile("wf", 0.5); q != 0 {
-		t.Fatalf("nil plane quantile = %v", q)
+		t.Fatalf("fresh plane quantile = %v", q)
 	}
 	if n, dir := tel.Captures(); n != 0 || dir != "" {
-		t.Fatalf("nil plane captures = %d %q", n, dir)
+		t.Fatalf("fresh plane captures = %d %q", n, dir)
 	}
 	if r, d := tel.Retained(); r != 0 || d != 0 {
-		t.Fatalf("nil plane retention = %d/%d", r, d)
+		t.Fatalf("fresh plane retention = %d/%d", r, d)
+	}
+	if n := tel.Latency().Count(); n != 0 {
+		t.Fatalf("fresh plane latency count = %d", n)
 	}
 	tel.WaitCaptures()
 	var sb strings.Builder
 	tel.WriteMetrics(metrics.NewPromWriter(&sb))
-	if sb.Len() != 0 {
-		t.Fatalf("nil plane wrote metrics: %q", sb.String())
+	out := sb.String()
+	if strings.Contains(out, "alloystack_workflow_e2e_seconds") || !strings.Contains(out, "alloystack_traces_retained_total 0") {
+		t.Fatalf("fresh plane metrics:\n%s", out)
 	}
 }
 
@@ -491,5 +496,95 @@ func TestWatchdogDegradedHealth(t *testing.T) {
 	body := httpGetBody(t, "http://"+addr+"/healthz")
 	if !strings.HasPrefix(body, "degraded workflows=pipeline") {
 		t.Fatalf("post-breach health = %q", body)
+	}
+}
+
+// TestWatchdogLatencyIsTheWorkflowMerge: /metrics renders
+// alloystack_watchdog_invoke_latency_seconds from the plane's
+// per-workflow histograms, so its count and sum are theirs combined, and
+// its exemplars follow the plane's rule — every advertised trace ID
+// resolves on /traces/{id}. With the base-rate draw off, only the failed
+// run is retained, so its ID is the only exemplar.
+func TestWatchdogLatencyIsTheWorkflowMerge(t *testing.T) {
+	v := New(testRegistry(t))
+	if err := v.RegisterWorkflow(pipelineWorkflow(2)); err != nil {
+		t.Fatal(err)
+	}
+	wd := NewWatchdog(v)
+	wd.OptionsFor = func(string) RunOptions { return testOpts(nil) }
+	wd.Telemetry = NewTelemetry(TelemetryConfig{SamplerSeed: 1, SampleRate: -1})
+	addr, err := wd.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wd.Stop()
+
+	var failedID string
+	for _, wf := range []string{"pipeline", "pipeline", "no-such-workflow"} {
+		resp, err := http.Post("http://"+addr+"/invoke/"+wf, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ir InvokeResponse
+		err = json.NewDecoder(resp.Body).Decode(&ir)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ir.Error != "" {
+			failedID = ir.TraceID
+		}
+	}
+	if failedID == "" {
+		t.Fatal("the unknown workflow's invoke did not fail with a trace ID")
+	}
+
+	samples, err := metrics.ParseProm(strings.NewReader(httpGetBody(t, "http://"+addr+"/metrics")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wfCount, wfSum, count, sum float64
+	for _, s := range samples {
+		switch s.Name {
+		case "alloystack_workflow_e2e_seconds_count":
+			wfCount += s.Value
+		case "alloystack_workflow_e2e_seconds_sum":
+			wfSum += s.Value
+		case "alloystack_watchdog_invoke_latency_seconds_count":
+			count = s.Value
+		case "alloystack_watchdog_invoke_latency_seconds_sum":
+			sum = s.Value
+		}
+	}
+	if count != 3 || wfCount != 3 || math.Abs(sum-wfSum) > 1e-9 {
+		t.Fatalf("merged count/sum = %v/%v, per-workflow %v/%v", count, sum, wfCount, wfSum)
+	}
+
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exemplars []string
+	for _, line := range strings.Split(string(om), "\n") {
+		_, ex, ok := strings.Cut(line, ` # {trace_id="`)
+		if !ok || !strings.HasPrefix(line, "alloystack_watchdog_invoke_latency_seconds_bucket") {
+			continue
+		}
+		id, _, _ := strings.Cut(ex, `"`)
+		exemplars = append(exemplars, id)
+		httpGetBody(t, "http://"+addr+"/traces/"+id) // fails the test unless 200
+	}
+	if len(exemplars) != 1 || exemplars[0] != failedID {
+		t.Fatalf("merged family exemplars = %v, want only the failed run's %s:\n%s", exemplars, failedID, om)
 	}
 }

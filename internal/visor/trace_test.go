@@ -168,9 +168,7 @@ func TestTraceCapturesTransferSpans(t *testing.T) {
 // budget and checks the automatic post-mortem: the dump must name the
 // injected fault and the span that was active when it fired.
 func TestFailedRunDumpsFlightRecorder(t *testing.T) {
-	tracer := trace.New("visor", trace.Options{
-		Recorder: trace.NewRecorder(64),
-	})
+	tracer := trace.New("visor", trace.Options{})
 	plan := faults.NewPlan(7, faults.PanicEvery{Func: "phased", N: 5})
 	var out bytes.Buffer
 	v := New(phasedRegistry())

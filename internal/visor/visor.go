@@ -222,8 +222,8 @@ type RunOptions struct {
 	// span per run, one span per stage barrier and function instance,
 	// phase spans for the Figure-15 breakdown, and per-edge transfer
 	// spans. A nil tracer is the no-op sink — tracing is cheap enough
-	// to leave the plumbing unconditional. When the tracer carries a
-	// flight recorder, a failed run dumps it to Stdout automatically.
+	// to leave the plumbing unconditional. A failed run prints the
+	// tracer's flight dump to Stdout automatically.
 	Trace *trace.Tracer
 
 	// ImportSlots pre-registers intermediate data before the first
@@ -474,10 +474,9 @@ func (v *Visor) Invoke(name string, opts RunOptions) (*RunResult, error) {
 // instances.
 //
 // Observability: when opts.Trace is set, the run produces a span tree
-// (invoke > stage > instance > phase/xfer/syscall) and — if the tracer
-// carries a flight recorder — a failed, timed-out or chaos-killed run
-// dumps the recorder to opts.Stdout so the report names what the
-// failure interrupted.
+// (invoke > stage > instance > phase/xfer/syscall), and a failed,
+// timed-out or chaos-killed run prints the tracer's flight dump to
+// opts.Stdout so the report names what the failure interrupted.
 func (v *Visor) RunWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error) {
 	res, err := v.runWorkflow(w, opts)
 	if err != nil {

@@ -63,12 +63,13 @@ type Watchdog struct {
 	// returns ok=false for workflows that cannot be pooled here.
 	PoolBuilder func(w *dag.Workflow) (pool.Spec, pool.Config, bool)
 
-	// Telemetry, when non-nil, is the always-on observability plane:
-	// every invocation runs under a flight-recorder tracer, tail-sampled
-	// trace exports are served from /traces/{id}, per-workflow latency
-	// histograms and SLO burn rates join /metrics, and an SLO breach
-	// flips /healthz to degraded and snapshots profiles. Nil keeps the
-	// watchdog exactly as before (the nil *Telemetry no-ops).
+	// Telemetry is the always-on observability plane (NewWatchdog
+	// builds one with the zero config; assign another before Start):
+	// every invocation runs under its own tracer, whose flight dump a
+	// failed run prints; tail-sampled trace exports are served from
+	// /traces/{id}; per-workflow latency histograms, their merge across
+	// workflows and SLO burn rates join /metrics; and an SLO breach
+	// flips /healthz to degraded and snapshots profiles.
 	Telemetry *Telemetry
 
 	// Cluster plane: the spec server's listener and the
@@ -85,10 +86,8 @@ type Watchdog struct {
 	shed      atomic.Int64
 	memPeak   atomic.Uint64
 
-	// lat/transfer aggregate per-invocation observations for /metrics:
-	// a constant-memory e2e latency histogram (with trace exemplars for
-	// retained runs) and the run data planes' transfer counters.
-	lat      *metrics.Histogram
+	// transfer aggregates the run data planes' transfer counters for
+	// /metrics.
 	transfer *metrics.TransportStats
 }
 
@@ -123,9 +122,9 @@ type InvokeResponse struct {
 // NewWatchdog wraps v in an HTTP front end.
 func NewWatchdog(v *Visor) *Watchdog {
 	return &Watchdog{
-		visor:    v,
-		lat:      metrics.NewHistogram(),
-		transfer: metrics.NewTransportStats(),
+		visor:     v,
+		Telemetry: NewTelemetry(TelemetryConfig{}),
+		transfer:  metrics.NewTransportStats(),
 	}
 }
 
@@ -252,7 +251,7 @@ func (wd *Watchdog) handleRunResume(w http.ResponseWriter, r *http.Request) {
 var errNoJournal = errors.New("no journal configured")
 
 // serve is the node's one front end: both POST handlers end here. Build
-// the options, admit, pick the tracer, run, account, respond. st is the
+// the options, admit, trace, run, account, respond. st is the
 // replayed journal of the run to resume, nil for a fresh invocation.
 func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, st *journal.State) {
 	q := r.URL.Query()
@@ -275,18 +274,10 @@ func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, s
 		defer grant.Release()
 		opts.QueueWait = grant.Wait
 	}
-	// Tracer: ?trace=1 asks for this run's trace, so its Chrome export
-	// goes inline in the response. Otherwise the telemetry plane traces
-	// the run into a bounded flight recorder and decides retention after
-	// the fact (tail sampling).
-	inline := q.Get("trace") == "1"
-	if inline {
-		opts.Trace = trace.New("watchdog", trace.Options{
-			Recorder: trace.NewRecorder(trace.DefaultRecorderSize),
-		})
-	} else {
-		opts.Trace = wd.Telemetry.StartRun(name)
-	}
+	// Every run is traced by the telemetry plane, which decides after
+	// the fact whether to retain the export (tail sampling). ?trace=1
+	// also puts the Chrome export inline in the response.
+	opts.Trace = wd.Telemetry.StartRun(name)
 
 	var wf *dag.Workflow
 	if st != nil {
@@ -304,24 +295,18 @@ func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, s
 	dur := time.Since(start)
 	wd.inflight.Add(-1)
 	wd.account(res, err)
-	if wd.Telemetry.ObserveRun(name, opts.Trace, dur, err).Retained {
-		wd.lat.ObserveExemplar(dur, opts.Trace.TraceID())
-	} else {
-		wd.lat.Observe(dur)
-	}
+	wd.Telemetry.ObserveRun(name, opts.Trace, dur, err)
 
 	resp := response(name, res, err)
 	if res == nil {
 		resp.RunID = opts.Resume
 	}
-	if opts.Trace.Enabled() {
-		// For an always-on trace the ID lets clients fetch the export
-		// from /traces/{id} if the sampler retained it.
-		resp.TraceID = opts.Trace.TraceID()
-		if inline {
-			if data, terr := trace.ChromeJSON(opts.Trace); terr == nil {
-				resp.Trace = data
-			}
+	// The ID lets clients fetch the export from /traces/{id} if the
+	// sampler retained it.
+	resp.TraceID = opts.Trace.TraceID()
+	if q.Get("trace") == "1" {
+		if data, terr := trace.ChromeJSON(opts.Trace); terr == nil {
+			resp.Trace = data
 		}
 	}
 	writeJSON(w, statusOf(err), resp)
@@ -532,7 +517,7 @@ func (wd *Watchdog) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		pw.Value("alloystack_compensations_total", float64(js.CompFailed), "result", "failed")
 	}
 	pw.Histogram("alloystack_watchdog_invoke_latency_seconds",
-		"End-to-end invocation latency across all workflows.", wd.lat)
+		"End-to-end invocation latency across all workflows.", wd.Telemetry.Latency())
 	pw.Transport("alloystack_watchdog_transport", wd.transfer)
 	pw.BuildInfo("alloystack_build_info", metrics.CurrentBuild())
 	wd.Telemetry.WriteMetrics(pw)

@@ -142,8 +142,8 @@ func TestInvokeAndResumeShareOneFrontEnd(t *testing.T) {
 			if ir.TraceID == "" || ir.Transfer == "" || ir.MemPeak == 0 {
 				t.Fatalf("reply lacks trace_id/transfer/mem_peak_bytes: %+v", ir)
 			}
-			if got := n.wd.lat.Count(); got != 1 {
-				t.Fatalf("watchdog latency histogram count = %d, want 1", got)
+			if got := n.wd.Telemetry.Latency().Count(); got != 1 {
+				t.Fatalf("merged latency histogram count = %d, want 1", got)
 			}
 			if got := n.wd.Telemetry.hist("pipeline").Count(); got != 1 {
 				t.Fatalf("telemetry histogram count = %d, want 1", got)
