@@ -106,9 +106,11 @@ type Transport interface {
 	SendBuffer(b *Buffer) error
 
 	// Recv obtains the payload registered under slot, consuming it.
-	// The release closure must be called when the caller is done with
-	// the returned bytes (it frees the underlying buffer on the
-	// refpass path; elsewhere it is a no-op).
+	// The bytes are valid until the release closure is called, once,
+	// when the caller is done with them: it frees the underlying buffer
+	// on the refpass path and parks the file path's read-back array
+	// for reuse (mem.Park), so nothing may read them, or keep a view of
+	// them, afterwards. Copy what must outlive the release.
 	Recv(slot string) ([]byte, func() error, error)
 }
 
@@ -504,6 +506,13 @@ func (f *File) Close() error {
 
 // ReadFile loads a whole file through as-std.
 func ReadFile(e *Env, path string) ([]byte, error) {
+	return ReadFileInto(e, path, func(size int) []byte { return make([]byte, size) })
+}
+
+// ReadFileInto loads a whole file through as-std into the buffer take
+// returns for the file's size. A read error returns what was read, in
+// that buffer, with the error.
+func ReadFileInto(e *Env, path string, take func(size int) []byte) ([]byte, error) {
 	f, err := Open(e, path)
 	if err != nil {
 		return nil, err
@@ -513,7 +522,7 @@ func ReadFile(e *Env, path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, size)
+	buf := take(int(size))
 	got := 0
 	for got < len(buf) {
 		n, err := f.Read(buf[got:])

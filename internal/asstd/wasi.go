@@ -86,194 +86,242 @@ func BindWASISlots(l *asvm.Linker, env *Env, inSlots, outSlots []string) {
 }
 
 // BindHost defines the guest host imports (WASISlotImports) on l over h.
+// The imports are package-level functions shared by every instance; the
+// one guestState allocated here reaches them as the instance's Data.
 func BindHost(l *asvm.Linker, h GuestHost, inSlots, outSlots []string) {
-	s := &guestState{h: h, in: inSlots, out: outSlots, held: make([]inbound, len(inSlots))}
+	l.SetData(&guestState{h: h, in: inSlots, out: outSlots, held: make([]inbound, len(inSlots))})
+	for _, b := range wasiHosts {
+		l.Define(b.name, b.fn)
+	}
+}
 
-	l.Define("fs_mount", func(vm *asvm.Instance, args []int64) (int64, error) {
-		if err := s.h.Mount(); err != nil {
-			return -1, err
-		}
-		return 0, nil
-	})
-	l.Define("path_open", func(vm *asvm.Instance, args []int64) (int64, error) {
-		path, err := vm.ReadString(args[0], args[1])
-		if err != nil {
-			return -1, err
-		}
-		return s.addFile(s.h.Open(path))
-	})
-	l.Define("path_create", func(vm *asvm.Instance, args []int64) (int64, error) {
-		path, err := vm.ReadString(args[0], args[1])
-		if err != nil {
-			return -1, err
-		}
-		return s.addFile(s.h.Create(path))
-	})
-	l.Define("fd_read", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f := s.file(args[0])
-		if f == nil {
-			return -1, nil
-		}
-		buf, err := vm.Bytes(args[1], args[2])
-		if err != nil {
-			return -1, fmt.Errorf("%w: fd_read buffer oob", errWASI)
-		}
-		got, err := f.Read(buf)
-		if err != nil && !errors.Is(err, io.EOF) {
-			return -1, nil
-		}
-		return int64(got), nil
-	})
-	l.Define("fd_write", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f := s.file(args[0])
-		if f == nil {
-			return -1, nil
-		}
-		buf, err := vm.Bytes(args[1], args[2])
-		if err != nil {
-			return -1, fmt.Errorf("%w: fd_write buffer oob", errWASI)
-		}
-		wrote, err := f.Write(buf)
-		if err != nil {
-			return -1, nil
-		}
-		return int64(wrote), nil
-	})
-	l.Define("fd_seek", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f := s.file(args[0])
-		if f == nil {
-			return -1, nil
-		}
-		pos, err := f.Seek(args[1], int(args[2]))
-		if err != nil {
-			return -1, nil
-		}
-		return pos, nil
-	})
-	l.Define("fd_size", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f := s.file(args[0])
-		if f == nil {
-			return -1, nil
-		}
-		n, err := f.Size()
-		if err != nil {
-			return -1, nil
-		}
-		return n, nil
-	})
-	l.Define("fd_close", func(vm *asvm.Instance, args []int64) (int64, error) {
-		f := s.file(args[0])
-		if f == nil {
-			return -1, nil
-		}
-		s.files[args[0]-3] = nil
-		if err := f.Close(); err != nil {
-			return -1, nil
-		}
-		return 0, nil
-	})
-	l.Define("clock_time_get", func(vm *asvm.Instance, args []int64) (int64, error) {
-		t, err := s.h.Now()
-		if err != nil {
-			return -1, err
-		}
-		return t.UnixMicro(), nil
-	})
-	l.Define("proc_stdout", func(vm *asvm.Instance, args []int64) (int64, error) {
-		buf, err := vm.Bytes(args[0], args[1])
-		if err != nil {
-			return -1, fmt.Errorf("%w: proc_stdout oob", errWASI)
-		}
-		wrote, err := s.h.Stdout(buf)
-		if err != nil {
-			return -1, err
-		}
-		return int64(wrote), nil
-	})
+// wasiHosts is every import BindHost defines, in WASISlotImports order.
+var wasiHosts = [...]struct {
+	name string
+	fn   asvm.HostFunc
+}{
+	{"fs_mount", fsMount},
+	{"path_open", pathOpen},
+	{"path_create", pathCreate},
+	{"fd_read", fdRead},
+	{"fd_write", fdWrite},
+	{"fd_seek", fdSeek},
+	{"fd_size", fdSize},
+	{"fd_close", fdClose},
+	{"clock_time_get", clockTimeGet},
+	{"proc_stdout", procStdout},
+	{"buffer_register", bufferRegister},
+	{"access_buffer", accessBuffer},
+	{"random_get", randomGet},
+	{"slot_send", slotSend},
+	{"slot_size", slotSize},
+	{"slot_recv", slotRecv},
+}
 
-	// buffer_register(slotPtr, slotLen, dataPtr, dataLen) and
-	// access_buffer(slotPtr, slotLen, dstPtr, dstCap) -> n: the by-name
-	// buffer interfaces, copies in and out of guest memory as in the
-	// paper (guests move data as bytes; the native AsBuffer stays
-	// zero-copy).
-	l.Define("buffer_register", func(vm *asvm.Instance, args []int64) (int64, error) {
-		slot, err := vm.ReadString(args[0], args[1])
-		if err != nil {
-			return -1, err
-		}
-		data, err := vm.Bytes(args[2], args[3])
-		if err != nil {
-			return -1, fmt.Errorf("%w: buffer_register oob", errWASI)
-		}
-		if err := s.h.RegisterBuffer(slot, data); err != nil {
-			return -1, nil
-		}
-		return 0, nil
-	})
-	l.Define("access_buffer", func(vm *asvm.Instance, args []int64) (int64, error) {
-		slot, err := vm.ReadString(args[0], args[1])
-		if err != nil {
-			return -1, err
-		}
-		dst, err := vm.Bytes(args[2], args[3])
-		if err != nil {
-			return -1, fmt.Errorf("%w: access_buffer oob", errWASI)
-		}
-		n, err := s.h.AccessBuffer(slot, dst)
-		if err != nil {
-			return -1, nil
-		}
-		return int64(n), nil
-	})
+// stateOf is the guestState BindHost gave vm's linker.
+func stateOf(vm *asvm.Instance) *guestState { return vm.Data().(*guestState) }
 
-	l.Define("random_get", func(vm *asvm.Instance, args []int64) (int64, error) {
-		// Derived from the clock: guests only need "some" entropy for
-		// benchmark data generation.
-		t, err := s.h.Now()
-		if err != nil {
-			return -1, err
-		}
-		return t.UnixNano()&0x7FFFFFFF | 1, nil
-	})
+func fsMount(vm *asvm.Instance, args []int64) (int64, error) {
+	if err := stateOf(vm).h.Mount(); err != nil {
+		return -1, err
+	}
+	return 0, nil
+}
 
-	l.Define("slot_send", func(vm *asvm.Instance, args []int64) (int64, error) {
-		edge := args[2]
-		if edge < 0 || edge >= int64(len(s.out)) {
-			return -1, fmt.Errorf("%w: out edge %d out of range", errWASI, edge)
-		}
-		data, err := vm.Bytes(args[0], args[1])
-		if err != nil {
-			return -1, fmt.Errorf("%w: slot_send oob", errWASI)
-		}
-		if err := s.h.Send(s.out[edge], data); err != nil {
-			return -1, err
-		}
-		return 0, nil
-	})
-	l.Define("slot_size", func(vm *asvm.Instance, args []int64) (int64, error) {
-		c, err := s.acquire(args[0])
-		if err != nil {
-			return -1, err
-		}
-		return int64(len(c.data)), nil
-	})
-	l.Define("slot_recv", func(vm *asvm.Instance, args []int64) (int64, error) {
-		edge := args[2]
-		c, err := s.acquire(edge)
-		if err != nil {
-			return -1, err
-		}
-		dst, err := vm.Bytes(args[0], args[1])
-		if err != nil {
-			return -1, fmt.Errorf("%w: slot_recv oob", errWASI)
-		}
-		s.held[edge] = inbound{}
-		n, err := c.drain(dst)
-		if err != nil {
-			return -1, err
-		}
-		return int64(n), nil
-	})
+func pathOpen(vm *asvm.Instance, args []int64) (int64, error) {
+	path, err := vm.ReadString(args[0], args[1])
+	if err != nil {
+		return -1, err
+	}
+	s := stateOf(vm)
+	return s.addFile(s.h.Open(path))
+}
+
+func pathCreate(vm *asvm.Instance, args []int64) (int64, error) {
+	path, err := vm.ReadString(args[0], args[1])
+	if err != nil {
+		return -1, err
+	}
+	s := stateOf(vm)
+	return s.addFile(s.h.Create(path))
+}
+
+func fdRead(vm *asvm.Instance, args []int64) (int64, error) {
+	f := stateOf(vm).file(args[0])
+	if f == nil {
+		return -1, nil
+	}
+	buf, err := vm.Bytes(args[1], args[2])
+	if err != nil {
+		return -1, fmt.Errorf("%w: fd_read buffer oob", errWASI)
+	}
+	got, err := f.Read(buf)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return -1, nil
+	}
+	return int64(got), nil
+}
+
+func fdWrite(vm *asvm.Instance, args []int64) (int64, error) {
+	f := stateOf(vm).file(args[0])
+	if f == nil {
+		return -1, nil
+	}
+	buf, err := vm.Bytes(args[1], args[2])
+	if err != nil {
+		return -1, fmt.Errorf("%w: fd_write buffer oob", errWASI)
+	}
+	wrote, err := f.Write(buf)
+	if err != nil {
+		return -1, nil
+	}
+	return int64(wrote), nil
+}
+
+func fdSeek(vm *asvm.Instance, args []int64) (int64, error) {
+	f := stateOf(vm).file(args[0])
+	if f == nil {
+		return -1, nil
+	}
+	pos, err := f.Seek(args[1], int(args[2]))
+	if err != nil {
+		return -1, nil
+	}
+	return pos, nil
+}
+
+func fdSize(vm *asvm.Instance, args []int64) (int64, error) {
+	f := stateOf(vm).file(args[0])
+	if f == nil {
+		return -1, nil
+	}
+	n, err := f.Size()
+	if err != nil {
+		return -1, nil
+	}
+	return n, nil
+}
+
+func fdClose(vm *asvm.Instance, args []int64) (int64, error) {
+	s := stateOf(vm)
+	f := s.file(args[0])
+	if f == nil {
+		return -1, nil
+	}
+	s.files[args[0]-3] = nil
+	if err := f.Close(); err != nil {
+		return -1, nil
+	}
+	return 0, nil
+}
+
+func clockTimeGet(vm *asvm.Instance, args []int64) (int64, error) {
+	t, err := stateOf(vm).h.Now()
+	if err != nil {
+		return -1, err
+	}
+	return t.UnixMicro(), nil
+}
+
+func procStdout(vm *asvm.Instance, args []int64) (int64, error) {
+	buf, err := vm.Bytes(args[0], args[1])
+	if err != nil {
+		return -1, fmt.Errorf("%w: proc_stdout oob", errWASI)
+	}
+	wrote, err := stateOf(vm).h.Stdout(buf)
+	if err != nil {
+		return -1, err
+	}
+	return int64(wrote), nil
+}
+
+// buffer_register(slotPtr, slotLen, dataPtr, dataLen) and
+// access_buffer(slotPtr, slotLen, dstPtr, dstCap) -> n: the by-name
+// buffer interfaces, copies in and out of guest memory as in the paper
+// (guests move data as bytes; the native AsBuffer stays zero-copy).
+
+func bufferRegister(vm *asvm.Instance, args []int64) (int64, error) {
+	slot, err := vm.ReadString(args[0], args[1])
+	if err != nil {
+		return -1, err
+	}
+	data, err := vm.Bytes(args[2], args[3])
+	if err != nil {
+		return -1, fmt.Errorf("%w: buffer_register oob", errWASI)
+	}
+	if err := stateOf(vm).h.RegisterBuffer(slot, data); err != nil {
+		return -1, nil
+	}
+	return 0, nil
+}
+
+func accessBuffer(vm *asvm.Instance, args []int64) (int64, error) {
+	slot, err := vm.ReadString(args[0], args[1])
+	if err != nil {
+		return -1, err
+	}
+	dst, err := vm.Bytes(args[2], args[3])
+	if err != nil {
+		return -1, fmt.Errorf("%w: access_buffer oob", errWASI)
+	}
+	n, err := stateOf(vm).h.AccessBuffer(slot, dst)
+	if err != nil {
+		return -1, nil
+	}
+	return int64(n), nil
+}
+
+// randomGet derives its value from the clock: guests only need "some"
+// entropy for benchmark data generation.
+func randomGet(vm *asvm.Instance, args []int64) (int64, error) {
+	t, err := stateOf(vm).h.Now()
+	if err != nil {
+		return -1, err
+	}
+	return t.UnixNano()&0x7FFFFFFF | 1, nil
+}
+
+func slotSend(vm *asvm.Instance, args []int64) (int64, error) {
+	s := stateOf(vm)
+	edge := args[2]
+	if edge < 0 || edge >= int64(len(s.out)) {
+		return -1, fmt.Errorf("%w: out edge %d out of range", errWASI, edge)
+	}
+	data, err := vm.Bytes(args[0], args[1])
+	if err != nil {
+		return -1, fmt.Errorf("%w: slot_send oob", errWASI)
+	}
+	if err := s.h.Send(s.out[edge], data); err != nil {
+		return -1, err
+	}
+	return 0, nil
+}
+
+func slotSize(vm *asvm.Instance, args []int64) (int64, error) {
+	c, err := stateOf(vm).acquire(args[0])
+	if err != nil {
+		return -1, err
+	}
+	return int64(len(c.data)), nil
+}
+
+func slotRecv(vm *asvm.Instance, args []int64) (int64, error) {
+	s := stateOf(vm)
+	edge := args[2]
+	c, err := s.acquire(edge)
+	if err != nil {
+		return -1, err
+	}
+	dst, err := vm.Bytes(args[0], args[1])
+	if err != nil {
+		return -1, fmt.Errorf("%w: slot_recv oob", errWASI)
+	}
+	s.held[edge] = inbound{}
+	n, err := c.drain(dst)
+	if err != nil {
+		return -1, err
+	}
+	return int64(n), nil
 }
 
 // addFile gives a file path_open or path_create opened the next fd. A

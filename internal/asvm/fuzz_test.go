@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"alloystack/internal/mem"
 )
 
 // The differential oracle: the switch interpreter is the reference
@@ -85,16 +87,36 @@ const (
 	fuzzMaxMem = 2 << 20
 )
 
-func runOn(engine EngineKind, prog *Program, entry string, args []int64, fuel int64) (outcome, error) {
+// runOn runs prog once on engine and releases the instance. Recycled,
+// it runs on memory a previous user left dirty: every array class from
+// the program's declared memory up to recycleDirtyMax is taken, filled
+// with a non-zero pattern and parked first, so the instance and the
+// classes it may grow into start from those arrays.
+func runOn(engine EngineKind, prog *Program, entry string, args []int64, fuel int64, recycled bool) (outcome, error) {
 	var o outcome
+	if recycled {
+		for n := max(prog.MemSize, mem.MinParkedArray); n <= recycleDirtyMax; n *= 2 {
+			b := mem.Take(int(n))
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = byte(i) | 0x80
+			}
+			mem.Park(b)
+		}
+	}
 	inst, err := recordingLinker(prog, &o.trace).Instantiate(prog, Config{Engine: engine, Fuel: fuel, MaxMem: fuzzMaxMem})
 	if err != nil {
 		return o, err
 	}
+	defer inst.Release()
 	o.res, o.err = inst.Call(entry, args...)
-	o.mem, o.globals, o.steps = inst.mem, inst.globals, inst.steps
+	o.mem, o.globals, o.steps = bytes.Clone(inst.mem), inst.globals, inst.steps
 	return o, nil
 }
+
+// recycleDirtyMax bounds the classes the recycled arm dirties: the
+// generator's memories and the first growths past them.
+const recycleDirtyMax = 64 << 10
 
 // checkEnginesAgree runs prog on both engines and fails t on any
 // difference the contract does not allow. It reports whether the program
@@ -102,11 +124,11 @@ func runOn(engine EngineKind, prog *Program, entry string, args []int64, fuel in
 // the AOT engine and there is nothing to compare.
 func checkEnginesAgree(t *testing.T, prog *Program, entry string, args []int64, fuel int64) bool {
 	t.Helper()
-	want, err := runOn(EngineInterp, prog, entry, args, fuel)
+	want, err := runOn(EngineInterp, prog, entry, args, fuel, false)
 	if err != nil {
 		return false
 	}
-	got, err := runOn(EngineAOT, prog, entry, args, fuel)
+	got, err := runOn(EngineAOT, prog, entry, args, fuel, false)
 	if err != nil {
 		var se *ShapeError
 		if !errors.As(err, &se) || !errors.Is(err, ErrValidation) {
@@ -119,6 +141,31 @@ func checkEnginesAgree(t *testing.T, prog *Program, entry string, args []int64, 
 		t.Fatalf("engines disagree: %s\ninterp: %d, %v (steps %d)\naot:    %d, %v (steps %d)\nentry %s%v\n%s",
 			fmt.Sprintf(format, a...), want.res, want.err, want.steps, got.res, got.err, got.steps,
 			entry, args, Disassemble(prog))
+	}
+	// The recycled arm: on each engine, an instance over dirty parked
+	// arrays must be indistinguishable from the fresh one.
+	for _, arm := range []struct {
+		engine EngineKind
+		fresh  *outcome
+	}{{EngineInterp, &want}, {EngineAOT, &got}} {
+		rec, err := runOn(arm.engine, prog, entry, args, fuel, true)
+		fresh := arm.fresh
+		var diff string
+		switch {
+		case err != nil:
+			diff = "refused: " + err.Error()
+		case rec.res != fresh.res || errClass(rec.err) != errClass(fresh.err) || rec.steps != fresh.steps:
+			diff = fmt.Sprintf("%d, %v (steps %d); fresh %d, %v (steps %d)",
+				rec.res, rec.err, rec.steps, fresh.res, fresh.err, fresh.steps)
+		case !slices.Equal(rec.trace, fresh.trace):
+			diff = fmt.Sprintf("host-call trace %v; fresh %v", rec.trace, fresh.trace)
+		case !bytes.Equal(rec.mem, fresh.mem) || !slices.Equal(rec.globals, fresh.globals):
+			diff = "final memory or globals differ"
+		}
+		if diff != "" {
+			t.Fatalf("%v: a recycled instance differs from a fresh one: %s\nentry %s%v\n%s",
+				arm.engine, diff, entry, args, Disassemble(prog))
+		}
 	}
 	if errors.Is(want.err, ErrFuelExhausted) {
 		// The one sanctioned difference: the AOT engine charges a block

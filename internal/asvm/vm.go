@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"alloystack/internal/mem"
 )
 
 // EngineKind selects the execution strategy.
@@ -36,7 +38,8 @@ type Config struct {
 	// engine per basic block, when the block ends, so it can run past
 	// the bound by less than one block.
 	Fuel int64 //asvet:allow unreachable -- the guest's safety bounds: every tier runs at the defaults; the engine tests and the differential fuzzer tighten them to reach the traps
-	// MaxMem bounds linear memory growth; 0 means 1 GiB.
+	// MaxMem bounds linear memory, the declared size and every growth;
+	// 0 means 1 GiB.
 	MaxMem int64 //asvet:allow unreachable -- see Fuel
 	// StackCap bounds the operand stack; 0 means 64k values. The AOT
 	// engine holds each call to the depth the analysis proved it can
@@ -46,26 +49,72 @@ type Config struct {
 
 // HostFunc is a host function callable from guest code. args are the
 // popped stack values (first pushed first); the result is pushed if the
-// import is declared with HasResult.
+// import is declared with HasResult. A host function reaches its
+// per-instance state through vm.Data, so one function value serves every
+// instance. It must not keep a view of linear memory (vm.Bytes,
+// vm.Memory) past its return: a later mem.grow may move the memory, and
+// Release hands the array to the next instance.
 type HostFunc func(vm *Instance, args []int64) (int64, error)
 
 // Linker binds import names to host functions, mirroring wasmtime's
-// Linker in the paper's multi-language layer.
+// Linker in the paper's multi-language layer. A guest imports a dozen or
+// two names, so the bindings are a list searched in order, held inline
+// up to linkerInline of them: a linker is one allocation.
 type Linker struct {
-	funcs map[string]HostFunc
+	funcs  []binding
+	data   any
+	inline [linkerInline]binding
 }
 
+type binding struct {
+	name string
+	fn   HostFunc
+}
+
+// linkerInline covers the WASI slot imports (asstd.WASISlotImports).
+const linkerInline = 16
+
 // NewLinker returns an empty linker.
-func NewLinker() *Linker { return &Linker{funcs: make(map[string]HostFunc)} }
+func NewLinker() *Linker {
+	l := &Linker{}
+	l.funcs = l.inline[:0]
+	return l
+}
 
 // Define binds name to fn, replacing any previous binding.
-func (l *Linker) Define(name string, fn HostFunc) { l.funcs[name] = fn }
+func (l *Linker) Define(name string, fn HostFunc) {
+	for i := range l.funcs {
+		if l.funcs[i].name == name {
+			l.funcs[i].fn = fn
+			return
+		}
+	}
+	l.funcs = append(l.funcs, binding{name, fn})
+}
+
+// lookup returns the function bound to name.
+func (l *Linker) lookup(name string) (HostFunc, bool) {
+	for i := range l.funcs {
+		if l.funcs[i].name == name {
+			return l.funcs[i].fn, true
+		}
+	}
+	return nil, false
+}
+
+// SetData sets the value every instance the linker instantiates carries
+// as Data: the host functions' state, like a wasmtime Store's data.
+func (l *Linker) SetData(v any) { l.data = v }
 
 // Instantiate validates prog and builds a runnable instance with its own
 // linear memory and globals. Under EngineAOT the first instantiation of a
 // program also lowers it to register code, which every later instance
 // shares; a program whose stack shape is not static is refused there
-// with a *ShapeError.
+// with a *ShapeError. A declared memory larger than cfg.MaxMem is refused
+// with ErrOOB before anything is allocated. The memory is a recycled
+// array from mem.Take, zeroed before the data segments are written, so
+// an instance never sees what an earlier one left; Release parks it
+// again.
 func (l *Linker) Instantiate(prog *Program, cfg Config) (*Instance, error) {
 	var aot *compiled
 	var err error
@@ -77,14 +126,6 @@ func (l *Linker) Instantiate(prog *Program, cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	hosts := make([]HostFunc, len(prog.Imports))
-	for i, imp := range prog.Imports {
-		fn, ok := l.funcs[imp.Name]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrUnlinkedHost, imp.Name)
-		}
-		hosts[i] = fn
-	}
 	if cfg.Fuel == 0 {
 		cfg.Fuel = 1 << 40
 	}
@@ -94,14 +135,27 @@ func (l *Linker) Instantiate(prog *Program, cfg Config) (*Instance, error) {
 	if cfg.StackCap == 0 {
 		cfg.StackCap = 1 << 16
 	}
+	if prog.MemSize > cfg.MaxMem {
+		return nil, fmt.Errorf("%w: memory %d past limit %d", ErrOOB, prog.MemSize, cfg.MaxMem)
+	}
+	hosts := make([]HostFunc, len(prog.Imports))
+	for i, imp := range prog.Imports {
+		fn, ok := l.lookup(imp.Name)
+		if !ok {
+			return nil, fmt.Errorf("%w: %s", ErrUnlinkedHost, imp.Name)
+		}
+		hosts[i] = fn
+	}
 	inst := &Instance{
 		prog:    prog,
 		cfg:     cfg,
 		hosts:   hosts,
+		data:    l.data,
 		globals: make([]int64, prog.Globals),
-		mem:     make([]byte, prog.MemSize),
+		mem:     mem.Take(int(prog.MemSize)),
 		aot:     aot,
 	}
+	clear(inst.mem)
 	if cfg.OverheadFactor > 1 {
 		inst.spinPerStep = int64(math.Round((cfg.OverheadFactor - 1) * (1 << spinShift)))
 	}
@@ -122,8 +176,11 @@ type Instance struct {
 	prog    *Program
 	cfg     Config
 	hosts   []HostFunc
+	data    any
 	globals []int64
-	mem     []byte
+	// mem is linear memory: its length is the guest's memory size, its
+	// capacity the recycled array's size class.
+	mem []byte
 
 	// The interpreter's shared value stack.
 	stack []int64
@@ -152,8 +209,22 @@ type Instance struct {
 	sink               int64
 }
 
-// Memory exposes the linear memory for host calls (zero-copy).
-func (inst *Instance) Memory() []byte { return inst.mem }
+// Memory exposes the linear memory for host calls (zero-copy), capped
+// at its length so no view reaches the parked capacity behind it.
+func (inst *Instance) Memory() []byte { return inst.mem[:len(inst.mem):len(inst.mem)] }
+
+// Data returns the value the instance's linker was given by SetData.
+func (inst *Instance) Data() any { return inst.data }
+
+// Release parks the instance's linear memory for the next instance to
+// take (mem.Park). Call it once the instance and every view of its
+// memory are done with; afterwards the instance has no memory, so a
+// Call traps on its first access instead of reading another instance's
+// data. Releasing twice is a no-op.
+func (inst *Instance) Release() {
+	mem.Park(inst.mem)
+	inst.mem = nil
+}
 
 // Steps reports the number of guest instructions executed.
 func (inst *Instance) Steps() int64 { return inst.steps }
@@ -190,12 +261,24 @@ func (inst *Instance) WriteBytes(ptr int64, b []byte) error {
 	return err
 }
 
-// grow extends linear memory by extra bytes (OpMemGrow).
+// grow extends linear memory by extra zeroed bytes (OpMemGrow): in
+// place while the array's capacity lasts, else into an array twice as
+// large, or as large as needed, within MaxMem (the class that fits;
+// above the parked classes, an exact array), parking the outgrown one.
 func (inst *Instance) grow(extra int64) error {
 	if extra < 0 || extra > inst.cfg.MaxMem-int64(len(inst.mem)) {
 		return fmt.Errorf("%w: grow %d past limit %d", ErrOOB, extra, inst.cfg.MaxMem)
 	}
-	inst.mem = append(inst.mem, make([]byte, extra)...)
+	old, n := len(inst.mem), len(inst.mem)+int(extra)
+	if n <= cap(inst.mem) {
+		inst.mem = inst.mem[:n]
+	} else {
+		next := mem.Take(max(n, min(2*cap(inst.mem), int(inst.cfg.MaxMem))))[:n]
+		copy(next, inst.mem)
+		mem.Park(inst.mem)
+		inst.mem = next
+	}
+	clear(inst.mem[old:])
 	return nil
 }
 

@@ -41,6 +41,7 @@ func (r *Runner) runFaasmGuest(p *Platform) error {
 	if err != nil {
 		return err
 	}
+	defer inst.Release()
 	start := time.Now()
 	_, err = inst.Call("run", args...)
 	p.clock.Add(metrics.StageCompute, time.Since(start))

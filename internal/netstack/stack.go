@@ -222,10 +222,10 @@ func (st *Stack) Dial(remote Endpoint) (*Conn, error) {
 		st.mu.Unlock()
 		return nil, ErrStackClosed
 	}
+	iss := st.rng.Uint32() // rand.Rand is not safe for concurrent Dials
 	st.mu.Unlock()
 
 	local := Endpoint{Addr: st.nic.Addr(), Port: st.allocPort()}
-	iss := st.rng.Uint32()
 	c := newConn(st, local, remote, stSynSent, iss)
 
 	key := connKey{localPort: local.Port, remoteAddr: remote.Addr, remotePort: remote.Port}

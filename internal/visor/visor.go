@@ -102,7 +102,8 @@ type VMFunc struct {
 	// Resolve gives one instance its entry-point arguments and the slot
 	// names behind its logical in/out edges (the slot_send/slot_recv
 	// host calls). Nil means arguments (instance, instances) and no
-	// edges.
+	// edges. It must be a pure function of ctx: RegisterWorkflow calls
+	// it once per stage instance and every invoke reuses the result.
 	Resolve func(ctx FuncContext) (args []int64, in, out []string)
 }
 
@@ -408,17 +409,38 @@ type plan struct {
 }
 
 // impl is one spec resolved against the registry: a native body or a
-// guest image.
+// guest image. A stage's guest impl also holds each instance's resolved
+// call; a compensation's is resolved when it runs.
 type impl struct {
 	native NativeFunc
 	vm     *VMFunc
+	calls  []guestCall // calls[i] is instance i's
+}
+
+// guestCall is one guest instance's VMFunc.Resolve result: its entry
+// arguments and the slots behind its in- and out-edges.
+type guestCall struct {
+	args    []int64
+	in, out []string
+}
+
+// resolveCall runs vf's Resolve for ctx, or gives the default
+// arguments (instance, instances) and no edges.
+func resolveCall(vf *VMFunc, ctx FuncContext) guestCall {
+	if vf.Resolve == nil {
+		return guestCall{args: []int64{int64(ctx.Instance), int64(ctx.Instances)}}
+	}
+	args, in, out := vf.Resolve(ctx)
+	return guestCall{args, in, out}
 }
 
 // compile levels w, resolves every spec and passes each distinct guest
 // image, compensations included, through the admission scan: §6's
 // validate-before-execute, so an image that could jump between
 // instructions, unbalance the shared value stack or call an
-// off-allowlist host import never reaches an engine.
+// off-allowlist host import never reaches an engine. Each guest stage
+// instance's edges are resolved here too; a native spec costs nothing
+// more.
 func (v *Visor) compile(w *dag.Workflow) *plan {
 	stages, err := w.Stages()
 	p := &plan{w: w, stages: stages, err: err,
@@ -443,7 +465,16 @@ func (v *Visor) compile(w *dag.Workflow) *plan {
 	for si, stage := range stages {
 		p.impls[si] = make([]impl, len(stage))
 		for k, spec := range stage {
-			p.impls[si][k] = resolve(spec)
+			im := resolve(spec)
+			if im.vm != nil && p.err == nil {
+				n := spec.InstancesOf()
+				im.calls = make([]guestCall, n)
+				for i := range im.calls {
+					im.calls[i] = resolveCall(im.vm, FuncContext{Workflow: w.Name, Function: spec.Name,
+						Instance: i, Instances: n, Stage: si, Params: spec.Params})
+				}
+			}
+			p.impls[si][k] = im
 		}
 	}
 	for _, c := range w.Compensations {
@@ -812,12 +843,17 @@ func (r *run) fail(err error) (*RunResult, error) {
 }
 
 // call runs one instance of a resolved spec in env: the native body
-// itself, or the guest tier's VM over its image.
+// itself, or the guest tier's VM over its image with the call the plan
+// resolved for the instance.
 func (r *run) call(im *impl, env *asstd.Env, fctx FuncContext) error {
-	if im.vm != nil {
-		return r.runVM(env, fctx, im.vm)
+	if im.vm == nil {
+		return im.native(env, fctx)
 	}
-	return im.native(env, fctx)
+	if fctx.Instance < len(im.calls) {
+		return r.runVM(env, im.vm, &im.calls[fctx.Instance])
+	}
+	gc := resolveCall(im.vm, fctx)
+	return r.runVM(env, im.vm, &gc)
 }
 
 // bind attaches env to this run: the stage clock, the span its syscalls
@@ -929,9 +965,10 @@ func scaledFactor(factor, costScale float64) float64 {
 }
 
 // runVM executes a guest-tier function: instantiate the ASVM module with
-// the WASI bindings over this env, optionally paying the runtime-image
-// initialisation read, then call the entry point.
-func (r *run) runVM(env *asstd.Env, ctx FuncContext, vf *VMFunc) error {
+// the WASI bindings over this env and gc's edges, optionally paying the
+// runtime-image initialisation read, then call the entry point with gc's
+// arguments and release the instance's memory.
+func (r *run) runVM(env *asstd.Env, vf *VMFunc, gc *guestCall) error {
 	warm := vf.RuntimeImage != "" && r.wfd.RuntimeWarm(vf.RuntimeImage)
 	if vf.RuntimeImage != "" && !warm {
 		// Cold Python-tier runtime init: stream the runtime image
@@ -954,15 +991,8 @@ func (r *run) runVM(env *asstd.Env, ctx FuncContext, vf *VMFunc) error {
 			time.Sleep(time.Duration(float64(vf.InitCost) * r.opts.CostScale))
 		}
 	}
-	var args []int64
-	var in, out []string
-	if vf.Resolve != nil {
-		args, in, out = vf.Resolve(ctx)
-	} else {
-		args = []int64{int64(ctx.Instance), int64(ctx.Instances)}
-	}
 	l := asvm.NewLinker()
-	asstd.BindWASISlots(l, env, in, out)
+	asstd.BindWASISlots(l, env, gc.in, gc.out)
 	inst, err := l.Instantiate(vf.Prog, asvm.Config{
 		Engine:         vf.Engine,
 		OverheadFactor: scaledFactor(vf.OverheadFactor, r.opts.CostScale),
@@ -970,6 +1000,7 @@ func (r *run) runVM(env *asstd.Env, ctx FuncContext, vf *VMFunc) error {
 	if err != nil {
 		return err
 	}
-	_, err = inst.Call(vf.Entry, args...)
+	defer inst.Release()
+	_, err = inst.Call(vf.Entry, gc.args...)
 	return err
 }

@@ -876,9 +876,11 @@ func GuestEdges(funcName string, ctx visor.FuncContext) (in, out []string) {
 	return in, out
 }
 
-// resolveGuest is every guest VMFunc's Resolve. The node name is always
-// registered, so GuestProgram fails only on a malformed chain index,
-// whose nil arguments the entry point then refuses.
+// resolveGuest is every guest VMFunc's Resolve, a pure function of ctx:
+// the visor's plan calls it once per stage instance at RegisterWorkflow.
+// The node name is always registered, so GuestProgram fails only on a
+// malformed chain index, whose nil arguments the entry point then
+// refuses.
 func resolveGuest(ctx visor.FuncContext) ([]int64, []string, []string) {
 	_, args, _ := GuestProgram(ctx.Function, ctx)
 	in, out := GuestEdges(ctx.Function, ctx)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"alloystack/internal/asstd"
+	"alloystack/internal/mem"
 	"alloystack/internal/metrics"
 )
 
@@ -124,16 +125,18 @@ func (t *File) SendBuffer(b *asstd.Buffer) error {
 	return b.Free()
 }
 
-// Recv reads the payload back from the slot's file (one copy back).
+// Recv reads the payload back from the slot's file (one copy back) into
+// a recycled array, which the release parks for the next Recv.
 func (t *File) Recv(slot string) ([]byte, func() error, error) {
 	if err := asstd.MountFS(t.env); err != nil {
 		return nil, nil, err
 	}
-	data, err := asstd.ReadFile(t.env, Path(slot))
+	data, err := asstd.ReadFileInto(t.env, Path(slot), mem.Take)
 	if err != nil {
+		mem.Park(data)
 		return nil, nil, fmt.Errorf("%v (slot %q)", err, slot)
 	}
 	t.paths.Release(slot)
 	t.stats.CountOp(KindFile, int64(len(data)), 1)
-	return data, nopRelease, nil
+	return data[:len(data):len(data)], func() error { mem.Park(data); return nil }, nil
 }

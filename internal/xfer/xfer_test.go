@@ -183,6 +183,42 @@ func TestConformance(t *testing.T) {
 				}
 			})
 
+			t.Run("ReleaseContract", func(t *testing.T) {
+				// Recv's bytes stay intact until their release, while
+				// later payloads come and go; after a release the next
+				// Recv (on the file path, into the parked array) reads
+				// its own bytes.
+				a, b, c := pattern(5000), bytes.Repeat([]byte{0xEE}, 5000), bytes.Repeat([]byte{0x11}, 5000)
+				recv := func(slot string, data []byte) ([]byte, func() error) {
+					t.Helper()
+					if err := tr.Send(slot, data); err != nil {
+						t.Fatalf("Send %s: %v", slot, err)
+					}
+					got, release, err := tr.Recv(slot)
+					if err != nil {
+						t.Fatalf("Recv %s: %v", slot, err)
+					}
+					return got, release
+				}
+				gotA, releaseA := recv("rc-a", a)
+				gotB, releaseB := recv("rc-b", b)
+				if !bytes.Equal(gotA, a) || !bytes.Equal(gotB, b) {
+					t.Fatal("a held payload changed before its release")
+				}
+				if err := releaseA(); err != nil {
+					t.Fatalf("release: %v", err)
+				}
+				gotC, releaseC := recv("rc-c", c)
+				if !bytes.Equal(gotC, c) {
+					t.Fatal("the Recv after a release read other bytes")
+				}
+				if !bytes.Equal(gotB, b) {
+					t.Fatal("a held payload changed when another was released and received")
+				}
+				releaseB()
+				releaseC()
+			})
+
 			t.Run("Counters", func(t *testing.T) {
 				k := stats.Kind(kind)
 				if k.Ops == 0 || k.Bytes == 0 {
@@ -446,5 +482,56 @@ func TestTransportsConcurrent(t *testing.T) {
 				t.Fatalf("ops = %d, want 128", k.Ops)
 			}
 		})
+	}
+}
+
+// TestReleaseContractConcurrentEnvs runs two WFDs' file transports at
+// once, each receiving into arrays from the process-wide free list the
+// other parks into. A payload read after its release, or an array handed
+// to two receivers, shows as a mismatch here or as a race under -race.
+func TestReleaseContractConcurrentEnvs(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for e := 0; e < 2; e++ {
+		tr := newTransport(t, xfer.KindFile, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []byte
+			var release func() error
+			for i := 0; i < 32; i++ {
+				slot := fmt.Sprintf("env%d-%d", e, i)
+				want := bytes.Repeat([]byte{byte(e*64 + i + 1)}, 3000+i*97)
+				if err := tr.Send(slot, want); err != nil {
+					errs <- err
+					return
+				}
+				got, next, err := tr.Recv(slot)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("%s: payload mismatch", slot)
+					return
+				}
+				// Hold each payload across the next receive, then check
+				// it once more before releasing it.
+				if release != nil {
+					if held[0] != byte(e*64+i) || held[len(held)-1] != byte(e*64+i) {
+						errs <- fmt.Errorf("%s: the previous payload changed before its release", slot)
+						return
+					}
+					release()
+				}
+				held, release = got, next
+			}
+			release()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -35,6 +35,12 @@ make fuzz-smoke
 # also includes internal/asvm, whose lazily compiled Program is shared
 # by concurrent instances (TestSharedProgramFirstUseIsConcurrent).
 go test -race -count=1 ./internal/...
+# Guest linear memory and the file transport's read-backs come from one
+# process-wide free list (mem.Take/Park) that concurrent WFDs share; a
+# use after release, or an array handed out twice, shows only when
+# another user takes the array in between, which one pass rarely hits.
+# Re-run the recycling tests under -race.
+go test -race -count=20 -run 'Recycled|ReleaseContract' ./internal/asvm ./internal/xfer
 # A dialer whose peer writes and closes at once can see the data and
 # FIN land before its handshake wait wakes; Dial once reported that
 # success as a timeout, one run in ten under -race. One -count=1 pass
