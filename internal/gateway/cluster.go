@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -19,17 +20,8 @@ import (
 // poll is the health turn's one request to a backend: GET /cluster. A
 // decodable 2xx closes the breaker and refreshes the member (load, warm
 // set, degraded-ness); anything else opens it and marks the member dead.
-func (g *Gateway) poll(client *http.Client, b *backendState) {
-	var info cluster.NodeInfo
-	resp, err := client.Get(fmt.Sprintf("http://%s/cluster", b.addr))
-	if err == nil {
-		if resp.StatusCode >= 300 {
-			err = fmt.Errorf("status %d", resp.StatusCode)
-		} else {
-			err = json.NewDecoder(resp.Body).Decode(&info)
-		}
-		resp.Body.Close()
-	}
+func (g *Gateway) poll(b *backendState) {
+	info, err := g.nodeInfo(b)
 	if err != nil {
 		b.markDown(g.cooldown(), time.Now())
 		g.Cluster.Membership().MarkDead(b.addr)
@@ -37,6 +29,37 @@ func (g *Gateway) poll(client *http.Client, b *backendState) {
 	}
 	b.markUp()
 	g.Cluster.Membership().Update(b.addr, info)
+}
+
+// nodeInfo fetches b's /cluster advertisement over a framed connection
+// still to be upgraded, which then joins b's idle set if that is empty:
+// the first invoke after a poll dials nothing.
+func (g *Gateway) nodeInfo(b *backendState) (cluster.NodeInfo, error) {
+	var info cluster.NodeInfo
+	c, err := g.dial(b.addr)
+	if err != nil {
+		return info, err
+	}
+	var resp *http.Response
+	if err = c.SetDeadline(time.Now().Add(pollTimeout)); err == nil {
+		resp, err = c.Get("/cluster")
+	}
+	if err != nil {
+		c.Close()
+		return info, err
+	}
+	if resp.StatusCode >= 300 {
+		err = fmt.Errorf("status %d", resp.StatusCode)
+	} else if err = json.NewDecoder(resp.Body).Decode(&info); err == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+	}
+	resp.Body.Close()
+	if err != nil || resp.Close {
+		c.Close()
+	} else {
+		b.offer(c)
+	}
+	return info, err
 }
 
 // prewarmGuard claims the (workflow, target) pre-warm slot; false when
@@ -91,7 +114,7 @@ func (g *Gateway) PrewarmSweep() int {
 			resp.Body.Close()
 			if resp.StatusCode < 300 {
 				g.Cluster.NotePrewarm()
-				g.poll(client, g.states[plan.Target])
+				g.poll(g.states[plan.Target])
 				done++
 			}
 		}

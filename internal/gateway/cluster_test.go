@@ -213,30 +213,26 @@ func TestClusterWarmPlacement(t *testing.T) {
 	}
 }
 
-// fakeClusterNode is an httptest backend speaking the watchdog's
-// cluster/invoke surface, with a controllable hot handler.
+// fakeClusterNode is a frameNode speaking the watchdog's cluster/invoke
+// surface, with a controllable hot handler.
 func fakeClusterNode(t *testing.T, hotStarted chan<- struct{}, hotRelease <-chan struct{}) string {
 	t.Helper()
 	var addr string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case r.URL.Path == "/cluster":
-			json.NewEncoder(w).Encode(cluster.NodeInfo{
-				ID: addr, Capacity: 8,
-				Workflows: []string{"hot", "cold"},
-				Warm: []cluster.WarmAd{
-					{Workflow: "hot", Warm: 1}, {Workflow: "cold", Warm: 1}},
-			})
-		case r.URL.Path == "/invoke/hot":
+	addr = frameNode(t, func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(cluster.NodeInfo{
+			ID: addr, Capacity: 8,
+			Workflows: []string{"hot", "cold"},
+			Warm: []cluster.WarmAd{
+				{Workflow: "hot", Warm: 1}, {Workflow: "cold", Warm: 1}},
+		})
+	}, func(name, _ string) (int, int, string) {
+		if name == "hot" {
 			hotStarted <- struct{}{}
 			<-hotRelease
-			io.WriteString(w, `{"workflow":"hot"}`)
-		default:
-			io.WriteString(w, `{"workflow":"cold"}`)
+			return http.StatusOK, 0, `{"workflow":"hot"}`
 		}
-	}))
-	t.Cleanup(srv.Close)
-	addr = strings.TrimPrefix(srv.URL, "http://")
+		return http.StatusOK, 0, `{"workflow":"cold"}`
+	})
 	return addr
 }
 
@@ -318,9 +314,9 @@ func TestShardBudgetShedsHotWorkflow(t *testing.T) {
 }
 
 // bouncingNode is a fake member that can be taken down and brought back
-// on the same address: while down it aborts every connection, which the
-// gateway's client sees as a transport failure. invokes counts the
-// invocations that reached it while up.
+// on the same address: while down it aborts every HTTP request and hangs
+// up on every invoke frame, which the gateway sees as a transport
+// failure. invokes counts the invocations that reached it while up.
 type bouncingNode struct {
 	addr    string
 	down    atomic.Bool
@@ -330,19 +326,18 @@ type bouncingNode struct {
 func newBouncingNode(t *testing.T) *bouncingNode {
 	t.Helper()
 	n := &bouncingNode{}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch {
-		case n.down.Load():
+	n.addr = frameNode(t, func(w http.ResponseWriter, r *http.Request) {
+		if n.down.Load() {
 			panic(http.ErrAbortHandler)
-		case r.URL.Path == "/cluster":
-			json.NewEncoder(w).Encode(cluster.NodeInfo{ID: n.addr, Capacity: 4})
-		default:
-			n.invokes.Add(1)
-			io.WriteString(w, `{"workflow":"wc"}`)
 		}
-	}))
-	t.Cleanup(srv.Close)
-	n.addr = strings.TrimPrefix(srv.URL, "http://")
+		json.NewEncoder(w).Encode(cluster.NodeInfo{ID: n.addr, Capacity: 4})
+	}, func(string, string) (int, int, string) {
+		if n.down.Load() {
+			return 0, 0, ""
+		}
+		n.invokes.Add(1)
+		return http.StatusOK, 0, `{"workflow":"wc"}`
+	})
 	return n
 }
 

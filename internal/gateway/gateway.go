@@ -1,9 +1,11 @@
 // Package gateway implements the front door of an AlloyStack deployment
 // (paper Figure 4): invocations arrive at the gateway and are
 // load-balanced across AlloyStack processes, each of which runs a
-// watchdog HTTP server. One routing path serves every request: take the
-// workflow's shard token, order the backends (order), try them under one
-// failover policy (walk), relay what the node said. Each backend carries
+// watchdog. One routing path serves every request: take the workflow's
+// shard token, order the backends (order), try them under one failover
+// policy (walk), relay what the node said. The hop to a watchdog is an
+// invoke frame over a kept-open connection (xfer.InvokeConn), pooled
+// per backend; HTTP is only the public edge. Each backend carries
 // a small circuit breaker: one that fails transport-level or repeatedly
 // returns 5xx is marked down for a cooldown and tried last, half-open,
 // so a recovered backend rejoins at once and a full outage still
@@ -14,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -25,21 +26,80 @@ import (
 	"alloystack/internal/cluster"
 	"alloystack/internal/faults"
 	"alloystack/internal/metrics"
+	"alloystack/internal/xfer"
 )
 
 // Errors returned by the gateway.
 var (
 	ErrNoBackends = errors.New("gateway: no backends configured")
 	ErrAllDown    = errors.New("gateway: all backends failed")
+	ErrTooLong    = errors.New("gateway: workflow name or query over the invoke frame's cap")
 )
 
-// backendState is one watchdog backend plus its breaker state.
+// backendState is one watchdog backend: its breaker state and its idle
+// framed connections.
 type backendState struct {
 	addr string
 
 	mu        sync.Mutex
 	fails     int // consecutive status-level failures
 	downUntil time.Time
+	idle      []*xfer.InvokeConn // most recently used last
+}
+
+// maxIdle bounds the idle connections kept per backend; one returned
+// past it is closed.
+const maxIdle = 64
+
+// take checks an idle connection out, nil when there is none.
+func (b *backendState) take() *xfer.InvokeConn {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := len(b.idle)
+	if n == 0 {
+		return nil
+	}
+	c := b.idle[n-1]
+	b.idle[n-1] = nil
+	b.idle = b.idle[:n-1]
+	return c
+}
+
+// put returns a connection whose last exchange completed.
+func (b *backendState) put(c *xfer.InvokeConn) {
+	b.mu.Lock()
+	if len(b.idle) < maxIdle {
+		b.idle = append(b.idle, c)
+		c = nil
+	}
+	b.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// offer pools c if b has no idle connection, and closes it otherwise.
+func (b *backendState) offer(c *xfer.InvokeConn) {
+	b.mu.Lock()
+	if len(b.idle) == 0 {
+		b.idle = append(b.idle, c)
+		c = nil
+	}
+	b.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// closeIdle closes every idle connection.
+func (b *backendState) closeIdle() {
+	b.mu.Lock()
+	idle := b.idle
+	b.idle = nil
+	b.mu.Unlock()
+	for _, c := range idle {
+		c.Close()
+	}
 }
 
 // isDown reports whether the breaker is open: the backend is tried
@@ -83,7 +143,8 @@ type Gateway struct {
 	backends []*backendState
 	states   map[string]*backendState // backends by address
 	next     atomic.Uint64
-	client   *http.Client
+	// dial opens a framed connection to a backend.
+	dial func(addr string) (*xfer.InvokeConn, error)
 
 	// Cooldown is how long a tripped breaker stays open (default 500ms).
 	Cooldown time.Duration //asvet:allow unreachable -- the seam tests shorten or stretch breaker time through
@@ -127,7 +188,7 @@ func New(backends ...string) (*Gateway, error) {
 	g := &Gateway{
 		backends: make([]*backendState, len(backends)),
 		states:   make(map[string]*backendState, len(backends)),
-		client:   &http.Client{Timeout: 5 * time.Minute},
+		dial:     dialBackend,
 		Cluster:  cluster.NewRouter(cluster.Config{}),
 		lat:      metrics.NewHistogram(),
 	}
@@ -168,6 +229,20 @@ const (
 	outcomeShed             // 429: backend saturated, fail over but keep the breaker closed
 )
 
+// The bounds on dialling a backend and on polling it.
+const (
+	dialTimeout = 2 * time.Second
+	pollTimeout = 2 * time.Second
+)
+
+// requestTimeout bounds one invoke exchange with a backend, as the
+// connection's deadline.
+var requestTimeout = 5 * time.Minute
+
+func dialBackend(addr string) (*xfer.InvokeConn, error) {
+	return xfer.DialInvoke(addr, dialTimeout)
+}
+
 func (g *Gateway) forward(b *backendState, workflow, rawQuery string) (reply, error, int) {
 	now := time.Now()
 	if g.Faults != nil {
@@ -176,43 +251,71 @@ func (g *Gateway) forward(b *backendState, workflow, rawQuery string) (reply, er
 			return reply{}, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
 		}
 	}
-	url := fmt.Sprintf("http://%s/invoke/%s", b.addr, workflow)
-	if rawQuery != "" {
-		url += "?" + rawQuery
-	}
-	resp, err := g.client.Post(url, "application/json", nil)
+	rep, err := g.exchange(b, workflow, rawQuery)
 	if err != nil {
 		b.markDown(g.cooldown(), now)
 		return reply{}, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		b.markDown(g.cooldown(), now)
-		return reply{}, fmt.Errorf("gateway: backend %s: %w", b.addr, err), outcomeTransport
-	}
-	rep := reply{status: resp.StatusCode, body: body}
 	switch {
-	case resp.StatusCode < 300:
+	case rep.status < 300:
 		b.markUp()
 		return rep, nil, outcomeOK
-	case resp.StatusCode >= 500:
+	case rep.status >= 500:
 		b.noteFail(g.failThreshold(), g.cooldown(), now)
-		return rep, fmt.Errorf("gateway: backend %s: status %d", b.addr, resp.StatusCode), outcomeBackend
-	case resp.StatusCode == http.StatusTooManyRequests:
+		return rep, fmt.Errorf("gateway: backend %s: status %d", b.addr, rep.status), outcomeBackend
+	case rep.status == http.StatusTooManyRequests:
 		// Admission control shed the request: the backend is healthy,
 		// just saturated. Spill to the next backend without tripping
 		// the breaker; if every backend sheds, the caller gets the 429
 		// and its Retry-After back.
 		b.markUp()
 		g.shed.Add(1)
-		rep.retryAfter, _ = strconv.Atoi(resp.Header.Get("Retry-After")) // no usable hint reads as none
 		return rep, fmt.Errorf("gateway: backend %s: shed (429)", b.addr), outcomeShed
 	default:
 		// The backend answered coherently; the request is the problem.
 		b.markUp()
-		return rep, fmt.Errorf("gateway: backend %s: status %d", b.addr, resp.StatusCode), outcomeApp
+		return rep, fmt.Errorf("gateway: backend %s: status %d", b.addr, rep.status), outcomeApp
 	}
+}
+
+// exchange sends one invoke frame to b and reads its reply, over an
+// idle connection when b has one and a fresh one otherwise. A reused
+// connection that fails before the reply's first byte was most likely
+// closed by the backend while it sat idle (a stop, a restart), so it is
+// replaced by one fresh dial; a failure after that byte, or on a fresh
+// connection, is the transport failure.
+func (g *Gateway) exchange(b *backendState, workflow, rawQuery string) (reply, error) {
+	c, reused := b.take(), true
+	if c == nil {
+		var err error
+		if c, err = g.dial(b.addr); err != nil {
+			return reply{}, err
+		}
+		reused = false
+	}
+	rep, err := roundTrip(b, c, workflow, rawQuery)
+	if err != nil && reused && errors.Is(err, xfer.ErrNoReply) {
+		if c, err = g.dial(b.addr); err == nil {
+			rep, err = roundTrip(b, c, workflow, rawQuery)
+		}
+	}
+	return rep, err
+}
+
+// roundTrip is one exchange on c under the per-request bound. c goes
+// back to b's idle set after a reply and is closed after a failure.
+func roundTrip(b *backendState, c *xfer.InvokeConn, workflow, rawQuery string) (reply, error) {
+	var r xfer.InvokeReply
+	err := c.SetDeadline(time.Now().Add(requestTimeout))
+	if err == nil {
+		r, err = c.Invoke(workflow, rawQuery)
+	}
+	if err != nil {
+		c.Close()
+		return reply{}, err
+	}
+	b.put(c)
+	return reply{status: r.Status, body: r.Body, retryAfter: r.RetryAfter}, nil
 }
 
 // Invoke forwards one invocation and returns the serving backend's
@@ -230,13 +333,19 @@ func (g *Gateway) InvokeQuery(workflow, rawQuery string) ([]byte, error) {
 }
 
 // route is the gateway's one request path: shard token, order, walk.
-// A reply with a body is what a backend said, error or not; a reply
-// without one means the request was shed here (*cluster.ShardBudgetError)
-// or no backend could be reached (ErrAllDown).
+// A reply with a body is what a backend said, error or not, or the 414
+// for a request no invoke frame can carry (ErrTooLong); a reply without
+// one means the request was shed here (*cluster.ShardBudgetError) or no
+// backend could be reached (ErrAllDown).
 func (g *Gateway) route(workflow, rawQuery string) (reply, error) {
 	g.requests.Add(1)
 	reqStart := time.Now()
 	defer func() { g.lat.Observe(time.Since(reqStart)) }()
+	if len(workflow) > xfer.MaxInvokeName || len(rawQuery) > xfer.MaxInvokeQuery {
+		// No frame can carry it: refuse it here, in the watchdogs' shape.
+		body, _ := json.Marshal(map[string]string{"workflow": workflow, "error": ErrTooLong.Error()}) // cannot fail: two strings
+		return reply{status: http.StatusRequestURITooLong, body: body}, ErrTooLong
+	}
 	release, err := g.Cluster.Admit(workflow)
 	if err != nil {
 		g.shed.Add(1)
@@ -339,9 +448,8 @@ func (g *Gateway) BackendStatus() map[string]bool {
 // the pre-warms the refreshed view calls for. Returns the post-poll
 // breaker status.
 func (g *Gateway) CheckHealth() map[string]bool {
-	client := &http.Client{Timeout: 2 * time.Second}
 	for _, b := range g.backends {
-		g.poll(client, b)
+		g.poll(b)
 	}
 	g.PrewarmSweep()
 	return g.BackendStatus()
@@ -484,13 +592,12 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // Stop shuts the gateway's HTTP server and health prober down and
-// closes the client's idle connections (the client rides
-// http.DefaultTransport, so other clients' idle connections go too and
-// are re-dialled on use): a backend's graceful Shutdown waits five
-// seconds on a connection that was dialled and never used.
+// closes its idle backend connections.
 func (g *Gateway) Stop() error {
 	g.StopHealthLoop()
-	g.client.CloseIdleConnections()
+	for _, b := range g.backends {
+		b.closeIdle()
+	}
 	if g.srv == nil {
 		return nil
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +20,12 @@ import (
 // startBackend spins one visor+watchdog with a trivial workflow;
 // configure hooks run before it starts.
 func startBackend(t *testing.T, configure ...func(*visor.Watchdog)) *visor.Watchdog {
+	t.Helper()
+	return startBackendAt(t, "127.0.0.1:0", configure...)
+}
+
+// startBackendAt is startBackend listening on addr.
+func startBackendAt(t *testing.T, addr string, configure ...func(*visor.Watchdog)) *visor.Watchdog {
 	t.Helper()
 	r := visor.NewRegistry()
 	r.RegisterNative("noop", func(env *asstd.Env, ctx visor.FuncContext) error {
@@ -44,7 +49,7 @@ func startBackend(t *testing.T, configure ...func(*visor.Watchdog)) *visor.Watch
 	for _, c := range configure {
 		c(wd)
 	}
-	if _, err := wd.Start("127.0.0.1:0"); err != nil {
+	if _, err := wd.Start(addr); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { wd.Stop() })
@@ -158,13 +163,12 @@ func TestGatewayHTTPFrontEnd(t *testing.T) {
 // A backend answering 5xx is failed over and, at the threshold, marked
 // down and excluded from the rotation.
 func TestFailoverOnBackend5xx(t *testing.T) {
-	sick := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"internal"}`, http.StatusServiceUnavailable)
-	}))
-	defer sick.Close()
+	sick := frameNode(t, nil, func(string, string) (int, int, string) {
+		return http.StatusServiceUnavailable, 0, `{"error":"internal"}` + "\n"
+	})
 	healthy := startBackend(t)
 
-	g, err := New(strings.TrimPrefix(sick.URL, "http://"), healthy.Addr())
+	g, err := New(sick, healthy.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +192,7 @@ func TestFailoverOnBackend5xx(t *testing.T) {
 		t.Fatalf("healthy backend served %d/6", healthy.Completed())
 	}
 	status := g.BackendStatus()
-	if status[strings.TrimPrefix(sick.URL, "http://")] {
+	if status[sick] {
 		t.Fatal("5xx backend not marked down")
 	}
 	if !status[healthy.Addr()] {
@@ -202,15 +206,12 @@ func TestFailoverOnBackend5xx(t *testing.T) {
 // When every backend answers 5xx the application response is surfaced,
 // not ErrAllDown.
 func TestAll5xxSurfacesBody(t *testing.T) {
-	mk := func() *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, `{"error":"exploded"}`, http.StatusInternalServerError)
-		}))
+	mk := func() string {
+		return frameNode(t, nil, func(string, string) (int, int, string) {
+			return http.StatusInternalServerError, 0, `{"error":"exploded"}` + "\n"
+		})
 	}
-	s1, s2 := mk(), mk()
-	defer s1.Close()
-	defer s2.Close()
-	g, err := New(strings.TrimPrefix(s1.URL, "http://"), strings.TrimPrefix(s2.URL, "http://"))
+	g, err := New(mk(), mk())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,44 +4,70 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"alloystack/internal/cluster"
+	"alloystack/internal/xfer"
 )
 
-// scripted is a socket-free http.RoundTripper: each host answers from
-// its script, one entry per try (the last entry repeats). An entry is an
-// HTTP status, or 0 for a transport failure; 429s carry the host's
-// Retry-After.
+// scripted is a socket-free fleet behind the gateway's dial seam: each
+// host serves invoke frames over net.Pipe from its script, one entry per
+// try (the last entry repeats). An entry is a status, or 0 for a
+// transport failure: a refused dial, or a hang-up on a pooled
+// connection, after which the gateway's re-dial takes the entry. 429s
+// carry the host's Retry-After.
 type scripted struct {
+	mu         sync.Mutex
 	script     map[string][]int
-	retryAfter map[string]string
+	retryAfter map[string]int
 	tried      []string
 }
 
-func (s *scripted) RoundTrip(r *http.Request) (*http.Response, error) {
-	host := r.URL.Host
+// head is host's next entry.
+func (s *scripted) head(host string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.script[host][0]
+}
+
+// try records a try on host and takes its entry.
+func (s *scripted) try(host string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.tried = append(s.tried, host)
 	status := s.script[host][0]
 	if len(s.script[host]) > 1 {
 		s.script[host] = s.script[host][1:]
 	}
-	if status == 0 {
+	return status
+}
+
+func (s *scripted) dial(host string) (*xfer.InvokeConn, error) {
+	if s.head(host) == 0 {
+		s.try(host)
 		return nil, errors.New("connection refused")
 	}
-	h := http.Header{}
-	if status == http.StatusTooManyRequests {
-		h.Set("Retry-After", s.retryAfter[host])
+	client, server := net.Pipe()
+	go s.serve(host, xfer.NewInvokeConn(server))
+	return xfer.NewInvokeConn(client), nil
+}
+
+func (s *scripted) serve(host string, c *xfer.InvokeConn) {
+	defer c.Close()
+	for {
+		if _, _, err := c.Recv(); err != nil || s.head(host) == 0 {
+			return
+		}
+		status := s.try(host)
+		if err := c.Reply(status, s.retryAfter[host], fmt.Appendf(nil, "%s said %d", host, status)); err != nil {
+			return
+		}
 	}
-	return &http.Response{
-		StatusCode: status,
-		Header:     h,
-		Body:       io.NopCloser(strings.NewReader(fmt.Sprintf("%s said %d", host, status))),
-	}, nil
 }
 
 // TestWalk pins the failover policy without sockets: ordered candidates,
@@ -55,7 +81,7 @@ func TestWalk(t *testing.T) {
 		open      []string // breakers open when the request arrives
 		threshold int      // FailThreshold (0 = default 3)
 		script    map[string][]int
-		hints     map[string]string
+		hints     map[string]int
 
 		tried     string
 		failovers int64
@@ -99,11 +125,10 @@ func TestWalk(t *testing.T) {
 			tried: "a:1 b:1 b:1", failovers: 2, status: 500, from: a},
 		{name: "fleet-wide shed surfaces 429 with the largest hint",
 			cands: []string{a, b, c}, script: map[string][]int{a: {429}, b: {429}, c: {429}},
-			hints: map[string]string{a: "3", b: "7", c: "2"},
+			hints: map[string]int{a: 3, b: 7, c: 2},
 			tried: "a:1 b:1 c:1", failovers: 2, status: 429, from: c, hint: 7},
 		{name: "shed does not trip the breaker",
 			cands: []string{a}, threshold: 1, script: map[string][]int{a: {429}},
-			hints: map[string]string{a: "soon"},
 			tried: "a:1", status: 429, from: a},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -112,7 +137,8 @@ func TestWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt := &scripted{script: tc.script, retryAfter: tc.hints}
-			g.client = &http.Client{Transport: rt}
+			g.dial = rt.dial
+			t.Cleanup(func() { g.Stop() })
 			g.Cooldown, g.FailThreshold = time.Hour, tc.threshold
 			for _, addr := range tc.open {
 				g.states[addr].markDown(g.cooldown(), time.Now())
@@ -163,19 +189,18 @@ func TestStatusRelay(t *testing.T) {
 		t.Run(fmt.Sprint(status), func(t *testing.T) {
 			body := fmt.Sprintf(`{"workflow":"wf","error":"node says %d"}`+"\n", status)
 			node := func() string {
-				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				return frameNode(t, func(w http.ResponseWriter, r *http.Request) {
 					if r.URL.Path == "/cluster" {
 						io.WriteString(w, `{"id":"`+r.Host+`"}`)
 						return
 					}
+					http.NotFound(w, r)
+				}, func(string, string) (int, int, string) {
 					if status == http.StatusTooManyRequests {
-						w.Header().Set("Retry-After", "4")
+						return status, 4, body
 					}
-					w.WriteHeader(status)
-					io.WriteString(w, body)
-				}))
-				t.Cleanup(srv.Close)
-				return strings.TrimPrefix(srv.URL, "http://")
+					return status, 0, body
+				})
 			}
 			n1, n2 := node(), node()
 			wantHint := ""

@@ -21,6 +21,7 @@ import (
 	"alloystack/internal/pool"
 	"alloystack/internal/sched"
 	"alloystack/internal/trace"
+	"alloystack/internal/xfer"
 )
 
 // Watchdog is the HTTP server that listens for external invocation
@@ -79,6 +80,7 @@ type Watchdog struct {
 
 	srv       *http.Server
 	ln        net.Listener
+	frames    *frameSet // the gateways' upgraded connections
 	inflight  atomic.Int64
 	completed atomic.Int64
 	failures  atomic.Int64
@@ -136,8 +138,10 @@ func (wd *Watchdog) Start(addr string) (string, error) {
 		return "", err
 	}
 	wd.ln = ln
+	wd.frames = &frameSet{conns: make(map[*framed]struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/invoke/", wd.handleInvoke)
+	mux.HandleFunc(xfer.InvokePath, wd.handleFrames)
 	mux.HandleFunc("/healthz", wd.handleHealth)
 	mux.HandleFunc("/workflows", wd.handleList)
 	mux.HandleFunc("/pools", wd.handlePools)
@@ -166,7 +170,9 @@ const stopGrace = 10 * time.Second
 
 // Stop shuts the server down gracefully: in-flight invocations drain
 // for up to stopGrace before being aborted, so a node restart does not
-// kill running workflows mid-flight.
+// kill running workflows mid-flight. That holds for the gateways'
+// framed connections too: idle ones close at once, busy ones after
+// their reply.
 func (wd *Watchdog) Stop() error {
 	if wd.specLn != nil {
 		wd.specLn.Close()
@@ -177,6 +183,12 @@ func (wd *Watchdog) Stop() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), stopGrace)
 	defer cancel()
+	drained := make(chan struct{})
+	go func() {
+		wd.frames.drain(ctx)
+		close(drained)
+	}()
+	defer func() { <-drained }()
 	if err := wd.srv.Shutdown(ctx); err != nil {
 		// Grace expired with requests still running: abort them.
 		return wd.srv.Close()
@@ -205,11 +217,7 @@ func (wd *Watchdog) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := strings.TrimPrefix(r.URL.Path, "/invoke/")
-	if name == "" {
-		http.Error(w, "missing workflow name", http.StatusBadRequest)
-		return
-	}
-	wd.serve(w, r, name, nil)
+	writeAnswer(w, wd.serve(r.Context(), name, r.URL.RawQuery, nil))
 }
 
 // handleRunResume parses POST /runs/{id}/resume and replays the journal;
@@ -244,21 +252,39 @@ func (wd *Watchdog) handleRunResume(w http.ResponseWriter, r *http.Request) {
 			http.StatusConflict)
 		return
 	}
-	wd.serve(w, r, st.Workflow, st)
+	writeAnswer(w, wd.serve(r.Context(), st.Workflow, r.URL.RawQuery, st))
 }
 
 // errNoJournal answers a durable request on a node with no journal.
 var errNoJournal = errors.New("no journal configured")
 
-// serve is the node's one front end: both POST handlers end here. Build
-// the options, admit, trace, run, account, respond. st is the
-// replayed journal of the run to resume, nil for a fresh invocation.
-func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, st *journal.State) {
-	q := r.URL.Query()
-	opts, err := wd.runOptions(r.Context(), q, name, st)
+// answer is what one invocation replies, whatever carried the request:
+// the HTTP handlers and the gateway's invoke frames both render it.
+type answer struct {
+	status     int
+	retryAfter int // the Retry-After hint in seconds, 0 when none
+	resp       InvokeResponse
+	// text, when set, replaces resp with a plain-text refusal (http.Error's
+	// shape: the text and a newline).
+	text string
+}
+
+// serve is the node's one front end, free of any transport: every
+// invoke path ends here. Build the options, admit, trace, run, account,
+// answer. rawQuery is the request's URL query; ctx cancels the run when
+// the requester goes away; st is the replayed journal of the run to
+// resume, nil for a fresh invocation.
+func (wd *Watchdog) serve(ctx context.Context, name, rawQuery string, st *journal.State) answer {
+	if name == "" {
+		return answer{status: http.StatusBadRequest, text: "missing workflow name"}
+	}
+	var q url.Values // nil reads as empty: no map for the common bare invoke
+	if rawQuery != "" {
+		q, _ = url.ParseQuery(rawQuery) // what r.URL.Query() keeps of a malformed query
+	}
+	opts, err := wd.runOptions(ctx, q, name, st)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotImplemented)
-		return
+		return answer{status: http.StatusNotImplemented, text: err.Error()}
 	}
 	// Admission. A shed request gets 429 and a Retry-After hint (at
 	// least a second), so well-behaved clients back off and the gateway
@@ -267,9 +293,11 @@ func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, s
 		grant, err := wd.Sched.Admit(opts.Ctx, name, opts.Deadline)
 		if err != nil {
 			wd.shed.Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(int(wd.Sched.RetryAfter()/time.Second)))
-			writeJSON(w, http.StatusTooManyRequests, InvokeResponse{Workflow: name, Error: err.Error()})
-			return
+			return answer{
+				status:     http.StatusTooManyRequests,
+				retryAfter: int(wd.Sched.RetryAfter() / time.Second),
+				resp:       InvokeResponse{Workflow: name, Error: err.Error()},
+			}
 		}
 		defer grant.Release()
 		opts.QueueWait = grant.Wait
@@ -309,7 +337,19 @@ func (wd *Watchdog) serve(w http.ResponseWriter, r *http.Request, name string, s
 			resp.Trace = data
 		}
 	}
-	writeJSON(w, statusOf(err), resp)
+	return answer{status: statusOf(err), resp: resp}
+}
+
+// writeAnswer renders a over HTTP.
+func writeAnswer(w http.ResponseWriter, a answer) {
+	if a.text != "" {
+		http.Error(w, a.text, a.status)
+		return
+	}
+	if a.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(a.retryAfter))
+	}
+	writeJSON(w, a.status, a.resp)
 }
 
 // writeJSON sends v as the JSON reply with the given status.

@@ -24,10 +24,10 @@ go test -short ./...
 # fails here; no number is read.
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
 # Short fuzz budgets past each committed corpus: the two ASVM engines,
-# the payload-pattern kernels, the kvstore and framed-xfer decoders, the
-# journal's replay, dag.Parse, metrics.ParseProm and fatfs.Mount of a
-# mutated image; a crasher fails the build and is left under the
-# package's testdata/fuzz/ to be committed as a test.
+# the payload-pattern kernels, the kvstore, spec-server and invoke-frame
+# decoders, the journal's replay, dag.Parse, metrics.ParseProm and
+# fatfs.Mount of a mutated image; a crasher fails the build and is left
+# under the package's testdata/fuzz/ to be committed as a test.
 make fuzz-smoke
 # The ./internal/... wildcard includes internal/cluster and the
 # gateway's cluster plane: rendezvous routing, membership, shard
@@ -41,6 +41,14 @@ go test -race -count=1 ./internal/...
 # another user takes the array in between, which one pass rarely hits.
 # Re-run the recycling tests under -race.
 go test -race -count=20 -run 'Recycled|ReleaseContract' ./internal/asvm ./internal/xfer
+# The gateway→watchdog hop keeps framed connections per backend and
+# hands them between requests; the watchdog reads the next frame while
+# it serves the last and drains them itself on Stop. A reply delivered
+# to the wrong request, a re-dial rule applied after the reply began or
+# a drain that drops an in-flight run shows only under some
+# interleavings, so re-run the pool, drain and cross-talk tests.
+go test -race -count=20 -run 'Redial|RetryAfterFirstReplyByte|RequestTimeoutIsConnectionDeadline|RestartedBackend|StopDuringFramedInvoke|NoCrossTalk|StopReleasesBackendConnections|StopClosesItsConnections' ./internal/gateway
+go test -race -count=20 -run 'FrameStopDrains|DroppedFrameConnection' ./internal/visor
 # A dialer whose peer writes and closes at once can see the data and
 # FIN land before its handshake wait wakes; Dial once reported that
 # success as a timeout, one run in ten under -race. One -count=1 pass
