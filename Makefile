@@ -28,18 +28,17 @@ test:
 # corpus and the fixed-seed property test `make test` already replays,
 # then the payload-pattern kernels (internal/workloads) five seconds
 # against their per-byte formula, then the wire decoders that read
-# bytes from a peer (the kvstore command reader, xfer's spec-server
-# frames and the gateway→watchdog invoke frames), the journal's replay, dag.Parse (which reads specs a
-# peer's spec server sends), metrics.ParseProm (which reads a node's
-# /metrics for asctl top) and fatfs.Mount of a mutated disk image five
-# seconds each. A crasher is written
-# under the package's testdata/fuzz/ and becomes a regression test by
-# being committed.
+# bytes from a peer (the kvstore command reader and the
+# gateway→watchdog invoke frames), the journal's replay, dag.Parse
+# (which reads the specs a peer's watchdog sends), metrics.ParseProm
+# (which reads a node's /metrics for asctl top) and fatfs.Mount of a
+# mutated disk image five seconds each. A crasher is written under the
+# package's testdata/fuzz/ and becomes a regression test by being
+# committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnginesAgree -fuzztime 10s ./internal/asvm
 	$(GO) test -run '^$$' -fuzz FuzzPattern -fuzztime 5s ./internal/workloads
 	$(GO) test -run '^$$' -fuzz FuzzKVCommand -fuzztime 5s ./internal/kvstore
-	$(GO) test -run '^$$' -fuzz FuzzNetFrame -fuzztime 5s ./internal/xfer
 	$(GO) test -run '^$$' -fuzz FuzzInvokeFrame -fuzztime 5s ./internal/xfer
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 5s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzDAGParse -fuzztime 5s ./internal/dag

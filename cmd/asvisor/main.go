@@ -52,7 +52,6 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "gateway mode: health/membership poll interval")
 	shardBudget := flag.Int("shard-budget", 0, "gateway mode: per-workflow concurrent token budget (0 = unlimited)")
 	nodeID := flag.String("node-id", "", "stable node identity advertised on /cluster (default: the listen address)")
-	specListen := flag.String("spec-listen", "127.0.0.1:0", "spec-server listen address for peer pre-warm pulls (empty = off)")
 	dir := flag.String("workflows", "", "directory of workflow JSON configs")
 	inputSize := flag.Int64("input-size", 4<<20, "synthetic input size for file-reading workflows")
 	costScale := flag.Float64("cost-scale", 1.0, "injected platform-cost scale")
@@ -261,13 +260,6 @@ func main() {
 	addr, err := wd.Start(*listen)
 	if err != nil {
 		fatal("start watchdog: %v", err)
-	}
-	if *specListen != "" {
-		specAddr, err := wd.StartSpecServer(*specListen)
-		if err != nil {
-			fatal("start spec server: %v", err)
-		}
-		fmt.Printf("spec server on %s (peer pre-warm pulls)\n", specAddr)
 	}
 	fmt.Printf("asvisor listening on http://%s (POST /invoke/{workflow})\n", addr)
 

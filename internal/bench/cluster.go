@@ -245,7 +245,7 @@ func clusterShed(o Options) (shedStats, error) {
 }
 
 // startClusterFleet boots n visor nodes with the full cluster surface:
-// watchdog HTTP, spec server, pool manager and pre-warm builder. The
+// watchdog HTTP, pool manager and pre-warm builder. The
 // "cluster-noop" native function backs every workflow the experiment
 // registers.
 func startClusterFleet(n int) (nodes []*visor.Watchdog, addrs []string, stop func(), err error) {
@@ -284,11 +284,6 @@ func startClusterFleet(n int) (nodes []*visor.Watchdog, addrs []string, stop fun
 			}, pool.Config{Min: 2, Max: 8, RefillEvery: 2 * time.Millisecond, Seed: 1}, true
 		}
 		if _, err := wd.Start("127.0.0.1:0"); err != nil {
-			stop()
-			return nil, nil, nil, err
-		}
-		if _, err := wd.StartSpecServer("127.0.0.1:0"); err != nil {
-			wd.Stop()
 			stop()
 			return nil, nil, nil, err
 		}

@@ -22,10 +22,10 @@
 //
 // Warm-placement assist rides on top: when the hash ranks a node that
 // lacks a warm template, Router.PrewarmPlans names the target and the
-// owning node's spec-server address so the gateway can trigger
-// POST /pools/prewarm — the target pulls the workflow spec over the
-// framed net transport and builds + seals its own pool before traffic
-// lands.
+// owning node's watchdog address so the gateway can trigger
+// POST /pools/prewarm — the target pulls the workflow spec with
+// GET /workflows/{name} from the owner and builds + seals its own pool
+// before traffic lands.
 //
 // The package is clock-injected throughout (asvet's wallclock analyzer
 // scopes it): ranking is pure hashing, membership staleness and
@@ -42,7 +42,9 @@ type WarmAd struct {
 	Warm     int    `json:"warm"`
 }
 
-// NodeInfo is the self-report a watchdog serves on GET /cluster.
+// NodeInfo is the self-report a watchdog serves on GET /cluster. It
+// names no address: the one the gateway polled is where the node takes
+// invokes and where a peer pulls its specs (GET /workflows/{name}).
 type NodeInfo struct {
 	// ID is the node's routing identity. It must be stable across the
 	// node's lifetime; the watchdog defaults it to the listen address.
@@ -55,9 +57,6 @@ type NodeInfo struct {
 	// Degraded mirrors /healthz: the node serves, but a workflow is
 	// inside an SLO breach. Ranking damps degraded nodes.
 	Degraded bool `json:"degraded,omitempty"`
-	// SpecAddr is the node's framed spec-server address, from which a
-	// peer can pull workflow specs for pre-warming ("" = not serving).
-	SpecAddr string `json:"spec_addr,omitempty"`
 	// Warm lists the workflows this node holds sealed templates for,
 	// sorted by workflow name.
 	Warm []WarmAd `json:"warm,omitempty"`

@@ -258,8 +258,8 @@ func TestRouterPrewarmPlanAndHitRate(t *testing.T) {
 	if len(plans) != 1 {
 		t.Fatalf("plans = %v, want exactly one", plans)
 	}
-	if plans[0].Workflow != "wc" || plans[0].Target != top {
-		t.Errorf("plan = %+v, want target %s for wc", plans[0], top)
+	if plans[0].Workflow != "wc" || plans[0].Target != top || plans[0].Owner != second {
+		t.Errorf("plan = %+v, want target %s fed by owner %s for wc", plans[0], top, second)
 	}
 
 	// Steady state before the pre-warm lands: traffic still routes to

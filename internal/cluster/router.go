@@ -60,9 +60,6 @@ type Candidate struct {
 	Warm bool `json:"warm"`
 	// Weight is the damped rendezvous weight the ranking used.
 	Weight float64 `json:"weight"`
-
-	// specAddr is the member's spec server, for pre-warm planning.
-	specAddr string
 }
 
 // Ranking damping. A member self-reporting SLO-degraded ranks at
@@ -116,11 +113,10 @@ func (r *Router) Route(workflow string) []Candidate {
 	for i, rk := range ranked {
 		m := byID[rk.ID]
 		out[i] = Candidate{
-			Addr:     m.Addr,
-			ID:       rk.ID,
-			Warm:     m.Info.HasWarm(workflow),
-			Weight:   rk.Weight,
-			specAddr: m.Info.SpecAddr,
+			Addr:   m.Addr,
+			ID:     rk.ID,
+			Warm:   m.Info.HasWarm(workflow),
+			Weight: rk.Weight,
 		}
 	}
 	return out
@@ -153,16 +149,16 @@ type PrewarmPlan struct {
 	Workflow string `json:"workflow"`
 	// Target is the watchdog address that should build a pool.
 	Target string `json:"target"`
-	// OwnerSpec is the spec-server address of a live node holding the
-	// template, from which the target can pull the workflow spec (""
-	// when the target already knows the workflow).
-	OwnerSpec string `json:"owner_spec,omitempty"`
+	// Owner is the watchdog address of the highest-ranked live node
+	// holding the template: the address the gateway forwards to, from
+	// which the target pulls the workflow spec.
+	Owner string `json:"owner"`
 }
 
 // PrewarmPlans computes the pre-warms worth triggering now: for every
 // workflow some live member holds warm, if the rendezvous top for that
 // workflow lacks the template, plan a pre-warm on the top node, fed by
-// the highest-ranked warm holder's spec server.
+// the highest-ranked warm holder.
 func (r *Router) PrewarmPlans() []PrewarmPlan {
 	var plans []PrewarmPlan
 	for _, workflow := range r.members.Workflows() {
@@ -170,25 +166,12 @@ func (r *Router) PrewarmPlans() []PrewarmPlan {
 		if len(cands) < 2 || cands[0].Warm {
 			continue
 		}
-		anyWarm := false
-		ownerSpec := ""
 		for _, c := range cands[1:] {
-			if !c.Warm {
-				continue
-			}
-			anyWarm = true
-			if ownerSpec == "" {
-				ownerSpec = c.specAddr
+			if c.Warm {
+				plans = append(plans, PrewarmPlan{Workflow: workflow, Target: cands[0].Addr, Owner: c.Addr})
+				break
 			}
 		}
-		if !anyWarm {
-			continue // nothing to replicate: no node holds a template
-		}
-		plans = append(plans, PrewarmPlan{
-			Workflow:  workflow,
-			Target:    cands[0].Addr,
-			OwnerSpec: ownerSpec,
-		})
 	}
 	return plans
 }

@@ -10,6 +10,7 @@ import (
 
 	"alloystack/internal/asstd"
 	"alloystack/internal/blockdev"
+	"alloystack/internal/fatfs"
 	"alloystack/internal/mem"
 	"alloystack/internal/netstack"
 )
@@ -476,5 +477,45 @@ func TestInstantiateAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > 32<<10 {
 		t.Fatalf("Instantiate+Destroy allocates %d bytes per cycle, want <= %d", perRun, 32<<10)
+	}
+}
+
+// An image fatfs.Mount refuses is reported when a function first mounts
+// the WFD's filesystem, and left as it was: only a blank device is
+// formatted.
+func TestBadImageIsNotFormatted(t *testing.T) {
+	disk := blockdev.NewMemDisk(8 << 20)
+	if _, err := fatfs.Format(disk, fatfs.MkfsOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	boot := make([]byte, 512)
+	if err := disk.ReadAt(boot, 0); err != nil {
+		t.Fatal(err)
+	}
+	boot[511] = 0 // break the boot signature
+	if err := disk.WriteAt(boot, 0); err != nil {
+		t.Fatal(err)
+	}
+	image := func() []byte {
+		b := make([]byte, disk.Size())
+		if err := disk.ReadAt(b, 0); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := image()
+
+	w := testWFD(t, func(o *Options) { o.DiskImage = disk })
+	err := w.Run("f", func(env *asstd.Env) error {
+		if err := asstd.MountFS(env); err != nil {
+			return err
+		}
+		return asstd.WriteFile(env, "/a.txt", []byte("x"))
+	})
+	if !errors.Is(err, fatfs.ErrBadImage) {
+		t.Fatalf("file op on a bad image: err = %v, want fatfs.ErrBadImage", err)
+	}
+	if !bytes.Equal(image(), before) {
+		t.Error("the refused image was written to")
 	}
 }

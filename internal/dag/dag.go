@@ -30,8 +30,8 @@ var (
 // maxInstances caps a function's instance count. The visor launches
 // one goroutine per instance and names a slot for every
 // (producer instance, consumer instance) pair of an edge, so the count
-// a spec claims is work a node does; a spec can arrive from a peer's
-// spec server.
+// a spec claims is work a node does; a spec can arrive from a peer
+// (visor.FetchSpec).
 const maxInstances = 256
 
 // FuncSpec declares one function node of the workflow.

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzDAGParse feeds Parse bytes a peer's spec server or a workflow file
-// could hold. Parse must return a workflow or an error, never panic. An
+// FuzzDAGParse feeds Parse bytes a peer's GET /workflows/{name} reply
+// or a workflow file could hold. Parse must return a workflow or an error, never panic. An
 // accepted workflow levels into stages that hold every function exactly
 // once, each after all of its dependencies, and its JSON form parses
 // back to the same stages. The seeds are in testdata/fuzz/FuzzDAGParse.

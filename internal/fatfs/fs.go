@@ -1,6 +1,7 @@
 package fatfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -97,7 +98,8 @@ func Format(dev blockdev.Device, _ MkfsOptions) (*FS, error) {
 	return fs, fs.flushFAT()
 }
 
-// Mount reads an existing FAT32 layout from dev.
+// Mount reads an existing FAT32 layout from dev. A device whose boot
+// sector is all zero is ErrBlank.
 func Mount(dev blockdev.Device) (*FS, error) {
 	boot := make([]byte, sectorSize)
 	if err := dev.ReadAt(boot, 0); err != nil {
@@ -105,6 +107,9 @@ func Mount(dev blockdev.Device) (*FS, error) {
 	}
 	b, err := decodeBPB(boot)
 	if err != nil {
+		if bytes.Count(boot, []byte{0}) == sectorSize {
+			return nil, ErrBlank
+		}
 		return nil, err
 	}
 	if err := b.checkGeometry(dev.Size()); err != nil {

@@ -44,8 +44,8 @@ func TestFormatAndMount(t *testing.T) {
 
 func TestMountRejectsGarbage(t *testing.T) {
 	dev := blockdev.NewMemDisk(1 << 20)
-	if _, err := Mount(dev); !errors.Is(err, ErrBadImage) {
-		t.Fatalf("Mount of zeroed disk: err = %v, want ErrBadImage", err)
+	if _, err := Mount(dev); !errors.Is(err, ErrBadImage) || !errors.Is(err, ErrBlank) {
+		t.Fatalf("Mount of zeroed disk: err = %v, want ErrBlank, an ErrBadImage", err)
 	}
 }
 

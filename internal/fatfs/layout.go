@@ -51,6 +51,10 @@ var (
 	ErrNotEmpty     = errors.New("fatfs: directory not empty")
 	ErrBadImage     = errors.New("fatfs: not a FAT32 image")
 	ErrReadOnlyFile = errors.New("fatfs: file is read-only")
+
+	// ErrBlank is Mount's ErrBadImage for a device whose boot sector is
+	// all zero: nothing was ever written there, so Format loses nothing.
+	ErrBlank = fmt.Errorf("%w: blank device", ErrBadImage)
 )
 
 // bpb is the BIOS parameter block of a FAT32 volume — the subset of

@@ -92,8 +92,8 @@ type prewarmBody struct {
 
 // PrewarmSweep executes the router's current pre-warm plans: for each
 // workflow whose rendezvous top lacks a warm template, POST
-// /pools/prewarm to that node, naming a warm holder's spec server so
-// the target can pull the workflow spec it does not know. Successful
+// /pools/prewarm to that node, naming a warm holder's watchdog address
+// so the target can pull the workflow spec it does not know. Successful
 // builds re-poll the target's advertisement immediately so routing
 // reflects the new template without waiting a health-loop period.
 // Returns how many pre-warms completed.
@@ -107,7 +107,7 @@ func (g *Gateway) PrewarmSweep() int {
 		if !g.prewarmGuard(key) {
 			continue
 		}
-		body, _ := json.Marshal(prewarmBody{Workflow: plan.Workflow, From: plan.OwnerSpec})
+		body, _ := json.Marshal(prewarmBody{Workflow: plan.Workflow, From: plan.Owner})
 		resp, err := client.Post(fmt.Sprintf("http://%s/pools/prewarm", plan.Target),
 			"application/json", bytes.NewReader(body))
 		if err == nil {

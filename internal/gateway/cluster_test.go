@@ -44,8 +44,9 @@ func TestAllDownCausesPerBackend(t *testing.T) {
 }
 
 // startClusterBackend boots a full visor node with the cluster surface:
-// watchdog + spec server + pool manager + pre-warm builder. The "noop"
-// native function backs every workflow the test registers.
+// watchdog + pool manager + pre-warm builder, all on the watchdog's one
+// listener. The "noop" native function backs every workflow the test
+// registers.
 func startClusterBackend(t *testing.T) *visor.Watchdog {
 	t.Helper()
 	r := visor.NewRegistry()
@@ -76,9 +77,6 @@ func startClusterBackend(t *testing.T) *visor.Watchdog {
 	if _, err := wd.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wd.StartSpecServer("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		wd.Stop()
 		wd.Pools.StopAll()
@@ -106,8 +104,8 @@ func warmOwner(t *testing.T, wd *visor.Watchdog, name string) {
 // TestClusterWarmPlacement is the tentpole end to end: two visor
 // nodes, one owning a workflow's spec and warm template; the gateway's
 // health loop discovers the fleet, the rendezvous ring ranks the other
-// node on top, the pre-warm sweep ships the spec over the framed
-// transport and builds a pool there, and steady-state traffic then
+// node on top, the pre-warm sweep has that node pull the spec from the
+// owner's watchdog address and build a pool there, and steady-state traffic then
 // lands warm on the ring's top choice >90% of the time.
 func TestClusterWarmPlacement(t *testing.T) {
 	owner := startClusterBackend(t)
@@ -142,7 +140,7 @@ func TestClusterWarmPlacement(t *testing.T) {
 	warmOwner(t, owner, name)
 
 	// One health-loop turn: membership refresh + pre-warm sweep. The
-	// sweep must pull the spec from the owner's spec server, build the
+	// sweep must pull the spec from the owner's watchdog, build the
 	// target's pool, and re-poll so routing sees the new template.
 	g.CheckHealth()
 	if got := g.Cluster.Stats().Prewarms; got != 1 {

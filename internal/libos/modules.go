@@ -145,12 +145,13 @@ func initFatfs(e any) (loader.Instance, error) {
 			return nil, ErrNoDiskImage
 		}
 		fs, err := fatfs.Mount(l.cfg.DiskImage)
-		if err != nil {
-			// Fresh images are formatted on first mount.
+		if errors.Is(err, fatfs.ErrBlank) {
+			// A blank device is formatted on first mount; an image Mount
+			// refuses for any other reason is reported, never wiped.
 			fs, err = fatfs.Format(l.cfg.DiskImage, fatfs.MkfsOptions{})
-			if err != nil {
-				return nil, err
-			}
+		}
+		if err != nil {
+			return nil, err
 		}
 		if err := l.VFS.Mount("/", vfs.FatFS{FS: fs}); err != nil {
 			return nil, err

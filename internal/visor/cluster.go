@@ -3,33 +3,30 @@ package visor
 import (
 	"encoding/json"
 	"errors"
-	"net"
+	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
 	"alloystack/internal/cluster"
 	"alloystack/internal/dag"
 	"alloystack/internal/pool"
-	"alloystack/internal/xfer"
 )
 
-// The watchdog's cluster surface: GET /cluster advertises this node to
-// the gateway's membership poll, POST /pools/prewarm asks the node to
-// build and seal a warm pool for a workflow (pulling the spec from a
-// peer's spec server when it does not know the workflow yet), and the
-// spec server itself answers framed GETs for "spec:{workflow}" slots
-// (xfer.ServeSource).
-
-// specSlotPrefix namespaces workflow specs on the spec server.
-const specSlotPrefix = "spec:"
+// The watchdog's cluster surface, all on its one listener: GET /cluster
+// advertises this node to the gateway's membership poll, POST
+// /pools/prewarm asks the node to build and seal a warm pool for a
+// workflow (pulling the spec from a peer's GET /workflows/{name} when
+// it does not know the workflow yet), and GET /workflows/{name} serves
+// this node's specs to such peers.
 
 // ClusterInfo builds this node's advertisement for GET /cluster.
 func (wd *Watchdog) ClusterInfo() cluster.NodeInfo {
 	info := cluster.NodeInfo{
 		ID:       wd.NodeID,
 		Inflight: wd.Inflight(),
-		SpecAddr: wd.SpecAddr(),
 	}
 	if info.ID == "" {
 		info.ID = wd.Addr()
@@ -55,70 +52,46 @@ func (wd *Watchdog) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, wd.ClusterInfo())
 }
 
-// StartSpecServer listens on addr (use "127.0.0.1:0" for ephemeral)
-// and serves this node's workflow specs to peers over the framed GET
-// protocol. It returns the bound address, which the node advertises as
-// SpecAddr. Stop closes it.
-func (wd *Watchdog) StartSpecServer(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+// handleWorkflow serves GET /workflows/{name}: the registered spec as
+// JSON, which a pre-warming peer pulls with FetchSpec. 404 for an
+// unknown name.
+func (wd *Watchdog) handleWorkflow(w http.ResponseWriter, r *http.Request) {
+	wf, err := wd.visor.Workflow(strings.TrimPrefix(r.URL.Path, "/workflows/"))
 	if err != nil {
-		return "", err
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
 	}
-	wd.specLn = ln
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go func() {
-				defer conn.Close()
-				xfer.ServeSource(conn, wd.lookupSpec)
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
+	writeJSON(w, http.StatusOK, wf)
 }
 
-// SpecAddr returns the spec server's bound address ("" when not
-// started).
-func (wd *Watchdog) SpecAddr() string {
-	if wd.specLn == nil {
-		return ""
-	}
-	return wd.specLn.Addr().String()
-}
+// maxControlBody bounds a control-plane body this node reads from
+// outside: a pre-warm request, and the spec a peer answers FetchSpec
+// with. A real spec is a few KiB; past the bound the read fails with
+// *http.MaxBytesError, never with a truncated parse.
+const maxControlBody = 1 << 20
 
-// lookupSpec answers spec-server GETs: "spec:{workflow}" resolves to
-// the registered workflow's JSON.
-func (wd *Watchdog) lookupSpec(slot string) ([]byte, bool) {
-	name, ok := strings.CutPrefix(slot, specSlotPrefix)
-	if !ok {
-		return nil, false
-	}
-	w, err := wd.visor.Workflow(name)
-	if err != nil {
-		return nil, false
-	}
-	data, err := json.Marshal(w)
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
+// specClient bounds a whole spec pull, dial to last byte.
+var specClient = &http.Client{Timeout: 5 * time.Second}
 
-// FetchSpec pulls a workflow spec from a peer's spec server and parses
-// it (Parse validates, so a malformed or cyclic spec is rejected here,
-// before registration).
-func FetchSpec(specAddr, workflow string) (*dag.Workflow, error) {
-	conn, err := net.DialTimeout("tcp", specAddr, 5*time.Second)
+// FetchSpec pulls a workflow spec from the peer watchdog at addr and
+// parses it (Parse validates, so a malformed or cyclic spec is
+// rejected here, before registration). A peer that does not know the
+// workflow is ErrUnknownWorkflow.
+func FetchSpec(addr, workflow string) (*dag.Workflow, error) {
+	resp, err := specClient.Get("http://" + addr + "/workflows/" + url.PathEscape(workflow))
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	data, err := xfer.FetchFrom(conn, specSlotPrefix+workflow)
+	defer resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusNotFound:
+		return nil, fmt.Errorf("%w: %s on peer %s", ErrUnknownWorkflow, workflow, addr)
+	case resp.StatusCode != http.StatusOK:
+		return nil, fmt.Errorf("visor: spec of %s from peer %s: %s", workflow, addr, resp.Status)
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(nil, resp.Body, maxControlBody))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("visor: spec of %s from peer %s: %w", workflow, addr, err)
 	}
 	return dag.Parse(data)
 }
@@ -127,8 +100,8 @@ func FetchSpec(specAddr, workflow string) (*dag.Workflow, error) {
 type PrewarmRequest struct {
 	// Workflow names the pool to build.
 	Workflow string `json:"workflow"`
-	// From is the spec-server address of a peer that knows the
-	// workflow; consulted only when this node does not.
+	// From is the watchdog address of a peer that knows the workflow;
+	// consulted only when this node does not.
 	From string `json:"from,omitempty"`
 }
 
@@ -158,7 +131,7 @@ func (wd *Watchdog) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PrewarmRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Workflow == "" {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(&req); err != nil || req.Workflow == "" {
 		http.Error(w, "want JSON {\"workflow\": ...}", http.StatusBadRequest)
 		return
 	}

@@ -629,17 +629,16 @@ func (v *Visor) newRun(w *dag.Workflow, opts RunOptions) (*run, error) {
 
 // begin bounds the run by opts.Ctx and opts.Deadline, opens the root
 // span and starts the E2E clock. The returned cancel releases the
-// context.
+// deadline's timer. Without a deadline r.ctx is opts.Ctx itself: each
+// stage derives its own cancellable context from it (runStage).
 func (r *run) begin() context.CancelFunc {
-	ctx := r.opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	r.ctx = r.opts.Ctx
+	if r.ctx == nil {
+		r.ctx = context.Background()
 	}
-	var cancel context.CancelFunc
+	cancel := func() {}
 	if r.opts.Deadline > 0 {
-		r.ctx, cancel = context.WithTimeout(ctx, r.opts.Deadline)
-	} else {
-		r.ctx, cancel = context.WithCancel(ctx)
+		r.ctx, cancel = context.WithTimeout(r.ctx, r.opts.Deadline)
 	}
 	r.root = r.opts.Trace.Start("invoke:"+r.w.Name, trace.CatInvoke)
 	r.start = time.Now()

@@ -73,9 +73,7 @@ type Watchdog struct {
 	// flips /healthz to degraded and snapshots profiles.
 	Telemetry *Telemetry
 
-	// Cluster plane: the spec server's listener and the
-	// one-build-at-a-time pre-warm guard.
-	specLn    net.Listener
+	// prewarmMu lets one pre-warm build at a time.
 	prewarmMu sync.Mutex
 
 	srv       *http.Server
@@ -144,6 +142,7 @@ func (wd *Watchdog) Start(addr string) (string, error) {
 	mux.HandleFunc(xfer.InvokePath, wd.handleFrames)
 	mux.HandleFunc("/healthz", wd.handleHealth)
 	mux.HandleFunc("/workflows", wd.handleList)
+	mux.HandleFunc("/workflows/", wd.handleWorkflow)
 	mux.HandleFunc("/pools", wd.handlePools)
 	mux.HandleFunc("/pools/prewarm", wd.handlePrewarm)
 	mux.HandleFunc("/cluster", wd.handleCluster)
@@ -174,10 +173,6 @@ const stopGrace = 10 * time.Second
 // framed connections too: idle ones close at once, busy ones after
 // their reply.
 func (wd *Watchdog) Stop() error {
-	if wd.specLn != nil {
-		wd.specLn.Close()
-		wd.specLn = nil
-	}
 	if wd.srv == nil {
 		return nil
 	}

@@ -18,7 +18,7 @@
 // All three charge their traffic to a shared metrics.TransportStats so
 // the evaluation harness can print a copies column proving the
 // zero-copy path really makes zero copies. The package also holds the
-// spec server's framed GET protocol (ServeSource, FetchFrom).
+// framed protocol of the gateway→watchdog invoke hop (InvokeConn).
 package xfer
 
 import (

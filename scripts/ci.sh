@@ -24,7 +24,7 @@ go test -short ./...
 # fails here; no number is read.
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
 # Short fuzz budgets past each committed corpus: the two ASVM engines,
-# the payload-pattern kernels, the kvstore, spec-server and invoke-frame
+# the payload-pattern kernels, the kvstore and invoke-frame
 # decoders, the journal's replay, dag.Parse, metrics.ParseProm and
 # fatfs.Mount of a mutated image; a crasher fails the build and is left
 # under the package's testdata/fuzz/ to be committed as a test.
