@@ -11,9 +11,10 @@ all: build
 build:
 	$(GO) build $(PKGS)
 
-# vet runs stock go vet plus asvet, the repo's own analyzers (PKRU
-# pairing, raw memory gating, sentinel errors.Is, wall-clock reads in
-# deterministic packages, span lifetimes). `make lint` is an alias.
+# vet runs stock go vet plus asvet, the repo's own analyzers (raw memory
+# gating, PKRU pairing, sentinel errors.Is, wall-clock reads in
+# deterministic packages, span and lock lifetimes, lock order, goroutine
+# shutdown, unreachable code). `make lint` is an alias.
 vet:
 	$(GO) vet $(PKGS)
 	$(GO) run ./cmd/asvet $(PKGS)

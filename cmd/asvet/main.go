@@ -4,8 +4,8 @@
 // paper's §6 threat model on the host code (internal/scan's verifier
 // covers guest images) and runs as a CI gate next to go vet.
 //
-// The per-package analyzers (memgate, pkrupair, senterr, wallclock,
-// spanend, lockpair) check one type-checked package at a time; the
+// The per-package analyzers (pkrupair, senterr, wallclock, spanend,
+// lockpair) check one type-checked package at a time; the
 // module-scoped analyzers (trustflow, lockorder, goleak, unreachable)
 // load the whole module once — full bodies, dependency order, every
 // package checked exactly once — and walk the interprocedural call

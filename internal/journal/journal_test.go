@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -124,6 +126,67 @@ func TestTornTailTruncatedOnResume(t *testing.T) {
 	// admitted, commit-0, resumed, commit-1, sealed — the torn bytes gone.
 	if st3.Records != 5 || !st3.Committed[1] || !st3.Sealed {
 		t.Fatalf("post-resume replay: %+v", st3)
+	}
+}
+
+// TestFlippedByteEndsReplay: a committed record whose payload has one
+// byte changed fails its CRC and ends replay at that record, as a torn
+// tail does, and Resume truncates it. The flip keeps the JSON valid
+// (commit-1 reads commit-7), so only the CRC can refuse it.
+func TestFlippedByteEndsReplay(t *testing.T) {
+	s := openStore(t)
+	run, err := s.Begin("rot", testWorkflow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stage := 0; stage < 2; stage++ {
+		if err := run.StageCommitted(stage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run.Close()
+
+	// Frames: admitted, commit-0, commit-1. Flip a byte of the third.
+	path := s.journalPath("rot")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 0
+	for i := 0; i < 2; i++ {
+		off += 8 + int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	payload := data[off+8 : off+8+int(binary.LittleEndian.Uint32(data[off:]))]
+	i := bytes.Index(payload, []byte(`"stage":1`))
+	if i < 0 {
+		t.Fatalf("third record is not commit-1: %s", payload)
+	}
+	payload[i+len(`"stage":`)] = '7'
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := s.Load("rot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 2 || !st.Committed[0] || st.Committed[1] || st.Committed[7] {
+		t.Fatalf("replay past a corrupt record: %+v", st)
+	}
+	run2, _, err := s.Resume("rot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run2.Seal("ok"); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := s.Load("rot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// admitted, commit-0, resumed, sealed — the corrupt record gone.
+	if st2.Records != 4 || st2.Committed[1] || st2.Committed[7] || !st2.Sealed {
+		t.Fatalf("post-resume replay: %+v", st2)
 	}
 }
 

@@ -65,7 +65,7 @@ type CGNode struct {
 	In      []*CGEdge
 }
 
-// CGEdge is one may-call relationship.
+// CGEdge is one may-call relationship at one site.
 type CGEdge struct {
 	From, To *CGNode
 	Pos      token.Pos // call, reference, or dispatch-origin site
@@ -114,14 +114,11 @@ func (g *CallGraph) node(fn *types.Func) *CGNode {
 	return n
 }
 
+// addEdge records one edge per site, so an analyzer reporting edges
+// reports every site and a waiver on one covers no other.
 func (g *CallGraph) addEdge(from, to *CGNode, pos token.Pos, kind EdgeKind) {
 	if from == nil || to == nil || from == to {
 		return
-	}
-	for _, e := range from.Out {
-		if e.To == to && e.Kind == kind {
-			return // keep the first witness per (target, kind)
-		}
 	}
 	e := &CGEdge{From: from, To: to, Pos: pos, Kind: kind}
 	from.Out = append(from.Out, e)
@@ -267,23 +264,28 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 // (the selector case handles them) so each use is seen exactly once.
 func resolveFuncUse(info *types.Info, parents map[ast.Node]ast.Node, n ast.Node) (fn *types.Func, pos token.Pos, inCallPos bool) {
 	callPosition := func(e ast.Expr) bool {
-		p := parents[e]
+		// Climb parentheses and generic instantiations, f[T] and
+		// (f)[T] alike, to the expression a call would hold as Fun.
 		for {
-			par, ok := p.(*ast.ParenExpr)
-			if !ok {
-				break
+			switch p := parents[e].(type) {
+			case *ast.ParenExpr:
+				e = p
+				continue
+			case *ast.IndexExpr:
+				if p.X == e {
+					e = p
+					continue
+				}
+			case *ast.IndexListExpr:
+				if p.X == e {
+					e = p
+					continue
+				}
 			}
-			e, p = par, parents[par]
+			break
 		}
-		// Generic instantiation f[T](...) in call position.
-		if ix, ok := p.(*ast.IndexExpr); ok && ix.X == e {
-			e, p = ix, parents[ix]
-		}
-		if ixl, ok := p.(*ast.IndexListExpr); ok && ixl.X == e {
-			e, p = ixl, parents[ixl]
-		}
-		call, ok := p.(*ast.CallExpr)
-		return ok && unparen(call.Fun) == e
+		call, ok := parents[e].(*ast.CallExpr)
+		return ok && call.Fun == e
 	}
 
 	switch n := n.(type) {

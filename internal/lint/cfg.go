@@ -5,8 +5,9 @@ import (
 	"go/token"
 )
 
-// The analyzers that must reason "on all control-flow paths" (lockpair,
-// pkrupair, spanend) share this statement-level control-flow graph.
+// The obligation engine behind lockpair, pkrupair and spanend reasons
+// "on all control-flow paths" over this statement-level control-flow
+// graph.
 // Blocks hold the *atomic* pieces of each statement — compound
 // statements (if, for, switch, ...) contribute their init/cond
 // expressions to the current block and route their bodies through
@@ -189,7 +190,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		head := b.cur
 		join := b.newBlock()
 		b.breaks = append(b.breaks, cfgTarget{label: label, block: join})
-		hasDefault := false
+		// A select blocks until a case is ready: no fall-through edge,
+		// default clause or not.
 		for _, c := range s.Body.List {
 			comm := c.(*ast.CommClause)
 			blk := b.newBlock()
@@ -197,15 +199,12 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			b.cur = blk
 			if comm.Comm != nil {
 				b.stmt(comm.Comm)
-			} else {
-				hasDefault = true
 			}
 			for _, inner := range comm.Body {
 				b.stmt(inner)
 			}
 			b.edge(b.cur, join)
 		}
-		_ = hasDefault // select blocks until a case is ready; no fall-through edge
 		b.breaks = b.breaks[:len(b.breaks)-1]
 		if len(s.Body.List) == 0 {
 			// select{} blocks forever.
@@ -419,8 +418,8 @@ func (c *funcCFG) reachesExitWithout(start ast.Node, ok func(ast.Node) bool) boo
 	return false
 }
 
-// released answers the question lockpair, spanend and pkrupair each
-// ask of an obligation taken at start: is it released by a defer, or
+// released answers the question the obligation engine (obligation.go)
+// asks of an acquisition at start: is it released by a defer, or
 // else on every path to the function's exit? A deferred call holding a
 // node release accepts covers every exit (a deferred closure's body
 // included, since it runs at exit); otherwise each path from start must

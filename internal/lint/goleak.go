@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // GoLeak proves that background goroutines in the long-lived packages
@@ -252,31 +251,8 @@ func isTerminationCall(info *types.Info, call *ast.CallExpr) bool {
 	if !ok {
 		return false
 	}
-	if fn.Name() == "Err" {
-		if recv := recvNamed(fn); recv != "" && strings.HasSuffix(recv, "context.Context") {
-			return true
-		}
+	if recv, name, ok := methodID(fn); ok && recv == "context.Context" && name == "Err" {
+		return true
 	}
 	return goleakBlockingCalls[fn.Name()]
-}
-
-// recvNamed renders the receiver type path of a method, "" for plain
-// functions.
-func recvNamed(fn *types.Func) string {
-	recv, _, ok := methodID(fn)
-	if !ok {
-		// Interface methods resolve through methodID only for named
-		// receivers; context.Context methods come through as interface
-		// selections.
-		sig, isSig := fn.Type().(*types.Signature)
-		if !isSig || sig.Recv() == nil {
-			return ""
-		}
-		t := sig.Recv().Type()
-		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			return named.Obj().Pkg().Path() + "." + named.Obj().Name()
-		}
-		return ""
-	}
-	return recv
 }

@@ -14,10 +14,6 @@
 //
 // The shipped analyzers:
 //
-//	memgate   cross-domain memory access must funnel through checked
-//	          trampolines: raw mem.Space.ReadAt/WriteAt/Fork and
-//	          mpk PKRU mutation are legal only inside the trusted
-//	          partition (mem, mpk, asstd, libos, core)
 //	pkrupair  every PKRU domain switch has a matching restore on all
 //	          control-flow paths (defer or explicit)
 //	senterr   sentinel errors must be compared with errors.Is, never
@@ -29,9 +25,11 @@
 //	lockpair  every sync Lock/RLock must be released on all
 //	          control-flow paths, or the obligation explicitly
 //	          transferred (defer, unlock closure, helper)
-//	trustflow (module-scoped) only trusted code may transitively
-//	          reach raw memory access or PKRU mutation; untrusted
-//	          entry must cross an approved trampoline export
+//	trustflow (module-scoped) raw mem.Space.ReadAt/WriteAt/Fork and
+//	          mpk PKRU mutation, called or taken as a value, are legal
+//	          only inside the trusted partition (mem, mpk, asstd,
+//	          libos, core), and untrusted code may reach them only
+//	          through an approved trampoline export
 //	lockorder (module-scoped) named mutexes must be acquired in one
 //	          consistent module-wide order — cycles in the
 //	          acquisition graph are potential deadlocks
@@ -40,6 +38,10 @@
 //	unreachable (module-scoped) functions in internal/... must be
 //	          reachable from a main, an init or an exported symbol
 //	          that non-test code outside the package references
+//
+// pkrupair, spanend and lockpair are three specs on one obligation
+// engine (obligation.go): an acquisition must be released on every
+// path to return unless it provably moves elsewhere.
 //
 // The module-scoped analyzers run over the whole module at once and
 // walk the interprocedural call graph (see callgraph.go) instead of a
@@ -65,10 +67,6 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-	// IgnoreTests drops findings in _test.go files: tests legitimately
-	// poke raw accessors (to prove MPK denies access) and read real
-	// time (to bound wall-clock behaviour).
-	IgnoreTests bool
 	// Run analyzes one type-checked package at a time. Module-scoped
 	// analyzers leave it nil and set RunModule instead.
 	Run func(*Pass)
@@ -120,7 +118,6 @@ func (d Diagnostic) String() string {
 // analyzers first, then the module-scoped (interprocedural) ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		MemGate,
 		PKRUPair,
 		SentErr,
 		WallClock,
@@ -188,8 +185,7 @@ func allowedLines(fset *token.FileSet, f *ast.File) map[int]map[string]bool {
 }
 
 // RunAnalyzers applies the analyzers to pkg and returns the surviving
-// findings sorted by position. Waived findings and (for IgnoreTests
-// analyzers) findings in _test.go files are dropped. onlyFiles, when
+// findings sorted by position. Waived findings are dropped. onlyFiles, when
 // non-nil, keeps findings in those files only — the driver uses it to
 // avoid double-reporting non-test files when it re-checks a package
 // together with its in-package test files.
@@ -216,5 +212,5 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, onlyFiles map[string]bool
 	for i, f := range pkg.Files {
 		allowed[pkg.Filenames[i]] = allowedLines(pkg.Fset, f)
 	}
-	return filterAndSort(diags, allowed, analyzers, onlyFiles)
+	return filterAndSort(diags, allowed, onlyFiles)
 }

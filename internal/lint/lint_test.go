@@ -26,6 +26,7 @@ type wantKey struct {
 	line int
 }
 
+// runFixture runs a per-package analyzer over one fixture package.
 func runFixture(t *testing.T, dirName string, a *Analyzer) {
 	t.Helper()
 	loader, err := NewLoader(".")
@@ -33,33 +34,40 @@ func runFixture(t *testing.T, dirName string, a *Analyzer) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join("testdata", "src", dirName)
-	pkgPath := strings.ReplaceAll(dirName, "__", "/")
-	pkg, err := loader.LoadDir(dir, pkgPath)
+	pkg, err := loader.LoadDir(dir, strings.ReplaceAll(dirName, "__", "/"))
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", dirName, err)
 	}
+	checkWants(t, []*Package{pkg}, RunAnalyzers(pkg, []*Analyzer{a}, nil))
+}
 
+// checkWants is the one want matcher: every diagnostic must match a
+// want on its line, and every want must be matched.
+func checkWants(t *testing.T, pkgs []*Package, diags []Diagnostic) {
+	t.Helper()
 	wants := make(map[wantKey][]*regexp.Regexp)
 	matched := make(map[wantKey][]bool)
-	for i, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
+	for _, pkg := range pkgs {
+		for i, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := wantRe.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
+					}
+					re, err := regexp.Compile(m[1])
+					if err != nil {
+						t.Fatalf("%s: bad want %q: %v", pkg.Filenames[i], m[1], err)
+					}
+					k := wantKey{pkg.Filenames[i], pkg.Fset.Position(c.Pos()).Line}
+					wants[k] = append(wants[k], re)
+					matched[k] = append(matched[k], false)
 				}
-				re, err := regexp.Compile(m[1])
-				if err != nil {
-					t.Fatalf("%s: bad want %q: %v", pkg.Filenames[i], m[1], err)
-				}
-				k := wantKey{pkg.Filenames[i], pkg.Fset.Position(c.Pos()).Line}
-				wants[k] = append(wants[k], re)
-				matched[k] = append(matched[k], false)
 			}
 		}
 	}
 
-	for _, d := range RunAnalyzers(pkg, []*Analyzer{a}, nil) {
+	for _, d := range diags {
 		k := wantKey{d.Pos.Filename, d.Pos.Line}
 		ok := false
 		for i, re := range wants[k] {
@@ -81,16 +89,6 @@ func runFixture(t *testing.T, dirName string, a *Analyzer) {
 			}
 		}
 	}
-}
-
-func TestMemGateFixtures(t *testing.T) {
-	runFixture(t, "memgate_user", MemGate)
-}
-
-func TestMemGateTrustedPackageExempt(t *testing.T) {
-	// The identical calls analyzed under a trusted import path must be
-	// silent — the fixture has no want comments.
-	runFixture(t, "alloystack__internal__core", MemGate)
 }
 
 func TestPKRUPairFixtures(t *testing.T) {
@@ -177,7 +175,7 @@ func TestWaiverComment(t *testing.T) {
 	fset := token.NewFileSet()
 	src := `package p
 
-//asvet:allow memgate -- approved
+//asvet:allow trustflow -- approved
 var a = 1
 
 var b = 2 //asvet:allow senterr, spanend
@@ -192,12 +190,12 @@ var b = 2 //asvet:allow senterr, spanend
 		name string
 		ok   bool
 	}{
-		{3, "memgate", true},
-		{4, "memgate", true}, // covers the next line
+		{3, "trustflow", true},
+		{4, "trustflow", true}, // covers the next line
 		{4, "senterr", false},
 		{6, "senterr", true},
 		{6, "spanend", true},
-		{6, "memgate", false},
+		{6, "trustflow", false},
 	} {
 		if got := lines[tc.line][tc.name]; got != tc.ok {
 			t.Errorf("line %d analyzer %s: waived=%v, want %v", tc.line, tc.name, got, tc.ok)
@@ -212,7 +210,7 @@ func TestWaiverCommentEdgeCases(t *testing.T) {
 	// line). Line 9: reason containing "--" again after the separator.
 	src := `package p
 
-//asvet:allow memgate,trustflow,goleak -- tight list
+//asvet:allow pkrupair,trustflow,goleak -- tight list
 var a = 1
 
 //asvet:allow lockpair — em-dash separator, reason with punctuation
@@ -234,7 +232,7 @@ var d = 4
 		ok   bool
 	}{
 		// Comma list without spaces: every named analyzer is waived.
-		{4, "memgate", true},
+		{4, "pkrupair", true},
 		{4, "trustflow", true},
 		{4, "goleak", true},
 		{4, "lockpair", false},

@@ -99,14 +99,13 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModuleName), "/")
 		dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(rel))
-		files, names, err := l.parseDir(dir, includeCompiled)
+		files, _, err := l.parseDir(dir, includeCompiled)
 		if err != nil {
 			return nil, err
 		}
 		if len(files) == 0 {
 			return nil, fmt.Errorf("lint: no Go files in %s", dir)
 		}
-		_ = names
 		conf := types.Config{Importer: l, IgnoreFuncBodies: true}
 		pkg, err := conf.Check(path, l.fset, files, nil)
 		if err != nil {
@@ -121,7 +120,6 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // file classes for parseDir.
 const (
 	includeCompiled      = iota // non-test files only
-	includeInPkgTest            // non-test + same-package _test.go
 	includeExtTest              // package foo_test _test.go files only
 	includeInPkgTestOnly        // same-package _test.go files only
 )
@@ -163,7 +161,7 @@ func (l *Loader) parseDir(dir string, class int) ([]*ast.File, []string, error) 
 		isTest := strings.HasSuffix(name, "_test.go")
 		ext := strings.HasSuffix(pkgName, "_test")
 		switch class {
-		case includeCompiled, includeInPkgTest, includeInPkgTestOnly:
+		case includeCompiled, includeInPkgTestOnly:
 			if isTest && ext {
 				continue // external test package: separate unit
 			}

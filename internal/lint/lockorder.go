@@ -107,8 +107,7 @@ func runLockOrder(pass *ModulePass) {
 					continue
 				}
 				disp := fn.Name()
-				if id, _, name, ok := funcID(fn); ok {
-					_ = id
+				if _, _, name, ok := funcID(fn); ok {
 					disp = shortPkg(fn.Pkg().Path()) + "." + name
 				}
 				sum := &lockOrderFunc{name: disp, syncAcquires: make(map[string]token.Pos)}
@@ -342,7 +341,7 @@ func reportLockCycles(pass *ModulePass, edges map[string]map[string]lockOrderEdg
 		var parts []string
 		for i := 0; i+1 < len(cycle); i++ {
 			e := edges[cycle[i]][cycle[i+1]]
-			parts = append(parts, shortLock(e.from)+" -> "+shortLock(e.to)+
+			parts = append(parts, shortPkg(e.from)+" -> "+shortPkg(e.to)+
 				" in "+e.where+" at "+pass.Module.Fset.Position(e.pos).String())
 		}
 		first := edges[cycle[0]][cycle[1]]
@@ -352,18 +351,12 @@ func reportLockCycles(pass *ModulePass, edges map[string]map[string]lockOrderEdg
 	}
 }
 
-// shortPkg trims the module prefix from a package path for messages.
+// shortPkg trims a package path, or a key that starts with one, to its
+// last element for messages: "alloystack/internal/pool.Pool.mu" reads
+// "pool.Pool.mu".
 func shortPkg(path string) string {
 	if i := strings.LastIndex(path, "/"); i >= 0 {
 		return path[i+1:]
 	}
 	return path
-}
-
-// shortLock renders "alloystack/internal/pool.Pool.mu" as "pool.Pool.mu".
-func shortLock(key string) string {
-	if i := strings.LastIndex(key, "/"); i >= 0 {
-		return key[i+1:]
-	}
-	return key
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Module is the whole-program analysis unit: every compiled (non-test)
@@ -73,24 +72,17 @@ func RunModuleAnalyzers(mod *Module, analyzers []*Analyzer, onlyFiles map[string
 			allowed[pkg.Filenames[i]] = allowedLines(pkg.Fset, f)
 		}
 	}
-	return filterAndSort(diags, allowed, analyzers, onlyFiles)
+	return filterAndSort(diags, allowed, onlyFiles)
 }
 
-// filterAndSort drops waived findings, _test.go findings for
-// IgnoreTests analyzers and out-of-scope files, then orders the rest
-// by position. Shared by the per-package and module drivers.
+// filterAndSort drops waived findings and findings in out-of-scope
+// files, then orders the rest by position. Shared by the per-package
+// and module drivers.
 func filterAndSort(diags []Diagnostic, allowed map[string]map[int]map[string]bool,
-	analyzers []*Analyzer, onlyFiles map[string]bool) []Diagnostic {
-	byName := make(map[string]*Analyzer)
-	for _, a := range analyzers {
-		byName[a.Name] = a
-	}
+	onlyFiles map[string]bool) []Diagnostic {
 	kept := diags[:0]
 	for _, d := range diags {
 		if onlyFiles != nil && !onlyFiles[d.Pos.Filename] {
-			continue
-		}
-		if a := byName[d.Analyzer]; a != nil && a.IgnoreTests && strings.HasSuffix(d.Pos.Filename, "_test.go") {
 			continue
 		}
 		if lines := allowed[d.Pos.Filename]; lines != nil {

@@ -2,80 +2,40 @@ package lint
 
 import (
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
 
-// runModuleFixture mirrors runFixture for module-scoped analyzers: the
-// named fixture directories are loaded in order (dependencies first)
-// into one Module, with each loaded package seeded into the loader's
-// dependency cache so a fixture can import another fixture by the
-// import path its directory name claims — that is how an untrusted
-// fixture package gets to call a fake trusted-partition one.
-func runModuleFixture(t *testing.T, dirNames []string, a *Analyzer) {
+// runModuleFixture runs a module-scoped analyzer over the named
+// packages, loaded in order (dependencies first) into one Module. A
+// name holding a "/" is a real package of this module, loaded from
+// its source; any other is a fixture directory under testdata/src.
+// Each loaded package is seeded into the loader's dependency cache, so
+// a fixture can import another fixture by the import path its
+// directory name claims — that is how an untrusted fixture package
+// gets to call a fake trusted-partition one.
+func runModuleFixture(t *testing.T, names []string, a *Analyzer) {
 	t.Helper()
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var pkgs []*Package
-	for _, dirName := range dirNames {
-		dir := filepath.Join("testdata", "src", dirName)
-		pkgPath := strings.ReplaceAll(dirName, "__", "/")
+	for _, name := range names {
+		dir := filepath.Join("testdata", "src", name)
+		pkgPath := strings.ReplaceAll(name, "__", "/")
+		if strings.Contains(name, "/") {
+			dir = filepath.Join(loader.ModuleRoot, strings.TrimPrefix(name, loader.ModuleName+"/"))
+			pkgPath = name
+		}
 		pkg, err := loader.LoadDir(dir, pkgPath)
 		if err != nil {
-			t.Fatalf("load fixture %s: %v", dirName, err)
+			t.Fatalf("load %s: %v", name, err)
 		}
 		loader.deps[pkgPath] = pkg.Types
 		pkgs = append(pkgs, pkg)
 	}
-	mod := NewModule(pkgs)
-
-	wants := make(map[wantKey][]*regexp.Regexp)
-	matched := make(map[wantKey][]bool)
-	for _, pkg := range pkgs {
-		for i, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := wantRe.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
-					}
-					re, err := regexp.Compile(m[1])
-					if err != nil {
-						t.Fatalf("%s: bad want %q: %v", pkg.Filenames[i], m[1], err)
-					}
-					k := wantKey{pkg.Filenames[i], pkg.Fset.Position(c.Pos()).Line}
-					wants[k] = append(wants[k], re)
-					matched[k] = append(matched[k], false)
-				}
-			}
-		}
-	}
-
-	for _, d := range RunModuleAnalyzers(mod, []*Analyzer{a}, nil) {
-		k := wantKey{d.Pos.Filename, d.Pos.Line}
-		ok := false
-		for i, re := range wants[k] {
-			if re.MatchString(d.Message) {
-				matched[k][i] = true
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Errorf("unexpected diagnostic: %s", d)
-		}
-	}
-	for k, res := range wants {
-		for i, re := range res {
-			if !matched[k][i] {
-				t.Errorf("%s:%d: expected diagnostic matching %q, got none",
-					k.file, k.line, re)
-			}
-		}
-	}
+	checkWants(t, pkgs, RunModuleAnalyzers(NewModule(pkgs), []*Analyzer{a}, nil))
 }
 
 func TestTrustFlowFixtures(t *testing.T) {
@@ -85,6 +45,28 @@ func TestTrustFlowFixtures(t *testing.T) {
 		"alloystack__internal__mem",
 		"alloystack__internal__asstd",
 		"trustflow_user",
+	}, TrustFlow)
+}
+
+// TestTrustFlowRawFixtures runs trustflow over an untrusted package
+// using the real mem and mpk packages: every raw call and every gated
+// method taken as a value is reported at its own site, with the
+// method's fix hint.
+func TestTrustFlowRawFixtures(t *testing.T) {
+	runModuleFixture(t, []string{
+		"alloystack/internal/mem",
+		"alloystack/internal/mpk",
+		"trustflow_raw",
+	}, TrustFlow)
+}
+
+// TestTrustFlowTrustedPackageExempt: the identical raw calls under a
+// trusted import path must be silent; the fixture has no wants.
+func TestTrustFlowTrustedPackageExempt(t *testing.T) {
+	runModuleFixture(t, []string{
+		"alloystack/internal/mem",
+		"alloystack/internal/mpk",
+		"alloystack__internal__core",
 	}, TrustFlow)
 }
 

@@ -1,6 +1,6 @@
-// Package core (fixture): the identical raw accesses that memgate flags
-// in user packages are legal here — the directory name claims the
-// trusted import path alloystack/internal/core.
+// Package core (fixture): the identical raw accesses that trustflow
+// flags in untrusted packages are legal here — the directory name claims
+// the trusted import path alloystack/internal/core.
 package core
 
 import (

@@ -126,3 +126,16 @@ func (l *listener) Accept() (int, error) {
 }
 
 func (s *Server) work(int) {}
+
+// ctxErrPoll polls ctx.Err() instead of receiving from ctx.Done():
+// quiet, the poll is a termination source.
+func (s *Server) ctxErrPoll(ctx context.Context) {
+	go func() {
+		for {
+			if ctx.Err() != nil {
+				return
+			}
+			s.work(0)
+		}
+	}()
+}

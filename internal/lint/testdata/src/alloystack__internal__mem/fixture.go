@@ -1,7 +1,7 @@
 // Package mem is a trustflow fixture standing in for the real address
 // space layer: the directory name claims the import path
 // alloystack/internal/mem, so Space's methods carry exactly the node
-// IDs the memgate/trustflow gated-operation table names.
+// IDs trustflow's gated-operation table names.
 package mem
 
 // Space is the fixture's stand-in for the guest address space.

@@ -65,3 +65,15 @@ var errFixture = errorString("fixture")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// switchSys is a trampoline half named neither enter* nor leave*: no
+// counterpart can be derived, so its calls are reported rather than
+// skipped.
+func (g *gate) switchSys() {
+	g.ctx.WritePKRU(g.sys)
+}
+
+func badUnknownHalf(g *gate) {
+	g.switchSys() // want "switchSys switches the PKRU domain but is named neither enter. nor leave."
+	work()
+}

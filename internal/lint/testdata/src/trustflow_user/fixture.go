@@ -11,7 +11,7 @@ import (
 
 // direct raw call: reported at the call site.
 func directRaw(s *mem.Space, p []byte) error {
-	return s.ReadAt(p, 0) // want "untrusted trustflow_user.directRaw calls gated alloystack/internal/mem.Space.ReadAt"
+	return s.ReadAt(p, 0) // want "untrusted trustflow_user.directRaw calls raw alloystack/internal/mem.Space.ReadAt"
 }
 
 // transitiveRaw calls directRaw. Only the deeper crossing (inside
@@ -23,7 +23,7 @@ func transitiveRaw(s *mem.Space, p []byte) error {
 
 // methodValue smuggles the gated accessor out as a value.
 func methodValue(s *mem.Space) func([]byte, int) error {
-	return s.WriteAt // want "untrusted trustflow_user.methodValue takes a value of gated alloystack/internal/mem.Space.WriteAt"
+	return s.WriteAt // want "untrusted trustflow_user.methodValue takes a reference to raw alloystack/internal/mem.Space.WriteAt"
 }
 
 // throughTrampoline routes through the approved asstd layer: quiet.
@@ -44,5 +44,5 @@ func harmless(s *mem.Space) int {
 
 // waived shows the in-place waiver silencing a real crossing.
 func waived(s *mem.Space) *mem.Space {
-	return s.Fork() //asvet:allow trustflow, memgate -- fixture-approved fork
+	return s.Fork() //asvet:allow trustflow -- fixture-approved fork
 }

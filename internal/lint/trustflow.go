@@ -7,7 +7,7 @@ import (
 
 // sortedKeys returns m's keys in lexical order, for deterministic
 // worklist seeding (witness paths must not vary run to run).
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -16,30 +16,50 @@ func sortedKeys(m map[string]bool) []string {
 	return keys
 }
 
-// TrustFlow is the interprocedural half of the memory gate — the
-// static side of the window-minting proof the data-plane fast path
-// (ROADMAP item 3) depends on, after ERIM's binary-inspection argument:
-// before check-free access windows are handed out over virtualized
-// protection keys, we must know that *only* trusted code can
-// transitively reach a raw memory access or a PKRU write.
+// TrustFlow enforces the paper's §6 call-gate discipline on the host
+// side, and is the static side of the window-minting proof the
+// data-plane fast path (ROADMAP item 3) depends on, after ERIM's
+// binary-inspection argument: only trusted code may reach a raw memory
+// access or a PKRU write, directly or transitively.
 //
-// Where memgate checks each call site in isolation, trustflow walks the
-// module call graph: it computes the set of functions from which a
-// gated operation (mem.Space.ReadAt/WriteAt/Fork, mpk.Context.WritePKRU)
-// is reachable without passing an approved trampoline, then reports
-// every edge where untrusted code enters that set — a direct raw call,
-// a gated method taken as a value, or a call into a trusted-partition
-// export that wraps raw power without being on the approved gate list.
-// Each finding carries a witness path down to the gated operation.
+// It walks the module call graph: it computes the set of functions
+// from which a gated operation (mem.Space.ReadAt/WriteAt/Fork,
+// mpk.Context.WritePKRU) is reachable without passing an approved
+// trampoline, then reports every site where untrusted code enters that
+// set — each raw call, each gated method taken as a value (the escape
+// hatch that smuggles raw power past call-site checks), and each call
+// into a trusted-partition export that wraps raw power without being
+// on the approved gate list. A crossing through an export carries a
+// witness path down to the gated operation.
 //
 // Soundness relies on the call-graph over-approximation documented in
 // callgraph.go (reflection-free module; address-taken and interface
 // dispatch edges are conservative).
 var TrustFlow = &Analyzer{
 	Name: "trustflow",
-	Doc: "only trusted code may transitively reach raw memory access or " +
-		"PKRU mutation; untrusted entry must cross an approved trampoline export",
+	Doc: "only trusted code (mem, mpk, asstd, libos, core) may reach raw memory access or " +
+		"PKRU mutation, directly or transitively; untrusted entry must cross an approved trampoline export",
 	RunModule: runTrustFlow,
+}
+
+// trustflowTrusted is the partition allowed to hold raw power: the
+// address space itself, the key layer, the trampolines, the LibOS, and
+// the visor core that assembles WFDs.
+var trustflowTrusted = map[string]bool{
+	"alloystack/internal/mem":   true,
+	"alloystack/internal/mpk":   true,
+	"alloystack/internal/asstd": true,
+	"alloystack/internal/libos": true,
+	"alloystack/internal/core":  true,
+}
+
+// trustflowGated maps each gated operation's node ID to the fix hint
+// its findings carry.
+var trustflowGated = map[string]string{
+	"alloystack/internal/mem.Space.ReadAt":      "use asstd checked accessors or the xfer transport",
+	"alloystack/internal/mem.Space.WriteAt":     "use asstd checked accessors or the xfer transport",
+	"alloystack/internal/mem.Space.Fork":        "fork through core.WFD.Fork / the warm pool",
+	"alloystack/internal/mpk.Context.WritePKRU": "domain switches belong to the asstd trampoline",
 }
 
 // trustflowApproved is the audited gate surface: the trampoline exports
@@ -57,7 +77,7 @@ var trustflowApproved = map[string]string{
 	"alloystack/internal/asstd.*": "the checked trampoline layer — bounds-validated, PKRU-paired",
 	// The visor core assembles WFDs and owns instance lifecycle: forking
 	// templates, running functions under fault isolation. Its exports
-	// are the sanctioned lifecycle entry points (memgate's own fix hint
+	// are the sanctioned lifecycle entry points (the Fork hint above
 	// points at core.WFD.Fork / the warm pool).
 	"alloystack/internal/core.*": "WFD lifecycle API — forks and runs instances under the gate",
 	// The LibOS service modules sit inside the trusted partition and are
@@ -65,22 +85,10 @@ var trustflowApproved = map[string]string{
 	"alloystack/internal/libos.*": "LibOS service modules behind the syscall surface",
 }
 
-// trustflowGated returns the node IDs of the raw operations, derived
-// from memgate's table so the two analyzers can never drift apart.
-func trustflowGated() map[string]bool {
-	gated := make(map[string]bool)
-	for recv, methods := range memgateGated {
-		for m := range methods {
-			gated[recv+"."+m] = true
-		}
-	}
-	return gated
-}
-
 // trustflowIsApproved reports whether the node is on the approved
 // trampoline list (and not itself a gated operation).
-func trustflowIsApproved(n *CGNode, gated map[string]bool) bool {
-	if gated[n.ID] {
+func trustflowIsApproved(n *CGNode) bool {
+	if _, gated := trustflowGated[n.ID]; gated {
 		return false
 	}
 	if _, ok := trustflowApproved[n.ID]; ok {
@@ -92,7 +100,6 @@ func trustflowIsApproved(n *CGNode, gated map[string]bool) bool {
 
 func runTrustFlow(pass *ModulePass) {
 	g := pass.Module.Graph
-	gated := trustflowGated()
 
 	// reach: nodes from which a gated op is reachable without passing an
 	// approved trampoline. Seeded with the gated ops themselves;
@@ -103,7 +110,7 @@ func runTrustFlow(pass *ModulePass) {
 	// path rendering.
 	via := make(map[*CGNode]*CGEdge)
 	var queue []*CGNode
-	for _, id := range sortedKeys(gated) {
+	for _, id := range sortedKeys(trustflowGated) {
 		if n, ok := g.Nodes[id]; ok {
 			reach[n] = true
 			queue = append(queue, n)
@@ -114,7 +121,7 @@ func runTrustFlow(pass *ModulePass) {
 		queue = queue[1:]
 		for _, e := range n.In {
 			u := e.From
-			if reach[u] || trustflowIsApproved(u, gated) {
+			if reach[u] || trustflowIsApproved(u) {
 				continue
 			}
 			reach[u] = true
@@ -125,9 +132,11 @@ func runTrustFlow(pass *ModulePass) {
 
 	// Report each crossing: an edge from untrusted code to a node in the
 	// reach set that is either a gated op itself or trusted-partition
-	// code. Untrusted→untrusted edges inside the set are not reported —
-	// the root cause is the deeper crossing, and a waiver there covers
-	// its transitive callers.
+	// code. The graph keeps one edge per site, so every site is its own
+	// finding and a waiver covers only the site it sits on.
+	// Untrusted→untrusted edges inside the set are not reported — the
+	// root cause is the deeper crossing, and a waiver there covers its
+	// transitive callers.
 	witness := func(start *CGNode) string {
 		var parts []string
 		seen := make(map[*CGNode]bool)
@@ -143,7 +152,7 @@ func runTrustFlow(pass *ModulePass) {
 		return strings.Join(parts, " -> ")
 	}
 	for _, n := range g.Nodes {
-		if memgateTrusted[n.PkgPath] {
+		if trustflowTrusted[n.PkgPath] {
 			continue // trusted partition may hold raw power
 		}
 		for _, e := range n.Out {
@@ -151,16 +160,15 @@ func runTrustFlow(pass *ModulePass) {
 			if !reach[v] {
 				continue
 			}
-			switch {
-			case gated[v.ID]:
-				verb := "calls"
+			if hint, gated := trustflowGated[v.ID]; gated {
 				if e.Kind == EdgeRef {
-					verb = "takes a value of"
+					pass.Reportf(e.Pos, "untrusted %s takes a reference to raw %s outside the trusted partition"+
+						" (method value escapes the gate); %s", shortFuncName(n), v.ID, hint)
+				} else {
+					pass.Reportf(e.Pos, "untrusted %s calls raw %s outside the trusted partition; %s",
+						shortFuncName(n), v.ID, hint)
 				}
-				pass.Reportf(e.Pos,
-					"untrusted %s %s gated %s; route through an approved trampoline (asstd/core)",
-					shortFuncName(n), verb, v.ID)
-			case memgateTrusted[v.PkgPath]:
+			} else if trustflowTrusted[v.PkgPath] {
 				pass.Reportf(e.Pos,
 					"untrusted %s reaches %s via %s, a trusted-partition export not on the approved trampoline list"+
 						" (path: %s -> %s)",
@@ -174,11 +182,7 @@ func runTrustFlow(pass *ModulePass) {
 // package plus the function name ("pool.(Pool).Start" style without
 // parens: "pool.Pool.Start").
 func shortFuncName(n *CGNode) string {
-	pkg := n.PkgPath
-	if i := strings.LastIndex(pkg, "/"); i >= 0 {
-		pkg = pkg[i+1:]
-	}
-	return pkg + "." + n.Name
+	return shortPkg(n.PkgPath) + "." + n.Name
 }
 
 // gatedTarget names the gated op a reach-set node leads to, following

@@ -129,15 +129,15 @@ func buildParents(root ast.Node) map[ast.Node]ast.Node {
 
 // funcBodies yields every function body in the file — declarations and
 // literals — each of which gets its own CFG in the all-paths analyzers.
-func funcBodies(f *ast.File, visit func(name string, body *ast.BlockStmt)) {
+func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
 			if n.Body != nil {
-				visit(n.Name.Name, n.Body)
+				visit(n.Body)
 			}
 		case *ast.FuncLit:
-			visit("func literal", n.Body)
+			visit(n.Body)
 		}
 		return true
 	})

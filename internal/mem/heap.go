@@ -156,9 +156,14 @@ retry:
 		return start, nil
 	}
 	// No fit in the mapped chunks: grow toward the limit and retry.
-	// The padding bound covers the worst-case alignment slack.
-	if err := h.grow(size + align); err == nil {
+	// The padding bound covers the worst-case alignment slack. A sealed
+	// space refuses the mapping, and says so instead of reading full.
+	err := h.grow(size + align)
+	if err == nil {
 		goto retry
+	}
+	if errors.Is(err, ErrSealed) {
+		return 0, err
 	}
 	return 0, fmt.Errorf("%w: want %d bytes align %d (in use %d of %d, limit %d)",
 		ErrHeapFull, size, align, h.inUse, h.size, h.limit)

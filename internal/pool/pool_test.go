@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"errors"
 	"sort"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"alloystack/internal/asstd"
 	"alloystack/internal/blockdev"
 	"alloystack/internal/core"
+	"alloystack/internal/mem"
 	"alloystack/internal/trace"
 )
 
@@ -239,6 +241,26 @@ func TestStoppedPoolMisses(t *testing.T) {
 		t.Fatal("stopped pool handed out a clone")
 	}
 	p.Stop() // idempotent
+}
+
+// TestTemplateIsSealed: right after bootTemplate, before any clone is
+// forked (a fork seals its parent too), a LibOS write into the template
+// is refused, so no run on the template can change the snapshot its
+// clones fork from.
+func TestTemplateIsSealed(t *testing.T) {
+	spec, _ := testSpec(t, "wf")
+	p := &Pool{spec: spec, cfg: cfg(newFakeClock(), nil)}
+	if err := p.bootTemplate(); err != nil {
+		t.Fatalf("bootTemplate: %v", err)
+	}
+	defer p.template.Destroy()
+	err := p.template.Run("probe", func(env *asstd.Env) error {
+		_, err := asstd.NewBuffer(env, "probe", 64)
+		return err
+	})
+	if !errors.Is(err, mem.ErrSealed) {
+		t.Fatalf("NewBuffer in the template = %v, want mem.ErrSealed", err)
+	}
 }
 
 func TestManagerIndexesPools(t *testing.T) {
