@@ -24,8 +24,10 @@ lint: vet
 test:
 	$(GO) test $(PKGS)
 
-# fuzz-smoke gives the differential engine fuzzer (switch interpreter vs
-# AOT register engine, internal/asvm) ten seconds beyond the committed
+# fuzz-smoke gives the differential engine fuzzer (switch interpreter,
+# register engine and native code, internal/asvm; a -race or non-amd64
+# build has no native code, and there its checker still judges what the
+# emitter would produce) ten seconds beyond the committed
 # corpus and the fixed-seed property test `make test` already replays,
 # then the payload-pattern kernels (internal/workloads) five seconds
 # against their per-byte formula, then the wire decoders that read

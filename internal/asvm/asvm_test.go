@@ -23,7 +23,9 @@ func instantiate(t testing.TB, src string, cfg Config, hosts map[string]HostFunc
 	return inst
 }
 
-// engines lists both engines; behavioural tests run on each.
+// engines lists both engine kinds; behavioural tests run on each. The
+// AOT kind runs native code where the build has it; the three-way
+// oracle (fuzz_test.go) also holds the register engine to both.
 var engines = []EngineKind{EngineInterp, EngineAOT}
 
 const addSrc = `

@@ -93,12 +93,20 @@ type compiled struct {
 	// (a rotated latch charges its header's too): how far fuel
 	// exhaustion can lag the interpreter's.
 	maxBlock int32
+	// native is the code emitted from it, where the build runs native
+	// code (native.go); nil elsewhere.
+	native *nativeCode
 }
 
-// compile returns the program's register code, lowering it on first use.
+// compile returns the program's register code, lowering it on first use
+// and, where the build has the native tier, emitting and checking its
+// machine code in the same step.
 func (p *Program) compile() (*compiled, error) {
 	p.aotOnce.Do(func() {
 		p.aot, p.aotErr = lower(p)
+		if p.aotErr == nil {
+			p.aot.native, p.aotErr = buildNative(p.aot, p.Globals)
+		}
 		p.lowered.Store(true)
 	})
 	return p.aot, p.aotErr
@@ -162,11 +170,8 @@ func (c *compiled) measure(fi int, state []uint8) {
 	state[fi] = open
 	f := &c.funcs[fi]
 	f.extent = f.frame
-	end := len(c.code)
-	if fi+1 < len(c.funcs) {
-		end = int(c.funcs[fi+1].entry)
-	}
-	for _, ins := range c.code[f.entry:end] {
+	start, end := c.bounds(fi)
+	for _, ins := range c.code[start:end] {
 		if ins.op != ropCall {
 			continue
 		}
@@ -180,6 +185,32 @@ func (c *compiled) measure(fi int, state []uint8) {
 		}
 	}
 	state[fi] = done
+}
+
+// bounds returns the register pcs function fi spans.
+func (c *compiled) bounds(fi int) (start, end int) {
+	start, end = int(c.funcs[fi].entry), len(c.code)
+	if fi+1 < len(c.funcs) {
+		end = int(c.funcs[fi+1].entry)
+	}
+	return start, end
+}
+
+// isBranch reports whether op transfers control to the pc in a.
+func isBranch(op rop) bool {
+	return op == ropJmp || op == ropBrZ || op == ropBrNZ || op >= ropBrEq && op < ropOrEqI
+}
+
+// exitsOrEnds reports whether control can arrive at the instruction
+// after op other than by falling through from it: op ends a block, or
+// Go runs it and resumes after it.
+func exitsOrEnds(op rop) bool {
+	return isTerminator(op) || op == ropHost || op == ropMemGrow || op == ropMemCopy
+}
+
+// isTerminator reports whether op ends a block.
+func isTerminator(op rop) bool {
+	return op >= ropCharge && op <= ropHalt || op >= ropBrEq && op < ropOrEqI
 }
 
 // operand is one entry of the symbolic operand stack: a constant, or a

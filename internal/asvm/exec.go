@@ -5,7 +5,9 @@ import (
 	"fmt"
 )
 
-// exec.go runs the register code compile.go produces. It relies on what
+// exec.go runs the register code compile.go produces, on every build
+// without the native tier and as the oracle native code is held to on
+// the one with it (its slow paths serve both). It relies on what
 // StackShape proved and the lowering kept: every register index is inside
 // its frame, every branch lands on an instruction, every host call finds
 // its arguments in consecutive registers. What it still checks at run
@@ -18,7 +20,8 @@ type aotFrame struct {
 	pc, base, below, operands int32
 }
 
-// callAOT runs function fi with args on the register engine. The second
+// callAOT runs function fi with args: as native code where the program
+// has it (native.go), else on the register engine. The second
 // result reports whether the program left a value: a return from a
 // function declaring one, or a halt over a non-empty stack.
 //
@@ -28,6 +31,9 @@ type aotFrame struct {
 // calls need lives in the instance.
 func (inst *Instance) callAOT(fi int, args []int64) (value int64, has bool, err error) {
 	c := inst.aot
+	if c.native != nil {
+		return inst.callNative(fi, args)
+	}
 	f := &c.funcs[fi]
 	if int(f.maxStack) > inst.cfg.StackCap {
 		return 0, false, ErrStackOver
@@ -64,7 +70,7 @@ loop:
 		case ropLoad8:
 			mem, addr := inst.mem, r[ins.b]+ins.imm
 			if uint64(addr) >= uint64(len(mem)) {
-				err = oobErr("load8", addr)
+				err = trapErr(ins, r)
 				break loop
 			}
 			r[ins.a] = int64(mem[addr])
@@ -72,7 +78,7 @@ loop:
 		case ropLoad64:
 			mem, addr := inst.mem, r[ins.b]+ins.imm
 			if !inBounds(addr, 8, len(mem)) {
-				err = oobErr("load64", addr)
+				err = trapErr(ins, r)
 				break loop
 			}
 			r[ins.a] = int64(binary.LittleEndian.Uint64(mem[addr:]))
@@ -80,7 +86,7 @@ loop:
 		case ropStore8:
 			mem, addr := inst.mem, r[ins.b]+ins.imm
 			if uint64(addr) >= uint64(len(mem)) {
-				err = oobErr("store8", addr)
+				err = trapErr(ins, r)
 				break loop
 			}
 			mem[addr] = byte(r[ins.c])
@@ -88,7 +94,7 @@ loop:
 		case ropStore64:
 			mem, addr := inst.mem, r[ins.b]+ins.imm
 			if !inBounds(addr, 8, len(mem)) {
-				err = oobErr("store64", addr)
+				err = trapErr(ins, r)
 				break loop
 			}
 			binary.LittleEndian.PutUint64(mem[addr:], uint64(r[ins.c]))
@@ -96,20 +102,8 @@ loop:
 		case ropMemSize:
 			r[ins.a] = int64(len(inst.mem))
 			continue
-		case ropMemGrow:
-			old := int64(len(inst.mem))
-			if err = inst.grow(r[ins.b]); err != nil {
-				break loop
-			}
-			r[ins.a] = old
-			continue
-		case ropMemCopy:
-			if err = inst.memCopy(r[ins.a], r[ins.b], r[ins.c]); err != nil {
-				break loop
-			}
-			continue
-		case ropHost:
-			if err = inst.host(ins, r); err != nil {
+		case ropMemGrow, ropMemCopy, ropHost:
+			if err = inst.hostOp(ins, r); err != nil {
 				break loop
 			}
 			continue
@@ -335,11 +329,7 @@ loop:
 			pc, r = inst.leave()
 		case ropHalt:
 			fuel -= int64(ins.n)
-			if ins.b >= 0 {
-				value, has = r[ins.b], true
-			} else if inst.below >= 0 {
-				value, has = inst.arena[inst.below], true
-			}
+			value, has = inst.halt(ins, r)
 			break loop
 		default:
 			err = fmt.Errorf("asvm: bad register opcode %d", ins.op)
@@ -359,6 +349,52 @@ loop:
 		err = ErrFuelExhausted
 	}
 	return value, has, err
+}
+
+// hostOp runs one of the instructions neither engine runs inline: a
+// host call, mem.grow or mem.copy.
+func (inst *Instance) hostOp(ins *rinstr, r []int64) error {
+	switch ins.op {
+	case ropMemGrow:
+		old := int64(len(inst.mem))
+		if err := inst.grow(r[ins.b]); err != nil {
+			return err
+		}
+		r[ins.a] = old
+		return nil
+	case ropMemCopy:
+		return inst.memCopy(r[ins.a], r[ins.b], r[ins.c])
+	}
+	return inst.host(ins, r)
+}
+
+// halt returns the value a halt leaves: its operand, or over an empty
+// stack the topmost operand of the nearest caller that has one.
+func (inst *Instance) halt(ins *rinstr, r []int64) (int64, bool) {
+	if ins.b >= 0 {
+		return r[ins.b], true
+	}
+	if inst.below >= 0 {
+		return inst.arena[inst.below], true
+	}
+	return 0, false
+}
+
+// trapErr is the error of ins trapping: a load or store out of bounds,
+// else a division by zero.
+func trapErr(ins *rinstr, r []int64) error {
+	addr := r[ins.b] + ins.imm
+	switch ins.op {
+	case ropLoad8:
+		return oobErr("load8", addr)
+	case ropLoad64:
+		return oobErr("load64", addr)
+	case ropStore8:
+		return oobErr("store8", addr)
+	case ropStore64:
+		return oobErr("store64", addr)
+	}
+	return ErrDivZero
 }
 
 // host calls import ins.c. Its arguments are a view of the caller's

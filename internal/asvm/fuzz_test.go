@@ -16,10 +16,13 @@ import (
 // semantics and the register engine must match it on every program whose
 // stack shape is static — result, error class, final memory, globals,
 // the sequence of host calls with their arguments, and on success the
-// step count. Programs come from three places: a generator of shape-valid
-// programs (genProgram), the committed corpus under testdata/fuzz (the
-// eleven workload guests and the three overflow probes, as assembly),
-// and whatever the fuzzer mutates out of either.
+// step count. Native code must match the register engine exactly, steps
+// included, whatever the outcome; on a build without the native tier
+// the checker must still accept the code the emitter would run.
+// Programs come from three places: a generator of shape-valid programs
+// (genProgram), the committed corpus under testdata/fuzz (the eleven
+// workload guests and the three overflow probes, as assembly), and
+// whatever the fuzzer mutates out of either.
 
 // errHostFail is what the recording host returns when it decides to fail.
 var errHostFail = errors.New("recording host: injected failure")
@@ -87,12 +90,35 @@ const (
 	fuzzMaxMem = 2 << 20
 )
 
+// arm is one engine the oracle runs.
+type arm struct {
+	name   string
+	engine EngineKind
+	// register runs the register engine even where the program has
+	// native code: the unexported hook to the middle engine.
+	register bool
+}
+
+var (
+	armInterp   = arm{"interp", EngineInterp, false}
+	armRegister = arm{"register", EngineAOT, true}
+	armNative   = arm{"native", EngineAOT, false}
+)
+
+// registerOnly makes inst run the register engine: it gets its own copy
+// of the program's compiled form, without the machine code.
+func registerOnly(inst *Instance) {
+	c := *inst.aot
+	c.native = nil
+	inst.aot = &c
+}
+
 // runOn runs prog once on engine and releases the instance. Recycled,
 // it runs on memory a previous user left dirty: every array class from
 // the program's declared memory up to recycleDirtyMax is taken, filled
 // with a non-zero pattern and parked first, so the instance and the
 // classes it may grow into start from those arrays.
-func runOn(engine EngineKind, prog *Program, entry string, args []int64, fuel int64, recycled bool) (outcome, error) {
+func runOn(a arm, prog *Program, entry string, args []int64, fuel int64, recycled bool) (outcome, error) {
 	var o outcome
 	if recycled {
 		for n := max(prog.MemSize, mem.MinParkedArray); n <= recycleDirtyMax; n *= 2 {
@@ -104,9 +130,12 @@ func runOn(engine EngineKind, prog *Program, entry string, args []int64, fuel in
 			mem.Park(b)
 		}
 	}
-	inst, err := recordingLinker(prog, &o.trace).Instantiate(prog, Config{Engine: engine, Fuel: fuel, MaxMem: fuzzMaxMem})
+	inst, err := recordingLinker(prog, &o.trace).Instantiate(prog, Config{Engine: a.engine, Fuel: fuel, MaxMem: fuzzMaxMem})
 	if err != nil {
 		return o, err
+	}
+	if a.register {
+		registerOnly(inst)
 	}
 	defer inst.Release()
 	o.res, o.err = inst.Call(entry, args...)
@@ -118,17 +147,17 @@ func runOn(engine EngineKind, prog *Program, entry string, args []int64, fuel in
 // generator's memories and the first growths past them.
 const recycleDirtyMax = 64 << 10
 
-// checkEnginesAgree runs prog on both engines and fails t on any
+// checkEnginesAgree runs prog on the three engines and fails t on any
 // difference the contract does not allow. It reports whether the program
 // could be run at all: one without a static stack shape is refused by
 // the AOT engine and there is nothing to compare.
 func checkEnginesAgree(t *testing.T, prog *Program, entry string, args []int64, fuel int64) bool {
 	t.Helper()
-	want, err := runOn(EngineInterp, prog, entry, args, fuel, false)
+	want, err := runOn(armInterp, prog, entry, args, fuel, false)
 	if err != nil {
 		return false
 	}
-	got, err := runOn(EngineAOT, prog, entry, args, fuel, false)
+	got, err := runOn(armRegister, prog, entry, args, fuel, false)
 	if err != nil {
 		var se *ShapeError
 		if !errors.As(err, &se) || !errors.Is(err, ErrValidation) {
@@ -136,35 +165,45 @@ func checkEnginesAgree(t *testing.T, prog *Program, entry string, args []int64, 
 		}
 		return false
 	}
+	nat, err := runOn(armNative, prog, entry, args, fuel, false)
+	if err != nil {
+		t.Fatalf("native code refused for a program the register engine took: %v\n%s", err, Disassemble(prog))
+	}
+	if !nativeTier {
+		// No native code runs here, so hold the checker to what would.
+		if buf, off, at, err := emitNative(prog.aot); err != nil {
+			t.Fatalf("emit: %v\n%s", err, Disassemble(prog))
+		} else if err := checkNative(buf, off, at, prog.aot, prog.Globals); err != nil {
+			t.Fatalf("the checker refused emitted code: %v\n%s", err, Disassemble(prog))
+		}
+	}
 	fail := func(format string, a ...any) {
 		t.Helper()
-		t.Fatalf("engines disagree: %s\ninterp: %d, %v (steps %d)\naot:    %d, %v (steps %d)\nentry %s%v\n%s",
+		t.Fatalf("engines disagree: %s\ninterp:   %d, %v (steps %d)\nregister: %d, %v (steps %d)\nnative:   %d, %v (steps %d)\nentry %s%v\n%s",
 			fmt.Sprintf(format, a...), want.res, want.err, want.steps, got.res, got.err, got.steps,
-			entry, args, Disassemble(prog))
+			nat.res, nat.err, nat.steps, entry, args, Disassemble(prog))
+	}
+	// Native code against the register engine: identical, steps and
+	// all, however the run ends.
+	if d := diff(&nat, &got); d != "" {
+		fail("native code vs the register engine: %s", d)
 	}
 	// The recycled arm: on each engine, an instance over dirty parked
 	// arrays must be indistinguishable from the fresh one.
 	for _, arm := range []struct {
-		engine EngineKind
-		fresh  *outcome
-	}{{EngineInterp, &want}, {EngineAOT, &got}} {
-		rec, err := runOn(arm.engine, prog, entry, args, fuel, true)
-		fresh := arm.fresh
-		var diff string
-		switch {
-		case err != nil:
-			diff = "refused: " + err.Error()
-		case rec.res != fresh.res || errClass(rec.err) != errClass(fresh.err) || rec.steps != fresh.steps:
-			diff = fmt.Sprintf("%d, %v (steps %d); fresh %d, %v (steps %d)",
-				rec.res, rec.err, rec.steps, fresh.res, fresh.err, fresh.steps)
-		case !slices.Equal(rec.trace, fresh.trace):
-			diff = fmt.Sprintf("host-call trace %v; fresh %v", rec.trace, fresh.trace)
-		case !bytes.Equal(rec.mem, fresh.mem) || !slices.Equal(rec.globals, fresh.globals):
-			diff = "final memory or globals differ"
+		arm
+		fresh *outcome
+	}{{armInterp, &want}, {armRegister, &got}, {armNative, &nat}} {
+		rec, err := runOn(arm.arm, prog, entry, args, fuel, true)
+		d := ""
+		if err != nil {
+			d = "refused: " + err.Error()
+		} else {
+			d = diff(&rec, arm.fresh)
 		}
-		if diff != "" {
-			t.Fatalf("%v: a recycled instance differs from a fresh one: %s\nentry %s%v\n%s",
-				arm.engine, diff, entry, args, Disassemble(prog))
+		if d != "" {
+			t.Fatalf("%s: a recycled instance differs from a fresh one: %s\nentry %s%v\n%s",
+				arm.name, d, entry, args, Disassemble(prog))
 		}
 	}
 	if errors.Is(want.err, ErrFuelExhausted) {
@@ -196,13 +235,27 @@ func checkEnginesAgree(t *testing.T, prog *Program, entry string, args []int64, 
 	case want.err == nil && got.steps != want.steps:
 		fail("steps on success")
 	case !slices.Equal(got.trace, want.trace):
-		fail("host-call trace\ninterp %v\naot    %v", want.trace, got.trace)
+		fail("host-call trace\ninterp   %v\nregister %v", want.trace, got.trace)
 	case !bytes.Equal(got.mem, want.mem):
 		fail("final memory")
 	case !slices.Equal(got.globals, want.globals):
 		fail("globals %v vs %v", want.globals, got.globals)
 	}
 	return true
+}
+
+// diff describes how two runs of one program on engines that must agree
+// exactly differ, or returns "".
+func diff(o, ref *outcome) string {
+	switch {
+	case o.res != ref.res || errClass(o.err) != errClass(ref.err) || o.steps != ref.steps:
+		return fmt.Sprintf("%d, %v (steps %d); want %d, %v (steps %d)", o.res, o.err, o.steps, ref.res, ref.err, ref.steps)
+	case !slices.Equal(o.trace, ref.trace):
+		return fmt.Sprintf("host-call trace %v; want %v", o.trace, ref.trace)
+	case !bytes.Equal(o.mem, ref.mem) || !slices.Equal(o.globals, ref.globals):
+		return "final memory or globals differ"
+	}
+	return ""
 }
 
 // interesting are the constants the generator and the argument picker
@@ -651,6 +704,9 @@ func TestPropertyEnginesAgree(t *testing.T) {
 // function's arguments. Input that does not assemble, has no static
 // stack shape, or is larger than a fuzz iteration should run is skipped.
 func FuzzEnginesAgree(f *testing.F) {
+	for _, src := range edgeSeeds {
+		f.Add(src, uint64(0))
+	}
 	for seed := uint64(1); seed <= 32; seed++ {
 		f.Add("", seed)
 		f.Add(Disassemble(genProgram(rand.New(rand.NewSource(int64(seed))))), seed)

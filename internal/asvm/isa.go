@@ -14,14 +14,18 @@
 //     stack-shape analysis (shape.go) makes sound by proving one depth per
 //     instruction — with fused compare-and-branch, local-with-immediate
 //     and address-plus-offset instructions, fuel and Steps charged once
-//     per basic block, and one frame arena per instance. This is the
+//     per basic block, and one frame arena per instance. On linux/amd64
+//     without -race the same step emits that register code as x86-64
+//     machine code (x86.go), which a checker proves safe before it may
+//     run (x86check.go) and native.go runs; every other build runs the
+//     register code on the register engine (exec.go). This is the
 //     analogue of ahead-of-time compiled WASM, and every guest tier runs
 //     on it.
 //
 // What separates the tiers is modelled, not structural: the paper's §8.5
 // gap between Wasmtime (Cranelift) and WAVM (LLVM), and the Python
 // tier's interpretive slowness, are reproduced by Config.OverheadFactor,
-// which spins (factor-1) calibrated units per source instruction. Callers
+// which spins (factor-1) base steps' worth per source instruction. Callers
 // scale the factor by their run's CostScale, so a run with injected cost
 // switched off executes the bare engine.
 // Guests reach the outside world only through host calls bound by a

@@ -1,0 +1,5 @@
+//go:build race
+
+package asvm
+
+const raceEnabled = true

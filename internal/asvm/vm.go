@@ -30,8 +30,9 @@ func (k EngineKind) String() string {
 type Config struct {
 	Engine EngineKind
 	// OverheadFactor >= 1 injects calibrated extra work — (factor-1)
-	// spin units per source instruction — to model a slower code
-	// generator or an interpreted tier. 0 means 1.0, which spins nothing.
+	// spin units per source instruction, a unit costing about a base
+	// step of this build's AOT tier — to model a slower code generator
+	// or an interpreted tier. 0 means 1.0, which spins nothing.
 	OverheadFactor float64
 	// Fuel bounds the source instructions one Call may execute; 0 means
 	// the default (1 << 40). The interpreter pays it per step; the AOT
@@ -391,14 +392,15 @@ func overheadSpin(units int64) int64 {
 }
 
 // Spin units are owed in 1/2^spinShift fractions of (factor-1) per
-// source step, and paid every spinStride steps. Both engines find out
-// that a payment is due with the comparison they make anyway for fuel:
+// source step, and paid every spinStride steps. A unit costs about what
+// a base step of the build's AOT tier costs: one add where the register
+// engine runs (overheadSpin), a step of a reference loop on native code
+// where native code runs (burn, native.go), which also pays in larger
+// batches, since each payment is an exit to Go. Every engine finds out
+// that a payment is due with the comparison it makes anyway for fuel:
 // spinMark is the fuel level of the next payment, and 0 — fuel
 // exhaustion only — when the factor is 1.
-const (
-	spinShift  = 10
-	spinStride = 256
-)
+const spinShift = 10
 
 // spinStart arms the spin accounting for a Call starting with fuel; the
 // Call ends it with a last spinTo.
@@ -414,7 +416,7 @@ func (inst *Instance) spinStart(fuel int64) {
 func (inst *Instance) spinTo(fuel int64) {
 	owed := inst.owed + (inst.spinFrom-fuel)*inst.spinPerStep
 	units := owed >> spinShift
-	inst.sink += overheadSpin(units)
+	inst.sink += burn(units)
 	inst.spun += units
 	inst.owed = owed & (1<<spinShift - 1)
 	inst.spinFrom = fuel

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -132,6 +133,12 @@ func (l *Loader) parseDir(dir string, class int) ([]*ast.File, []string, error) 
 	var names []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		// Only the files the go tool builds here: a file kept to
+		// another platform or build tag (a _linux_amd64.go, a
+		// //go:build !race) would redeclare its counterpart's names.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil || !ok {
 			continue
 		}
 		isTest := strings.HasSuffix(e.Name(), "_test.go")

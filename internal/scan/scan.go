@@ -14,10 +14,11 @@
 //     not contain syscall instructions" — an ASVM guest's only escape
 //     hatch is OpHost).
 //  2. Byte-pattern: immediates must not contain the WRPKRU signature
-//     (0x0F 0x01 0xEF). On x86 an attacker could jump into the middle of
-//     an instruction whose immediate encodes wrpkru; the ERIM rewrite
-//     splits such immediates into two benign halves. We reproduce both
-//     the detection and the rewrite on ASVM push immediates.
+//     (0x0F 0x01 0xEF) or XRSTOR's (0x0F 0xAE /5). On x86 an attacker
+//     could jump into the middle of an instruction whose immediate
+//     encodes wrpkru; the ERIM rewrite splits such immediates into two
+//     benign halves. We reproduce both the detection and the rewrite on
+//     ASVM push immediates.
 package scan
 
 import (
@@ -26,10 +27,6 @@ import (
 
 	"alloystack/internal/asvm"
 )
-
-// wrpkruSig is the x86 encoding of WRPKRU (0F 01 EF), the instruction
-// that rewrites the protection-key rights register.
-var wrpkruSig = [3]byte{0x0F, 0x01, 0xEF}
 
 // Errors reported by the scanner.
 var (
@@ -47,7 +44,7 @@ type Report struct {
 }
 
 // containsSig reports whether the little-endian byte representation of v
-// contains the WRPKRU signature.
+// contains a blacklisted signature.
 func containsSig(v int64) bool {
 	var b [8]byte
 	u := uint64(v)
@@ -57,14 +54,11 @@ func containsSig(v int64) bool {
 	return indexSig(b[:]) >= 0
 }
 
-func indexSig(b []byte) int {
-	for i := 0; i+3 <= len(b); i++ {
-		if b[i] == wrpkruSig[0] && b[i+1] == wrpkruSig[1] && b[i+2] == wrpkruSig[2] {
-			return i
-		}
-	}
-	return -1
-}
+// indexSig finds WRPKRU (0F 01 EF) or XRSTOR (0F AE /5), the two
+// instructions that can rewrite the protection-key rights register, by
+// the one definition of their bytes: asvm's, which the native tier's
+// checker also scans its machine code with.
+func indexSig(b []byte) int { return asvm.ForbiddenAt(b) }
 
 // Scan validates prog against the import allowlist and reports any
 // blacklisted byte patterns without modifying the program.

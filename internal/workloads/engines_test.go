@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -17,8 +16,9 @@ import (
 // The eleven guest programs seed asvm's differential fuzz target: each
 // is committed, as the assembly Disassemble prints, under that target's
 // corpus directory, where plain `go test ./internal/asvm` also replays
-// it on both engines. asvm cannot import this package, so the test that
-// keeps the files equal to the guests lives here.
+// it on every engine and benchmarks the mapper from it. asvm cannot
+// import this package, so the test that keeps the files equal to the
+// guests lives here.
 var updateFuzzCorpus = flag.Bool("update-fuzz-corpus", false,
 	"rewrite internal/asvm/testdata/fuzz/FuzzEnginesAgree/guest-* from the guest programs")
 
@@ -55,60 +55,6 @@ func TestGuestsSeedEngineFuzzCorpus(t *testing.T) {
 		}
 	}
 }
-
-// mapperBench times the steady-state Call of the real WordCount mapper
-// over 16 KiB of seeded text, host calls served from memory. This — and
-// the yardstick — is where engine speed is measured; no test compares
-// two wall-clock timings.
-func mapperBench(b *testing.B, engine asvm.EngineKind) {
-	text := GenText(16<<10, 1)
-	l := asvm.NewLinker()
-	for _, imp := range WcMapGuest.Imports {
-		name := imp.Name
-		l.Define(name, func(*asvm.Instance, []int64) (int64, error) {
-			return -1, fmt.Errorf("mapper called unexpected import %s", name)
-		})
-	}
-	var words uint64
-	l.Define("slot_size", func(*asvm.Instance, []int64) (int64, error) { return int64(len(text)), nil })
-	l.Define("slot_recv", func(vm *asvm.Instance, args []int64) (int64, error) {
-		return int64(len(text)), vm.WriteBytes(args[0], text)
-	})
-	l.Define("slot_send", func(vm *asvm.Instance, args []int64) (int64, error) {
-		hist, err := vm.Bytes(args[0], args[1])
-		for words = 0; len(hist) >= 8; hist = hist[8:] {
-			words += binary.LittleEndian.Uint64(hist)
-		}
-		return 0, err
-	})
-	inst, err := l.Instantiate(WcMapGuest, asvm.Config{Engine: engine})
-	if err != nil {
-		b.Fatal(err)
-	}
-	call := func() {
-		if _, err := inst.Call("run", 0, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	call() // grows guest memory to hold the text, once
-	var want uint64
-	for _, n := range CountWords(text) {
-		want += n
-	}
-	if words != want {
-		b.Fatalf("mapper counted %d words, text has %d", words, want)
-	}
-	steps := inst.Steps()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		call()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(steps), "ns/step")
-}
-
-func BenchmarkWcMapInterp(b *testing.B) { mapperBench(b, asvm.EngineInterp) }
-func BenchmarkWcMapAOT(b *testing.B)    { mapperBench(b, asvm.EngineAOT) }
 
 // TestNativeSetUpLowersNoGuest holds the AOT lowering to its laziness:
 // everything a set-up cycle without guests runs — assembling the guest

@@ -11,6 +11,11 @@ set -eux
 test -z "$(gofmt -l .)"
 go build ./...
 go vet ./...
+# The portable path: off linux/amd64 the AOT engine is the register
+# engine and no machine code runs, but the emitter and its checker still
+# build and vet there.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/asvm
 # Under GitHub Actions, -github makes every finding a ::error workflow
 # command so it lands as an inline PR-diff annotation.
 if [ -n "${GITHUB_ACTIONS:-}" ]; then
@@ -19,9 +24,9 @@ else
 	go run ./cmd/asvet ./...
 fi
 go test -short ./...
-# Every benchmark once, so one that panics on what it measures (the AOT
-# engine's register code under BenchmarkWcMapAOT and BenchmarkAOTLoop)
-# fails here; no number is read.
+# Every benchmark once, so one that panics on what it measures (native
+# code under BenchmarkWcMapAOT and BenchmarkAOTLoop, the register engine
+# under BenchmarkWcMapRegister) fails here; no number is read.
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
 # Short fuzz budgets past each committed corpus: the two ASVM engines,
 # the payload-pattern kernels, the kvstore and invoke-frame
@@ -33,7 +38,10 @@ make fuzz-smoke
 # gateway's cluster plane: rendezvous routing, membership, shard
 # admission and the pre-warm protocol all re-run under -race here. It
 # also includes internal/asvm, whose lazily compiled Program is shared
-# by concurrent instances (TestSharedProgramFirstUseIsConcurrent).
+# by concurrent instances (TestSharedProgramFirstUseIsConcurrent). A
+# -race build has no native tier (native_other.go's build tag: the race
+# detector cannot see what foreign code accesses), so this pass runs
+# every AOT test and the three-way oracle on the register engine.
 go test -race -count=1 ./internal/...
 # Guest linear memory and the file transport's read-backs come from one
 # process-wide free list (mem.Take/Park) that concurrent WFDs share; a
