@@ -62,6 +62,11 @@ type Env struct {
 	// to AS-IFI.
 	ifi    bool
 	ifiKey mpk.Key
+	// guest marks an env bound by BindWASISlots: guest bytecode cannot
+	// hold a Go slice, so the buffer views it causes never outlive the
+	// host call, the instance or the run's buffer pool, and do not
+	// escape the Space (see view).
+	guest  bool
 	domain *mpk.Domain
 
 	// Clock, when set, receives stage accounting (Figure 15).
@@ -273,11 +278,30 @@ func newBufferFP(e *Env, slot string, size uint64, fingerprint uint64) (*Buffer,
 	if err != nil {
 		return nil, err
 	}
+	return e.view(slot, addr, size)
+}
+
+// view wraps [addr, addr+size) as a Buffer of e's. It is the one place
+// as-std takes a Space view; a native function body may keep its
+// Bytes() forever, so under a native env the Space is marked escaped
+// first and will not recycle its arrays.
+func (e *Env) view(slot string, addr, size uint64) (*Buffer, error) {
+	e.Adopt()
 	data, err := e.space.Slice(e.ctx, addr, size, true)
 	if err != nil {
 		return nil, err
 	}
 	return &Buffer{env: e, slot: slot, addr: addr, size: size, data: data}, nil
+}
+
+// Adopt records that e's function holds a view of the Space: a native
+// env marks the Space escaped (mem.Space.Escape), a guest env does not.
+// Whoever hands e a Buffer another env created, as a buffer pool does,
+// calls it first.
+func (e *Env) Adopt() {
+	if !e.guest {
+		e.space.Escape()
+	}
 }
 
 // FromSlot obtains the buffer registered under slot, consuming the slot
@@ -300,11 +324,7 @@ func fromSlotFP(e *Env, slot string, fingerprint uint64) (*Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := e.space.Slice(e.ctx, addr, size, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Buffer{env: e, slot: slot, addr: addr, size: size, data: data}, nil
+	return e.view(slot, addr, size)
 }
 
 // Bytes returns the buffer's contents as a zero-copy view.

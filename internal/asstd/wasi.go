@@ -74,7 +74,8 @@ type inbound struct {
 // workflow topology, resolves them to the slot names in inSlots and
 // outSlots, the same division of labour Faasm's chaining API uses, so
 // guests need no string formatting to participate in a DAG. Call once
-// per guest instantiation.
+// per guest instantiation. The env is a guest's from then on: buffer
+// views it takes do not escape the Space (Env.Adopt).
 //
 //	slot_send(ptr, len, edge)        copy guest bytes out to outSlots[edge]
 //	slot_size(edge) -> size          peek inSlots[edge]'s size (acquires
@@ -82,6 +83,7 @@ type inbound struct {
 //	slot_recv(ptr, cap, edge) -> n   copy inSlots[edge]'s bytes into the
 //	                                 guest (releases the cached payload)
 func BindWASISlots(l *asvm.Linker, env *Env, inSlots, outSlots []string) {
+	env.guest = true
 	BindHost(l, libosHost{env}, inSlots, outSlots)
 }
 

@@ -390,19 +390,23 @@ end`
 // TestCheckerRefusesCorruptCode: the checker is what is trusted, so
 // each way a buffer can go wrong that it claims to catch is shown
 // caught, on a hand-corrupted copy of code it accepts.
+// divSrc divides by a register, by the immediate -7 and by one whose
+// bytes spell WRPKRU, which the emitter loads in two halves.
+const divSrc = `
+memory 64
+func run 2 2 1
+  local.get 0
+  local.get 1
+  div
+  push -7
+  rem
+  push 0xEF010F
+  div
+  ret
+end
+`
+
 func TestCheckerRefusesCorruptCode(t *testing.T) {
-	prog := MustAssemble(corruptSrc)
-	c, err := prog.compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, off, at, err := emitNative(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkNative(buf, off, at, c, prog.Globals); err != nil {
-		t.Fatalf("the pristine buffer: %v", err)
-	}
 	// replace swaps the first occurrence of from for to, which must be
 	// as long.
 	replace := func(from, to []byte) func([]byte) []byte {
@@ -415,10 +419,7 @@ func TestCheckerRefusesCorruptCode(t *testing.T) {
 			return b
 		}
 	}
-	cases := []struct {
-		name, want string
-		corrupt    func([]byte) []byte
-	}{
+	refuses(t, corruptSrc, []corruption{
 		{"wrpkru", "forbidden", func(b []byte) []byte { copy(b[len(b)/2:], wrpkru[:]); return b }},
 		{"xrstor", "forbidden", func(b []byte) []byte { copy(b[len(b)/3:], []byte{0x0F, 0xAE, 0x2D}); return b }},
 		// CMP RAX, R8 becomes CMP RAX, R11.
@@ -447,6 +448,42 @@ func TestCheckerRefusesCorruptCode(t *testing.T) {
 		}},
 		{"int3", "unknown opcode", func(b []byte) []byte { b[0] = 0xCC; return b }},
 		{"truncated", "", func(b []byte) []byte { return b[:len(b)-1] }},
+	})
+	// A divisor of 0 or -1 faults in foreign code: SIGFPE, not a panic.
+	const unproved = "IDIV by a divisor not proved"
+	refuses(t, divSrc, []corruption{
+		// TEST RCX, RCX before the zero trap becomes TEST RAX, RAX.
+		{"no zero guard", unproved, replace([]byte{0x48, 0x85, 0xC9}, []byte{0x48, 0x85, 0xC0})},
+		// CMOVE RCX, RDX after CMP RCX, -1 becomes CMOVE RAX, RDX.
+		{"no -1 guard", unproved, replace([]byte{0x48, 0x0F, 0x44, 0xCA}, []byte{0x48, 0x0F, 0x44, 0xC2})},
+		// MOV RCX, -7 becomes MOV RCX, -1, then MOV RCX, 0.
+		{"immediate -1", unproved, replace([]byte{0x48, 0xC7, 0xC1, 0xF9, 0xFF, 0xFF, 0xFF}, []byte{0x48, 0xC7, 0xC1, 0xFF, 0xFF, 0xFF, 0xFF})},
+		{"immediate 0", unproved, replace([]byte{0x48, 0xC7, 0xC1, 0xF9, 0xFF, 0xFF, 0xFF}, []byte{0x48, 0xC7, 0xC1, 0, 0, 0, 0})},
+	})
+}
+
+// corruption is one way of breaking an emitted buffer, and what the
+// checker's refusal must name.
+type corruption struct {
+	name, want string
+	corrupt    func([]byte) []byte
+}
+
+// refuses emits src, checks the pristine buffer passes, and that each
+// corruption of it is refused with an error naming its want.
+func refuses(t *testing.T, src string, cases []corruption) {
+	t.Helper()
+	prog := MustAssemble(src)
+	c, err := prog.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, off, at, err := emitNative(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkNative(buf, off, at, c, prog.Globals); err != nil {
+		t.Fatalf("the pristine buffer: %v", err)
 	}
 	for _, tc := range cases {
 		bad := tc.corrupt(slices.Clone(buf))

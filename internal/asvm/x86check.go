@@ -31,7 +31,12 @@ import (
 //     exit, pc and budget;
 //   - every linear-memory operand, [RSI+RAX], follows its bounds check
 //     inside the same register instruction with RAX unchanged since:
-//     CMP RAX, R8 and JAE for a byte, CMP RAX, R13 and JAE for 8 bytes.
+//     CMP RAX, R8 and JAE for a byte, CMP RAX, R13 and JAE for 8 bytes;
+//   - every IDIV RCX divides by a value proved neither 0 nor -1 inside
+//     the same register instruction, since either faults in foreign
+//     code: a constant (a MOV immediate, or two joined by OR, the split
+//     form), or the guard TEST RCX, RCX; JE; then CMP RCX, -1 and, with
+//     no flag written in between, CMOVE RCX, RDX from a constant RDX.
 
 // errCheck reports a buffer the checker refuses.
 var errCheck = errors.New("asvm: native code refused")
@@ -44,7 +49,8 @@ type xinst struct {
 	reg    int    // ModRM reg field (register or opcode extension), or the B8+r register
 	m      mop    // the r/m operand, when the form has one
 	hasM   bool
-	target int // jump target
+	target int   // jump target
+	imm    int64 // the immediate, as the instruction extends it
 }
 
 // form is what the decoder accepts of an opcode: whether it has a ModRM
@@ -165,10 +171,92 @@ func decode(b []byte, i int) (xinst, error) {
 		}
 	}
 	in.n = p - i
+	switch f.imm {
+	case 1:
+		in.imm = int64(int8(imm[0]))
+	case 4:
+		in.imm = int64(int32(binary.LittleEndian.Uint32(imm[:4])))
+		if in.opc == 0xB8 { // MOV r32, imm32 zero-extends
+			in.imm = int64(uint32(in.imm))
+		}
+	case 8:
+		in.imm = int64(binary.LittleEndian.Uint64(imm[:]))
+	}
 	if in.opc == 0xE9 || in.opc&0xFFF0 == 0x0F80 {
-		in.target = p + int(int32(binary.LittleEndian.Uint32(imm[:4])))
+		in.target = p + int(in.imm)
 	}
 	return in, nil
+}
+
+// keepsFlags reports whether the instruction leaves RFLAGS as it was:
+// the moves, CQO, CMOVcc and SETcc. The checker takes every other form
+// to write them.
+func (in *xinst) keepsFlags() bool {
+	switch op := in.opc; {
+	case op == 0x88, op == 0x89, op == 0x8B, op == 0xB8, op == 0xC7, op == 0x0FB6, op == 0x99:
+		return true
+	case op&0xFFF0 == 0x0F40, op&0xFFF0 == 0x0F90:
+		return true
+	}
+	return false
+}
+
+// divisor is what the code has proved of the IDIV divisor, RCX, since
+// its register instruction began: which registers hold known constants,
+// and how far the guard has come.
+type divisor struct {
+	known   [16]bool
+	value   [16]int64
+	tested  bool // the last instruction was TEST RCX, RCX
+	nonzero bool // a JE right after that test has let only RCX != 0 by
+	isM1    bool // RFLAGS hold CMP RCX, -1, RCX unchanged since
+	safe    bool // the guard's CMOVE replaced a -1 by a safe constant
+}
+
+// divisorOK reports whether a divisor of v neither traps nor overflows.
+func divisorOK(v int64) bool { return v != 0 && v != -1 }
+
+// step advances d over in and refuses an IDIV RCX whose divisor it has
+// not proved.
+func (d *divisor) step(in *xinst) error {
+	tested := false
+	switch m := in.m; {
+	case in.opc == 0xF7 && in.reg == 7:
+		if !d.safe && !(d.known[xCX] && divisorOK(d.value[xCX])) {
+			return errors.New("IDIV by a divisor not proved to be neither 0 nor -1")
+		}
+	case in.opc == 0x85 && in.reg == xCX && m == reg(xCX):
+		tested = true
+	case in.opc == 0x0F84 && d.tested:
+		d.nonzero = true
+	}
+	isM1 := in.opc == 0x81 && in.reg == 7 && in.m == reg(xCX) && in.imm == -1
+	w := in.writes()
+	switch {
+	case in.opc == 0xB8:
+		d.known[w], d.value[w] = true, in.imm
+	case in.opc == 0xC7 && w >= 0:
+		d.known[w], d.value[w] = true, in.imm
+	case in.opc == 0x0B && in.m.kind == mReg && d.known[w] && d.known[in.m.reg]:
+		d.value[w] |= d.value[in.m.reg]
+	case in.opc == 0x0F44 && w == xCX && in.m == reg(xDX) && d.isM1 && d.nonzero &&
+		d.known[xDX] && divisorOK(d.value[xDX]):
+		d.safe = true
+		w = -1 // RCX now holds what the guard proved
+	case w >= 0:
+		d.known[w] = false
+	}
+	if in.opc == 0xF7 && in.reg == 7 || in.opc == 0x99 {
+		d.known[xDX] = false // IDIV and CQO write RDX too
+	}
+	if w == xCX {
+		d.nonzero, d.safe, d.isM1 = false, false, false
+	}
+	if !in.keepsFlags() {
+		d.isM1 = isM1
+	}
+	d.tested = tested
+	return nil
 }
 
 // writes returns the register in writes, or -1; an F7 /7 (IDIV) also
@@ -283,6 +371,7 @@ func checkNative(text []byte, off, at []uint32, c *compiled, globals int) error 
 		qwordOK   = 8
 	)
 	bound, pending := unchecked, unchecked
+	var div divisor
 	prevEnds := true // the previous instruction never falls through
 	var in xinst
 	for i := 0; i < len(text); i += in.n {
@@ -306,6 +395,7 @@ func checkNative(text []byte, off, at []uint32, c *compiled, globals int) error 
 		}
 		if marks[i]&isResume != 0 || prevEnds {
 			bound = unchecked
+			div = divisor{}
 		}
 		if prevEnds {
 			marks[i] |= isEntry // an exit stub
@@ -345,6 +435,9 @@ func checkNative(text []byte, off, at []uint32, c *compiled, globals int) error 
 		}
 		if r := in.writes(); r >= 0 && !writable[r] {
 			return fail(i, "writes register %d", r)
+		}
+		if err := div.step(&in); err != nil {
+			return fail(i, "%v", err)
 		}
 		// The bounds state: a CMP RAX, R8 or CMP RAX, R13 arms it, the
 		// JAE right after sets it, and a write of RAX clears it.

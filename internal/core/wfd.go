@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"alloystack/internal/asstd"
@@ -99,6 +100,7 @@ type WFD struct {
 
 	mu        sync.Mutex
 	destroyed bool
+	live      atomic.Int32 // attempts running, abandoned ones included: see attempt
 	envs      []*asstd.Env
 	faults    int
 
@@ -201,6 +203,11 @@ func Instantiate(opts Options) (*WFD, error) {
 func (w *WFD) NewEnv(funcName string) (*asstd.Env, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.newEnvLocked(funcName)
+}
+
+// newEnvLocked is NewEnv with w.mu held.
+func (w *WFD) newEnvLocked(funcName string) (*asstd.Env, error) {
 	if w.destroyed {
 		return nil, ErrDestroyed
 	}
@@ -229,12 +236,17 @@ func (w *WFD) NewEnv(funcName string) (*asstd.Env, error) {
 // "failures caused by data issues or bugs do not affect other WFDs", and
 // single-function restart stays possible because the as-libos state and
 // intermediate buffers remain intact).
-func (w *WFD) Run(funcName string, fn func(env *asstd.Env) error) (err error) {
-	env, eerr := w.NewEnv(funcName)
-	if eerr != nil {
-		return eerr
+func (w *WFD) Run(funcName string, fn func(env *asstd.Env) error) error {
+	w.mu.Lock()
+	env, err := w.newEnvLocked(funcName)
+	if err == nil {
+		w.live.Add(1)
 	}
-	return w.RunEnv(env, fn)
+	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return w.attempt(env, fn)
 }
 
 // RunCtx executes fn like Run but bounded by ctx: if the context is
@@ -261,9 +273,29 @@ func (w *WFD) RunCtx(ctx context.Context, funcName string, fn func(env *asstd.En
 	}
 }
 
-// RunEnv executes fn under an existing env with fault isolation.
-func (w *WFD) RunEnv(env *asstd.Env, fn func(env *asstd.Env) error) (err error) {
+// RunEnv executes fn under an existing env with fault isolation. It
+// refuses to start on a destroyed WFD (ErrDestroyed), and counts the
+// attempt live until fn returns, so Destroy never recycles memory that
+// a running function can still see.
+func (w *WFD) RunEnv(env *asstd.Env, fn func(env *asstd.Env) error) error {
+	w.mu.Lock()
+	if w.destroyed {
+		w.mu.Unlock()
+		return ErrDestroyed
+	}
+	w.live.Add(1)
+	w.mu.Unlock()
+	return w.attempt(env, fn)
+}
+
+// attempt runs fn, an attempt Run or RunEnv counted live, absorbing its
+// panic. The count goes up under w.mu, in the critical section that
+// finds the WFD not destroyed, and down once fn has returned; Destroy
+// reads it under w.mu after marking the WFD destroyed, so a zero there
+// means no attempt is running or can start.
+func (w *WFD) attempt(env *asstd.Env, fn func(env *asstd.Env) error) (err error) {
 	defer func() {
+		w.live.Add(-1)
 		if r := recover(); r != nil {
 			w.mu.Lock()
 			w.faults++
@@ -302,7 +334,10 @@ func (w *WFD) Crossings() uint64 {
 
 // Destroy tears down the WFD: modules shut down in reverse load order,
 // LibOS resources (fds, network stack) are released, and the address
-// space is dropped. Idempotent.
+// space is released (mem.Space.Release), which recycles its arrays
+// unless a view of it escaped. An attempt still running, one RunCtx
+// abandoned at a deadline, keeps the space's arrays out of the
+// recycling: the space is dropped to the GC instead. Idempotent.
 func (w *WFD) Destroy() {
 	w.mu.Lock()
 	if w.destroyed {
@@ -310,9 +345,13 @@ func (w *WFD) Destroy() {
 		return
 	}
 	w.destroyed = true
+	idle := w.live.Load() == 0
 	w.mu.Unlock()
 	w.NS.Shutdown()
 	w.LibOS.Shutdown()
+	if idle {
+		w.Space.Release()
+	}
 }
 
 // Destroyed reports whether the WFD has been torn down.

@@ -369,6 +369,47 @@ func TestRunAfterDestroy(t *testing.T) {
 	}
 }
 
+// Destroy releases the space only when no attempt is live: an env made
+// before Destroy cannot start afterwards, and a body still running when
+// Destroy comes keeps its memory until the GC takes it.
+func TestReleaseContractDestroyWaitsForLiveAttempts(t *testing.T) {
+	w := testWFD(t, nil)
+	env, err := w.NewEnv("late")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Destroy()
+	if err := w.RunEnv(env, func(*asstd.Env) error { return nil }); !errors.Is(err, ErrDestroyed) {
+		t.Fatalf("RunEnv after Destroy: %v, want ErrDestroyed", err)
+	}
+	if _, err := w.Space.Map(mem.PageSize); !errors.Is(err, mem.ErrReleased) {
+		t.Fatalf("an idle WFD's space after Destroy: %v, want ErrReleased", err)
+	}
+
+	w = testWFD(t, nil)
+	inside, leave := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- w.Run("running", func(env *asstd.Env) error {
+			b, err := asstd.NewBuffer(env, "s", 64)
+			if err != nil {
+				return err
+			}
+			close(inside)
+			<-leave
+			copy(b.Bytes(), "still mine")
+			_, err = w.Space.Map(mem.PageSize)
+			return err
+		})
+	}()
+	<-inside
+	w.Destroy()
+	close(leave)
+	if err := <-done; err != nil {
+		t.Fatalf("a body running across Destroy: %v", err)
+	}
+}
+
 func TestFilesViaAsStd(t *testing.T) {
 	w := testWFD(t, nil)
 	err := w.Run("writer", func(env *asstd.Env) error {

@@ -45,10 +45,11 @@ func (s *Space) Fork() *Space {
 	s.sealed = true
 
 	child := &Space{
-		limit:   s.limit,
-		mapped:  s.mapped,
-		next:    s.next,
-		regions: make([]*region, len(s.regions)),
+		limit:    s.limit,
+		mapped:   s.mapped,
+		next:     s.next,
+		released: s.released,
+		regions:  make([]*region, len(s.regions)),
 	}
 	for i, r := range s.regions {
 		c := &region{

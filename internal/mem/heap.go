@@ -157,12 +157,13 @@ retry:
 	}
 	// No fit in the mapped chunks: grow toward the limit and retry.
 	// The padding bound covers the worst-case alignment slack. A sealed
-	// space refuses the mapping, and says so instead of reading full.
+	// or released space refuses the mapping, and says so instead of
+	// reading full.
 	err := h.grow(size + align)
 	if err == nil {
 		goto retry
 	}
-	if errors.Is(err, ErrSealed) {
+	if errors.Is(err, ErrSealed) || errors.Is(err, ErrReleased) {
 		return 0, err
 	}
 	return 0, fmt.Errorf("%w: want %d bytes align %d (in use %d of %d, limit %d)",

@@ -7,7 +7,8 @@ import (
 
 // The recycled-array free list: byte arrays that outlive the one use
 // they were made for — a guest instance's linear memory (internal/asvm),
-// a spill file read back by the file transport (internal/xfer) — are
+// a spill file read back by the file transport (internal/xfer), the
+// region backing of a released Space (Space.Release) — are
 // parked here when released and taken again by the next user of the
 // same size class, the way Wasmtime's pooling allocator hands a new
 // instance a used linear-memory slot instead of a fresh mapping.

@@ -18,6 +18,11 @@
 // region's backing array is allocated by the first access that reaches
 // it. A WFD therefore pays for the bytes it touches, not the bytes it
 // maps.
+//
+// A Space that ends its life unforked and unescaped (see Escape) hands
+// its private backing arrays to the recycled-array free list (Release),
+// and draws later backing from that list, so a warm invoke loop backs
+// its WFD heaps with the arrays the last WFD gave back.
 package mem
 
 import (
@@ -25,6 +30,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the granularity of mapping, key binding and fault handling.
@@ -38,6 +44,7 @@ var (
 	ErrUnaligned     = errors.New("mem: address or length not page aligned")
 	ErrAccessDenied  = errors.New("mem: access denied by protection key")
 	ErrFaultUnfilled = errors.New("mem: page fault handler did not fill page")
+	ErrReleased      = errors.New("mem: space released")
 )
 
 // Access decides whether an execution context may touch memory tagged with
@@ -61,9 +68,9 @@ type region struct {
 	size uint64
 
 	// data is the backing array: nil while the region is only reserved,
-	// a zeroed allocation private to this Space from the first access on
-	// (see Space.backedView). Once set it is replaced only by a
-	// copy-on-write break, so views handed out by Slice stay valid.
+	// a zeroed array private to this Space from the first access on (see
+	// Space.backedView). Once set it is replaced only by a copy-on-write
+	// break, so views handed out by Slice stay valid until Release.
 	data []byte
 
 	// key is the protection key of every page while keys is nil; the
@@ -167,6 +174,12 @@ type Space struct {
 	next    uint64 // bump pointer for Map
 	sealed  bool   // frozen template: no mutation, only forking
 
+	// released: Release ran, and every access fails with ErrReleased.
+	released bool
+	// escaped: some view may be held for good (Escape), so Release
+	// leaves the arrays to the GC.
+	escaped atomic.Bool
+
 	faults    uint64 // page faults served (metrics)
 	forks     uint64 // copy-on-write clones cut from this space
 	cowBreaks uint64 // inherited regions privatised by a write
@@ -218,6 +231,9 @@ func (s *Space) mapRegion(base, length uint64, lazy bool, h FaultHandler) (uint6
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
+	if s.released {
+		return 0, ErrReleased
+	}
 	if s.sealed {
 		return 0, ErrSealed
 	}
@@ -328,6 +344,9 @@ func (s *Space) KeyAt(addr uint64) (uint8, error) {
 // fork template the access would mutate, and with no lazy page left to
 // fill. Caller holds at least the read lock.
 func (s *Space) check(access Access, addr, n uint64, write bool) (r *region, ready bool, err error) {
+	if s.released {
+		return nil, false, ErrReleased
+	}
 	if write && s.sealed {
 		return nil, false, ErrSealed
 	}
@@ -358,7 +377,7 @@ func (r *region) view(addr, n uint64) []byte {
 
 // backedView is the one slow path of every access, taken under the write
 // lock when check found the backing array unable to serve it: it backs a
-// region that was only reserved with a fresh zeroed array, privatises an
+// region that was only reserved with a zeroed array, privatises an
 // array still shared with a fork template before the access mutates it,
 // and runs the fault handler on lazy pages that were never filled. The
 // checks are repeated because the region table may have changed since the
@@ -380,9 +399,9 @@ func (s *Space) backedView(access Access, addr, n uint64, write bool) ([]byte, e
 	}
 	switch {
 	case r.data == nil:
-		r.data = make([]byte, r.size)
+		r.data = s.array(r.size)
 	case r.cow && (write || fill):
-		private := make([]byte, len(r.data))
+		private := s.array(uint64(len(r.data)))
 		copy(private, r.data)
 		r.data = private
 		r.cow = false
@@ -402,6 +421,54 @@ func (s *Space) backedView(access Access, addr, n uint64, write bool) ([]byte, e
 		}
 	}
 	return r.view(addr, n), nil
+}
+
+// array returns an n-byte zeroed backing array: from the recycled-array
+// free list while the Space is unescaped, so Release can give it back,
+// and a fresh exact-size one otherwise, since an escaped Space's arrays
+// are never given back and a class-sized one would only be larger (and
+// a fresh one needs no clear). Caller holds the write lock.
+func (s *Space) array(n uint64) []byte {
+	if s.escaped.Load() {
+		return make([]byte, n)
+	}
+	b := Take(int(n))
+	clear(b)
+	return b
+}
+
+// Escape records that a view returned by Slice may be held for as long
+// as its holder likes (a native function body may keep an AsBuffer's
+// bytes forever): from now on Release parks nothing, and backing arrays
+// are exact-size allocations. Call it before taking such a view.
+// Idempotent, and cannot be undone.
+func (s *Space) Escape() {
+	if !s.escaped.Load() {
+		s.escaped.Store(true)
+	}
+}
+
+// Release ends the Space. Every later access, Map included, fails with
+// ErrReleased; none backs fresh zeros. When the Space was never forked
+// and never escaped, the backing arrays that are its own (not still
+// shared with a fork template) go to the recycled-array free list for
+// the next Space or guest instance to take, so the caller must know that
+// no view into the Space survives: a view reaches only its own tenant's
+// bytes while its tenant runs. Idempotent.
+func (s *Space) Release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.released {
+		return
+	}
+	s.released = true
+	park := s.forks == 0 && !s.escaped.Load()
+	for _, r := range s.regions {
+		if park && !r.cow && r.data != nil {
+			Park(r.data)
+		}
+		r.data = nil
+	}
 }
 
 // ReadAt copies len(p) bytes at addr into p, subject to access checks.

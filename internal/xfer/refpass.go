@@ -93,9 +93,12 @@ func NewRefpass(env *asstd.Env, pool *BufPool, stats *metrics.TransportStats) *R
 func (t *Refpass) Kind() string { return KindRefpass }
 
 // Alloc returns a slot-registered buffer for in-place production,
-// recycled from the pool when a matching size class has one.
+// recycled from the pool when a matching size class has one. A pooled
+// buffer's view was taken by the env that made it, so this env adopts
+// it.
 func (t *Refpass) Alloc(slot string, size uint64) (*asstd.Buffer, error) {
 	if b := t.pool.get(slot, size); b != nil {
+		t.env.Adopt()
 		t.stats.CountReuse(KindRefpass)
 		return b, nil
 	}

@@ -43,12 +43,13 @@ make fuzz-smoke
 # detector cannot see what foreign code accesses), so this pass runs
 # every AOT test and the three-way oracle on the register engine.
 go test -race -count=1 ./internal/...
-# Guest linear memory and the file transport's read-backs come from one
-# process-wide free list (mem.Take/Park) that concurrent WFDs share; a
-# use after release, or an array handed out twice, shows only when
+# Guest linear memory, the file transport's read-backs and the backing
+# of released WFD spaces come from one process-wide free list
+# (mem.Take/Park) that concurrent WFDs share; a use after release, an
+# array handed out twice or a view that outlives its WFD shows only when
 # another user takes the array in between, which one pass rarely hits.
 # Re-run the recycling tests under -race.
-go test -race -count=20 -run 'Recycled|ReleaseContract' ./internal/asvm ./internal/xfer
+go test -race -count=20 -run 'Recycled|ReleaseContract' ./internal/asvm ./internal/xfer ./internal/mem ./internal/core ./internal/visor
 # The gateway→watchdog hop keeps framed connections per backend and
 # hands them between requests; the watchdog reads the next frame while
 # it serves the last and drains them itself on Stop. A reply delivered
