@@ -387,9 +387,6 @@ loop:
   ret
 end`
 
-// TestCheckerRefusesCorruptCode: the checker is what is trusted, so
-// each way a buffer can go wrong that it claims to catch is shown
-// caught, on a hand-corrupted copy of code it accepts.
 // divSrc divides by a register, by the immediate -7 and by one whose
 // bytes spell WRPKRU, which the emitter loads in two halves.
 const divSrc = `
@@ -406,6 +403,9 @@ func run 2 2 1
 end
 `
 
+// TestCheckerRefusesCorruptCode: the checker is what is trusted, so
+// each way a buffer can go wrong that it claims to catch is shown
+// caught, on a hand-corrupted copy of code it accepts.
 func TestCheckerRefusesCorruptCode(t *testing.T) {
 	// replace swaps the first occurrence of from for to, which must be
 	// as long.
@@ -460,6 +460,34 @@ func TestCheckerRefusesCorruptCode(t *testing.T) {
 		{"immediate -1", unproved, replace([]byte{0x48, 0xC7, 0xC1, 0xF9, 0xFF, 0xFF, 0xFF}, []byte{0x48, 0xC7, 0xC1, 0xFF, 0xFF, 0xFF, 0xFF})},
 		{"immediate 0", unproved, replace([]byte{0x48, 0xC7, 0xC1, 0xF9, 0xFF, 0xFF, 0xFF}, []byte{0x48, 0xC7, 0xC1, 0, 0, 0, 0})},
 	})
+}
+
+// TestCheckerAllocsFlat: checking a buffer allocates the same whatever
+// its length, so the WordCount mapper's 2,350 bytes cost what
+// corruptSrc's few hundred do: no allocation per decoded instruction.
+func TestCheckerAllocsFlat(t *testing.T) {
+	allocs := func(prog *Program) (float64, int) {
+		c, err := prog.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, off, at, err := emitNative(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if err := checkNative(buf, off, at, c, prog.Globals); err != nil {
+				t.Fatal(err)
+			}
+		}), len(buf)
+	}
+	small, smallLen := allocs(MustAssemble(corruptSrc))
+	big, bigLen := allocs(wcMapGuest(t))
+	t.Logf("%d bytes: %.0f allocs; %d bytes: %.0f allocs", smallLen, small, bigLen, big)
+	if big != small || big > 2 {
+		t.Errorf("checking %d bytes: %.0f allocs, %d bytes: %.0f; want the same, at most 2 (marks and jumps)",
+			smallLen, small, bigLen, big)
+	}
 }
 
 // corruption is one way of breaking an emitted buffer, and what the

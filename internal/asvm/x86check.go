@@ -282,14 +282,17 @@ func (in *xinst) writes() int {
 	return -1
 }
 
+// groupExts are the ModRM opcode extensions (/digit) the emitter writes
+// for each opcode that has them.
+var groupExts = map[uint16][]int{
+	0x81: {0, 1, 4, 5, 6, 7}, 0xC1: {4, 7}, 0xD3: {4, 7}, 0xC7: {0}, 0xF7: {3, 7},
+}
+
 // shape refuses the opcode extensions and operands no emitted form
 // uses: each ModRM opcode extension is one the emitter writes, and the
 // operators that only ever apply to a register do.
 func (in *xinst) shape() error {
-	ext := map[uint16][]int{
-		0x81: {0, 1, 4, 5, 6, 7}, 0xC1: {4, 7}, 0xD3: {4, 7}, 0xC7: {0}, 0xF7: {3, 7},
-	}
-	if want, ok := ext[in.opc]; ok && !slices.Contains(want, in.reg) {
+	if want, ok := groupExts[in.opc]; ok && !slices.Contains(want, in.reg) {
 		return fmt.Errorf("opcode %#x /%d", in.opc, in.reg)
 	}
 	regOnly := in.opc == 0xC1 || in.opc == 0xD3 || in.opc == 0xF7 || in.opc&0xFFF0 == 0x0F90 || in.opc&0xFFF0 == 0x0F40
@@ -363,7 +366,10 @@ func checkNative(text []byte, off, at []uint32, c *compiled, globals int) error 
 		}
 		return lo, hi
 	}
-	var jumps []xinst
+	// A jump is at least five bytes long (E9 rel32), so jumps never
+	// grows: the check's allocations do not depend on the code's length.
+	type jump struct{ off, target int }
+	jumps := make([]jump, 0, len(text)/5)
 	fi, fend := -1, 0
 	const (
 		unchecked = 0
@@ -456,7 +462,7 @@ func checkNative(text []byte, off, at []uint32, c *compiled, globals int) error 
 			bound = unchecked
 		}
 		if in.opc == 0xE9 || in.opc&0xFFF0 == 0x0F80 {
-			jumps = append(jumps, in)
+			jumps = append(jumps, jump{in.off, in.target})
 		}
 		prevEnds = in.opc == 0xE9 || in.opc == 0xC3
 	}

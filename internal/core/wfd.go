@@ -255,7 +255,9 @@ func (w *WFD) Run(funcName string, fn func(env *asstd.Env) error) error {
 // running in the background until it finishes — the simulation cannot
 // preempt a Go function mid-body, just as the paper's runtime cannot
 // interrupt a function between restart points — but its result is
-// discarded and its panic, if any, is still absorbed by the WFD.
+// discarded and its panic, if any, is still absorbed by the WFD. A ctx
+// that can never be done (Done returns nil) bounds nothing, so fn runs
+// as Run runs it: on the caller's goroutine, with no channel.
 func (w *WFD) RunCtx(ctx context.Context, funcName string, fn func(env *asstd.Env) error) error {
 	if ctx == nil || ctx.Done() == nil {
 		return w.Run(funcName, fn)

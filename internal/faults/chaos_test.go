@@ -6,6 +6,7 @@ package faults_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -168,81 +169,98 @@ func TestChaosInvocationDeadline(t *testing.T) {
 	}
 }
 
+// TestChaosCancelStopsInflightInstances cancels o.Ctx under a stage of
+// blocked instances: four, and one, which runs on the stage's own
+// goroutine.
 func TestChaosCancelStopsInflightInstances(t *testing.T) {
-	const instances = 4
-	var started atomic.Int64
-	release := make(chan struct{})
-	reg := visor.NewRegistry()
-	reg.RegisterNative("block", func(env *asstd.Env, ctx visor.FuncContext) error {
-		started.Add(1)
-		<-release
-		return nil
-	})
-	defer close(release)
-	v := visor.New(reg)
-	w := &dag.Workflow{Name: "block", Functions: []dag.FuncSpec{
-		{Name: "block", Instances: instances},
-	}}
-	o := visor.DefaultRunOptions()
-	o.CostScale = 0
-	o.BufHeapSize = 1 << 20
-	ctx, cancel := context.WithCancel(context.Background())
-	o.Ctx = ctx
+	for _, instances := range []int{4, 1} {
+		t.Run(fmt.Sprint(instances), func(t *testing.T) {
+			var started atomic.Int64
+			release := make(chan struct{})
+			reg := visor.NewRegistry()
+			reg.RegisterNative("block", func(env *asstd.Env, ctx visor.FuncContext) error {
+				started.Add(1)
+				<-release
+				return nil
+			})
+			defer close(release)
+			v := visor.New(reg)
+			w := &dag.Workflow{Name: "block", Functions: []dag.FuncSpec{
+				{Name: "block", Instances: instances},
+			}}
+			o := visor.DefaultRunOptions()
+			o.CostScale = 0
+			o.BufHeapSize = 1 << 20
+			ctx, cancel := context.WithCancel(context.Background())
+			o.Ctx = ctx
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := v.RunWorkflow(w, o)
-		done <- err
-	}()
-	// Wait until every instance is genuinely in flight, then cancel.
-	for started.Load() < instances {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled workflow did not return — instances not stopped")
+			done := make(chan error, 1)
+			go func() {
+				_, err := v.RunWorkflow(w, o)
+				done <- err
+			}()
+			// Wait until every instance is genuinely in flight, then cancel.
+			for started.Load() < int64(instances) {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelled workflow did not return — instances not stopped")
+			}
+		})
 	}
 }
 
+// TestChaosFailedInstanceCancelsSiblings: in one stage, a function that
+// panics exhausts its (zero) retry budget while its sibling is still
+// blocked; the stage must cancel the sibling and fail promptly. A stage
+// runs its specs in name order and its last instance on its own
+// goroutine, so the two orders put the failing instance once there and
+// once on a launched goroutine.
 func TestChaosFailedInstanceCancelsSiblings(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	reg := visor.NewRegistry()
-	reg.RegisterNative("boom", func(env *asstd.Env, ctx visor.FuncContext) error {
-		panic("boom")
-	})
-	reg.RegisterNative("block", func(env *asstd.Env, ctx visor.FuncContext) error {
-		<-release
-		return nil
-	})
-	v := visor.New(reg)
-	// Same stage: boom exhausts its (zero) retry budget while block is
-	// still in flight; the stage must cancel block and fail promptly.
-	w := &dag.Workflow{Name: "mixed", Functions: []dag.FuncSpec{
-		{Name: "boom"},
-		{Name: "block"},
-	}}
-	o := visor.DefaultRunOptions()
-	o.CostScale = 0
-	o.BufHeapSize = 1 << 20
+	for _, tc := range []struct{ boom, block string }{
+		{"b-boom", "a-block"}, // the failing instance runs on the stage's goroutine
+		{"a-boom", "b-block"}, // the blocked one does
+	} {
+		t.Run(tc.boom, func(t *testing.T) {
+			release := make(chan struct{})
+			defer close(release)
+			reg := visor.NewRegistry()
+			reg.RegisterNative(tc.boom, func(env *asstd.Env, ctx visor.FuncContext) error {
+				panic("boom")
+			})
+			reg.RegisterNative(tc.block, func(env *asstd.Env, ctx visor.FuncContext) error {
+				<-release
+				return nil
+			})
+			v := visor.New(reg)
+			w := &dag.Workflow{Name: "mixed", Functions: []dag.FuncSpec{
+				{Name: tc.boom},
+				{Name: tc.block},
+			}}
+			o := visor.DefaultRunOptions()
+			o.CostScale = 0
+			o.BufHeapSize = 1 << 20
 
-	done := make(chan error, 1)
-	go func() {
-		_, err := v.RunWorkflow(w, o)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("err = %v, want the boom fault", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stage failure did not cancel in-flight sibling")
+			done := make(chan error, 1)
+			go func() {
+				_, err := v.RunWorkflow(w, o)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "boom") {
+					t.Fatalf("err = %v, want the boom fault", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("stage failure did not cancel in-flight sibling")
+			}
+		})
 	}
 }
 

@@ -33,12 +33,12 @@ import (
 // []byte(slot) and the FAT chain walk's appends escape to the heap in a
 // race build):
 //
-//	                     fmt-free  compiled  recycled guest  no run-wide  recycled WFD
-//	                     dispatch    plan    memory, WASI    cancel ctx     backing
-//	function-chain          219       199       199            194           194     87 KiB
-//	function-chain file                         478            472           472    123 KiB
-//	no-ops                   50        47        47             42            42    3.0 KiB
-//	word-count python                           265            260           258   24.7 KiB
+//	                     fmt-free  compiled  recycled guest  no run-wide  recycled WFD  stage runs its
+//	                     dispatch    plan    memory, WASI    cancel ctx     backing     last instance
+//	function-chain          219       199       199            194           194           138     83 KiB
+//	function-chain file                         478            472           472           416    119 KiB
+//	no-ops                   50        47        47             42            42            35    2.5 KiB
+//	word-count python                           265            260           258           242   23.5 KiB
 //
 // The compiled plan moved the DAG levelling, the registry lookups and
 // the admission walk from every invoke to RegisterWorkflow. Recycled
@@ -46,11 +46,16 @@ import (
 // 1,945 KiB and 422 allocations, and the file chain from 571 KiB.
 // Recycling the heap backing of each destroyed warm clone through the
 // same free list (mem.Space.Release) took WordCount from 433 KiB; the
-// native chains' spaces escape, so their figures did not move. Each
-// budget is the current figure plus a small slack: five allocations
-// (an added closure or map per function, eight on the chain, still
-// fails) and about 10 % of the bytes (a guest memory or a spill
-// read-back made afresh per instance again fails).
+// native chains' spaces escape, so their figures did not move. A stage
+// that runs its last instance on its own goroutine, and a one-instance
+// stage that runs it under the run's context rather than a cancellable
+// child, took seven allocations per function from the chains: the
+// instance's goroutine, context.WithCancel and its Done channel, and
+// RunCtx's goroutine and channel, which a context that is never done
+// skips. Each budget is the current figure plus a small slack: five
+// allocations (an added closure or map per function, eight on the
+// chain, still fails) and about 10 % of the bytes (a guest memory or a
+// spill read-back made afresh per instance again fails).
 func TestRunWorkflowAllocBudget(t *testing.T) {
 	reg := visor.NewRegistry()
 	workloads.RegisterAll(reg)
@@ -80,9 +85,9 @@ func TestRunWorkflowAllocBudget(t *testing.T) {
 	wcOpts := base
 	wcOpts.Pool, wcOpts.WarmStart = p, true
 
-	fileAllocs := 477.0
+	fileAllocs := 421.0
 	if raceBuild() {
-		fileAllocs = 492
+		fileAllocs = 436
 	}
 	for _, tc := range []struct {
 		name   string
@@ -93,10 +98,10 @@ func TestRunWorkflowAllocBudget(t *testing.T) {
 		allocs float64
 		kib    float64
 	}{
-		{"function-chain", workloads.FunctionChain(8, 64<<10, "native"), base, 200, nil, 199, 95},
-		{"function-chain file", workloads.FunctionChain(8, 64<<10, "native"), fileOpts, 200, nil, fileAllocs, 136},
-		{"no-ops", workloads.NoOps(), base, 200, nil, 47, 4},
-		{"word-count python", wc, wcOpts, 20, func() { p.Maintain(time.Now()) }, 265, 27},
+		{"function-chain", workloads.FunctionChain(8, 64<<10, "native"), base, 200, nil, 143, 92},
+		{"function-chain file", workloads.FunctionChain(8, 64<<10, "native"), fileOpts, 200, nil, fileAllocs, 131},
+		{"no-ops", workloads.NoOps(), base, 200, nil, 40, 3},
+		{"word-count python", wc, wcOpts, 20, func() { p.Maintain(time.Now()) }, 247, 26},
 	} {
 		if err := v.RegisterWorkflow(tc.wf); err != nil {
 			t.Fatal(err)

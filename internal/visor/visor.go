@@ -122,7 +122,9 @@ func NewRegistry() *Registry {
 	}
 }
 
-// RegisterNative binds a native-tier implementation.
+// RegisterNative binds a native-tier implementation. A stage's last
+// instance runs on the goroutine that called RunWorkflow, so a body
+// must return, never call runtime.Goexit.
 func (r *Registry) RegisterNative(name string, fn NativeFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -629,8 +631,8 @@ func (v *Visor) newRun(w *dag.Workflow, opts RunOptions) (*run, error) {
 
 // begin bounds the run by opts.Ctx and opts.Deadline, opens the root
 // span and starts the E2E clock. The returned cancel releases the
-// deadline's timer. Without a deadline r.ctx is opts.Ctx itself: each
-// stage derives its own cancellable context from it (runStage).
+// deadline's timer. Without a deadline r.ctx is opts.Ctx itself; a
+// fan-out stage derives a cancellable context from it (runStage).
 func (r *run) begin() context.CancelFunc {
 	r.ctx = r.opts.Ctx
 	if r.ctx == nil {
@@ -704,12 +706,12 @@ func (r *run) importInputs() error {
 	return nil
 }
 
-// stage is one stage's barrier: what its parallel instances share.
+// stage is one stage's barrier: what its instances share.
 type stage struct {
 	span *trace.Span
-	// ctx lets a terminally failed instance cancel its in-flight
-	// siblings instead of letting them run to completion on a doomed
-	// stage.
+	// ctx is the run's own for a one-instance stage, cancel nil. With
+	// siblings it is cancellable, so a terminally failed instance stops
+	// them instead of letting them run to completion on a doomed stage.
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -719,9 +721,9 @@ type stage struct {
 	err                 error
 }
 
-// runStage runs every instance of stage si in parallel and holds the
-// barrier until the last one returns. A stage whose instance failed
-// terminally ends the run through the journal's failure path.
+// runStage runs stage si's instances, the last on this goroutine, and
+// holds the barrier until all return. A terminally failed instance
+// ends the run through the journal's failure path.
 func (r *run) runStage(si int) error {
 	if err := r.ctx.Err(); err != nil {
 		return fmt.Errorf("visor: stage %d not started: %w", si, err)
@@ -736,12 +738,13 @@ func (r *run) runStage(si int) error {
 		st.span = r.root.Child("stage-"+strconv.Itoa(si), trace.CatStage)
 	}
 	start := time.Now()
-	st.ctx, st.cancel = context.WithCancel(r.ctx)
-	// An early return must not leave cancelled instances running into
-	// the WFD's teardown.
-	defer st.wg.Wait()
-	defer st.cancel()
-	for k, spec := range r.stages[si] {
+	specs := r.stages[si]
+	st.ctx = r.ctx
+	if len(specs) != 1 || specs[0].InstancesOf() != 1 {
+		st.ctx, st.cancel = context.WithCancel(r.ctx)
+		defer st.cancel()
+	}
+	for k, spec := range specs {
 		n := spec.InstancesOf()
 		for i := 0; i < n; i++ {
 			r.launch(st, &r.impls[si][k], FuncContext{
@@ -751,7 +754,7 @@ func (r *run) runStage(si int) error {
 				Instances: n,
 				Stage:     si,
 				Params:    spec.Params,
-			})
+			}, k == len(specs)-1 && i == n-1)
 		}
 	}
 	st.wg.Wait()
@@ -772,9 +775,9 @@ func (r *run) runStage(si int) error {
 	return nil
 }
 
-// launch starts one function instance of the stage on its own goroutine
-// and trace lane, and records how it ended.
-func (r *run) launch(st *stage, im *impl, fctx FuncContext) {
+// launch opens one function instance's trace lane and runs it: on a
+// goroutine of its own, or, for the stage's last, on this one.
+func (r *run) launch(st *stage, im *impl, fctx FuncContext, last bool) {
 	var inst *trace.Span
 	if st.span != nil {
 		inst = st.span.Child(fctx.Function+"["+strconv.Itoa(fctx.Instance)+"]", trace.CatFunc)
@@ -782,28 +785,37 @@ func (r *run) launch(st *stage, im *impl, fctx FuncContext) {
 	inst.SetLane(r.lanes)
 	r.lanes++
 	st.wg.Add(1)
-	go func() {
-		defer st.wg.Done()
-		defer inst.End()
-		ferr := r.runInstance(st.ctx, fctx, inst, im)
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		now := time.Now()
-		if st.firstDone.IsZero() {
-			st.firstDone = now
-		}
-		st.lastDone = now
-		if ferr == nil {
-			return
-		}
+	if last {
+		r.instance(st, im, fctx, inst)
+	} else {
+		go r.instance(st, im, fctx, inst)
+	}
+}
+
+// instance runs one function instance and records how it ended.
+func (r *run) instance(st *stage, im *impl, fctx FuncContext, inst *trace.Span) {
+	defer st.wg.Done()
+	defer inst.End()
+	ferr := r.runInstance(st.ctx, fctx, inst, im)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	now := time.Now()
+	if st.firstDone.IsZero() {
+		st.firstDone = now
+	}
+	st.lastDone = now
+	if ferr == nil {
+		return
+	}
+	if st.cancel != nil {
 		st.cancel()
-		// Siblings cancelled *because* another instance failed report
-		// context.Canceled, which would mask the root cause, so any
-		// other error wins.
-		if st.err == nil || errors.Is(st.err, context.Canceled) && !errors.Is(ferr, context.Canceled) {
-			st.err = ferr
-		}
-	}()
+	}
+	// Siblings cancelled *because* another instance failed report
+	// context.Canceled, which would mask the root cause, so any
+	// other error wins.
+	if st.err == nil || errors.Is(st.err, context.Canceled) && !errors.Is(ferr, context.Canceled) {
+		st.err = ferr
+	}
 }
 
 // export drains ExportSlots after the last stage into RunResult.Exports
