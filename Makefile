@@ -29,7 +29,10 @@ test:
 # build has no native code, and there its checker still judges what the
 # emitter would produce) ten seconds beyond the committed
 # corpus and the fixed-seed property test `make test` already replays,
-# then the payload-pattern kernels (internal/workloads) five seconds
+# then the verifier's promise (FuzzVerifiedNeverPanics: a program
+# scan.Verify admits ends in a result or a typed trap on all three
+# engines, never a panic or a fault) five seconds, then the
+# payload-pattern kernels (internal/workloads) five seconds
 # against their per-byte formula, then the wire decoders that read
 # bytes from a peer (the kvstore command reader and the
 # gateway→watchdog invoke frames), the journal's replay, dag.Parse
@@ -40,6 +43,7 @@ test:
 # committed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEnginesAgree -fuzztime 10s ./internal/asvm
+	$(GO) test -run '^$$' -fuzz FuzzVerifiedNeverPanics -fuzztime 5s ./internal/asvm
 	$(GO) test -run '^$$' -fuzz FuzzPattern -fuzztime 5s ./internal/workloads
 	$(GO) test -run '^$$' -fuzz FuzzKVCommand -fuzztime 5s ./internal/kvstore
 	$(GO) test -run '^$$' -fuzz FuzzInvokeFrame -fuzztime 5s ./internal/xfer

@@ -46,14 +46,16 @@ type Env struct {
 
 	ns    *loader.Namespace
 	space *mem.Space
-	ctx   *mpk.Context
+	ctx   mpk.Context // the env's own PKRU register
 
 	userPKRU mpk.PKRU
 	sysPKRU  mpk.PKRU
 
 	// cache is the per-function record of resolved entry addresses —
-	// "as-std records the address entry for open()" in Figure 7(b).
-	cache map[loader.Symbol]any
+	// "as-std records the address entry for open()" in Figure 7(b). It
+	// holds as many as any benchmark function resolves (a file-chain
+	// link's seven); the namespace answers for any more.
+	cache [7]cachedEntry
 
 	// Inter-function isolation (paper §3.3, "AS-IFI"): when enabled,
 	// this function owns a private protection key, and buffers are
@@ -168,22 +170,17 @@ func (e *Env) bindBufferPages(addr, size uint64) error {
 	return e.domain.PkeyMprotect(base, end-base, e.ifiKey)
 }
 
-// NewEnv builds an execution environment. userPKRU is the register value
-// for user code, sysPKRU for system-partition execution.
-func NewEnv(name string, ns *loader.Namespace, space *mem.Space, ctx *mpk.Context, userPKRU, sysPKRU mpk.PKRU) *Env {
-	return &Env{
-		FuncName: name,
-		ns:       ns,
-		space:    space,
-		ctx:      ctx,
-		userPKRU: userPKRU,
-		sysPKRU:  sysPKRU,
-		cache:    make(map[loader.Symbol]any),
-	}
+// Init makes e, a zero Env, the named function's execution environment.
+// userPKRU is the register value for user code, sysPKRU for
+// system-partition execution.
+func (e *Env) Init(name string, ns *loader.Namespace, space *mem.Space, userPKRU, sysPKRU mpk.PKRU) {
+	e.FuncName, e.ns, e.space = name, ns, space
+	e.userPKRU, e.sysPKRU = userPKRU, sysPKRU
+	e.ctx.Init(userPKRU)
 }
 
 // Context returns the env's protection context (tests, visor).
-func (e *Env) Context() *mpk.Context { return e.ctx }
+func (e *Env) Context() *mpk.Context { return &e.ctx }
 
 // Space returns the WFD's address space.
 func (e *Env) Space() *mem.Space { return e.space }
@@ -203,23 +200,32 @@ func (e *Env) leaveSys() { e.ctx.WritePKRU(e.userPKRU) }
 // through as-visor).
 func entry[T any](e *Env, sym loader.Symbol) (T, error) {
 	var zero T
-	if fn, ok := e.cache[sym]; ok {
-		typed, ok := fn.(T)
-		if !ok {
-			return zero, fmt.Errorf("%w: %s is %T", ErrBadEntryType, sym, fn)
-		}
-		return typed, nil
+	// The cache fills from the front: stop at sym or the first free slot.
+	i := 0
+	for i < len(e.cache) && e.cache[i].fn != nil && e.cache[i].sym != sym {
+		i++
 	}
-	fn, err := e.ns.FindHostcall(sym)
-	if err != nil {
+	var fn any
+	var err error
+	if i < len(e.cache) && e.cache[i].fn != nil {
+		fn = e.cache[i].fn
+	} else if fn, err = e.ns.FindHostcall(sym); err != nil {
 		return zero, err
 	}
 	typed, ok := fn.(T)
 	if !ok {
 		return zero, fmt.Errorf("%w: %s is %T", ErrBadEntryType, sym, fn)
 	}
-	e.cache[sym] = fn
+	if i < len(e.cache) {
+		e.cache[i] = cachedEntry{sym, fn}
+	}
 	return typed, nil
+}
+
+// cachedEntry is one resolved entry in an env's cache; nil fn is free.
+type cachedEntry struct {
+	sym loader.Symbol
+	fn  any
 }
 
 // syscall wraps a LibOS call with the MPK trampoline. When the env's
@@ -287,7 +293,7 @@ func newBufferFP(e *Env, slot string, size uint64, fingerprint uint64) (*Buffer,
 // first and will not recycle its arrays.
 func (e *Env) view(slot string, addr, size uint64) (*Buffer, error) {
 	e.Adopt()
-	data, err := e.space.Slice(e.ctx, addr, size, true)
+	data, err := e.space.Slice(&e.ctx, addr, size, true)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,13 @@ import (
 // which workloads.TestGuestsSeedEngineFuzzCorpus keeps equal to the
 // guest the workloads run (asvm cannot import workloads).
 func wcMapGuest(tb testing.TB) *Program {
-	b, err := os.ReadFile("testdata/fuzz/FuzzEnginesAgree/guest-wc-map")
+	return corpusProgram(tb, "testdata/fuzz/FuzzEnginesAgree/guest-wc-map")
+}
+
+// corpusProgram assembles the program a FuzzEnginesAgree corpus file
+// holds as its first value.
+func corpusProgram(tb testing.TB, path string) *Program {
+	b, err := os.ReadFile(path)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"maps"
 	"time"
 
 	"alloystack/internal/libos"
@@ -36,14 +37,7 @@ func (w *WFD) Fork() (*WFD, error) {
 		w.mu.Unlock()
 		return nil, ErrDestroyed
 	}
-	warm := make(map[string]bool, len(w.runtimeWarm))
-	for img, ok := range w.runtimeWarm {
-		warm[img] = ok
-	}
-	inited := make(map[string]bool, len(w.runtimeInit))
-	for img, ok := range w.runtimeInit {
-		inited[img] = ok
-	}
+	warm, inited := maps.Clone(w.runtimeWarm), maps.Clone(w.runtimeInit)
 	opts := w.opts
 	w.mu.Unlock()
 
@@ -131,6 +125,12 @@ func (w *WFD) Seal() {
 func (w *WFD) MarkRuntimeWarm(image string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.runtimeWarm == nil {
+		w.runtimeWarm = make(map[string]bool)
+	}
+	if w.runtimeInit == nil {
+		w.runtimeInit = make(map[string]bool)
+	}
 	w.runtimeWarm[image] = true
 	w.runtimeInit[image] = true
 }
@@ -152,6 +152,9 @@ func (w *WFD) FirstRuntimeInit(image string) bool {
 	defer w.mu.Unlock()
 	if w.runtimeInit[image] {
 		return false
+	}
+	if w.runtimeInit == nil {
+		w.runtimeInit = make(map[string]bool)
 	}
 	w.runtimeInit[image] = true
 	return true

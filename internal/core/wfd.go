@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,7 +114,7 @@ type WFD struct {
 	runtimeWarm map[string]bool
 	// runtimeInit tracks which runtime images already paid InitCost in
 	// this WFD, so a cold boot bootstraps each interpreter exactly once
-	// no matter how many instances share it.
+	// no matter how many instances share it. Both are made on first write.
 	runtimeInit map[string]bool
 }
 
@@ -171,15 +172,13 @@ func Instantiate(opts Options) (*WFD, error) {
 	ns.CostScale = opts.CostScale
 
 	w := &WFD{
-		opts:        opts,
-		Space:       space,
-		Domain:      domain,
-		LibOS:       l,
-		NS:          ns,
-		sysPKRU:     mpk.AllowAll,
-		userPKRU:    mpk.AllowAll.WithRights(mpk.KeySystem, false, false),
-		runtimeWarm: make(map[string]bool),
-		runtimeInit: make(map[string]bool),
+		opts:     opts,
+		Space:    space,
+		Domain:   domain,
+		LibOS:    l,
+		NS:       ns,
+		sysPKRU:  mpk.AllowAll,
+		userPKRU: mpk.AllowAll.WithRights(mpk.KeySystem, false, false),
 	}
 
 	// The calibrated base init work (dynamic libraries, symbol tables,
@@ -199,37 +198,56 @@ func Instantiate(opts Options) (*WFD, error) {
 }
 
 // NewEnv creates the execution environment for one function instance.
-// Under IFI the function receives a private protection key.
 func (w *WFD) NewEnv(funcName string) (*asstd.Env, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.newEnvLocked(funcName)
+	env := new(asstd.Env)
+	if err := w.InitEnv(env, funcName); err != nil {
+		return nil, err
+	}
+	return env, nil
 }
 
-// newEnvLocked is NewEnv with w.mu held.
-func (w *WFD) newEnvLocked(funcName string) (*asstd.Env, error) {
+// InitEnv makes env, a zero Env its caller allocated, the named
+// function's execution environment, as NewEnv does for a new one. Under
+// IFI the function receives a private protection key.
+func (w *WFD) InitEnv(env *asstd.Env, funcName string) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.destroyed {
-		return nil, ErrDestroyed
+		return ErrDestroyed
 	}
-	userPKRU := w.userPKRU
-	var env *asstd.Env
 	if w.opts.IFI {
 		key, err := w.Domain.AllocKey()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// The context is born directly in the IFI domain: constructing it
 		// with the final PKRU (instead of mutating a user-domain context)
 		// keeps raw WritePKRU calls out of the setup path entirely.
 		ifiPKRU := mpk.DenyAllButDefault().WithRights(key, true, true)
-		env = asstd.NewEnv(funcName, w.NS, w.Space, mpk.NewContext(ifiPKRU), ifiPKRU, w.sysPKRU)
+		env.Init(funcName, w.NS, w.Space, ifiPKRU, w.sysPKRU)
 		env.EnableIFI(w.Domain, key)
 	} else {
-		env = asstd.NewEnv(funcName, w.NS, w.Space, mpk.NewContext(userPKRU), userPKRU, w.sysPKRU)
+		env.Init(funcName, w.NS, w.Space, w.userPKRU, w.sysPKRU)
 	}
 	w.envs = append(w.envs, env)
-	return env, nil
+	return nil
 }
+
+// ReserveEnvs makes room for n more envs: a run grows the list once.
+func (w *WFD) ReserveEnvs(n int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.envs = slices.Grow(w.envs, n)
+}
+
+// Body is the code of one function attempt. A caller that keeps an
+// attempt's state in a record passes the record: no closure per attempt.
+type Body interface{ Run(env *asstd.Env) error }
+
+// bodyFunc is a plain func as a Body.
+type bodyFunc func(env *asstd.Env) error
+
+func (f bodyFunc) Run(env *asstd.Env) error { return f(env) }
 
 // Run executes fn as the named function with fault isolation: a panic in
 // user code is converted into an error and the WFD survives (§3.1 —
@@ -237,49 +255,35 @@ func (w *WFD) newEnvLocked(funcName string) (*asstd.Env, error) {
 // single-function restart stays possible because the as-libos state and
 // intermediate buffers remain intact).
 func (w *WFD) Run(funcName string, fn func(env *asstd.Env) error) error {
-	w.mu.Lock()
-	env, err := w.newEnvLocked(funcName)
-	if err == nil {
-		w.live.Add(1)
-	}
-	w.mu.Unlock()
+	env, err := w.NewEnv(funcName)
 	if err != nil {
 		return err
 	}
-	return w.attempt(env, fn)
+	return w.RunEnv(env, fn)
 }
 
-// RunCtx executes fn like Run but bounded by ctx: if the context is
-// cancelled or its deadline passes before fn returns, RunCtx returns the
-// context's error (wrapped) immediately. The abandoned attempt keeps
-// running in the background until it finishes — the simulation cannot
-// preempt a Go function mid-body, just as the paper's runtime cannot
-// interrupt a function between restart points — but its result is
-// discarded and its panic, if any, is still absorbed by the WFD. A ctx
-// that can never be done (Done returns nil) bounds nothing, so fn runs
-// as Run runs it: on the caller's goroutine, with no channel.
-func (w *WFD) RunCtx(ctx context.Context, funcName string, fn func(env *asstd.Env) error) error {
-	if ctx == nil || ctx.Done() == nil {
-		return w.Run(funcName, fn)
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: %s not started: %w", funcName, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.Run(funcName, fn) }()
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		return fmt.Errorf("core: %s abandoned: %w", funcName, ctx.Err())
-	}
-}
-
-// RunEnv executes fn under an existing env with fault isolation. It
-// refuses to start on a destroyed WFD (ErrDestroyed), and counts the
-// attempt live until fn returns, so Destroy never recycles memory that
-// a running function can still see.
+// RunEnv executes fn under an existing env, as Run does.
 func (w *WFD) RunEnv(env *asstd.Env, fn func(env *asstd.Env) error) error {
+	return w.RunCtx(context.Background(), env, bodyFunc(fn))
+}
+
+// RunCtx executes body under env, made by NewEnv or InitEnv, with fault
+// isolation. It refuses to start on a destroyed WFD (ErrDestroyed), and
+// counts the attempt live until body returns, so Destroy never recycles
+// memory that a running function can still see. It is bounded by ctx:
+// if the context is cancelled or its deadline passes before body
+// returns, RunCtx returns the context's error (wrapped) immediately.
+// The abandoned attempt keeps running in the background until it
+// finishes — the simulation cannot preempt a Go function mid-body, just
+// as the paper's runtime cannot interrupt a function between restart
+// points — but its result is discarded and its panic, if any, is still
+// absorbed by the WFD. A ctx that can never be done (Done returns nil)
+// bounds nothing, so body runs on the caller's goroutine, with no
+// channel.
+func (w *WFD) RunCtx(ctx context.Context, env *asstd.Env, body Body) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: %s not started: %w", env.FuncName, err)
+	}
 	w.mu.Lock()
 	if w.destroyed {
 		w.mu.Unlock()
@@ -287,15 +291,25 @@ func (w *WFD) RunEnv(env *asstd.Env, fn func(env *asstd.Env) error) error {
 	}
 	w.live.Add(1)
 	w.mu.Unlock()
-	return w.attempt(env, fn)
+	if ctx.Done() == nil {
+		return w.attempt(env, body)
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.attempt(env, body) }()
+	select {
+	case err := <-done:
+		return err
+	case <-ctx.Done():
+		return fmt.Errorf("core: %s abandoned: %w", env.FuncName, ctx.Err())
+	}
 }
 
-// attempt runs fn, an attempt Run or RunEnv counted live, absorbing its
+// attempt runs body, an attempt RunCtx counted live, absorbing its
 // panic. The count goes up under w.mu, in the critical section that
-// finds the WFD not destroyed, and down once fn has returned; Destroy
+// finds the WFD not destroyed, and down once body has returned; Destroy
 // reads it under w.mu after marking the WFD destroyed, so a zero there
 // means no attempt is running or can start.
-func (w *WFD) attempt(env *asstd.Env, fn func(env *asstd.Env) error) (err error) {
+func (w *WFD) attempt(env *asstd.Env, body Body) (err error) {
 	defer func() {
 		w.live.Add(-1)
 		if r := recover(); r != nil {
@@ -305,7 +319,7 @@ func (w *WFD) attempt(env *asstd.Env, fn func(env *asstd.Env) error) (err error)
 			err = fmt.Errorf("%w: %s: %v", ErrFunctionFault, env.FuncName, r)
 		}
 	}()
-	return fn(env)
+	return body.Run(env)
 }
 
 // Faults reports how many function faults the WFD absorbed.

@@ -378,7 +378,7 @@ func lockTransferred(info *types.Info, body *ast.BlockStmt, key, release string,
 //     value previously saved from ReadPKRU must restore a saved value
 //     on all paths to the function's exit.
 //
-// Initialising a fresh context belongs in mpk.NewContext(initial), not
+// Initialising a fresh context belongs in mpk.Context.Init(initial), not
 // a post-hoc WritePKRU — construction is not a crossing.
 var PKRUPair = &Analyzer{
 	Name: "pkrupair",
@@ -490,7 +490,7 @@ func runPKRUPair(pass *Pass) {
 				return nil, ""
 			}
 			return isRestore, "PKRU domain switch without a matching restore of a ReadPKRU-saved value on all paths" +
-				" (save with ReadPKRU and restore via defer, or construct the context with mpk.NewContext)"
+				" (save with ReadPKRU and restore via defer, or initialise the context with mpk.Context.Init)"
 		}
 	})
 }

@@ -121,11 +121,10 @@ type Context struct {
 	writes atomic.Uint64 // register writes, for crossing-cost accounting
 }
 
-// NewContext returns a context holding the given initial register value.
-func NewContext(initial PKRU) *Context {
-	c := &Context{}
+// Init gives c, a zero Context, its initial register value.
+// Construction is not a crossing: it counts no write.
+func (c *Context) Init(initial PKRU) {
 	c.pkru.Store(uint32(initial))
-	return c
 }
 
 // WritePKRU installs a new register value, as the wrpkru instruction

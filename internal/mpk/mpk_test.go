@@ -76,7 +76,7 @@ func TestPKRUWithRightsIsolated(t *testing.T) {
 }
 
 func TestContextRegister(t *testing.T) {
-	c := NewContext(DenyAllButDefault())
+	c := newContext(DenyAllButDefault())
 	if c.Allows(uint8(KeySystem), false) {
 		t.Fatal("fresh user context can read system pages")
 	}
@@ -178,7 +178,7 @@ func TestEndToEndIsolation(t *testing.T) {
 	// User pages stay on the default key.
 
 	userPKRU := AllowAll.WithRights(KeySystem, false, false)
-	ctx := NewContext(userPKRU)
+	ctx := newContext(userPKRU)
 
 	if err := s.WriteAt(ctx, usrBase, []byte("user data")); err != nil {
 		t.Fatalf("user write to user partition: %v", err)
@@ -227,8 +227,8 @@ func TestInterFunctionIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctxA := NewContext(DenyAllButDefault().WithRights(kA, true, true))
-	ctxB := NewContext(DenyAllButDefault().WithRights(kB, true, true))
+	ctxA := newContext(DenyAllButDefault().WithRights(kA, true, true))
+	ctxB := newContext(DenyAllButDefault().WithRights(kB, true, true))
 
 	if err := s.WriteAt(ctxA, heapA, []byte("A's secret")); err != nil {
 		t.Fatalf("A writes own heap: %v", err)
@@ -245,7 +245,7 @@ func TestInterFunctionIsolation(t *testing.T) {
 }
 
 func BenchmarkPKRUSwitch(b *testing.B) {
-	c := NewContext(AllowAll)
+	c := newContext(AllowAll)
 	user := DenyAllButDefault()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -264,7 +264,7 @@ func BenchmarkCheckedAccess(b *testing.B) {
 	if err := d.PkeyMprotect(base, 16*mem.PageSize, KeySystem); err != nil {
 		b.Fatal(err)
 	}
-	ctx := NewContext(AllowAll)
+	ctx := newContext(AllowAll)
 	buf := make([]byte, 4096)
 	b.SetBytes(int64(len(buf)))
 	b.ResetTimer()
@@ -273,4 +273,11 @@ func BenchmarkCheckedAccess(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// newContext is a fresh context holding initial.
+func newContext(initial PKRU) *Context {
+	c := new(Context)
+	c.Init(initial)
+	return c
 }

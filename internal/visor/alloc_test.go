@@ -29,16 +29,18 @@ import (
 //
 // Per invoke, measured with this test (go1.24, linux/amd64; the
 // allocation counts are identical at -cpu 1, 2 and 4, and under -race
-// but for the file chain's, which reads 15 more there: xfer.Path's
+// but for the file chain's, which reads 16 more there: xfer.Path's
 // []byte(slot) and the FAT chain walk's appends escape to the heap in a
-// race build):
+// race build; the two native workloads read one more there too, the
+// run's pointer-free Stages slice, which the tiny allocator otherwise
+// packs beside another):
 //
-//	                     fmt-free  compiled  recycled guest  no run-wide  recycled WFD  stage runs its
-//	                     dispatch    plan    memory, WASI    cancel ctx     backing     last instance
-//	function-chain          219       199       199            194           194           138     83 KiB
-//	function-chain file                         478            472           472           416    119 KiB
-//	no-ops                   50        47        47             42            42            35    2.5 KiB
-//	word-count python                           265            260           258           242   23.5 KiB
+//	                     fmt-free  compiled  recycled guest  no run-wide  recycled WFD  stage runs its  plan-resident
+//	                     dispatch    plan    memory, WASI    cancel ctx     backing     last instance     instance
+//	function-chain          219       199       199            194           194           138            64     80 KiB
+//	function-chain file                         478            472           472           416           350    117 KiB
+//	no-ops                   50        47        47             42            42            35            27    2.5 KiB
+//	word-count python                           265            260           258           242           202     22 KiB
 //
 // The compiled plan moved the DAG levelling, the registry lookups and
 // the admission walk from every invoke to RegisterWorkflow. Recycled
@@ -52,10 +54,17 @@ import (
 // child, took seven allocations per function from the chains: the
 // instance's goroutine, context.WithCancel and its Done channel, and
 // RunCtx's goroutine and channel, which a context that is never done
-// skips. Each budget is the current figure plus a small slack: five
-// allocations (an added closure or map per function, eight on the
-// chain, still fails) and about 10 % of the bytes (a guest memory or a
-// spill read-back made afresh per instance again fails).
+// skips. A plan-resident instance took the rest of what an instance
+// cost beyond its body: RegisterWorkflow formats each native edge's slot
+// names, which a body reads through FuncContext.SlotFrom and SlotTo,
+// and each attempt runs in one record holding its env, the env's PKRU
+// context, its refpass transport and what its body reads, where it had
+// an env, a context, an entry-cache map and its first insert, a
+// transport and a closure; the run keeps one stage record and sizes its
+// stage and env lists once. Each budget is the current figure plus a
+// small slack: five allocations (an added closure or map per function,
+// eight on the chain, still fails) and about 10 % of the bytes (a guest
+// memory or a spill read-back made afresh per instance again fails).
 func TestRunWorkflowAllocBudget(t *testing.T) {
 	reg := visor.NewRegistry()
 	workloads.RegisterAll(reg)
@@ -85,9 +94,9 @@ func TestRunWorkflowAllocBudget(t *testing.T) {
 	wcOpts := base
 	wcOpts.Pool, wcOpts.WarmStart = p, true
 
-	fileAllocs := 421.0
+	fileAllocs := 355.0
 	if raceBuild() {
-		fileAllocs = 436
+		fileAllocs = 371
 	}
 	for _, tc := range []struct {
 		name   string
@@ -98,10 +107,10 @@ func TestRunWorkflowAllocBudget(t *testing.T) {
 		allocs float64
 		kib    float64
 	}{
-		{"function-chain", workloads.FunctionChain(8, 64<<10, "native"), base, 200, nil, 143, 92},
-		{"function-chain file", workloads.FunctionChain(8, 64<<10, "native"), fileOpts, 200, nil, fileAllocs, 131},
-		{"no-ops", workloads.NoOps(), base, 200, nil, 40, 3},
-		{"word-count python", wc, wcOpts, 20, func() { p.Maintain(time.Now()) }, 247, 26},
+		{"function-chain", workloads.FunctionChain(8, 64<<10, "native"), base, 200, nil, 69, 88},
+		{"function-chain file", workloads.FunctionChain(8, 64<<10, "native"), fileOpts, 200, nil, fileAllocs, 129},
+		{"no-ops", workloads.NoOps(), base, 200, nil, 32, 3},
+		{"word-count python", wc, wcOpts, 20, func() { p.Maintain(time.Now()) }, 207, 24},
 	} {
 		if err := v.RegisterWorkflow(tc.wf); err != nil {
 			t.Fatal(err)
@@ -130,6 +139,46 @@ func TestRunWorkflowAllocBudget(t *testing.T) {
 		if kib > tc.kib {
 			t.Errorf("%s: %.1f KiB/invoke, budget %.0f", tc.name, kib, tc.kib)
 		}
+	}
+}
+
+// TestNativeInstanceAllocSlope prices one native function instance by
+// the difference it makes: FunctionChain(10) against FunctionChain(2),
+// 64 KiB over refpass, untraced at CostScale=0, so the eight extra links
+// share one WFD boot and one run record. A link now costs two
+// allocations: its attempt record (env, PKRU context, transport and the
+// body's state in one) and the &Buffer handle of the payload it
+// receives; its slot names are the plan's. One more per link (a closure
+// or a name formatted per instance) passes; two fail.
+func TestNativeInstanceAllocSlope(t *testing.T) {
+	const perLink = 2
+	reg := visor.NewRegistry()
+	workloads.RegisterNative(reg)
+	v := visor.New(reg)
+	o := visor.DefaultRunOptions()
+	o.CostScale = 0
+	o.Transfer = xfer.KindRefpass
+	per := func(links int) float64 {
+		wf := workloads.FunctionChain(links, 64<<10, "native")
+		if err := v.RegisterWorkflow(wf); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := v.RunWorkflow(wf, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 5 {
+			run()
+		}
+		allocs, _ := perInvoke(200, run)
+		return allocs
+	}
+	short, long := per(2), per(10)
+	slope := (long - short) / 8
+	t.Logf("FunctionChain(2) %.1f, FunctionChain(10) %.1f allocs/invoke: %.2f per link (budget %d)", short, long, slope, perLink+1)
+	if slope > perLink+1 {
+		t.Errorf("%.2f allocations per native instance, budget %d", slope, perLink+1)
 	}
 }
 

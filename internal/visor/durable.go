@@ -1,6 +1,7 @@
 package visor
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -416,14 +417,12 @@ func (d *durableRun) unwind(r *run) error {
 					return err
 				}
 				span := r.root.Child("comp:"+key, trace.CatComp)
-				fctx := FuncContext{Workflow: r.w.Name, Function: comp.Name,
-					Instance: i, Instances: n, Stage: si, Params: params}
-				cerr := r.wfd.Run(comp.Name, func(env *asstd.Env) error {
-					if err := r.bind(env, span, params); err != nil {
-						return err
-					}
-					return r.call(&im, env, fctx)
-				})
+				a := &instance{r: r, im: &im, span: span, fctx: &FuncContext{Workflow: r.w.Name,
+					Function: comp.Name, Instance: i, Instances: n, Stage: si, Params: params}}
+				cerr := r.wfd.InitEnv(&a.env, comp.Name)
+				if cerr == nil {
+					cerr = r.wfd.RunCtx(context.Background(), &a.env, a)
+				}
 				detail := ""
 				if cerr != nil {
 					detail = cerr.Error()

@@ -122,7 +122,8 @@ func edgeSlots(stages [][]dag.FuncSpec, cross func(from, to int) bool) []string 
 // they are candidate pairs it did not use.
 func drainSlots(wfd *core.WFD, slots []string, sink func(slot string, src []byte) error) error {
 	return wfd.Run("__bridge-export", func(env *asstd.Env) error {
-		local := xfer.NewRefpass(env, nil, nil)
+		var local xfer.Refpass
+		local.Init(env, nil, nil)
 		for _, slot := range slots {
 			src, release, err := local.Recv(slot)
 			if err != nil {

@@ -51,6 +51,34 @@ type FuncContext struct {
 	Instances int // total parallel instances of this function
 	Stage     int
 	Params    map[string]string
+
+	// slots holds a plan's slot names, formatted once; a bare context
+	// has none, so SlotFrom and SlotTo format theirs.
+	slots map[slotKey]string
+}
+
+// slotKey is what Slot names: an edge and an instance at each end.
+type slotKey struct {
+	from, to string
+	p, c     int
+}
+
+// SlotFrom names the slot dep's instance i sends this instance:
+// Slot(dep, i, Function, Instance), from the plan where it has the edge.
+func (c FuncContext) SlotFrom(dep string, i int) string {
+	if s, ok := c.slots[slotKey{dep, c.Function, i, c.Instance}]; ok {
+		return s
+	}
+	return Slot(dep, i, c.Function, c.Instance)
+}
+
+// SlotTo names the slot this instance sends child's instance j:
+// Slot(Function, Instance, child, j), from the plan where it has the edge.
+func (c FuncContext) SlotTo(child string, j int) string {
+	if s, ok := c.slots[slotKey{c.Function, child, c.Instance, j}]; ok {
+		return s
+	}
+	return Slot(c.Function, c.Instance, child, j)
 }
 
 // Param fetches a workflow parameter with a default.
@@ -401,22 +429,25 @@ func (v *Visor) ScanRejects() int64 { return v.scanRejects.Load() }
 // plan is a workflow compiled once for every invoke of it: the stages,
 // what each spec and compensation handler runs, one verdict. Immutable.
 type plan struct {
-	w      *dag.Workflow
-	stages [][]dag.FuncSpec
-	impls  [][]impl // impls[si][k] runs stages[si][k]
-	comps  map[string]impl
+	w         *dag.Workflow
+	stages    [][]dag.FuncSpec
+	impls     [][]impl // impls[si][k] runs stages[si][k]
+	comps     map[string]impl
+	instances int // function instances, all stages
 	// err is the first function or handler the registry lacks, or the
 	// scan's rejection: each invoke returns it before journal and boot.
 	err error
 }
 
 // impl is one spec resolved against the registry: a native body or a
-// guest image. A stage's guest impl also holds each instance's resolved
-// call; a compensation's is resolved when it runs.
+// guest image. A stage's impl also holds each instance's context, and a
+// guest one each instance's resolved call; a compensation's are made
+// when it runs.
 type impl struct {
 	native NativeFunc
 	vm     *VMFunc
-	calls  []guestCall // calls[i] is instance i's
+	ctxs   []FuncContext // ctxs[i] is instance i's
+	calls  []guestCall   // calls[i] is instance i's
 }
 
 // guestCall is one guest instance's VMFunc.Resolve result: its entry
@@ -440,9 +471,9 @@ func resolveCall(vf *VMFunc, ctx FuncContext) guestCall {
 // image, compensations included, through the admission scan: §6's
 // validate-before-execute, so an image that could jump between
 // instructions, unbalance the shared value stack or call an
-// off-allowlist host import never reaches an engine. Each guest stage
-// instance's edges are resolved here too; a native spec costs nothing
-// more.
+// off-allowlist host import never reaches an engine. Each stage
+// instance's context, each guest instance's edges and each native
+// edge's slot names are made here too.
 func (v *Visor) compile(w *dag.Workflow) *plan {
 	stages, err := w.Stages()
 	p := &plan{w: w, stages: stages, err: err,
@@ -464,19 +495,35 @@ func (v *Visor) compile(w *dag.Workflow) *plan {
 		}
 		return im
 	}
+	// Each edge with a native end is named once, here, for every invoke.
+	slots := map[slotKey]string{}
+	byName := map[string]*impl{}
 	for si, stage := range stages {
 		p.impls[si] = make([]impl, len(stage))
 		for k, spec := range stage {
-			im := resolve(spec)
-			if im.vm != nil && p.err == nil {
-				n := spec.InstancesOf()
-				im.calls = make([]guestCall, n)
-				for i := range im.calls {
-					im.calls[i] = resolveCall(im.vm, FuncContext{Workflow: w.Name, Function: spec.Name,
-						Instance: i, Instances: n, Stage: si, Params: spec.Params})
+			im := &p.impls[si][k]
+			*im = resolve(spec)
+			byName[spec.Name] = im
+			n := spec.InstancesOf()
+			p.instances += n
+			im.ctxs = make([]FuncContext, n)
+			for i := range im.ctxs {
+				im.ctxs[i] = FuncContext{Workflow: w.Name, Function: spec.Name,
+					Instance: i, Instances: n, Stage: si, Params: spec.Params, slots: slots}
+			}
+			for _, dep := range spec.DependsOn {
+				if from := byName[dep]; from != nil && (from.native != nil || im.native != nil) {
+					for i := range len(from.ctxs) * n {
+						slots[slotKey{dep, spec.Name, i / n, i % n}] = Slot(dep, i/n, spec.Name, i%n)
+					}
 				}
 			}
-			p.impls[si][k] = im
+			if im.vm != nil && p.err == nil {
+				im.calls = make([]guestCall, n)
+				for i := range im.calls {
+					im.calls[i] = resolveCall(im.vm, im.ctxs[i])
+				}
+			}
 		}
 	}
 	for _, c := range w.Compensations {
@@ -523,8 +570,7 @@ func (v *Visor) RunWorkflow(w *dag.Workflow, opts RunOptions) (*RunResult, error
 // in order share. Nothing in it but the read-only plan outlives the call.
 type run struct {
 	*plan
-	opts   RunOptions
-	policy faults.RetryPolicy
+	opts RunOptions
 
 	ctx   context.Context
 	start time.Time
@@ -546,6 +592,8 @@ type run struct {
 	// tid), so parallel instances render as parallel rows.
 	retryMu sync.Mutex
 	lanes   int64
+
+	st stage // the barrier of the stage running now
 }
 
 // runWorkflow is the invoke path, one step per line; DESIGN.md ("Invoke
@@ -615,18 +663,18 @@ func (v *Visor) newRun(w *dag.Workflow, opts RunOptions) (*run, error) {
 		}
 		return nil, p.err
 	}
-	var policy faults.RetryPolicy // no retries unless opts.Retry is set
-	if opts.Retry != nil {
-		policy = *opts.Retry
-	}
-	return &run{plan: p, opts: opts, policy: policy,
+	r := &run{plan: p, opts: opts,
 		bufs: xfer.NewBufPool(), paths: xfer.NewPathRegistry(),
 		res: &RunResult{
-			QueueWait:   opts.QueueWait,
-			Clock:       metrics.NewStageClock(),
-			RetryBudget: policy.MaxRetries,
-			Transfer:    metrics.NewTransportStats(),
-		}}, nil
+			QueueWait: opts.QueueWait,
+			Stages:    make([]time.Duration, 0, len(p.stages)),
+			Clock:     metrics.NewStageClock(),
+			Transfer:  metrics.NewTransportStats(),
+		}}
+	if opts.Retry != nil {
+		r.res.RetryBudget = opts.Retry.MaxRetries
+	}
+	return r, nil
 }
 
 // begin bounds the run by opts.Ctx and opts.Deadline, opens the root
@@ -642,7 +690,9 @@ func (r *run) begin() context.CancelFunc {
 	if r.opts.Deadline > 0 {
 		r.ctx, cancel = context.WithTimeout(r.ctx, r.opts.Deadline)
 	}
-	r.root = r.opts.Trace.Start("invoke:"+r.w.Name, trace.CatInvoke)
+	if r.opts.Trace != nil {
+		r.root = r.opts.Trace.Start("invoke:"+r.w.Name, trace.CatInvoke)
+	}
 	r.start = time.Now()
 	if r.opts.QueueWait > 0 {
 		// The admission wait happened before this run started; chart it
@@ -678,6 +728,7 @@ func (r *run) boot() error {
 		}
 	}
 	r.res.ColdStart, r.res.WarmStart = r.wfd.ColdStart, warm
+	r.wfd.ReserveEnvs(r.instances)
 	return nil
 }
 
@@ -733,28 +784,21 @@ func (r *run) runStage(si int) error {
 	}
 	// Span names are built only under a live parent, here and in launch
 	// and runInstance: an untraced run formats nothing.
-	st := &stage{}
+	st := &r.st
+	*st = stage{ctx: r.ctx}
 	if r.root != nil {
 		st.span = r.root.Child("stage-"+strconv.Itoa(si), trace.CatStage)
 	}
 	start := time.Now()
-	specs := r.stages[si]
-	st.ctx = r.ctx
-	if len(specs) != 1 || specs[0].InstancesOf() != 1 {
+	impls := r.impls[si]
+	if len(impls) != 1 || len(impls[0].ctxs) != 1 {
 		st.ctx, st.cancel = context.WithCancel(r.ctx)
 		defer st.cancel()
 	}
-	for k, spec := range specs {
-		n := spec.InstancesOf()
-		for i := 0; i < n; i++ {
-			r.launch(st, &r.impls[si][k], FuncContext{
-				Workflow:  r.w.Name,
-				Function:  spec.Name,
-				Instance:  i,
-				Instances: n,
-				Stage:     si,
-				Params:    spec.Params,
-			}, k == len(specs)-1 && i == n-1)
+	for k := range impls {
+		im := &impls[k]
+		for i := range im.ctxs {
+			r.launch(st, im, &im.ctxs[i], k == len(impls)-1 && i == len(im.ctxs)-1)
 		}
 	}
 	st.wg.Wait()
@@ -777,26 +821,26 @@ func (r *run) runStage(si int) error {
 
 // launch opens one function instance's trace lane and runs it: on a
 // goroutine of its own, or, for the stage's last, on this one.
-func (r *run) launch(st *stage, im *impl, fctx FuncContext, last bool) {
-	var inst *trace.Span
+func (r *run) launch(st *stage, im *impl, fctx *FuncContext, last bool) {
+	a := &instance{r: r, im: im, fctx: fctx}
 	if st.span != nil {
-		inst = st.span.Child(fctx.Function+"["+strconv.Itoa(fctx.Instance)+"]", trace.CatFunc)
+		a.span = st.span.Child(fctx.Function+"["+strconv.Itoa(fctx.Instance)+"]", trace.CatFunc)
 	}
-	inst.SetLane(r.lanes)
+	a.span.SetLane(r.lanes)
 	r.lanes++
 	st.wg.Add(1)
 	if last {
-		r.instance(st, im, fctx, inst)
+		r.instance(st, a)
 	} else {
-		go r.instance(st, im, fctx, inst)
+		go r.instance(st, a)
 	}
 }
 
 // instance runs one function instance and records how it ended.
-func (r *run) instance(st *stage, im *impl, fctx FuncContext, inst *trace.Span) {
+func (r *run) instance(st *stage, a *instance) {
 	defer st.wg.Done()
-	defer inst.End()
-	ferr := r.runInstance(st.ctx, fctx, inst, im)
+	defer a.span.End()
+	ferr := r.runInstance(st.ctx, a)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	now := time.Now()
@@ -853,58 +897,62 @@ func (r *run) fail(err error) (*RunResult, error) {
 	return nil, err
 }
 
-// call runs one instance of a resolved spec in env: the native body
-// itself, or the guest tier's VM over its image with the call the plan
-// resolved for the instance.
-func (r *run) call(im *impl, env *asstd.Env, fctx FuncContext) error {
+// instance is one attempt's one allocation: its env (PKRU context
+// included), refpass transport and what its body reads. It is never
+// reused: a native body, or an attempt abandoned at a deadline, may keep
+// its *Env.
+type instance struct {
+	env     asstd.Env
+	rp      xfer.Refpass
+	r       *run
+	im      *impl
+	fctx    *FuncContext
+	span    *trace.Span
+	attempt int
+	panics  bool // the fault plan panics this attempt
+}
+
+// Run binds a.env to the run (stage clock, span, and the transport over
+// the run's pool and path registry), then runs the native body, or the
+// guest's VM with the call the plan resolved for the instance.
+func (a *instance) Run(env *asstd.Env) error {
+	r, im, fctx := a.r, a.im, a.fctx
+	if a.panics {
+		panic(fmt.Sprintf("faults: injected panic %s[%d] attempt %d", fctx.Function, fctx.Instance, a.attempt))
+	}
+	env.Clock, env.Span = r.res.Clock, a.span
+	tr, err := xfer.New(EdgeTransfer(fctx.Params, r.opts), xfer.Config{
+		Env: env, Pool: r.bufs, Paths: r.paths, Stats: r.res.Transfer, Refpass: &a.rp})
+	if err != nil {
+		return err
+	}
+	env.SetTransport(xfer.WithTrace(tr, a.span))
 	if im.vm == nil {
-		return im.native(env, fctx)
+		return im.native(env, *fctx)
 	}
 	if fctx.Instance < len(im.calls) {
 		return r.runVM(env, im.vm, &im.calls[fctx.Instance])
 	}
-	gc := resolveCall(im.vm, fctx)
+	gc := resolveCall(im.vm, *fctx)
 	return r.runVM(env, im.vm, &gc)
-}
-
-// bind attaches env to this run: the stage clock, the span its syscalls
-// and transfers chart under, and the transport its edges resolve to,
-// built over the run-wide pool and path registry.
-func (r *run) bind(env *asstd.Env, span *trace.Span, params map[string]string) error {
-	env.Clock = r.res.Clock
-	env.Span = span
-	tr, err := xfer.New(EdgeTransfer(params, r.opts), xfer.Config{
-		Env:   env,
-		Pool:  r.bufs,
-		Paths: r.paths,
-		Stats: r.res.Transfer,
-	})
-	if err != nil {
-		return err
-	}
-	env.SetTransport(xfer.WithTrace(tr, span))
-	return nil
 }
 
 // runInstance drives one function instance through the retry policy:
 // consult the fault plan, run the attempt under the per-attempt timeout,
-// and on a fault (panic) back off and restart while the budget and the
-// stage context allow. Only faults are retried; ordinary errors are
-// programming results, and timeouts are not retried because the
-// abandoned attempt may still be executing.
-func (r *run) runInstance(ctx context.Context, fctx FuncContext, span *trace.Span, im *impl) error {
-	body := func(env *asstd.Env) error {
-		if err := r.bind(env, span, fctx.Params); err != nil {
-			return err
-		}
-		return r.call(im, env, fctx)
-	}
+// and on a fault (panic) back off and restart, in a fresh record, while
+// the budget and the stage context allow. Only faults are retried;
+// ordinary errors are programming results, and timeouts are not retried
+// because the abandoned attempt may still be executing.
+func (r *run) runInstance(ctx context.Context, a *instance) error {
+	fctx, span := a.fctx, a.span
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("visor: %s[%d]: %w", fctx.Function, fctx.Instance, err)
 		}
-		attemptBody := body
+		if attempt > 0 {
+			a = &instance{r: r, im: a.im, fctx: fctx, span: span, attempt: attempt}
+		}
 		if d := r.opts.Faults.FuncDelay(fctx.Function, fctx.Instance, attempt); d > 0 {
 			span.Event(fmt.Sprintf("injected delay %s attempt %d", d, attempt))
 			if err := sleepCtx(ctx, d); err != nil {
@@ -913,17 +961,13 @@ func (r *run) runInstance(ctx context.Context, fctx FuncContext, span *trace.Spa
 		}
 		if r.opts.Faults.FuncPanic(fctx.Function, fctx.Instance, attempt) {
 			span.Event(fmt.Sprintf("injected panic attempt %d", attempt))
-			a := attempt
-			attemptBody = func(env *asstd.Env) error {
-				panic(fmt.Sprintf("faults: injected panic %s[%d] attempt %d",
-					fctx.Function, fctx.Instance, a))
-			}
+			a.panics = true
 		}
 		var attemptSpan *trace.Span
 		if span != nil {
 			attemptSpan = span.Child("attempt-"+strconv.Itoa(attempt), trace.CatAttempt)
 		}
-		ferr := r.runAttempt(ctx, fctx.Function, attemptBody)
+		ferr := r.runAttempt(ctx, a)
 		if ferr != nil {
 			attemptSpan.SetAttr("error", ferr.Error())
 		}
@@ -931,30 +975,34 @@ func (r *run) runInstance(ctx context.Context, fctx FuncContext, span *trace.Spa
 		if ferr == nil || !errors.Is(ferr, core.ErrFunctionFault) {
 			return ferr
 		}
-		if !r.policy.Allow(attempt, time.Since(start)) {
+		policy := r.opts.Retry // nil retries nothing
+		if policy == nil || !policy.Allow(attempt, time.Since(start)) {
 			return ferr
 		}
 		r.retryMu.Lock()
 		r.res.Retries++
-		r.res.RetryWait += r.policy.Backoff(attempt)
+		r.res.RetryWait += policy.Backoff(attempt)
 		r.retryMu.Unlock()
 		span.Event(fmt.Sprintf("retry after attempt %d", attempt))
-		if err := r.policy.Sleep(ctx, attempt); err != nil {
+		if err := policy.Sleep(ctx, attempt); err != nil {
 			return fmt.Errorf("visor: %s[%d]: %w", fctx.Function, fctx.Instance, err)
 		}
 	}
 }
 
-// runAttempt executes one attempt, bounded by the per-function timeout
+// runAttempt executes attempt a, bounded by the per-function timeout
 // when set. A timed-out attempt returns an error satisfying
 // errors.Is(err, context.DeadlineExceeded).
-func (r *run) runAttempt(ctx context.Context, name string, body func(env *asstd.Env) error) error {
+func (r *run) runAttempt(ctx context.Context, a *instance) error {
 	if r.opts.FuncTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.opts.FuncTimeout)
 		defer cancel()
 	}
-	return r.wfd.RunCtx(ctx, name, body)
+	if err := r.wfd.InitEnv(&a.env, a.fctx.Function); err != nil {
+		return err
+	}
+	return r.wfd.RunCtx(ctx, &a.env, a)
 }
 
 // sleepCtx sleeps d or returns the context error if cancelled first.

@@ -84,7 +84,7 @@ func httpServerFn(env *asstd.Env, ctx visor.FuncContext) error {
 // window; only the write itself is charged to the transfer stage.
 func pipeSendFn(env *asstd.Env, ctx visor.FuncContext) error {
 	size := uint64(ctx.ParamInt("size", 4096))
-	slot := visor.Slot("pipe-send", 0, "pipe-recv", 0)
+	slot := ctx.SlotTo("pipe-recv", 0)
 	t := tp(env)
 	if refPassing(env) {
 		b, err := t.Alloc(slot, size)
@@ -106,7 +106,7 @@ func pipeSendFn(env *asstd.Env, ctx visor.FuncContext) error {
 // pipeRecvFn consumes the pipe's intermediate data, verifying every byte
 // so lazy paths cannot cheat the measurement.
 func pipeRecvFn(env *asstd.Env, ctx visor.FuncContext) error {
-	slot := visor.Slot("pipe-send", 0, "pipe-recv", 0)
+	slot := ctx.SlotFrom("pipe-send", 0)
 	return timeStage(env, metrics.StageTransfer, func() error {
 		data, done, err := tp(env).Recv(slot)
 		if err != nil {
@@ -161,8 +161,13 @@ func chainFn(env *asstd.Env, ctx visor.FuncContext) error {
 	size := uint64(ctx.ParamInt("size", 4096))
 	last := idx == length-1
 
-	outSlot := visor.Slot(ctx.Function, 0, "chain-"+strconv.Itoa(idx+1), 0)
-	inSlot := visor.Slot("chain-"+strconv.Itoa(idx-1), 0, ctx.Function, 0)
+	var inSlot, outSlot string
+	if idx > 0 {
+		inSlot = ctx.SlotFrom("chain-"+strconv.Itoa(idx-1), 0)
+	}
+	if !last {
+		outSlot = ctx.SlotTo("chain-"+strconv.Itoa(idx+1), 0)
+	}
 
 	t := tp(env)
 	if idx == 0 {
@@ -309,7 +314,7 @@ func wcSplit(io AppIO, ctx visor.FuncContext) error {
 	chunks := SplitTextChunks(text, int(ctx.ParamInt("instances", 1)))
 	return io.Transfer(func() error {
 		for i, chunk := range chunks {
-			if err := io.Send(visor.Slot("wc-split", 0, "wc-map", i), chunk); err != nil {
+			if err := io.Send(ctx.SlotTo("wc-map", i), chunk); err != nil {
 				return err
 			}
 		}
@@ -320,7 +325,7 @@ func wcSplit(io AppIO, ctx visor.FuncContext) error {
 // wcMap counts words in its chunk and shuffles the counts to reducers
 // partitioned by word hash.
 func wcMap(io AppIO, ctx visor.FuncContext) error {
-	chunk, release, err := io.Recv(visor.Slot("wc-split", 0, "wc-map", ctx.Instance))
+	chunk, release, err := io.Recv(ctx.SlotFrom("wc-split", 0))
 	if err != nil {
 		return err
 	}
@@ -341,8 +346,7 @@ func wcMap(io AppIO, ctx visor.FuncContext) error {
 	release()
 	return io.Transfer(func() error {
 		for r, part := range partitions {
-			slot := visor.Slot("wc-map", ctx.Instance, "wc-reduce", r)
-			if err := io.Send(slot, EncodeCounts(part)); err != nil {
+			if err := io.Send(ctx.SlotTo("wc-reduce", r), EncodeCounts(part)); err != nil {
 				return err
 			}
 		}
@@ -355,7 +359,7 @@ func wcReduce(io AppIO, ctx visor.FuncContext) error {
 	merged := make(map[string]uint64)
 	mappers := ctx.Instances // map and reduce run with equal instance counts
 	for m := 0; m < mappers; m++ {
-		data, release, err := io.Recv(visor.Slot("wc-map", m, "wc-reduce", ctx.Instance))
+		data, release, err := io.Recv(ctx.SlotFrom("wc-map", m))
 		if err != nil {
 			return err
 		}
@@ -368,8 +372,7 @@ func wcReduce(io AppIO, ctx visor.FuncContext) error {
 		}
 	}
 	return io.Transfer(func() error {
-		slot := visor.Slot("wc-reduce", ctx.Instance, "wc-merge", 0)
-		return io.Send(slot, EncodeCounts(merged))
+		return io.Send(ctx.SlotTo("wc-merge", 0), EncodeCounts(merged))
 	})
 }
 
@@ -378,7 +381,7 @@ func wcMerge(io AppIO, ctx visor.FuncContext) error {
 	reducers := int(ctx.ParamInt("instances", 1))
 	final := make(map[string]uint64)
 	for r := 0; r < reducers; r++ {
-		data, release, err := io.Recv(visor.Slot("wc-reduce", r, "wc-merge", 0))
+		data, release, err := io.Recv(ctx.SlotFrom("wc-reduce", r))
 		if err != nil {
 			return err
 		}
@@ -419,7 +422,7 @@ func psSplit(io AppIO, ctx visor.FuncContext) error {
 				end = len(raw)
 			}
 			payload := EncodePivotChunk(pivots, raw[start:end])
-			if err := io.Send(visor.Slot("ps-split", 0, "ps-sort", i), payload); err != nil {
+			if err := io.Send(ctx.SlotTo("ps-sort", i), payload); err != nil {
 				return err
 			}
 		}
@@ -429,7 +432,7 @@ func psSplit(io AppIO, ctx visor.FuncContext) error {
 
 // psSort sorts its chunk and scatters pivot ranges to the mergers.
 func psSort(io AppIO, ctx visor.FuncContext) error {
-	data, release, err := io.Recv(visor.Slot("ps-split", 0, "ps-sort", ctx.Instance))
+	data, release, err := io.Recv(ctx.SlotFrom("ps-split", 0))
 	if err != nil {
 		return err
 	}
@@ -460,8 +463,7 @@ func psSort(io AppIO, ctx visor.FuncContext) error {
 			if end < start {
 				end = start
 			}
-			slot := visor.Slot("ps-sort", ctx.Instance, "ps-merge", j)
-			if err := io.Send(slot, U64sToBytes(vals[start:end])); err != nil {
+			if err := io.Send(ctx.SlotTo("ps-merge", j), U64sToBytes(vals[start:end])); err != nil {
 				return err
 			}
 			start = end
@@ -475,7 +477,7 @@ func psMerge(io AppIO, ctx visor.FuncContext) error {
 	sorters := ctx.Instances
 	runs := make([][]uint64, 0, sorters)
 	for i := 0; i < sorters; i++ {
-		data, release, err := io.Recv(visor.Slot("ps-sort", i, "ps-merge", ctx.Instance))
+		data, release, err := io.Recv(ctx.SlotFrom("ps-sort", i))
 		if err != nil {
 			return err
 		}
@@ -490,8 +492,7 @@ func psMerge(io AppIO, ctx visor.FuncContext) error {
 		return err
 	}
 	return io.Transfer(func() error {
-		slot := visor.Slot("ps-merge", ctx.Instance, "ps-final", 0)
-		return io.Send(slot, U64sToBytes(merged))
+		return io.Send(ctx.SlotTo("ps-final", 0), U64sToBytes(merged))
 	})
 }
 
@@ -502,7 +503,7 @@ func psFinal(io AppIO, ctx visor.FuncContext) error {
 	var prev uint64
 	var total int
 	for j := 0; j < mergers; j++ {
-		data, release, err := io.Recv(visor.Slot("ps-merge", j, "ps-final", 0))
+		data, release, err := io.Recv(ctx.SlotFrom("ps-merge", j))
 		if err != nil {
 			return err
 		}

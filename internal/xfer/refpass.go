@@ -80,13 +80,13 @@ type Refpass struct {
 	stats *metrics.TransportStats
 }
 
-// NewRefpass builds the transport. The pool is ignored under IFI:
+// Init makes t the transport over env. The pool is ignored under IFI:
 // recycling a buffer across functions would carry a stale key binding.
-func NewRefpass(env *asstd.Env, pool *BufPool, stats *metrics.TransportStats) *Refpass {
+func (t *Refpass) Init(env *asstd.Env, pool *BufPool, stats *metrics.TransportStats) {
 	if env.IFI() {
 		pool = nil
 	}
-	return &Refpass{env: env, pool: pool, stats: stats}
+	*t = Refpass{env: env, pool: pool, stats: stats}
 }
 
 // Kind names the transport.

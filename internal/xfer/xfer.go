@@ -69,6 +69,9 @@ type Config struct {
 
 	// Stats, when set, receives per-kind transfer counters.
 	Stats *metrics.TransportStats
+
+	// Refpass, when set, is where New builds a refpass transport.
+	Refpass *Refpass
 }
 
 // New builds the named in-WFD transport from cfg: refpass or file. The
@@ -83,7 +86,12 @@ func New(kind string, cfg Config) (Transport, error) {
 		if kind == KindFile {
 			return NewFile(cfg.Env, cfg.Paths, cfg.Stats), nil
 		}
-		return NewRefpass(cfg.Env, cfg.Pool, cfg.Stats), nil
+		rp := cfg.Refpass
+		if rp == nil {
+			rp = new(Refpass)
+		}
+		rp.Init(cfg.Env, cfg.Pool, cfg.Stats)
+		return rp, nil
 	case KindKV:
 		return nil, fmt.Errorf("%w (kind %q: build it with NewKV)", ErrNoBackend, kind)
 	}

@@ -298,7 +298,8 @@ func TestCopyAccounting(t *testing.T) {
 func TestBufPoolReuse(t *testing.T) {
 	stats := metrics.NewTransportStats()
 	env := testEnv(t)
-	tr := xfer.NewRefpass(env, xfer.NewBufPool(), stats)
+	tr := new(xfer.Refpass)
+	tr.Init(env, xfer.NewBufPool(), stats)
 
 	want := pattern(8192)
 	if err := tr.Send("a", want); err != nil {

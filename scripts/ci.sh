@@ -28,8 +28,9 @@ go test -short ./...
 # code under BenchmarkWcMapAOT and BenchmarkAOTLoop, the register engine
 # under BenchmarkWcMapRegister) fails here; no number is read.
 go test -run '^$' -bench . -benchtime 1x ./internal/asvm ./internal/workloads
-# Short fuzz budgets past each committed corpus: the two ASVM engines,
-# the payload-pattern kernels, the kvstore and invoke-frame
+# Short fuzz budgets past each committed corpus: the three ASVM engines
+# against each other and against the verifier's promise, the
+# payload-pattern kernels, the kvstore and invoke-frame
 # decoders, the journal's replay, dag.Parse, metrics.ParseProm and
 # fatfs.Mount of a mutated image; a crasher fails the build and is left
 # under the package's testdata/fuzz/ to be committed as a test.
@@ -61,8 +62,10 @@ go test -race -count=20 -run 'FrameStopDrains|DroppedFrameConnection' ./internal
 # A stage runs its last instance on its own goroutine and the others on
 # launched ones; a sibling's cancellation or the barrier's bookkeeping
 # racing the inline instance shows only under some interleavings, so
-# re-run the placement and sibling-cancellation tests.
-go test -race -count=20 -run 'Placement|Siblings' ./internal/visor ./internal/faults
+# re-run the placement and sibling-cancellation tests. Fan-out instances
+# also read the plan's contexts and slot names concurrently, each in an
+# attempt record of its own: re-run the per-instance tests with them.
+go test -race -count=20 -run 'Placement|Siblings|NativeInstance|RecordsNotShared|BareFuncContext' ./internal/visor ./internal/faults
 # A dialer whose peer writes and closes at once can see the data and
 # FIN land before its handshake wait wakes; Dial once reported that
 # success as a timeout, one run in ten under -race. One -count=1 pass
